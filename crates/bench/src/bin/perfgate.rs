@@ -76,7 +76,6 @@ impl Class {
 const METRICS: &[(&str, Class)] = &[
     ("single_packet.mean_us", Class::MeanUs),
     ("single_packet.p90_us", Class::TailUs),
-    ("repeat_packet.mean_us", Class::MeanUs),
     ("total.mean_us", Class::MeanUs),
     ("per_stage.fec_reversal.mean_us", Class::MeanUs),
     ("per_stage.gfsk_modulate.mean_us", Class::MeanUs),

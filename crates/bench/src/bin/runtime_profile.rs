@@ -50,8 +50,7 @@ fn beacon_bits(variant: u8) -> Vec<bool> {
 }
 
 /// Steady-state allocations per packet at the current telemetry level.
-/// Cycles distinct payloads so the claim covers cold decodes, not just the
-/// memoized repeat path.
+/// Cycles distinct payloads, so every packet is a cold decode.
 fn steady_allocs_per_packet(
     bf: &BlueFi,
     variants: &[Vec<bool>],
@@ -95,10 +94,7 @@ fn main() {
     // lint: allow(panic) channel 38 = 2426 MHz is plannable by construction
     let plan = plan_channel(2.426e9).expect("advertising channel must be plannable");
     // Distinct payload variants so consecutive trials never repeat a coded
-    // target: the FEC-reversal scratch memoizes repeat decodes, and a
-    // single-payload loop would time the memo, not the engine. Cold-path
-    // latency cycles the variants; the memoized path is measured
-    // separately below as `repeat_packet`.
+    // target; cold-path latency cycles them.
     let variants: Vec<Vec<bool>> = (0..8u8).map(beacon_bits).collect();
     let bits = variants[0].clone();
 
@@ -161,31 +157,17 @@ fn main() {
         }
     }
 
-    // -- Repeat-packet latency (decode memo) ------------------------------
-    // Re-synthesizing an unchanged payload — the beacon retransmission
-    // case — is served from the FEC-reversal memo; measure it separately
-    // so the cold numbers above stay honest.
     let counter_value = |snap: &telemetry::Snapshot, name: &str| -> u64 {
         snap.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v).unwrap_or(0)
     };
-    bf.synthesize_at_with(&bits, plan, 71, &mut scratch); // prime the memo
-    let memo_before = counter_value(&telemetry::snapshot(), "viterbi_memo_hits");
-    let rep_us: Vec<f64> = (0..trials)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(bf.synthesize_at_with(&bits, plan, 71, &mut scratch));
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
 
-    // Section boundary: latency/per-stage/repeat numbers are final; drain
+    // Section boundary: latency/per-stage numbers are final; drain
     // so the next section starts from zero. Traces are captured first —
     // the reset inside `drain_section` clears the trace rings too.
     if tracing {
         trace_sections.push(telemetry::trace::snapshot());
     }
-    let repeat_section = telemetry::drain_section();
-    let memo_hits = counter_value(&repeat_section, "viterbi_memo_hits") - memo_before;
+    telemetry::drain_section();
 
     // -- Steady-state allocations per packet ------------------------------
     // The probe only counts in contracts+debug builds; release builds
@@ -436,29 +418,17 @@ fn main() {
     // Sort the latency series once; all percentiles read from it.
     let mut lat_sorted = lat_us.clone();
     lat_sorted.sort_by(|a, b| a.total_cmp(b));
-    let mut rep_sorted = rep_us.clone();
-    rep_sorted.sort_by(|a, b| a.total_cmp(b));
     rep.table(
         "Runtime profile — single-packet synthesis latency (warm scratch)",
         &["payload", "mean µs", "median µs", "p10 µs", "p90 µs", "trials"],
-        vec![
-            vec![
-                format!("cold ({} variants)", variants.len()),
-                format!("{:.1}", mean(&lat_us)),
-                format!("{:.1}", percentile_sorted(&lat_sorted, 50.0)),
-                format!("{:.1}", percentile_sorted(&lat_sorted, 10.0)),
-                format!("{:.1}", percentile_sorted(&lat_sorted, 90.0)),
-                format!("{trials}"),
-            ],
-            vec![
-                format!("repeated (memo, {memo_hits} hits)"),
-                format!("{:.1}", mean(&rep_us)),
-                format!("{:.1}", percentile_sorted(&rep_sorted, 50.0)),
-                format!("{:.1}", percentile_sorted(&rep_sorted, 10.0)),
-                format!("{:.1}", percentile_sorted(&rep_sorted, 90.0)),
-                format!("{trials}"),
-            ],
-        ],
+        vec![vec![
+            format!("cold ({} variants)", variants.len()),
+            format!("{:.1}", mean(&lat_us)),
+            format!("{:.1}", percentile_sorted(&lat_sorted, 50.0)),
+            format!("{:.1}", percentile_sorted(&lat_sorted, 10.0)),
+            format!("{:.1}", percentile_sorted(&lat_sorted, 90.0)),
+            format!("{trials}"),
+        ]],
     );
     if !stage_rows.is_empty() {
         rep.table(
@@ -577,14 +547,6 @@ fn main() {
                 ("p10_us", Json::Num(percentile_sorted(&lat_sorted, 10.0))),
                 ("p90_us", Json::Num(percentile_sorted(&lat_sorted, 90.0))),
                 ("distinct_payloads", Json::Num(variants.len() as f64)),
-            ]),
-        ),
-        (
-            "repeat_packet",
-            Json::obj(vec![
-                ("mean_us", Json::Num(mean(&rep_us))),
-                ("median_us", Json::Num(percentile_sorted(&rep_sorted, 50.0))),
-                ("memo_hits", Json::Num(memo_hits as f64)),
             ]),
         ),
         (

@@ -37,22 +37,11 @@ fn runtime_profile_emits_valid_report() {
         let v = single.get(key).and_then(Json::as_f64).expect(key);
         assert!(v.is_finite() && v > 0.0, "{key} = {v}");
     }
-    // Cold trials must cycle distinct payloads (the decode memo would
-    // otherwise turn the latency loop into a memo benchmark).
+    // Cold trials must cycle distinct payloads, so consecutive trials
+    // never decode the same coded target.
     assert!(
         single.get("distinct_payloads").and_then(Json::as_f64).unwrap_or(0.0) >= 2.0,
         "latency loop must cycle distinct payloads"
-    );
-
-    // The memoized repeat-packet path is measured separately, and with an
-    // unchanged payload every trial must hit the memo.
-    let repeat = report.get("repeat_packet").expect("repeat_packet section");
-    let rep_mean = repeat.get("mean_us").and_then(Json::as_f64).expect("mean_us");
-    assert!(rep_mean.is_finite() && rep_mean > 0.0);
-    assert_eq!(
-        repeat.get("memo_hits").and_then(Json::as_f64),
-        Some(2.0),
-        "every repeat trial must be served from the decode memo"
     );
 
     // This test binary is a debug+contracts build, so the probe must be

@@ -24,13 +24,9 @@
 //!   kernel that [`ViterbiScratch::decode_punctured_into`] routes through,
 //!   proven bit-identical to the reference by property tests and the
 //!   conformance golden vectors.
-//!
-//! The scratch additionally memoizes the last punctured decode: repeated
-//! payloads (beacons, test repetitions) skip the trellis entirely and
-//! replay the remembered survivor result.
 
 use crate::convolutional::{transition_next, transition_output, NUM_STATES};
-use crate::puncture::{CodeRate, RxBit};
+use crate::puncture::RxBit;
 use crate::trellis::{trellis_plan, PackedScratch, INF};
 
 /// Reusable trellis state for the weighted Viterbi: path metrics, survivor
@@ -58,90 +54,9 @@ pub struct ViterbiScratch {
     reenc_punct: Vec<bool>,
     // The packed engine's metric columns and survivor words.
     packed: PackedScratch,
-    // Repeat-decode memo (see `DecodeMemo`).
-    memo: DecodeMemo,
     // Replay buffers for the real-time decoder, so one scratch serves both
     // FEC-reversal strategies (`core::reversal` picks per packet).
     realtime: crate::realtime::RealtimeScratch,
-}
-
-/// Memo of the last punctured decode: when the same (rate, termination,
-/// target, weights) tuple comes back — beacon retransmissions decode the
-/// identical coded payload every slot — the remembered output is replayed
-/// without touching the trellis. Matching is exact slice equality, so a
-/// hit can never return a wrong answer; a miss just decodes normally.
-#[derive(Debug, Clone)]
-struct DecodeMemo {
-    valid: bool,
-    rate: CodeRate,
-    terminate: bool,
-    weighted: bool,
-    target: Vec<bool>,
-    weights: Vec<u32>,
-    out: Vec<bool>,
-    hits: u64,
-    last_hit: bool,
-}
-
-impl DecodeMemo {
-    fn new() -> DecodeMemo {
-        DecodeMemo {
-            valid: false,
-            rate: CodeRate::R12,
-            terminate: false,
-            weighted: false,
-            target: Vec::new(),
-            weights: Vec::new(),
-            out: Vec::new(),
-            hits: 0,
-            last_hit: false,
-        }
-    }
-
-    fn matches(
-        &self,
-        rate: CodeRate,
-        target: &[bool],
-        weights: Option<&[u32]>,
-        terminate: bool,
-    ) -> bool {
-        self.valid
-            && self.rate == rate
-            && self.terminate == terminate
-            && self.weighted == weights.is_some()
-            && self.target.as_slice() == target
-            && weights.is_none_or(|w| self.weights.as_slice() == w)
-    }
-
-    fn store(
-        &mut self,
-        rate: CodeRate,
-        target: &[bool],
-        weights: Option<&[u32]>,
-        terminate: bool,
-        out: &[bool],
-    ) {
-        self.valid = true;
-        self.rate = rate;
-        self.terminate = terminate;
-        self.weighted = weights.is_some();
-        copy_bools(&mut self.target, target);
-        match weights {
-            Some(w) => {
-                bluefi_dsp::contracts::ensure_len(&mut self.weights, w.len(), 0);
-                self.weights.copy_from_slice(w);
-            }
-            None => self.weights.clear(),
-        }
-        copy_bools(&mut self.out, out);
-    }
-}
-
-/// Copies `src` into `dst` through the contracts-aware resize, so steady
-/// state (unchanged length) performs no allocation.
-fn copy_bools(dst: &mut Vec<bool>, src: &[bool]) {
-    bluefi_dsp::contracts::ensure_len(dst, src.len(), false);
-    dst.copy_from_slice(src);
 }
 
 impl Default for ViterbiScratch {
@@ -171,7 +86,6 @@ impl ViterbiScratch {
             reenc_mother: Vec::new(),
             reenc_punct: Vec::new(),
             packed: PackedScratch::new(),
-            memo: DecodeMemo::new(),
             realtime: crate::realtime::RealtimeScratch::new(),
         }
     }
@@ -181,19 +95,6 @@ impl ViterbiScratch {
     /// scratch (see [`crate::realtime::RealtimePlan::decode_into`]).
     pub fn realtime_scratch(&mut self) -> &mut crate::realtime::RealtimeScratch {
         &mut self.realtime
-    }
-
-    /// Total repeat-decode memo hits since the scratch was built.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo.hits
-    }
-
-    /// True when the most recent [`decode_punctured_into`] call was served
-    /// from the repeat-decode memo without running the trellis.
-    ///
-    /// [`decode_punctured_into`]: ViterbiScratch::decode_punctured_into
-    pub fn last_decode_memoized(&self) -> bool {
-        self.memo.last_hit
     }
 
     /// Decodes a (depunctured) mother-code stream into `out` (resized to
@@ -270,10 +171,8 @@ impl ViterbiScratch {
     /// stream through the bit-packed engine ([`crate::trellis`]), bit-
     /// identical to depuncturing and running the scalar reference decoder.
     ///
-    /// Repeated targets are served from the repeat-decode memo (see
-    /// [`ViterbiScratch::last_decode_memoized`]); cold decodes fetch the
-    /// interned trellis plan and run the branchless kernel. Allocation-free
-    /// at steady state.
+    /// Fetches the interned trellis plan and runs the branchless kernel.
+    /// Allocation-free at steady state.
     pub fn decode_punctured_into(
         &mut self,
         rate: crate::puncture::CodeRate,
@@ -282,16 +181,8 @@ impl ViterbiScratch {
         terminate: bool,
         out: &mut Vec<bool>,
     ) {
-        if self.memo.matches(rate, punctured, weights, terminate) {
-            self.memo.hits += 1;
-            self.memo.last_hit = true;
-            copy_bools(out, &self.memo.out);
-            return;
-        }
-        self.memo.last_hit = false;
         let plan = trellis_plan(rate, punctured.len());
         plan.decode_into(punctured, weights, terminate, &mut self.packed, out);
-        self.memo.store(rate, punctured, weights, terminate, out);
     }
 
     /// The scalar reference path of [`decode_punctured_into`]: depunctures
@@ -546,33 +437,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn repeat_decodes_hit_the_memo() {
-        let data = pattern_bits(60, 7);
-        let tx = puncture(CodeRate::R56, &encode_r12(&data));
-        let weights: Vec<u32> = (0..tx.len() as u32).map(|i| 1 + i % 7).collect();
-        let mut scratch = ViterbiScratch::new();
-        let mut out = Vec::new();
-        scratch.decode_punctured_into(CodeRate::R56, &tx, Some(&weights), false, &mut out);
-        assert!(!scratch.last_decode_memoized());
-        assert_eq!(scratch.memo_hits(), 0);
-        let cold = out.clone();
-        // Identical target: served from the memo, identical answer.
-        scratch.decode_punctured_into(CodeRate::R56, &tx, Some(&weights), false, &mut out);
-        assert!(scratch.last_decode_memoized());
-        assert_eq!(scratch.memo_hits(), 1);
-        assert_eq!(out, cold);
-        // Same target, different weights: must NOT hit.
-        let other: Vec<u32> = weights.iter().map(|w| w + 1).collect();
-        scratch.decode_punctured_into(CodeRate::R56, &tx, Some(&other), false, &mut out);
-        assert!(!scratch.last_decode_memoized());
-        // Same bits but unweighted is a different key, too.
-        scratch.decode_punctured_into(CodeRate::R56, &tx, None, false, &mut out);
-        assert!(!scratch.last_decode_memoized());
-        assert_eq!(out, decode_punctured_scalar(CodeRate::R56, &tx, None, false));
-        assert_eq!(scratch.memo_hits(), 1);
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! The synthesis kernel has accumulated five ways to run — the allocating
 //! API (`synthesize_at`), the zero-alloc scratch API
 //! (`synthesize_at_with`), the parallel batch engine (`SynthesisBatch`),
-//! the `bluefi-service` daemon transport (requests over a unix socket,
-//! results decoded from the wire format), and the template-cache patch
-//! path (`CachedEngine`, compared cold vs
-//! patched per payload-mutation cell) — plus orthogonal toggles: worker
-//! count, telemetry recording level, and (at compile time) stage
-//! contracts. All of them
-//! must produce *bit-identical* packets: the matrix here runs the same job
-//! set through every variant and compares the canonical word streams
+//! the `bluefi-service` daemon transport (single and batch requests over a
+//! unix socket, results decoded from the wire format), and the
+//! template-cache patch path (`CachedEngine`, compared cold vs patched per
+//! payload-mutation cell) — plus orthogonal toggles: worker count,
+//! telemetry recording level, and (at compile time) stage contracts. All
+//! of them must produce *bit-identical* packets: the matrix here runs the
+//! same job set through every variant and compares the canonical word streams
 //! (PSDU, flip set, scalar facts, final transmitted IQ) word-by-word,
 //! reporting the exact diverging index and both values.
 //!
@@ -22,12 +21,13 @@
 use crate::digest::{compare_words, words_of, Canon, Divergence};
 use crate::trace::{ble_case_pdu, Chip};
 use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
+use bluefi_core::json::Json;
 use bluefi_core::pipeline::{BlueFi, PhaseMode, Synthesis, SynthesisScratch};
 use bluefi_core::reversal::DecodeStrategy;
 use bluefi_core::telemetry::{self, Level};
 use bluefi_core::template::{CachedEngine, CachedScratch};
 use bluefi_core::{BatchJob, SynthesisBatch};
-use bluefi_service::{proto, ScratchBackend, Server, ServiceClient, ServiceConfig};
+use bluefi_service::{proto, CachedBackend, Server, ServiceClient, ServiceConfig};
 use bluefi_wifi::channels::{bt_channel_freq_hz, plan_channel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -183,9 +183,11 @@ fn run_chip(bf: &BlueFi, chip: Chip, report: &mut MatrixReport) -> Result<(), St
 
 /// The `service` axis: responses fetched over the daemon's unix socket
 /// must be word-identical to a direct in-process synthesis of the same
-/// job. The daemon runs the scratch backend over the same pipeline the
-/// reference uses, and the wire format round-trips every f64 as its
-/// exact bit pattern, so the scalar facts must survive untouched too.
+/// job, whether sent one `synthesize` call per job or as one
+/// `batch_synthesize` call. The daemon runs the template-cache backend,
+/// which bypasses to the same cold pipeline the reference uses for this
+/// (cache-ineligible) config, and the wire format round-trips every f64 as
+/// its exact bit pattern, so the scalar facts must survive untouched too.
 fn run_service_chip(
     bf: &BlueFi,
     chip: Chip,
@@ -198,33 +200,58 @@ fn run_service_chip(
     let path = path.to_string_lossy().to_string();
     let server = Server::spawn(
         &path,
-        Arc::new(ScratchBackend::new(bf.clone())),
+        Arc::new(CachedBackend::new(CachedEngine::new(bf.clone()), 0)),
         ServiceConfig::default(),
     )
     .map_err(|e| format!("spawn conformance daemon: {e}"))?;
-    let run = || -> Result<Vec<Synthesis>, String> {
+    let parse = |label: &str, result: &Json| {
+        proto::synthesis_from_json(result)
+            .ok_or_else(|| format!("{}/{label}: unparseable synthesis payload", chip.name()))
+    };
+    let run = || -> Result<(Vec<Synthesis>, Vec<Synthesis>), String> {
         let mut client =
             ServiceClient::connect(&path).map_err(|e| format!("connect {path}: {e}"))?;
         client
             .set_timeout(std::time::Duration::from_secs(30))
             .map_err(|e| format!("set timeout: {e}"))?;
         let jobs = matrix_jobs(chip)?;
-        let mut got = Vec::with_capacity(jobs.len());
-        for (j, (job, &bt_ch)) in jobs.iter().zip(&CARRIERS).enumerate() {
+        let wire: Vec<(&[bool], u8, u8)> =
+            jobs.iter().zip(&CARRIERS).map(|(job, &ch)| (&job.bits[..], ch, job.seed)).collect();
+        let mut singles = Vec::with_capacity(jobs.len());
+        for (j, &(bits, ch, seed)) in wire.iter().enumerate() {
             let result = client
-                .synthesize(&job.bits, bt_ch, job.seed)
+                .synthesize(bits, ch, seed)
                 .map_err(|e| format!("{}/service/job{j}: {e}", chip.name()))?;
-            let syn = proto::synthesis_from_json(&result).ok_or_else(|| {
-                format!("{}/service/job{j}: unparseable synthesis payload", chip.name())
-            })?;
-            got.push(syn);
+            singles.push(parse(&format!("service/job{j}"), &result)?);
         }
-        Ok(got)
+        let batch = client
+            .batch_synthesize(&wire)
+            .map_err(|e| format!("{}/service-batch: {e}", chip.name()))?;
+        let results = batch
+            .get("results")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("{}/service-batch: missing results array", chip.name()))?;
+        let batched = results
+            .iter()
+            .enumerate()
+            .map(|(j, r)| parse(&format!("service-batch/job{j}"), r))
+            .collect::<Result<Vec<_>, _>>()?;
+        if batched.len() != jobs.len() {
+            return Err(format!(
+                "{}/service-batch: {} results for {} jobs",
+                chip.name(),
+                batched.len(),
+                jobs.len()
+            ));
+        }
+        Ok((singles, batched))
     };
     // Always tear the daemon down, even when a request failed.
     let got = run();
     server.shutdown();
-    compare_jobs("service", reference, &got?, chip, &mut report.divergences);
+    let (singles, batched) = got?;
+    compare_jobs("service", reference, &singles, chip, &mut report.divergences);
+    compare_jobs("service-batch", reference, &batched, chip, &mut report.divergences);
     Ok(())
 }
 
@@ -280,7 +307,7 @@ pub fn run_matrix() -> Result<MatrixReport, String> {
         variants: ["scratch".to_string()]
             .into_iter()
             .chain(WORKER_COUNTS.iter().map(|n| format!("batch{n}")))
-            .chain(["service".to_string(), "cached".to_string()])
+            .chain(["service", "service-batch", "cached"].map(String::from))
             .collect(),
         contracts_enabled: bluefi_dsp::contracts::enabled(),
         levels: vec![telemetry::level().name()],

@@ -18,7 +18,7 @@ fn all_execution_paths_are_bit_identical_across_telemetry_levels() {
     assert_eq!(report.jobs, 3);
     assert_eq!(
         report.variants,
-        ["scratch", "batch1", "batch2", "batch4", "service", "cached"],
+        ["scratch", "batch1", "batch2", "batch4", "service", "service-batch", "cached"],
         "variant set drifted"
     );
     assert_eq!(report.levels, ["off", "counters", "spans"]);

@@ -8,7 +8,7 @@ use bluefi_conformance::{replay, run_fuzz, shrink, FuzzInput};
 fn budgeted_soak_finds_no_violations() {
     // 500 iterations: with the packed trellis engine on the decode path
     // this soak now exercises every kernel dispatch (unweighted u16,
-    // weighted u16/u32, the memoized repeat path) while crossing the
+    // weighted u16/u32) while crossing the
     // scratch-diff (every 4th) and receiver (every 8th) cadences dozens
     // of times — and still finishes in seconds under the debug profile.
     let report = run_fuzz(0xB10E_F1, 500);

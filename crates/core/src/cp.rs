@@ -54,11 +54,6 @@ impl CpCompat {
         CpCompat { cp_len: 8, split: 5, pocket: PocketMode::PaperSplit }
     }
 
-    /// Alias of [`CpCompat::sgi`] kept for the ablation bench's naming.
-    pub fn sgi_paper() -> CpCompat {
-        CpCompat::sgi()
-    }
-
     /// The midpoint-pocket variant (tried and rejected; see
     /// [`PocketMode::Midpoint`]).
     pub fn sgi_midpoint() -> CpCompat {
@@ -268,7 +263,7 @@ mod tests {
         // θ̂[N + L] of the next cyclic repeat = body[0] = θ̂[N + 8].
         // BlueFi's requirement: θ̂[N+8] == θ̂[N+72] (the next block's first
         // sample), so averaging is a no-op.
-        let c = CpCompat::sgi_paper();
+        let c = CpCompat::sgi();
         let theta: Vec<f64> = (0..72 * 6).map(|i| (i as f64 * 0.07).cos()).collect();
         let th = c.make_compatible(&theta, 0.0);
         for m in 0..5 {
@@ -279,7 +274,7 @@ mod tests {
 
     #[test]
     fn distortion_is_confined_and_small() {
-        let c = CpCompat::sgi_paper();
+        let c = CpCompat::sgi();
         let theta: Vec<f64> = (0..72 * 4).map(|i| (i as f64 * 0.05).sin()).collect();
         let th = c.make_compatible(&theta, 0.0);
         let bad = c.distorted_indices();
@@ -298,7 +293,7 @@ mod tests {
         // Check the exact index mapping of Sec 2.4 on the first block of a
         // two-block signal (so every referenced index is an original value,
         // not an extension).
-        let c = CpCompat::sgi_paper();
+        let c = CpCompat::sgi();
         let theta: Vec<f64> = (0..144).map(|i| i as f64).collect();
         let th = c.make_compatible(&theta, 0.0);
         for n in 0..=4usize {
@@ -334,7 +329,7 @@ mod tests {
 
     #[test]
     fn lgi_doubles_the_glitch() {
-        assert_eq!(CpCompat::sgi_paper().distorted_indices().len(), 9);
+        assert_eq!(CpCompat::sgi().distorted_indices().len(), 9);
         assert_eq!(CpCompat::lgi().distorted_indices().len(), 17);
         // Midpoint mode touches all 2L pocket positions, at half offset.
         assert_eq!(CpCompat::sgi_midpoint().distorted_indices().len(), 16);
@@ -360,7 +355,7 @@ mod tests {
         // everywhere (that is the whole point of the construction).
         use bluefi_dsp::phase::wrap_angle;
         use bluefi_dsp::Cx;
-        let c = CpCompat::sgi_paper();
+        let c = CpCompat::sgi();
         let theta: Vec<f64> = (0..72 * 4)
             .map(|i| 0.8 * (i as f64 * 0.09).sin() + 0.02 * i as f64)
             .collect();
@@ -413,7 +408,7 @@ mod tests {
                 .map(|(&a, &b)| wrap_angle(b - a).abs())
                 .fold(0.0f64, f64::max)
         };
-        let paper = err_of(CpCompat::sgi_paper());
+        let paper = err_of(CpCompat::sgi());
         let mid = err_of(CpCompat::sgi_midpoint());
         assert!(mid < paper * 0.6, "paper {paper}, midpoint {mid}");
         assert!(mid > 0.0);

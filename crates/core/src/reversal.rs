@@ -6,7 +6,6 @@ use crate::qam::QuantizedSymbol;
 use crate::telemetry::{self, Counter};
 use bluefi_coding::lfsr::Lfsr7;
 use bluefi_coding::realtime::realtime_plan;
-use bluefi_coding::viterbi::{decode_punctured, reencode_flips};
 use bluefi_coding::{CodeRate, FreeEdge, ViterbiScratch};
 use bluefi_wifi::qam::demap_point;
 use bluefi_wifi::Interleaver;
@@ -109,43 +108,25 @@ pub struct Reversal {
 }
 
 /// Reverses the encoder: finds data bits whose encoding approximates the
-/// target coded stream, avoiding flips on high-weight bits.
+/// target coded stream, avoiding flips on high-weight bits. Allocating
+/// shim over [`reverse_fec_with`] with a fresh scratch.
 pub fn reverse_fec(
     coded: &[bool],
     weights: &[u32],
     strategy: DecodeStrategy,
     bt_subcarrier: f64,
 ) -> Reversal {
-    match strategy {
-        DecodeStrategy::WeightedViterbi => {
-            telemetry::incr(Counter::ViterbiDecodes);
-            telemetry::add(Counter::ViterbiCodedBits, coded.len() as u64);
-            let rate = CodeRate::R56;
-            let decoded = decode_punctured(rate, coded, Some(weights), false);
-            let flips = reencode_flips(rate, &decoded, coded);
-            Reversal { scrambled: decoded, flips }
-        }
-        DecodeStrategy::Realtime => {
-            telemetry::incr(Counter::RealtimeDecodes);
-            // Positive Bluetooth offsets protect the positive half of the
-            // band (flips confined to negative subcarriers) and vice versa.
-            let edge = if bt_subcarrier >= 0.0 {
-                FreeEdge::Front
-            } else {
-                FreeEdge::Back
-            };
-            let out = realtime_plan(coded.len(), edge).decode(coded);
-            Reversal { scrambled: out.decoded, flips: out.flips }
-        }
-    }
+    let mut out = Reversal::default();
+    let mut vit = ViterbiScratch::new();
+    reverse_fec_with(coded, weights, strategy, bt_subcarrier, &mut vit, &mut out);
+    out
 }
 
 /// Scratch-buffer variant of [`reverse_fec`]: decodes through `vit` and
 /// writes the result into `out`. Both strategies are allocation-free at
-/// steady state: the weighted-Viterbi path runs the bit-packed engine
-/// (with a repeat-decode memo for identical payloads), and the real-time
-/// path replays the interned elimination plan through the scratch's
-/// embedded buffers.
+/// steady state: the weighted-Viterbi path runs the bit-packed engine, and
+/// the real-time path replays the interned elimination plan through the
+/// scratch's embedded buffers.
 pub fn reverse_fec_with(
     coded: &[bool],
     weights: &[u32],
@@ -160,13 +141,12 @@ pub fn reverse_fec_with(
             telemetry::add(Counter::ViterbiCodedBits, coded.len() as u64);
             let rate = CodeRate::R56;
             vit.decode_punctured_into(rate, coded, Some(weights), false, &mut out.scrambled);
-            if vit.last_decode_memoized() {
-                telemetry::incr(Counter::ViterbiMemoHits);
-            }
             vit.reencode_flips_into(rate, &out.scrambled, coded, &mut out.flips);
         }
         DecodeStrategy::Realtime => {
             telemetry::incr(Counter::RealtimeDecodes);
+            // Positive Bluetooth offsets protect the positive half of the
+            // band (flips confined to negative subcarriers) and vice versa.
             let edge = if bt_subcarrier >= 0.0 {
                 FreeEdge::Front
             } else {

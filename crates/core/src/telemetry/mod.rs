@@ -237,6 +237,7 @@ metric_enum! {
         ForcedBits => "forced_bits",
         ViterbiDecodes => "viterbi_decodes",
         ViterbiCodedBits => "viterbi_coded_bits",
+        // Never incremented; kept because the benchmark harness reads it.
         ViterbiMemoHits => "viterbi_memo_hits",
         RealtimeDecodes => "realtime_decodes",
         StageWaveforms => "stage_waveforms",

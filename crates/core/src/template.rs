@@ -353,14 +353,6 @@ impl CachedEngine {
         scratch.inner.result.as_ref().unwrap()
     }
 
-    /// Allocating convenience shim over [`CachedEngine::synthesize_at_with`].
-    pub fn synthesize_at(&self, bt_bits: &[bool], plan: ChannelPlan, seed: u8) -> Synthesis {
-        let mut scratch = CachedScratch::new();
-        self.synthesize_at_with(bt_bits, plan, seed, &mut scratch);
-        // lint: allow(panic) synthesize_at_with always stores a result
-        scratch.inner.result.take().unwrap()
-    }
-
     /// Miss path: run the cold pipeline, then capture everything the patch
     /// path will splice from. The extra capture work (a re-decode for the
     /// pre-forcing checkpoint, a re-quantization for per-symbol errors)

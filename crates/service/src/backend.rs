@@ -4,11 +4,10 @@
 //! mirroring the backend-trait pattern of commissioning daemons: the
 //! protocol layer never names an engine, so the same server, tests and
 //! clients run against [`MockBackend`] (deterministic, instant, no DSP)
-//! or the real pipeline in any of its three shapes — per-request scratch
-//! ([`ScratchBackend`]), `core::par` batch fan-out ([`BatchBackend`]),
-//! or the template cache ([`CachedBackend`]).
+//! or the real pipeline behind the template cache ([`CachedBackend`]),
+//! which bypasses to cold synthesis for configs the cache cannot serve.
 
-use bluefi_core::pipeline::{BlueFi, Synthesis, SynthesisScratch};
+use bluefi_core::pipeline::Synthesis;
 use bluefi_core::template::{CachedEngine, CachedScratch};
 use bluefi_core::{BatchJob, SynthesisBatch};
 use bluefi_wifi::mcs::Mcs;
@@ -96,77 +95,6 @@ impl ServiceBackend for MockBackend {
             forced_bits: 16,
             mean_quant_error_db: -((h % 4000) as f64) / 100.0,
         }
-    }
-}
-
-/// The per-request scratch path: one cold pipeline run per job, scratch
-/// buffers pooled across requests so steady state reuses allocations.
-#[derive(Debug)]
-pub struct ScratchBackend {
-    bf: BlueFi,
-    pool: Mutex<Vec<SynthesisScratch>>,
-}
-
-impl ScratchBackend {
-    /// A backend running `bf`'s cold pipeline per request.
-    pub fn new(bf: BlueFi) -> ScratchBackend {
-        ScratchBackend { bf, pool: Mutex::new(Vec::new()) }
-    }
-
-    fn take_scratch(&self) -> SynthesisScratch {
-        let mut pool = self.pool.lock().unwrap_or_else(|p| p.into_inner());
-        pool.pop().unwrap_or_default()
-    }
-
-    fn put_scratch(&self, s: SynthesisScratch) {
-        let mut pool = self.pool.lock().unwrap_or_else(|p| p.into_inner());
-        if pool.len() < 16 {
-            pool.push(s);
-        }
-    }
-}
-
-impl ServiceBackend for ScratchBackend {
-    fn name(&self) -> &'static str {
-        "scratch"
-    }
-
-    fn synthesize(&self, job: &BatchJob) -> Synthesis {
-        let mut s = self.take_scratch();
-        let out = self.bf.synthesize_at_with(&job.bits, job.plan, job.seed, &mut s).clone();
-        self.put_scratch(s);
-        out
-    }
-}
-
-/// The batch path: single jobs run the scratch pipeline, batches fan out
-/// over `core::par` with a pinned worker count.
-#[derive(Debug)]
-pub struct BatchBackend {
-    inner: ScratchBackend,
-    workers: usize,
-}
-
-impl BatchBackend {
-    /// A backend fanning batches out over `workers` `core::par` workers
-    /// (0 means the ambient `worker_count`).
-    pub fn new(bf: BlueFi, workers: usize) -> BatchBackend {
-        let workers = if workers == 0 { bluefi_core::worker_count() } else { workers };
-        BatchBackend { inner: ScratchBackend::new(bf), workers }
-    }
-}
-
-impl ServiceBackend for BatchBackend {
-    fn name(&self) -> &'static str {
-        "batch"
-    }
-
-    fn synthesize(&self, job: &BatchJob) -> Synthesis {
-        self.inner.synthesize(job)
-    }
-
-    fn synthesize_batch(&self, jobs: &[BatchJob]) -> Vec<Synthesis> {
-        SynthesisBatch::with_workers(&self.inner.bf, self.workers).synthesize(jobs)
     }
 }
 

@@ -1,43 +1,46 @@
-//! The BlueFi synthesis daemon.
+//! The BlueFi synthesis daemon, serving the template-cache backend.
 //!
 //! ```text
-//! bluefi-serviced --socket /tmp/bluefi.sock [--backend mock|scratch|batch|cached]
-//!                 [--workers N] [--queue N]
+//! bluefi-serviced --socket /tmp/bluefi.sock [--workers N] [--queue N]
 //! ```
 //!
-//! Runs until a client calls `drain` (or the process is killed), then
-//! finishes in-flight work and exits.
+//! Any other flag, a flag without a value or a non-numeric count exits
+//! with status 2. Runs until a client calls `drain` (or the process is
+//! killed), then finishes in-flight work and exits.
 
 use bluefi_core::pipeline::BlueFi;
 use bluefi_core::template::CachedEngine;
-use bluefi_service::{
-    BatchBackend, CachedBackend, MockBackend, ScratchBackend, ServerState, ServiceBackend,
-    ServiceConfig,
-};
+use bluefi_service::{CachedBackend, ServerState, ServiceConfig};
 use std::sync::Arc;
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bluefi-serviced: {msg}");
+    eprintln!("usage: bluefi-serviced --socket PATH [--workers N] [--queue N]");
+    std::process::exit(2);
+}
+
+fn count(flag: &str, value: &str) -> usize {
+    value.parse().unwrap_or_else(|_| usage_error(&format!("{flag} expects a count, got {value:?}")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let socket = arg(&args, "--socket").unwrap_or_else(|| "/tmp/bluefi.sock".to_string());
-    let backend_name = arg(&args, "--backend").unwrap_or_else(|| "scratch".to_string());
-    let workers: usize = arg(&args, "--workers").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let queue: usize = arg(&args, "--queue").and_then(|v| v.parse().ok()).unwrap_or(256);
-
-    let backend: Arc<dyn ServiceBackend> = match backend_name.as_str() {
-        "mock" => Arc::new(MockBackend::new()),
-        "scratch" => Arc::new(ScratchBackend::new(BlueFi::default())),
-        "batch" => Arc::new(BatchBackend::new(BlueFi::default(), workers)),
-        "cached" => Arc::new(CachedBackend::new(CachedEngine::new(BlueFi::default()), workers)),
-        other => {
-            eprintln!("unknown backend {other:?}: expected mock|scratch|batch|cached");
-            std::process::exit(2);
+    let mut socket = "/tmp/bluefi.sock".to_string();
+    let mut workers = 0usize;
+    let mut queue = 256usize;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let Some(value) = args.next() else {
+            usage_error(&format!("{flag} needs a value"));
+        };
+        match flag.as_str() {
+            "--socket" => socket = value,
+            "--workers" => workers = count(&flag, &value),
+            "--queue" => queue = count(&flag, &value),
+            _ => usage_error(&format!("unknown flag {flag:?}")),
         }
-    };
+    }
 
+    let backend = Arc::new(CachedBackend::new(CachedEngine::new(BlueFi::default()), workers));
     let cfg = ServiceConfig { workers, queue_depth: queue, ..ServiceConfig::default() };
     let server = match bluefi_service::Server::spawn(&socket, backend, cfg) {
         Ok(s) => s,
@@ -46,7 +49,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!("bluefi-serviced: {backend_name} backend listening on {socket}");
+    println!("bluefi-serviced: cached backend listening on {socket}");
     while server.state() == ServerState::Running {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }

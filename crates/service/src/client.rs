@@ -140,13 +140,14 @@ impl ServiceClient {
         bt_channel: u8,
         seed: u8,
     ) -> Result<Json, ClientError> {
-        let params = Json::obj(vec![
-            ("bits", Json::Str(proto::hex_encode(&proto::pack_bits(bits)))),
-            ("n_bits", Json::Num(bits.len() as f64)),
-            ("bt_channel", Json::Num(bt_channel as f64)),
-            ("seed", Json::Num(seed as f64)),
-        ]);
-        self.call("synthesize", params)
+        self.call("synthesize", job_params(bits, bt_channel, seed))
+    }
+
+    /// Convenience `batch_synthesize` over `(bits, bt_channel, seed)`
+    /// jobs; the result's `results` array is in job order.
+    pub fn batch_synthesize(&mut self, jobs: &[(&[bool], u8, u8)]) -> Result<Json, ClientError> {
+        let jobs = jobs.iter().map(|&(bits, ch, seed)| job_params(bits, ch, seed)).collect();
+        self.call("batch_synthesize", Json::obj(vec![("jobs", Json::Arr(jobs))]))
     }
 
     /// Convenience `stats`.
@@ -158,4 +159,14 @@ impl ServiceClient {
     pub fn drain(&mut self) -> Result<Json, ClientError> {
         self.call("drain", Json::Null)
     }
+}
+
+/// One job's wire fields: packed `bits`, their count, carrier and seed.
+fn job_params(bits: &[bool], bt_channel: u8, seed: u8) -> Json {
+    Json::obj(vec![
+        ("bits", Json::Str(proto::hex_encode(&proto::pack_bits(bits)))),
+        ("n_bits", Json::Num(bits.len() as f64)),
+        ("bt_channel", Json::Num(bt_channel as f64)),
+        ("seed", Json::Num(seed as f64)),
+    ])
 }

@@ -8,8 +8,7 @@
 //! * [`proto`] — length-prefixed JSON-RPC 2.0 framing over `core::json`
 //!   and the pinned error taxonomy.
 //! * [`backend`] — the [`backend::ServiceBackend`] seam with a
-//!   deterministic mock and real engines for the scratch, `core::par`
-//!   batch and template-cache paths.
+//!   deterministic mock and the real engine behind the template cache.
 //! * [`server`] — `UnixListener` accept loop, bounded request queue with
 //!   load-shed, fixed worker pool, per-request deadlines and graceful
 //!   drain (`Running → Draining → Stopped`).
@@ -29,7 +28,7 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use backend::{BatchBackend, CachedBackend, MockBackend, ScratchBackend, ServiceBackend};
+pub use backend::{CachedBackend, MockBackend, ServiceBackend};
 pub use client::{ClientError, ServiceClient};
 pub use proto::{ErrorCode, FrameEvent, FrameReader, RpcError};
 pub use server::{Server, ServerState, ServiceConfig, ServiceStats};

@@ -11,8 +11,9 @@
 
 use bluefi::bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
 use bluefi::core::pipeline::BlueFi;
+use bluefi::core::template::CachedEngine;
 use bluefi_core::json::Json;
-use bluefi_service::{ScratchBackend, Server, ServiceClient, ServiceConfig};
+use bluefi_service::{CachedBackend, Server, ServiceClient, ServiceConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
             let p = p.to_string_lossy().to_string();
             let server = Server::spawn(
                 &p,
-                Arc::new(ScratchBackend::new(BlueFi::default())),
+                Arc::new(CachedBackend::new(CachedEngine::new(BlueFi::default()), 0)),
                 ServiceConfig::default(),
             )
             .expect("bind example socket");

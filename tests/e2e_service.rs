@@ -13,7 +13,7 @@ use bluefi_service::{
     ClientError, MockBackend, Server, ServerState, ServiceClient, ServiceConfig,
 };
 use bluefi_wifi::channels::{bt_channel_freq_hz, plan_channel};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
