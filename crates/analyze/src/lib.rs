@@ -25,7 +25,9 @@
 //! * **R2 no-unsafe** — no `unsafe` outside [`rules::UNSAFE_ALLOWLIST`];
 //!   every crate carries `#![forbid(unsafe_code)]`.
 //! * **R3 hermetic-manifests** — no non-`bluefi` dependencies in any
-//!   `Cargo.toml` (absorbed from the former `tests/hermetic.rs`).
+//!   `Cargo.toml` (absorbed from the former `tests/hermetic.rs`), no
+//!   ignored `default-features` on workspace-inherited dependencies, and
+//!   no `default-members` that drops a workspace member.
 //! * **R4 doc-comments** — every *fully public* `pub fn` in
 //!   `dsp`/`wifi`/`core`/`analyze` carries a doc comment;
 //!   `pub(crate)`/`pub(super)` are internal API and exempt.

@@ -5,9 +5,14 @@
 //! crates. This module (which absorbed the former `tests/hermetic.rs`
 //! guard) scans every `Cargo.toml` and reports:
 //!
-//! * any dependency-section entry that is not a `bluefi*` crate, and
+//! * any dependency-section entry that is not a `bluefi*` crate,
 //! * any mention of the historically vendored registry crates (`rand`,
-//!   `serde`, ...) anywhere in a manifest, even commented out.
+//!   `serde`, ...) anywhere in a manifest, even commented out,
+//! * `default-features` on a workspace-inherited dependency (cargo ignores
+//!   it there and warns), and
+//! * a `[workspace]` whose `default-members` omits a `members` entry, or
+//!   omits `"."` when the manifest is also a package — the tier-1
+//!   `cargo test` then silently skips crates.
 
 use crate::{Diagnostic, Rule};
 
@@ -70,6 +75,17 @@ pub fn scan_manifest(rel_path: &str, text: &str) -> Vec<Diagnostic> {
                         format!("external dependency `{name}` breaks the offline build"),
                     ));
                 }
+                if inherits_workspace(trimmed) && trimmed.contains("default-features") {
+                    out.push(Diagnostic::new(
+                        Rule::HermeticManifests,
+                        rel_path,
+                        lineno + 1,
+                        format!(
+                            "`default-features` on workspace-inherited `{name}` is \
+                             ignored by cargo; set it in [workspace.dependencies]"
+                        ),
+                    ));
+                }
             }
         }
         // Belt-and-braces: banned crate names anywhere, even commented out
@@ -89,7 +105,87 @@ pub fn scan_manifest(rel_path: &str, text: &str) -> Vec<Diagnostic> {
             }
         }
     }
+    scan_default_members(rel_path, text, &mut out);
     out
+}
+
+/// True if a dependency line inherits from `[workspace.dependencies]`
+/// (`name.workspace = true` or `name = { workspace = true, .. }`).
+fn inherits_workspace(line: &str) -> bool {
+    let compact: String = line.chars().filter(|c| !c.is_whitespace()).collect();
+    compact.contains("workspace=true")
+}
+
+/// The items of a string-array key (`key = ["a", "b"]`, possibly spread
+/// over several lines) among one table's `(line index, text)` pairs, with
+/// the index of the line that opens it.
+fn string_array(lines: &[(usize, &str)], key: &str) -> Option<(usize, Vec<String>)> {
+    let start = lines
+        .iter()
+        .position(|(_, l)| l.split_once('=').is_some_and(|(k, _)| k.trim() == key))?;
+    let mut value = String::new();
+    for (_, l) in &lines[start..] {
+        let l = l.split('#').next().unwrap_or("");
+        value.push_str(l);
+        if l.contains(']') {
+            break;
+        }
+    }
+    let body = value.split_once('[')?.1.split(']').next()?;
+    let items = body
+        .split(',')
+        .map(|item| item.trim().trim_matches('"').to_string())
+        .filter(|item| !item.is_empty())
+        .collect();
+    Some((lines[start].0, items))
+}
+
+/// Flags a `[workspace]` table whose `default-members` omits any `members`
+/// entry, or omits `"."` when the same manifest declares a `[package]`.
+/// A rooted workspace with no `default-members` at all is flagged too:
+/// cargo then builds and tests only the root package.
+fn scan_default_members(rel_path: &str, text: &str, out: &mut Vec<Diagnostic>) {
+    let mut table = "";
+    let mut has_package = false;
+    let mut workspace: Option<(usize, Vec<(usize, &str)>)> = None;
+    for (lineno, line) in text.lines().enumerate() {
+        let trimmed = line.trim();
+        if trimmed.starts_with('[') {
+            table = trimmed.trim_matches(|c| c == '[' || c == ']');
+            has_package |= table == "package";
+            if table == "workspace" {
+                workspace = Some((lineno, Vec::new()));
+            }
+        } else if table == "workspace" {
+            if let Some((_, lines)) = workspace.as_mut() {
+                lines.push((lineno, trimmed));
+            }
+        }
+    }
+    let Some((header, lines)) = workspace else { return };
+    let members = string_array(&lines, "members").map(|(_, m)| m).unwrap_or_default();
+    let mut required: Vec<String> = Vec::new();
+    if has_package {
+        required.push(".".to_string());
+    }
+    required.extend(members);
+    let (line, listed) = match string_array(&lines, "default-members") {
+        Some(found) => found,
+        // Without the key cargo defaults to the root package alone.
+        None if has_package => (header, vec![".".to_string()]),
+        None => return,
+    };
+    for missing in required.iter().filter(|r| !listed.contains(r)) {
+        out.push(Diagnostic::new(
+            Rule::HermeticManifests,
+            rel_path,
+            line + 1,
+            format!(
+                "workspace `default-members` omits \"{missing}\": `cargo test` at the \
+                 root would skip it"
+            ),
+        ));
+    }
 }
 
 /// R8 at the manifest level: in `crates/<k>/Cargo.toml`, every `bluefi-*`
@@ -190,6 +286,46 @@ mod tests {
         let text = "[dev-dependencies]\nproptest = \"1\"\n[target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n";
         let d = scan_manifest("Cargo.toml", text);
         assert_eq!(d.len(), 3); // proptest (x2: dep + banned) + libc
+    }
+
+    #[test]
+    fn default_features_on_inherited_dep_flagged() {
+        let text = "[dependencies]\n\
+                    bluefi-dsp = { workspace = true, default-features = false }\n\
+                    bluefi-coding.workspace = true\n\
+                    [workspace.dependencies]\n\
+                    bluefi-bt = { path = \"crates/bt\", default-features = false }\n";
+        let d = scan_manifest("crates/x/Cargo.toml", text);
+        // Only the inherited entry: the workspace table itself may set it.
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!(d[0].line, 2);
+        assert!(d[0].message.contains("bluefi-dsp"));
+    }
+
+    #[test]
+    fn default_members_drift_flagged() {
+        let clean = "[workspace]\nmembers = [\"crates/*\"]\n\
+                     default-members = [\".\", \"crates/*\"]\n[package]\nname = \"bluefi\"\n";
+        assert!(scan_manifest("Cargo.toml", clean).is_empty());
+        // A package root with no default-members tests only itself.
+        let absent = "[workspace]\nmembers = [\"crates/*\"]\n[package]\nname = \"bluefi\"\n";
+        let d = scan_manifest("Cargo.toml", absent);
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!(d[0].line, 1);
+        // Multi-line arrays: both the root and a member can go missing.
+        let drift = "[package]\nname = \"bluefi\"\n[workspace]\n\
+                     members = [\n  \"crates/a\",\n  \"crates/b\",\n]\n\
+                     default-members = [\"crates/a\"]\n";
+        let d = scan_manifest("Cargo.toml", drift);
+        assert_eq!(d.len(), 2, "{d:#?}");
+        assert!(d.iter().all(|x| x.line == 8));
+        assert!(d[0].message.contains("\".\"") && d[1].message.contains("crates/b"));
+        // A virtual workspace (no package) defaults to every member.
+        let virt = "[workspace]\nmembers = [\"crates/*\"]\n";
+        assert!(scan_manifest("Cargo.toml", virt).is_empty());
+        // An empty [workspace] (a standalone package) has nothing to drift.
+        let alone = "[package]\nname = \"x\"\n[workspace]\n";
+        assert!(scan_manifest("Cargo.toml", alone).is_empty());
     }
 
     #[test]

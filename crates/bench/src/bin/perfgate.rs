@@ -143,7 +143,7 @@ fn main() {
         let (base, fresh_v, verdict) = match (base, fresh_v) {
             (Some(b), Some(f)) => {
                 // Alloc counts are only meaningful when both runs probed
-                // them (debug + contracts builds); a release run reports 0
+                // them (debug builds); a release run reports 0
                 // unmeasured, which must not mask or fake a regression.
                 if class == Class::Alloc && !(base_contracts && fresh_contracts) {
                     notes.push(format!("{path}: skipped (allocation probe not enabled in both runs)"));

@@ -2,13 +2,13 @@
 //! latency through a warm scratch, a per-stage timing breakdown from the
 //! telemetry recorder, steady-state allocations per packet with telemetry
 //! both enabled and disabled (via the self-reporting probe in
-//! `bluefi_dsp::contracts` — debug/contracts builds only), and batch
+//! `bluefi_dsp::contracts` — debug builds only), and batch
 //! throughput at a host-clamped worker ladder on the Fig 9 workload.
 //!
-//! Telemetry runs at the `spans` level unless `BLUEFI_TELEMETRY` overrides
-//! it (or `--trace-out` forces `trace`); the worker ladder is clamped to
-//! the host CPU count unless `BLUEFI_THREADS` overrides (oversubscribed
-//! rows only measure scheduler churn).
+//! Telemetry runs at the `counters` level unless `BLUEFI_TELEMETRY`
+//! overrides it (or `--trace-out` forces `trace`); the worker ladder is
+//! clamped to the host CPU count unless `BLUEFI_THREADS` overrides
+//! (oversubscribed rows only measure scheduler churn).
 //!
 //! The recorder is reset at every section boundary (and per sweep point),
 //! so each reported section's counters and spans cover only that section
@@ -22,7 +22,7 @@
 //!
 //! Writes a machine-readable report next to the repo root by default.
 //!
-//! Run: `BLUEFI_TELEMETRY=spans cargo run --release -p bluefi-bench
+//! Run: `cargo run --release -p bluefi-bench
 //!       --bin runtime_profile [--trials 100] [--out BENCH_runtime.json]
 //!       [--trace-out BENCH_trace.json]`
 
@@ -77,11 +77,12 @@ fn main() {
     let trace_out = arg_str("--trace-out", "");
     let tracing = !trace_out.is_empty();
     let mut rep = Reporter::from_args();
-    // The profile defaults to full span recording (this binary exists to
-    // look inside the pipeline); BLUEFI_TELEMETRY still overrides, and
-    // --trace-out forces the trace level (the export needs trace events).
+    // The profile defaults to the counters level, which feeds the per-stage
+    // histograms (this binary exists to look inside the pipeline);
+    // BLUEFI_TELEMETRY still overrides, and --trace-out forces the trace
+    // level (the export needs trace events).
     let env = telemetry::env_level();
-    let level = if tracing { Level::Trace } else { env.unwrap_or(Level::Spans) };
+    let level = if tracing { Level::Trace } else { env.unwrap_or(Level::Counters) };
     telemetry::set_level(level);
     for w in telemetry::warnings() {
         rep.note(format!("telemetry warning: {w}"));
@@ -170,7 +171,7 @@ fn main() {
     telemetry::drain_section();
 
     // -- Steady-state allocations per packet ------------------------------
-    // The probe only counts in contracts+debug builds; release builds
+    // The probe only counts in debug builds; release builds
     // report the probe as unmeasured rather than a misleading zero. The
     // zero-alloc claim must hold with telemetry recording AND without.
     let measured = contracts::enabled();
@@ -439,7 +440,7 @@ fn main() {
     } else {
         rep.note(format!(
             "\nper-stage breakdown unavailable (telemetry level: {}; set \
-             BLUEFI_TELEMETRY=counters or spans)",
+             BLUEFI_TELEMETRY=counters or trace)",
             level.name()
         ));
     }
@@ -452,8 +453,8 @@ fn main() {
         ));
     } else {
         rep.note(
-            "\nallocations/packet: not measured (probe requires a debug build \
-             with the `contracts` feature; run without --release)",
+            "\nallocations/packet: not measured (probe requires a debug build; \
+             run without --release)",
         );
     }
     let mut patch_sorted = patch_us.clone();
@@ -573,8 +574,6 @@ fn main() {
                 ("level", Json::Str(level.name().to_string())),
                 ("allocs_per_packet_enabled", Json::Num(steady_enabled)),
                 ("allocs_per_packet_disabled", Json::Num(steady_disabled)),
-                ("span_events_captured", Json::Num(snap.events.len() as f64)),
-                ("dropped_events", Json::Num(snap.dropped_events as f64)),
                 (
                     "warnings",
                     Json::Arr(snap.warnings.iter().map(|w| Json::Str(w.clone())).collect()),

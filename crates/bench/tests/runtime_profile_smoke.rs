@@ -1,6 +1,6 @@
 //! Smoke test: the runtime profile binary runs, emits schema-valid JSON —
 //! including the per-stage telemetry breakdown — and, since tests build
-//! with debug assertions and the default `contracts` feature, proves the
+//! with debug assertions, proves the
 //! zero-allocation steady state (telemetry recording on *and* off) and
 //! the parallel/sequential bit-exactness on a tiny workload.
 
@@ -27,7 +27,7 @@ fn run_profile(out_name: &str, level: &str) -> Json {
 
 #[test]
 fn runtime_profile_emits_valid_report() {
-    let report = run_profile("bluefi_runtime_profile_smoke.json", "spans");
+    let report = run_profile("bluefi_runtime_profile_smoke.json", "counters");
 
     // Top-level schema.
     assert_eq!(report.get("trials").and_then(Json::as_f64), Some(2.0));
@@ -44,7 +44,7 @@ fn runtime_profile_emits_valid_report() {
         "latency loop must cycle distinct payloads"
     );
 
-    // This test binary is a debug+contracts build, so the probe must be
+    // This test binary is a debug build, so the probe must be
     // live and the steady state must be allocation-free.
     assert_eq!(report.get("contracts_enabled").and_then(Json::as_bool), Some(true));
     let allocs = report.get("allocs_per_packet").expect("allocs section");
@@ -129,10 +129,9 @@ fn runtime_profile_emits_valid_report() {
 
     // Telemetry section: recording was live and allocation-free both ways.
     let tel = report.get("telemetry").expect("telemetry section");
-    assert_eq!(tel.get("level").and_then(Json::as_str), Some("spans"));
+    assert_eq!(tel.get("level").and_then(Json::as_str), Some("counters"));
     assert_eq!(tel.get("allocs_per_packet_enabled").and_then(Json::as_f64), Some(0.0));
     assert_eq!(tel.get("allocs_per_packet_disabled").and_then(Json::as_f64), Some(0.0));
-    assert!(tel.get("span_events_captured").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
     let counters = tel.get("counters").expect("counters object");
     assert_eq!(counters.get("packets_synthesized").and_then(Json::as_f64), Some(2.0));
 }
@@ -150,7 +149,7 @@ fn runtime_profile_trace_out_emits_chrome_trace() {
         .arg(&out_path)
         .arg("--trace-out")
         .arg(&trace_path)
-        .env("BLUEFI_TELEMETRY", "spans")
+        .env("BLUEFI_TELEMETRY", "counters")
         .status()
         .expect("runtime_profile must launch");
     assert!(status.success(), "runtime_profile exited with {status}");
@@ -232,8 +231,8 @@ fn runtime_profile_warns_on_invalid_telemetry_env() {
         Json::parse(&std::fs::read_to_string(&out_path).expect("report")).expect("report JSON");
     let _ = std::fs::remove_file(&out_path);
     let tel = report.get("telemetry").expect("telemetry section");
-    // The profiler falls back to its default (spans), not off.
-    assert_eq!(tel.get("level").and_then(Json::as_str), Some("spans"));
+    // The profiler falls back to its default (counters), not off.
+    assert_eq!(tel.get("level").and_then(Json::as_str), Some("counters"));
     let warnings = tel.get("warnings").and_then(Json::as_arr).expect("warnings array");
     assert!(
         warnings.iter().any(|w| {
@@ -257,7 +256,7 @@ fn runtime_profile_with_telemetry_off_reports_zero_telemetry_allocs() {
     assert_eq!(tel.get("level").and_then(Json::as_str), Some("off"));
     assert_eq!(tel.get("allocs_per_packet_enabled").and_then(Json::as_f64), Some(0.0));
     assert_eq!(tel.get("allocs_per_packet_disabled").and_then(Json::as_f64), Some(0.0));
-    assert_eq!(tel.get("span_events_captured").and_then(Json::as_f64), Some(0.0));
+    assert!(tel.get("counters").is_some_and(|c| c.get("packets_synthesized").is_none()));
     // The hot path itself stays allocation-free either way.
     let allocs = report.get("allocs_per_packet").expect("allocs section");
     assert_eq!(allocs.get("steady_state").and_then(Json::as_f64), Some(0.0));

@@ -321,7 +321,7 @@ pub fn run_matrix() -> Result<MatrixReport, String> {
 }
 
 /// Runs the full matrix once per telemetry recording level (off, counters,
-/// spans), restoring the prior level afterwards. Telemetry level is global
+/// trace), restoring the prior level afterwards. Telemetry level is global
 /// process state, so callers running tests in parallel must isolate this
 /// in its own test binary.
 pub fn run_matrix_at_levels() -> Result<MatrixReport, String> {
@@ -329,7 +329,7 @@ pub fn run_matrix_at_levels() -> Result<MatrixReport, String> {
     let mut combined = MatrixReport::default();
     let mut reference_off: Option<Vec<u64>> = None;
     let bf = BlueFi::default();
-    for level in [Level::Off, Level::Counters, Level::Spans] {
+    for level in [Level::Off, Level::Counters, Level::Trace] {
         telemetry::set_level(level);
         let r = run_matrix();
         // Restore before propagating any error.

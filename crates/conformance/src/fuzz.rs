@@ -335,10 +335,8 @@ fn run_checked(input: &FuzzInput, checks: Checks) -> Result<(), Violation> {
 
     if checks.scratch_diff {
         let mut scratch = SynthesisScratch::new();
-        let via_scratch = bf
-            .synthesize_with(&bits, freq, seed, &mut scratch)
-            .map(|s| synthesis_words(s))
-            .unwrap_or_default();
+        let via_scratch =
+            synthesis_words(bf.synthesize_at_with(&bits, syn.plan, seed, &mut scratch));
         if let Some(d) = compare_words("scratch-vs-alloc", &synthesis_words(&syn), &via_scratch)
         {
             return Err(violation(input, "scratch-vs-alloc", d.to_string()));

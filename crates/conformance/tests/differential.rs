@@ -21,7 +21,7 @@ fn all_execution_paths_are_bit_identical_across_telemetry_levels() {
         ["scratch", "batch1", "batch2", "batch4", "service", "service-batch", "cached"],
         "variant set drifted"
     );
-    assert_eq!(report.levels, ["off", "counters", "spans"]);
+    assert_eq!(report.levels, ["off", "counters", "trace"]);
     // The report records which side of the compile-time contracts axis
     // this binary is on; tests build with debug_assertions, so contracts
     // are active here while the release CLI covers the off side against

@@ -25,8 +25,9 @@
 //! * [`rng`] — seedable xoshiro256++ randomness (replaces `rand`).
 //! * [`json`] — a tiny JSON emitter/parser (replaces `serde`).
 //! * [`check`] — the randomized-property harness (replaces `proptest`).
-//! * [`telemetry`] — hermetic spans/counters/histograms recorder
-//!   (replaces `tracing`/`metrics`), `BLUEFI_TELEMETRY`-controlled.
+//! * [`telemetry`] — hermetic counters/histograms recorder with causal
+//!   per-packet traces (replaces `tracing`/`metrics`), set at run time by
+//!   `BLUEFI_TELEMETRY=off|counters|trace`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -177,18 +177,6 @@ impl BlueFi {
         Some(self.synthesize_at(bt_bits, plan, seed))
     }
 
-    /// Scratch-buffer variant of [`BlueFi::synthesize`].
-    pub fn synthesize_with<'s>(
-        &self,
-        bt_bits: &[bool],
-        bt_freq_hz: f64,
-        seed: u8,
-        scratch: &'s mut SynthesisScratch,
-    ) -> Option<&'s Synthesis> {
-        let plan = plan_channel(bt_freq_hz)?;
-        Some(self.synthesize_at_with(bt_bits, plan, seed, scratch))
-    }
-
     /// Synthesizes against an explicit channel plan (used when the WiFi
     /// channel is pinned, e.g. the single-channel AFH audio mode). Thin shim
     /// over [`BlueFi::synthesize_at_with`].
@@ -419,9 +407,7 @@ mod tests {
             let bf = BlueFi { strategy, ..Default::default() };
             for (freq, seed) in [(2.426e9, 71u8), (2.444e9, 13)] {
                 let fresh = bf.synthesize(&beacon_bits(), freq, seed).unwrap();
-                let via = bf
-                    .synthesize_with(&beacon_bits(), freq, seed, &mut scratch)
-                    .unwrap();
+                let via = bf.synthesize_at_with(&beacon_bits(), fresh.plan, seed, &mut scratch);
                 assert_eq!(via.psdu, fresh.psdu, "{strategy:?} {freq} {seed}");
                 assert_eq!(via.flips, fresh.flips);
                 assert_eq!(via.n_symbols, fresh.n_symbols);

@@ -4,8 +4,8 @@
 //!
 //! ## Architecture
 //!
-//! The recorder is a set of `static` atomic cells plus one preallocated
-//! span ring:
+//! The recorder is a set of `static` atomic cells plus the per-thread
+//! causal-trace rings:
 //!
 //! * **Counters** ([`Counter`]) — monotonically increasing `AtomicU64`s
 //!   (packets synthesized, FEC flips, simulator PER outcomes, …).
@@ -13,15 +13,12 @@
 //!   (scratch-buffer capacities, fan-out width).
 //! * **Timing histograms** — one log₂-bucket histogram per [`SpanKind`]
 //!   (see [`hist`]), fed by [`span`] guards and [`record_duration`].
-//! * **Span events** — at the `spans` level each timed span additionally
-//!   appends a `(kind, start_ns, dur_ns)` record to a fixed-capacity ring
-//!   ([`SPAN_RING_CAPACITY`]) that overwrites its oldest entry when full.
-//!   Timestamps are monotonic nanoseconds since the recorder's first use.
 //! * **Causal traces** — at the `trace` level each span also becomes a
 //!   parent-linked [`trace::TraceEvent`] carrying a per-packet trace ID
 //!   and worker attribution, stored in per-thread rings with
 //!   tail-exemplar retention and exportable as Chrome `trace_event` JSON
-//!   (see [`trace`]).
+//!   (see [`trace`]). This is the only per-event store. Timestamps are
+//!   monotonic nanoseconds since the recorder's first use ([`now_ns`]).
 //!
 //! Everything is preallocated or static, so steady-state recording
 //! performs **zero heap allocations per packet** — proven by the
@@ -32,14 +29,11 @@
 //!
 //! The runtime level mirrors `BLUEFI_THREADS`: the `BLUEFI_TELEMETRY`
 //! environment variable selects `off` (default), `counters` (counters,
-//! gauges and aggregate timing histograms), `spans` (everything plus the
-//! per-event ring) or `trace` (everything plus causal per-packet traces).
-//! An unrecognized value falls back to `off` and records a one-shot
-//! [`warnings`] entry surfaced by [`snapshot`].
-//! [`set_level`] overrides it programmatically. When the
-//! `telemetry` cargo feature is disabled, [`compiled`] is `const false`
-//! and every hook const-folds to a no-op — the same pattern as
-//! `bluefi_dsp::contracts`.
+//! gauges and aggregate timing histograms) or `trace` (everything plus
+//! causal per-packet traces). An unrecognized value falls back to `off`
+//! and records a one-shot [`warnings`] entry surfaced by [`snapshot`].
+//! [`set_level`] overrides it programmatically. Below a hook's level the
+//! hook is a single relaxed atomic load.
 //!
 //! ## Export
 //!
@@ -66,11 +60,9 @@ pub enum Level {
     Off = 0,
     /// Counters, gauges and aggregate timing histograms.
     Counters = 1,
-    /// Everything in `Counters`, plus per-event span records in the ring.
-    Spans = 2,
-    /// Everything in `Spans`, plus causal per-packet traces (see
+    /// Everything in `Counters`, plus causal per-packet traces (see
     /// [`trace`]).
-    Trace = 3,
+    Trace = 2,
 }
 
 impl Level {
@@ -79,30 +71,20 @@ impl Level {
         match self {
             Level::Off => "off",
             Level::Counters => "counters",
-            Level::Spans => "spans",
             Level::Trace => "trace",
         }
     }
 
-    /// Parses a `BLUEFI_TELEMETRY` value (`off` / `counters` / `spans` /
-    /// `trace`).
+    /// Parses a `BLUEFI_TELEMETRY` value: `off`, `counters` or `trace`,
+    /// case-insensitive, surrounding whitespace ignored.
     pub fn parse(text: &str) -> Option<Level> {
         match text.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(Level::Off),
-            "counters" | "1" => Some(Level::Counters),
-            "spans" | "2" => Some(Level::Spans),
-            "trace" | "3" => Some(Level::Trace),
+            "off" => Some(Level::Off),
+            "counters" => Some(Level::Counters),
+            "trace" => Some(Level::Trace),
             _ => None,
         }
     }
-}
-
-/// True when telemetry support is compiled in (the `telemetry` cargo
-/// feature, default-on). Const so that disabled builds fold every hook
-/// away entirely.
-#[inline]
-pub const fn compiled() -> bool {
-    cfg!(feature = "telemetry")
 }
 
 const LEVEL_UNSET: u8 = u8::MAX;
@@ -119,7 +101,7 @@ pub fn env_level() -> Option<Level> {
         if !WARNED.swap(true, Ordering::Relaxed) {
             push_warning(format!(
                 "invalid BLUEFI_TELEMETRY value {raw:?}: expected \
-                 off|counters|spans|trace (or 0..3); telemetry stays off"
+                 off|counters|trace; telemetry stays off"
             ));
         }
     }
@@ -154,14 +136,10 @@ pub fn warnings() -> Vec<String> {
 /// (default [`Level::Off`]); [`set_level`] overrides.
 #[inline]
 pub fn level() -> Level {
-    if !compiled() {
-        return Level::Off;
-    }
     match LEVEL.load(Ordering::Relaxed) {
         0 => Level::Off,
         1 => Level::Counters,
-        2 => Level::Spans,
-        3 => Level::Trace,
+        2 => Level::Trace,
         _ => {
             let l = env_level().unwrap_or(Level::Off);
             set_level(l);
@@ -170,16 +148,10 @@ pub fn level() -> Level {
     }
 }
 
-/// Sets the recording level. Entering [`Level::Spans`] or above
-/// preallocates the span ring — and [`Level::Trace`] the calling thread's
-/// trace state — so the steady state that follows never allocates.
+/// Sets the recording level. Entering [`Level::Trace`] preallocates the
+/// calling thread's trace state, so the steady state that follows never
+/// allocates.
 pub fn set_level(l: Level) {
-    if !compiled() {
-        return;
-    }
-    if l >= Level::Spans {
-        ring(); // warm the ring allocation outside the hot path
-    }
     if l >= Level::Trace {
         trace::warm();
     }
@@ -189,19 +161,13 @@ pub fn set_level(l: Level) {
 /// True when counters/gauges/histograms are being recorded.
 #[inline]
 pub fn counters_on() -> bool {
-    compiled() && level() >= Level::Counters
-}
-
-/// True when per-event span records are being captured.
-#[inline]
-pub fn spans_on() -> bool {
-    compiled() && level() >= Level::Spans
+    level() >= Level::Counters
 }
 
 /// True when causal per-packet traces are being captured.
 #[inline]
 pub fn trace_on() -> bool {
-    compiled() && level() >= Level::Trace
+    level() >= Level::Trace
 }
 
 macro_rules! metric_enum {
@@ -277,7 +243,7 @@ metric_enum! {
 
 metric_enum! {
     /// Named timed regions. Each kind owns one aggregate timing histogram;
-    /// at the `spans` level each occurrence is also logged to the ring.
+    /// at the `trace` level each occurrence also joins a causal trace.
     SpanKind {
         Synthesize => "synthesize",
         Gfsk => "gfsk_modulate",
@@ -422,74 +388,12 @@ fn epoch() -> &'static Instant {
 }
 
 /// Monotonic nanoseconds since the recorder's first use (the timestamp
-/// base of every [`SpanEvent`]).
+/// base of every [`trace::TraceEvent`]).
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
 // -- Spans ----------------------------------------------------------------
-
-/// One captured span occurrence: what ran, when it started (monotonic, see
-/// [`now_ns`]) and for how long.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Which region ran.
-    pub kind: SpanKind,
-    /// Start timestamp, nanoseconds since the recorder epoch.
-    pub start_ns: u64,
-    /// Duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-impl ToJson for SpanEvent {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str(self.kind.name().to_string())),
-            ("start_ns", Json::Num(self.start_ns as f64)),
-            ("dur_ns", Json::Num(self.dur_ns as f64)),
-        ])
-    }
-}
-
-/// Capacity of the span-event ring. When full, the oldest event is
-/// overwritten (and counted in [`Snapshot::dropped_events`]).
-pub const SPAN_RING_CAPACITY: usize = 4096;
-
-struct Ring {
-    buf: Vec<SpanEvent>,
-    head: usize,
-    dropped: u64,
-}
-
-fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| {
-        Mutex::new(Ring {
-            buf: Vec::with_capacity(SPAN_RING_CAPACITY),
-            head: 0,
-            dropped: 0,
-        })
-    })
-}
-
-fn push_event(ev: SpanEvent) {
-    // A poisoned lock only means another thread panicked mid-push; the
-    // ring is still structurally sound, so recover rather than propagate.
-    let mut r = ring().lock().unwrap_or_else(|p| p.into_inner());
-    if r.buf.len() < SPAN_RING_CAPACITY {
-        if r.buf.len() == r.buf.capacity() {
-            // Never taken (the ring is preallocated) — but if it ever
-            // were, the allocation must self-report like every hot path.
-            bluefi_dsp::contracts::probe_alloc();
-        }
-        r.buf.push(ev);
-    } else {
-        let h = r.head;
-        r.buf[h] = ev;
-        r.head = (h + 1) % SPAN_RING_CAPACITY;
-        r.dropped += 1;
-    }
-}
 
 /// Records a region's duration directly (used where a guard cannot span
 /// the region, e.g. per-worker chunk times reported after a join). The
@@ -500,12 +404,8 @@ pub fn record_duration(kind: SpanKind, dur: Duration) {
     }
     let ns = dur.as_nanos().min(u64::MAX as u128) as u64;
     SPAN_HISTS[kind as usize].record(ns);
-    if spans_on() {
-        let start_ns = now_ns().saturating_sub(ns);
-        push_event(SpanEvent { kind, start_ns, dur_ns: ns });
-        if let Some(open) = trace::open() {
-            trace::close(open, kind, start_ns, ns, 0);
-        }
+    if let Some(open) = trace::open() {
+        trace::close(open, kind, now_ns().saturating_sub(ns), ns, 0);
     }
 }
 
@@ -525,9 +425,6 @@ impl Drop for SpanGuard {
             let ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             if counters_on() {
                 SPAN_HISTS[self.kind as usize].record(ns);
-                if spans_on() {
-                    push_event(SpanEvent { kind: self.kind, start_ns, dur_ns: ns });
-                }
             }
             // Close even if the level dropped mid-span: the parent stack
             // must stay balanced.
@@ -550,7 +447,7 @@ pub fn span(kind: SpanKind) -> SpanGuard {
 }
 
 /// A trace-only drop-guard: records a parent-linked [`trace::TraceEvent`]
-/// without touching the aggregate histograms or the span ring — used for
+/// without touching the aggregate histograms — used for
 /// sub-stage attribution (e.g. the patch path's stages reusing the
 /// pipeline-phase kinds) where histogram entries would distort the
 /// aggregate statistics. Inert below [`Level::Trace`].
@@ -633,10 +530,6 @@ pub struct Snapshot {
     /// Timing statistics for every span kind that recorded at least one
     /// occurrence.
     pub spans: Vec<SpanStat>,
-    /// Ring contents, oldest first (only populated at [`Level::Spans`]).
-    pub events: Vec<SpanEvent>,
-    /// Events overwritten because the ring was full.
-    pub dropped_events: u64,
     /// Configuration warnings (see [`warnings`]); not cleared by
     /// [`reset`].
     pub warnings: Vec<String>,
@@ -723,11 +616,6 @@ impl ToJson for Snapshot {
                 ),
             ),
             (
-                "span_events",
-                Json::Arr(self.events.iter().map(ToJson::to_json).collect()),
-            ),
-            ("dropped_events", Json::Num(self.dropped_events as f64)),
-            (
                 "warnings",
                 Json::Arr(self.warnings.iter().map(|w| Json::Str(w.clone())).collect()),
             ),
@@ -745,23 +633,7 @@ pub fn snapshot() -> Snapshot {
         .map(|&kind| SpanStat { kind, hist: span_hist(kind) })
         .filter(|s| !s.hist.is_empty())
         .collect();
-    let (events, dropped_events) = {
-        let r = ring().lock().unwrap_or_else(|p| p.into_inner());
-        let mut events = Vec::with_capacity(r.buf.len());
-        // Oldest-first: the ring wraps at `head` once full.
-        events.extend_from_slice(&r.buf[r.head..]);
-        events.extend_from_slice(&r.buf[..r.head]);
-        (events, r.dropped)
-    };
-    Snapshot {
-        level: level(),
-        counters,
-        gauges,
-        spans,
-        events,
-        dropped_events,
-        warnings: warnings(),
-    }
+    Snapshot { level: level(), counters, gauges, spans, warnings: warnings() }
 }
 
 /// Captures the recorder and then zeroes it, as one section boundary:
@@ -777,8 +649,8 @@ pub fn drain_section() -> Snapshot {
     snap
 }
 
-/// Zeroes every counter, gauge and histogram and clears the span ring and
-/// every trace ring (capacities retained). The level and [`warnings`] are
+/// Zeroes every counter, gauge and histogram and clears every trace ring
+/// (capacities retained). The level and [`warnings`] are
 /// unchanged.
 pub fn reset() {
     for cell in &COUNTERS {
@@ -790,11 +662,6 @@ pub fn reset() {
     for h in &SPAN_HISTS {
         h.reset();
     }
-    let mut r = ring().lock().unwrap_or_else(|p| p.into_inner());
-    r.buf.clear();
-    r.head = 0;
-    r.dropped = 0;
-    drop(r);
     trace::reset_all();
 }
 
@@ -810,19 +677,17 @@ mod tests {
     }
 
     #[test]
-    fn compiled_is_on_by_default() {
-        assert!(compiled());
-    }
-
-    #[test]
     fn level_parse_roundtrip() {
-        for l in [Level::Off, Level::Counters, Level::Spans, Level::Trace] {
+        for l in [Level::Off, Level::Counters, Level::Trace] {
             assert_eq!(Level::parse(l.name()), Some(l));
         }
-        assert_eq!(Level::parse(" SPANS "), Some(Level::Spans));
-        assert_eq!(Level::parse("3"), Some(Level::Trace));
-        assert_eq!(Level::parse("garbage"), None);
-        assert!(Level::Trace > Level::Spans, "trace strictly extends spans");
+        assert_eq!(Level::parse(" TRACE "), Some(Level::Trace));
+        // The removed level and the old numeric / `none` aliases are
+        // rejected rather than silently remapped.
+        for gone in ["spans", "2", "none", "0", "garbage"] {
+            assert_eq!(Level::parse(gone), None, "{gone}");
+        }
+        assert!(Level::Trace > Level::Counters, "trace strictly extends counters");
     }
 
     #[test]
@@ -837,7 +702,6 @@ mod tests {
         let snap = snapshot();
         assert_eq!(snap.counter(Counter::PacketsSynthesized), 0);
         assert!(snap.spans.is_empty());
-        assert!(snap.events.is_empty());
     }
 
     #[test]
@@ -857,47 +721,7 @@ mod tests {
         let stat = snap.span_stat(SpanKind::FecReversal).expect("recorded");
         assert_eq!(stat.hist.count, 1);
         assert!(stat.hist.min >= 250_000 && stat.hist.min < 251_000);
-        assert!(snap.events.is_empty(), "no ring events below spans level");
-        set_level(Level::Off);
-        reset();
-    }
-
-    #[test]
-    fn spans_level_captures_ring_events_in_order() {
-        let _g = lock();
-        set_level(Level::Spans);
-        reset();
-        {
-            let _a = span(SpanKind::Gfsk);
-        }
-        {
-            let _b = span(SpanKind::CpCompat);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].kind, SpanKind::Gfsk);
-        assert_eq!(snap.events[1].kind, SpanKind::CpCompat);
-        assert!(snap.events[0].start_ns <= snap.events[1].start_ns);
-        assert_eq!(snap.dropped_events, 0);
-        set_level(Level::Off);
-        reset();
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let _g = lock();
-        set_level(Level::Spans);
-        reset();
-        for _ in 0..SPAN_RING_CAPACITY + 10 {
-            record_duration(SpanKind::SimSession, Duration::from_nanos(100));
-        }
-        let snap = snapshot();
-        assert_eq!(snap.events.len(), SPAN_RING_CAPACITY);
-        assert_eq!(snap.dropped_events, 10);
-        // Oldest-first ordering survives the wrap.
-        for w in snap.events.windows(2) {
-            assert!(w[0].start_ns <= w[1].start_ns);
-        }
+        assert!(trace::snapshot().events.is_empty(), "no trace events below trace level");
         set_level(Level::Off);
         reset();
     }
@@ -925,7 +749,6 @@ mod tests {
         assert_eq!(second.counter(Counter::ServiceShed), 0);
         assert_eq!(gauge(Gauge::ServiceQueueDepth), 0);
         assert!(second.spans.is_empty());
-        assert!(second.events.is_empty());
         set_level(Level::Off);
         reset();
     }
@@ -992,7 +815,6 @@ mod tests {
         );
         assert_eq!(SpanKind::TemplatePatch.name(), "template_patch");
         assert_eq!(SpanKind::TemplateBuild.name(), "template_build");
-        assert!(j.get("span_events").and_then(Json::as_arr).is_some());
         // Configuration warnings are part of the exported schema (always
         // present, usually empty).
         assert!(j.get("warnings").and_then(Json::as_arr).is_some());

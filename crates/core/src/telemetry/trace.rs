@@ -252,9 +252,7 @@ fn with_state<R>(f: impl FnOnce(&mut ThreadState) -> R) -> R {
 /// follows never allocates. [`super::set_level`] calls this on entering
 /// [`super::Level::Trace`].
 pub fn warm() {
-    if super::compiled() {
-        with_state(|_| {});
-    }
+    with_state(|_| {});
 }
 
 /// An open span's identity, handed back to [`close`] by the guards in the

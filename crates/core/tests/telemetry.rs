@@ -125,25 +125,25 @@ fn disabled_recorder_is_inert() {
     assert_eq!(snap.counter(Counter::PacketsSynthesized), 0);
     assert_eq!(snap.counter(Counter::SymbolsProcessed), 0);
     assert!(snap.span_stat(SpanKind::Synthesize).is_none());
-    assert!(snap.events.is_empty());
+    assert!(telemetry::trace::snapshot().events.is_empty());
 }
 
 /// The acceptance criterion: steady-state synthesis performs zero heap
-/// allocations per packet with telemetry recording enabled (counters,
-/// full spans, and causal traces) *and* disabled. The probe self-reports
-/// from the scratch buffers, the span ring, and the trace rings; it only
-/// counts in debug+contracts builds, which is what `cargo test` runs.
+/// allocations per packet with telemetry recording enabled (counters and
+/// causal traces) *and* disabled. The probe self-reports from the scratch
+/// buffers and the trace rings; it only counts in debug builds, which is
+/// what `cargo test` runs.
 #[test]
 fn steady_state_allocs_are_zero_at_every_level() {
     let _g = lock();
     let bf = BlueFi::default();
     let plan = plan_channel(2.426e9).expect("advertising channel plans");
     let bits: Vec<bool> = (0..368).map(|i| i % 5 == 0 || i % 11 == 3).collect();
-    for level in [Level::Off, Level::Counters, Level::Spans, Level::Trace] {
+    for level in [Level::Off, Level::Counters, Level::Trace] {
         telemetry::set_level(level);
         telemetry::reset();
         let mut scratch = SynthesisScratch::new();
-        // Warm-up: grow scratch capacities and (at Spans) the event ring.
+        // Warm-up: grow scratch capacities.
         bf.synthesize_at_with(&bits, plan, 71, &mut scratch);
         bf.synthesize_at_with(&bits, plan, 71, &mut scratch);
         contracts::probe_reset();
@@ -159,8 +159,6 @@ fn steady_state_allocs_are_zero_at_every_level() {
         if level >= Level::Counters {
             assert_eq!(snap.counter(Counter::PacketsSynthesized), 10);
             assert!(snap.counter(Counter::SymbolsProcessed) > 0);
-        }
-        if level >= Level::Spans {
             let total = snap.span_stat(SpanKind::Synthesize).expect("synthesize span");
             assert_eq!(total.hist.count, 10);
             // Every pipeline phase reported under the total.
@@ -169,7 +167,9 @@ fn steady_state_allocs_are_zero_at_every_level() {
                 assert_eq!(stat.hist.count, 10, "{}", kind.name());
                 assert!(stat.hist.sum <= total.hist.sum, "{}", kind.name());
             }
-            assert!(!snap.events.is_empty());
+        }
+        if level == Level::Trace {
+            assert!(!telemetry::trace::snapshot().events.is_empty());
         }
     }
     telemetry::set_level(Level::Off);
@@ -201,7 +201,7 @@ fn cache_hit_steady_state_allocs_are_zero() {
             bits
         })
         .collect();
-    for level in [Level::Off, Level::Counters, Level::Spans, Level::Trace] {
+    for level in [Level::Off, Level::Counters, Level::Trace] {
         telemetry::set_level(level);
         telemetry::reset();
         // A fresh engine per level so the miss/hit ledger starts clean.
@@ -227,9 +227,6 @@ fn cache_hit_steady_state_allocs_are_zero() {
             assert_eq!(snap.counter(Counter::TemplateMiss), 1);
             assert_eq!(snap.counter(Counter::TemplateBypass), 0);
             assert!(telemetry::gauge(telemetry::Gauge::TemplateBytesResident) > 0);
-        }
-        if level >= Level::Spans {
-            let snap = telemetry::snapshot();
             let patch = snap.span_stat(SpanKind::TemplatePatch).expect("patch span");
             assert_eq!(patch.hist.count, 8 + 15);
         }

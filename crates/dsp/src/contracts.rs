@@ -1,12 +1,10 @@
 //! Runtime stage contracts: cheap invariant checks on the synthesis
-//! pipeline's hot paths, compiled in behind the `contracts` cargo feature
-//! (default-on) and active only in debug builds.
+//! pipeline's hot paths, active exactly in debug builds.
 //!
-//! [`enabled`] is a `const fn` returning
-//! `cfg!(all(feature = "contracts", debug_assertions))`, so every check
-//! wrapped in `if contracts::enabled() { ... }` const-folds away in release
-//! builds — the contracts cost nothing on the benchmark path while every
-//! `cargo test` run exercises them.
+//! [`enabled`] is a `const fn` returning `cfg!(debug_assertions)`, so every
+//! check wrapped in `if contracts::enabled() { ... }` const-folds away in
+//! release builds — the contracts cost nothing on the benchmark path while
+//! every `cargo test` run exercises them.
 //!
 //! The helpers here are the checks shared across crates (energy accounting,
 //! permutation bijectivity); crate-local invariants use the [`contract!`]
@@ -15,17 +13,17 @@
 
 use crate::complex::Cx;
 
-/// True when contract checks are compiled in AND this is a debug build.
+/// True in debug builds, where contract checks run.
 ///
 /// Const so that `if enabled() { ... }` blocks are removed entirely by
-/// constant propagation when contracts are off.
+/// constant propagation in release builds.
 #[inline]
 pub const fn enabled() -> bool {
-    cfg!(all(feature = "contracts", debug_assertions))
+    cfg!(debug_assertions)
 }
 
 /// Asserts a stage contract; a no-op (with no argument evaluation beyond
-/// the condition) when contracts are disabled.
+/// the condition) in release builds.
 #[macro_export]
 macro_rules! contract {
     ($cond:expr $(, $($fmt:tt)+)?) => {
@@ -45,8 +43,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // after a warm-up pass to prove the steady state allocates nothing.
 static ALLOC_PROBE: AtomicU64 = AtomicU64::new(0);
 
-/// Records one allocation event on the hot path. Free (and uncounted) when
-/// contracts are disabled or in release builds.
+/// Records one allocation event on the hot path. Free (and uncounted) in
+/// release builds.
 #[inline]
 pub fn probe_alloc() {
     if enabled() {
@@ -60,7 +58,7 @@ pub fn probe_reset() {
 }
 
 /// The number of hot-path allocation events recorded since the last
-/// [`probe_reset`]. Always zero when contracts are disabled.
+/// [`probe_reset`]. Always zero in release builds.
 pub fn probe_count() -> u64 {
     ALLOC_PROBE.load(Ordering::Relaxed)
 }
@@ -100,7 +98,7 @@ pub fn rel_close(a: f64, b: f64, tol: f64) -> bool {
 
 /// Parseval contract: time-domain energy equals frequency-domain energy
 /// over the transform length, `e_time ≈ e_freq / n` (unnormalized-forward
-/// convention). No-op when contracts are disabled.
+/// convention). No-op in release builds.
 pub fn check_parseval(e_time: f64, e_freq: f64, n: usize, what: &str) {
     if !enabled() {
         return;
@@ -113,7 +111,7 @@ pub fn check_parseval(e_time: f64, e_freq: f64, n: usize, what: &str) {
 }
 
 /// Bijectivity contract: `perm` must map `0..len` onto `0..len` with no
-/// collisions. No-op when contracts are disabled.
+/// collisions. No-op in release builds.
 pub fn check_permutation_bijective(len: usize, mut perm: impl FnMut(usize) -> usize, what: &str) {
     if !enabled() {
         return;
@@ -128,7 +126,7 @@ pub fn check_permutation_bijective(len: usize, mut perm: impl FnMut(usize) -> us
 }
 
 /// Unit-mean-energy contract: the mean `|p|²` over `points` is 1 within
-/// `tol`. No-op when contracts are disabled.
+/// `tol`. No-op in release builds.
 pub fn check_unit_mean_energy(points: &[Cx], tol: f64, what: &str) {
     if !enabled() {
         return;
@@ -148,8 +146,8 @@ mod tests {
 
     #[test]
     fn enabled_in_test_builds() {
-        // Tests always run with debug_assertions and the default feature
-        // set, so the contract machinery itself must be live here.
+        // Tests always run with debug_assertions, so the contract
+        // machinery itself must be live here.
         assert!(enabled());
     }
 
