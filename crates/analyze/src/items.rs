@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn use_imports_map_to_workspace_crates() {
         let src = "use bluefi_dsp::fft::{fft_into, FftPlan};\n\
-                   use bluefi_coding::viterbi::decode as vdecode;\n\
+                   use bluefi_coding::viterbi::decode_punctured as vdecode;\n\
                    use std::collections::HashMap;\nuse crate::bits::pack;\n";
         let idx = index_file(&SourceFile::parse("crates/wifi/src/x.rs", src));
         let got: Vec<(&str, &str)> =

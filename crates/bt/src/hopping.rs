@@ -83,11 +83,6 @@ impl ChannelMap {
         ChannelMap { used: channels, mask }
     }
 
-    /// Number of used channels.
-    pub fn n_used(&self) -> usize {
-        self.used.len()
-    }
-
     /// The used channels, ascending.
     pub fn used(&self) -> &[u8] {
         &self.used

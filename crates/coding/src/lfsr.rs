@@ -69,11 +69,6 @@ impl Lfsr7 {
         self.state = ((self.state << 1) | b) & 0x7F;
         b == 1
     }
-
-    /// Produces the next `n` bits.
-    pub fn take_bits(&mut self, n: usize) -> Vec<bool> {
-        (0..n).map(|_| self.next_bit()).collect()
-    }
 }
 
 /// The 802.11 frame-synchronous data scrambler.

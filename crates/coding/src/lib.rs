@@ -6,8 +6,7 @@
 //! * [`lfsr`] — the 802.11 scrambler and Bluetooth whitening sequences
 //!   (all built on the shared `x⁷+x⁴+1` register).
 //! * [`convolutional`] — the 802.11 K=7 (133,171) mother code.
-//! * [`puncture`] — rate 1/2, 2/3, 3/4, 5/6 puncturing with erasure-aware
-//!   depuncturing.
+//! * [`puncture`] — rate 1/2, 2/3, 3/4, 5/6 puncturing patterns.
 //! * [`viterbi`] — weighted hard-decision Viterbi decoding (BlueFi's
 //!   "important bits must not flip" reversal, paper Sec 2.7).
 //! * [`trellis`] — the bit-packed branchless engine behind [`viterbi`]:
@@ -34,6 +33,6 @@ pub mod viterbi;
 
 pub use convolutional::ConvEncoder;
 pub use puncture::CodeRate;
-pub use realtime::{FreeEdge, RealtimeCheckpoint, RealtimeDecoder};
+pub use realtime::{FreeEdge, RealtimeCheckpoint};
 pub use trellis::{trellis_plan, TrellisPlan};
 pub use viterbi::ViterbiScratch;

@@ -1,8 +1,8 @@
 //! Puncturing patterns for the 802.11 BCC (17.3.5.6 / Fig 17-9..11).
 //!
 //! Higher code rates are obtained from the rate-1/2 mother code by skipping
-//! ("stealing") some output bits. Depuncturing re-inserts erasures at the
-//! stolen positions so a decoder can treat them as "no information".
+//! ("stealing") some output bits. The decoders read the punctured stream
+//! in place and treat stolen positions as "no information".
 
 /// The four 802.11 code rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,83 +116,9 @@ pub fn puncture_into(rate: CodeRate, mother: &[bool], out: &mut Vec<bool>) {
     }
 }
 
-/// A received mother-stream symbol: a hard bit or an erasure (a punctured
-/// position carrying no information).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxBit {
-    /// A transmitted bit with an attached weight (importance; see the
-    /// weighted Viterbi of the paper's Sec 2.7).
-    Bit {
-        /// Hard bit value.
-        value: bool,
-        /// Mismatch cost used by the Viterbi branch metric.
-        weight: u32,
-    },
-    /// A stolen (punctured) position: matches anything at zero cost.
-    Erasure,
-}
-
-/// Re-inserts erasures, expanding a punctured stream (optionally with
-/// per-transmitted-bit weights) back to mother-code positions
-/// `[A0, B0, A1, B1, ...]`.
-///
-/// `weights` must be `None` or the same length as `punctured`; missing
-/// weights default to 1.
-pub fn depuncture(rate: CodeRate, punctured: &[bool], weights: Option<&[u32]>) -> Vec<RxBit> {
-    let mut out = Vec::new();
-    depuncture_into(rate, punctured, weights, &mut out);
-    out
-}
-
-/// Scratch-buffer variant of [`depuncture`]: expands into `out` (resized to
-/// the mother-stream length), allocating only when `out` must grow.
-pub fn depuncture_into(
-    rate: CodeRate,
-    punctured: &[bool],
-    weights: Option<&[u32]>,
-    out: &mut Vec<RxBit>,
-) {
-    if let Some(w) = weights {
-        assert_eq!(w.len(), punctured.len());
-    }
-    let (ka, kb) = rate.pattern();
-    let p = ka.len();
-    let n_in = rate.n_inputs(punctured.len());
-    bluefi_dsp::contracts::ensure_len(out, n_in * 2, RxBit::Erasure);
-    let mut src = 0usize;
-    let mut take = |keep: bool| -> RxBit {
-        if keep {
-            let v = punctured[src];
-            let w = weights.map_or(1, |w| w[src]);
-            src += 1;
-            RxBit::Bit { value: v, weight: w }
-        } else {
-            RxBit::Erasure
-        }
-    };
-    for i in 0..n_in {
-        let ph = i % p;
-        out[2 * i] = take(ka[ph]);
-        out[2 * i + 1] = take(kb[ph]);
-    }
-    // Stage contracts: every transmitted bit must be consumed exactly once,
-    // and the expanded stream must cover all mother-code positions.
-    bluefi_dsp::contract!(
-        src == punctured.len(),
-        "depuncture: consumed {src} of {} transmitted bits",
-        punctured.len()
-    );
-    bluefi_dsp::contract!(
-        out.len() == 2 * n_in,
-        "depuncture: produced {} mother positions for {n_in} input bits",
-        out.len()
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convolutional::encode_r12;
 
     #[test]
     fn rate_arithmetic() {
@@ -216,44 +142,6 @@ mod tests {
             puncture(CodeRate::R23, &mother),
             vec![true, false, true, false, true, false]
         );
-    }
-
-    #[test]
-    fn depuncture_restores_positions() {
-        // 30 is a common multiple of every puncturing period (1, 2, 3, 5).
-        let data: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-        let mother = encode_r12(&data);
-        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
-            let tx = puncture(rate, &mother);
-            assert_eq!(tx.len(), rate.n_transmitted(data.len()));
-            let rx = depuncture(rate, &tx, None);
-            assert_eq!(rx.len(), mother.len());
-            // Every non-erasure position must match the mother stream.
-            let mut erasures = 0;
-            for (i, r) in rx.iter().enumerate() {
-                match r {
-                    RxBit::Bit { value, .. } => assert_eq!(*value, mother[i], "pos {i}"),
-                    RxBit::Erasure => erasures += 1,
-                }
-            }
-            assert_eq!(erasures, mother.len() - tx.len());
-        }
-    }
-
-    #[test]
-    fn weights_ride_along() {
-        let data = vec![true, false, true, true, false, true, false, false, true, true];
-        let tx = puncture(CodeRate::R56, &encode_r12(&data));
-        let weights: Vec<u32> = (0..tx.len() as u32).collect();
-        let rx = depuncture(CodeRate::R56, &tx, Some(&weights));
-        let seen: Vec<u32> = rx
-            .iter()
-            .filter_map(|r| match r {
-                RxBit::Bit { weight, .. } => Some(*weight),
-                RxBit::Erasure => None,
-            })
-            .collect();
-        assert_eq!(seen, weights);
     }
 
     #[test]

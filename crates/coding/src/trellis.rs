@@ -1,19 +1,19 @@
 //! Bit-packed, branchless trellis engine for the weighted Viterbi
 //! (paper Sec 2.7; the `fec_reversal` hot spot of ROADMAP open item 1).
 //!
-//! The scalar reference decoder in [`crate::viterbi`] walks an enum-typed
-//! depunctured stream ([`crate::puncture::RxBit`]) and branches per
-//! transition — for a BlueFi packet that is ~3.5 million data-dependent
-//! branches over a 400 KB intermediate buffer, and it is why the stage
-//! dominated the packet budget. This module replaces the inner loop with
-//! three structural changes, none of which alters a single output bit:
+//! A textbook weighted Viterbi — the reference decoder, kept as the test
+//! oracle `reference` in the crate's `tests/properties.rs` — re-derives
+//! the puncturing phase and branches per transition and per state: for a
+//! BlueFi packet that is ~3.5 million data-dependent branches. This
+//! engine replaces that inner loop with three structural changes, none
+//! of which alters a single output bit:
 //!
 //! * **Interned trellis plans** — the per-`(rate, length)` walk structure
 //!   (keep flags and transmitted-bit offsets per trellis step, expanded
 //!   from the cyclic puncturing pattern) is built once and cached forever
 //!   in a process-wide intern table, the same idiom as the FFT plan cache
 //!   (`dsp::fft::fft_plan`). The decode kernel indexes the punctured
-//!   stream directly; no depunctured `RxBit` buffer exists at all.
+//!   stream in place, with no per-step pattern arithmetic.
 //! * **Branchless add–compare–select** — path metrics live in two flat
 //!   `[u64; 64]` columns swept as 32 butterflies per step (destination
 //!   states `j` and `j + 32` share the same two predecessors, so each
@@ -23,32 +23,33 @@
 //!   compare, select, accumulate.
 //! * **Bit-packed survivors** — one decision bit per destination state
 //!   packs a whole trellis column into a single `u64`: 8 bytes per step
-//!   instead of the scalar decoder's 64-byte `[u8; 64]` column, an 8×
+//!   instead of a textbook decoder's 64-byte `[u8; 64]` column, an 8×
 //!   cut in survivor-memory traffic (a BlueFi packet's survivor history
 //!   drops from ~1.7 MB to ~210 KB). Traceback walks the packed words
 //!   directly: the decision bit *is* the predecessor's low state bit.
 //!
 //! ## Bit-exactness proof obligations
 //!
-//! The packed engine must reproduce the scalar reference decoder bit for
-//! bit (the conformance golden vectors and differential matrix were built
-//! to hold this rewrite to account). The load-bearing equivalences:
+//! The packed engine must reproduce the reference decoder bit for bit: the
+//! test oracle in `tests/properties.rs` checks it on random streams across
+//! every rate and metric width, and the conformance golden vectors pin the
+//! packet outputs. The load-bearing equivalences:
 //!
-//! 1. **Tie-breaks select the even predecessor.** The scalar decoder
+//! 1. **Tie-breaks select the even predecessor.** The reference decoder
 //!    visits predecessors in ascending state order and replaces only on
 //!    strictly smaller metric, so the even predecessor wins ties; the
 //!    packed select uses `m_odd < m_even` for the same effect.
 //! 2. **The final-state argmin selects the lowest state index.** The
-//!    scalar `min_by_key` returns the first minimum; the packed scan
+//!    reference `min_by_key` returns the first minimum; the packed scan
 //!    ascends with a strict compare.
-//! 3. **Sentinel-rooted metrics never win.** The scalar decoder skips
-//!    states with metric ≥ [`INF`]; the packed sweep instead lets
+//! 3. **Sentinel-rooted metrics never win.** The reference decoder skips
+//!    unreachable states; the packed sweep instead lets
 //!    sentinel-rooted metrics participate, which is safe because state 0
 //!    reaches every state within `MEMORY = 6` steps, after which no
 //!    sentinel-rooted cell remains — and while they exist they sit at
 //!    least `INF` above any reachable metric (a reachable metric is
 //!    bounded by the total mismatch budget `Σ weights < INF`), so every
-//!    compare resolves exactly as the scalar skip would. (Survivor bits
+//!    compare resolves exactly as the reference skip would. (Survivor bits
 //!    of unreachable states may differ, but traceback only visits states
 //!    on the winning — reachable — path.)
 //! 4. **No overflow.** During the ≤ 6 sentinel-decay steps a metric is at
@@ -63,9 +64,8 @@ use crate::puncture::CodeRate;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The "unreachable" path metric sentinel, shared with the scalar
-/// reference decoder so both engines agree on which states are live.
-pub const INF: u64 = u64::MAX / 4;
+/// The "unreachable" path metric sentinel of the wide (`u64`) kernel.
+const INF: u64 = u64::MAX / 4;
 
 /// Sentinel for the narrow (`u32`) metric kernel. With a total mismatch
 /// budget of at most [`SMALL_METRIC_BOUND`] = 2²⁶, the worst transient
@@ -303,9 +303,9 @@ impl TrellisPlan {
 
     /// Decodes the punctured `target` stream into `out` (resized to one
     /// bit per trellis step), with optional per-transmitted-bit mismatch
-    /// weights (missing weights default to 1) — bit-identical to
-    /// depuncturing and running the scalar reference decoder. When
-    /// `terminate` is true the survivor must end in state 0.
+    /// weights (missing weights default to 1) — bit-identical to the
+    /// reference decoder. When `terminate` is true the survivor must end
+    /// in state 0.
     ///
     /// The weight magnitudes pick the metric width: per-bit weights up to
     /// [`SMALL_WEIGHT_BOUND`] run the renormalizing `u16` kernel (8 SIMD
@@ -387,11 +387,12 @@ impl TrellisPlan {
 /// and auto-vectorizable.
 ///
 /// Tie-breaks use `odd < even`, so ties select the even predecessor —
-/// matching the scalar reference, which visits predecessors ascending and
+/// matching the reference decoder, which visits predecessors ascending and
 /// replaces only on strictly smaller metric. The final-state argmin scans
-/// ascending with a strict compare (first minimum), mirroring the scalar
-/// `min_by_key`. Unreachable states decay from the `INF` sentinel within
-/// `MEMORY` steps (state 0 reaches every state in 6 transitions), so no
+/// ascending with a strict compare (first minimum), mirroring the
+/// reference `min_by_key`. Unreachable states decay from the `INF`
+/// sentinel within `MEMORY` steps (state 0 reaches every state in 6
+/// transitions), so no
 /// clamp is needed: sentinel-rooted metrics stay strictly above every
 /// reachable metric while they exist, and the overflow headroom above the
 /// sentinel covers those 6 steps (see `INF` / `INF32`).
@@ -513,7 +514,7 @@ macro_rules! acs_kernel {
             if terminate {
                 0
             } else {
-                // First minimal metric, ascending — the scalar argmin.
+                // First minimal metric, ascending — the reference argmin.
                 let mut best = cur[0];
                 let mut state = 0usize;
                 for (i, &m) in cur.iter().enumerate() {

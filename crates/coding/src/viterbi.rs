@@ -15,40 +15,24 @@
 //! the stage the paper measures at 46.88 ms/packet in C and the reason the
 //! real-time decoder ([`crate::realtime`]) exists.
 //!
-//! Two implementations share this module's API:
-//!
-//! * the **scalar reference decoder** ([`ViterbiScratch::decode_into`] and
-//!   the `*_scalar` entry points) — straightforward enum-typed trellis
-//!   walk, kept as the semantic ground truth; and
-//! * the **packed engine** ([`crate::trellis`]) — bit-packed branchless
-//!   kernel that [`ViterbiScratch::decode_punctured_into`] routes through,
-//!   proven bit-identical to the reference by property tests and the
-//!   conformance golden vectors.
+//! The trellis walk itself lives in the bit-packed engine
+//! ([`crate::trellis`]); this module is its entry point. A textbook
+//! weighted Viterbi kept as a test oracle (`reference` in the crate's
+//! `tests/properties.rs`) holds the engine bit-identical to the plain
+//! algorithm, alongside the conformance golden vectors.
 
-use crate::convolutional::{transition_next, transition_output, NUM_STATES};
-use crate::puncture::RxBit;
-use crate::trellis::{trellis_plan, PackedScratch, INF};
+use crate::trellis::{trellis_plan, PackedScratch};
 
-/// Reusable trellis state for the weighted Viterbi: path metrics, survivor
-/// storage, the per-state transition table, and a depuncture buffer.
+/// Reusable decoder state: the packed engine's metric columns and
+/// survivor words, the re-encode buffers, and the real-time decoder's
+/// replay buffers.
 ///
 /// One scratch amortizes every allocation the decoder needs; after the
 /// first decode of a given length, subsequent decodes through the same
 /// scratch are allocation-free. The scratch is plain mutable state — one
 /// per worker thread, never shared.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ViterbiScratch {
-    // Path metrics ping-pong between these two buffers (Vecs so the
-    // per-step swap is a pointer swap, not a 512-byte copy).
-    metric: Vec<u64>,
-    next_metric: Vec<u64>,
-    // survivor[t][s] = chosen predecessor of state s at step t+1 (two
-    // predecessors map into each state, so the bit alone is not enough).
-    surv_prev: Vec<[u8; NUM_STATES]>,
-    // Per-state transitions: (next_state, out_a, out_b) for input 0 and 1.
-    table: [[(u8, bool, bool); 2]; NUM_STATES],
-    // Depuncture buffer for `decode_punctured_scalar_into`.
-    rx_buf: Vec<RxBit>,
     // Re-encode buffers for `reencode_flips_into`.
     reenc_mother: Vec<bool>,
     reenc_punct: Vec<bool>,
@@ -59,35 +43,11 @@ pub struct ViterbiScratch {
     realtime: crate::realtime::RealtimeScratch,
 }
 
-impl Default for ViterbiScratch {
-    fn default() -> ViterbiScratch {
-        ViterbiScratch::new()
-    }
-}
-
 impl ViterbiScratch {
-    /// Builds a scratch with the transition table precomputed. Survivor
-    /// storage starts empty and grows to the longest stream decoded.
+    /// An empty scratch. Survivor storage starts empty and grows to the
+    /// longest stream decoded.
     pub fn new() -> ViterbiScratch {
-        let mut table = [[(0u8, false, false); 2]; NUM_STATES];
-        for (s, row) in table.iter_mut().enumerate() {
-            for (i, slot) in row.iter_mut().enumerate() {
-                let input = i == 1;
-                let (a, b) = transition_output(s as u8, input);
-                *slot = (transition_next(s as u8, input), a, b);
-            }
-        }
-        ViterbiScratch {
-            metric: vec![INF; NUM_STATES],
-            next_metric: vec![INF; NUM_STATES],
-            surv_prev: Vec::new(),
-            table,
-            rx_buf: Vec::new(),
-            reenc_mother: Vec::new(),
-            reenc_punct: Vec::new(),
-            packed: PackedScratch::new(),
-            realtime: crate::realtime::RealtimeScratch::new(),
-        }
+        ViterbiScratch::default()
     }
 
     /// The embedded real-time replay buffers, for callers that switch
@@ -97,79 +57,8 @@ impl ViterbiScratch {
         &mut self.realtime
     }
 
-    /// Decodes a (depunctured) mother-code stream into `out` (resized to
-    /// one bit per RX pair). Same semantics as [`decode`]; allocates only
-    /// when the survivor storage or `out` must grow.
-    pub fn decode_into(&mut self, rx: &[RxBit], terminate: bool, out: &mut Vec<bool>) {
-        assert_eq!(rx.len() % 2, 0, "mother stream must be (A,B) pairs");
-        let steps = rx.len() / 2;
-        bluefi_dsp::contracts::ensure_len(out, steps, false);
-        if steps == 0 {
-            return;
-        }
-        bluefi_dsp::contracts::ensure_len(&mut self.surv_prev, steps, [0u8; NUM_STATES]);
-
-        self.metric.iter_mut().for_each(|m| *m = INF);
-        self.metric[0] = 0;
-
-        let cost = |r: RxBit, out: bool| -> u64 {
-            match r {
-                RxBit::Erasure => 0,
-                RxBit::Bit { value, weight } => {
-                    if value == out {
-                        0
-                    } else {
-                        weight as u64
-                    }
-                }
-            }
-        };
-
-        for t in 0..steps {
-            let ra = rx[2 * t];
-            let rb = rx[2 * t + 1];
-            self.next_metric.iter_mut().for_each(|m| *m = INF);
-            let prev_of = &mut self.surv_prev[t];
-            *prev_of = [0u8; NUM_STATES];
-            for s in 0..NUM_STATES {
-                let m = self.metric[s];
-                if m >= INF {
-                    continue;
-                }
-                for &(ns, a, b) in &self.table[s] {
-                    let nm = m + cost(ra, a) + cost(rb, b);
-                    if nm < self.next_metric[ns as usize] {
-                        self.next_metric[ns as usize] = nm;
-                        prev_of[ns as usize] = s as u8;
-                    }
-                }
-            }
-            std::mem::swap(&mut self.metric, &mut self.next_metric);
-        }
-
-        // Pick the final state.
-        let mut state = if terminate {
-            0usize
-        } else {
-            self.metric
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &m)| m)
-                .map(|(s, _)| s)
-                .unwrap_or(0)
-        };
-
-        // Trace back. The input bit that led into `state` is its bit 5 (the
-        // most-recent-input slot of the state register).
-        for t in (0..steps).rev() {
-            out[t] = (state >> 5) & 1 == 1;
-            state = self.surv_prev[t][state] as usize;
-        }
-    }
-
     /// Scratch variant of [`decode_punctured`]: decodes the punctured
-    /// stream through the bit-packed engine ([`crate::trellis`]), bit-
-    /// identical to depuncturing and running the scalar reference decoder.
+    /// stream through the bit-packed engine ([`crate::trellis`]).
     ///
     /// Fetches the interned trellis plan and runs the branchless kernel.
     /// Allocation-free at steady state.
@@ -183,27 +72,6 @@ impl ViterbiScratch {
     ) {
         let plan = trellis_plan(rate, punctured.len());
         plan.decode_into(punctured, weights, terminate, &mut self.packed, out);
-    }
-
-    /// The scalar reference path of [`decode_punctured_into`]: depunctures
-    /// through the internal RX buffer, then runs the enum-typed trellis
-    /// walk of [`ViterbiScratch::decode_into`]. Kept as the semantic ground
-    /// truth the packed engine is differenced against (property tests, the
-    /// conformance matrix); hot paths should use the packed entry point.
-    ///
-    /// [`decode_punctured_into`]: ViterbiScratch::decode_punctured_into
-    pub fn decode_punctured_scalar_into(
-        &mut self,
-        rate: crate::puncture::CodeRate,
-        punctured: &[bool],
-        weights: Option<&[u32]>,
-        terminate: bool,
-        out: &mut Vec<bool>,
-    ) {
-        let mut rx = std::mem::take(&mut self.rx_buf);
-        crate::puncture::depuncture_into(rate, punctured, weights, &mut rx);
-        self.decode_into(&rx, terminate, out);
-        self.rx_buf = rx;
     }
 
     /// Scratch variant of [`reencode_flips`]: re-encodes through the internal
@@ -232,22 +100,6 @@ impl ViterbiScratch {
     }
 }
 
-/// Decodes a (depunctured) mother-code stream back to information bits.
-///
-/// `rx` is the mother-position stream `[A0, B0, A1, B1, ...]` as produced by
-/// [`crate::puncture::depuncture`]; its length must be even. The decoder
-/// starts from state 0 (802.11 convention). When `terminate` is true the
-/// survivor must end in state 0 (use when the stream includes tail bits);
-/// otherwise the best final state wins.
-///
-/// Returns the decoded information bits (one per RX pair). Thin shim over
-/// [`ViterbiScratch::decode_into`]; hot paths should hold a scratch.
-pub fn decode(rx: &[RxBit], terminate: bool) -> Vec<bool> {
-    let mut out = Vec::new();
-    ViterbiScratch::new().decode_into(rx, terminate, &mut out);
-    out
-}
-
 /// Convenience wrapper: decode a punctured stream at `rate` with optional
 /// per-transmitted-bit weights, through the bit-packed engine. Thin shim
 /// over [`ViterbiScratch::decode_punctured_into`]; hot paths should hold a
@@ -263,33 +115,18 @@ pub fn decode_punctured(
     out
 }
 
-/// The scalar reference path of [`decode_punctured`]: depuncture, then the
-/// enum-typed trellis walk. The packed engine is held bit-identical to this
-/// function by property tests and the conformance golden vectors.
-pub fn decode_punctured_scalar(
-    rate: crate::puncture::CodeRate,
-    punctured: &[bool],
-    weights: Option<&[u32]>,
-    terminate: bool,
-) -> Vec<bool> {
-    let rx = crate::puncture::depuncture(rate, punctured, weights);
-    decode(&rx, terminate)
-}
-
 /// Re-encodes `decoded` and reports which transmitted positions of the
 /// original punctured target differ ("bit-flips" in the paper's language).
+/// Thin shim over [`ViterbiScratch::reencode_flips_into`]; hot paths should
+/// hold a scratch.
 pub fn reencode_flips(
     rate: crate::puncture::CodeRate,
     decoded: &[bool],
     target_punctured: &[bool],
 ) -> Vec<usize> {
-    let re = crate::puncture::puncture(rate, &crate::convolutional::encode_r12(decoded));
-    assert_eq!(re.len(), target_punctured.len());
-    re.iter()
-        .zip(target_punctured)
-        .enumerate()
-        .filter_map(|(i, (a, b))| if a != b { Some(i) } else { None })
-        .collect()
+    let mut flips = Vec::new();
+    ViterbiScratch::new().reencode_flips_into(rate, decoded, target_punctured, &mut flips);
+    flips
 }
 
 #[cfg(test)]
@@ -408,35 +245,7 @@ mod tests {
 
     #[test]
     fn empty_input_decodes_to_empty() {
-        assert!(decode(&[], false).is_empty());
-    }
-
-    #[test]
-    fn packed_path_matches_scalar_reference() {
-        // The packed engine behind `decode_punctured` must reproduce the
-        // enum-typed reference walk bit for bit: every rate, weighted and
-        // unweighted, terminated and free-ending.
-        for (len, k) in [(60usize, 11u64), (120, 5), (30, 29)] {
-            let mut data = pattern_bits(len, k);
-            data.extend([false; 6]);
-            for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
-                let n = data.len() - data.len() % rate.period_inputs();
-                let mut tx = puncture(rate, &encode_r12(&data[..n]));
-                // Corrupt a few positions so the decode is not trivial.
-                for i in (3..tx.len()).step_by(37) {
-                    tx[i] = !tx[i];
-                }
-                let weights: Vec<u32> =
-                    (0..tx.len() as u32).map(|i| [1, 100, 1000][(i % 3) as usize]).collect();
-                for (w, term) in
-                    [(None, false), (None, true), (Some(&weights[..]), false)]
-                {
-                    let packed = decode_punctured(rate, &tx, w, term);
-                    let scalar = decode_punctured_scalar(rate, &tx, w, term);
-                    assert_eq!(packed, scalar, "len {len} rate {rate:?} term {term}");
-                }
-            }
-        }
+        assert!(decode_punctured(CodeRate::R12, &[], None, false).is_empty());
     }
 
     #[test]

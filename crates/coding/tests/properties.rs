@@ -2,13 +2,13 @@
 //! promises, on the in-tree `bluefi_core::check` harness.
 
 use bluefi_coding::bch::{check_sync_word, sync_word};
-use bluefi_coding::convolutional::encode_r12;
+use bluefi_coding::convolutional::{encode_r12, transition_next, transition_output, NUM_STATES};
 use bluefi_coding::crc::{crc16_bits, crc16_check, crc24_bits, crc24_check, BLE_ADV_CRC_INIT};
 use bluefi_coding::hamming::{decode15_10, decode_r13, encode15_10, encode_r13, BlockStatus};
 use bluefi_coding::lfsr::{ble_whiten, recover_seed, scramble};
-use bluefi_coding::puncture::{depuncture, puncture, CodeRate, RxBit};
-use bluefi_coding::realtime::{protected_mask, RealtimePlan};
-use bluefi_coding::viterbi::{decode_punctured, decode_punctured_scalar, reencode_flips};
+use bluefi_coding::puncture::{puncture, CodeRate};
+use bluefi_coding::realtime::{protected_mask, RealtimePlan, RealtimeScratch};
+use bluefi_coding::viterbi::{decode_punctured, reencode_flips};
 use bluefi_coding::FreeEdge;
 use bluefi_core::check::{bools, check};
 use bluefi_core::rng::{Rng, SeedableRng, StdRng};
@@ -84,31 +84,6 @@ fn viterbi_inverts_noiseless_encoding() {
 }
 
 #[test]
-fn depuncture_preserves_transmitted_bits() {
-    check(
-        "depuncture_preserves_transmitted_bits",
-        |rng| (bools(rng, 30..31), rng.gen_range(0usize..4)),
-        |(data, rate_idx)| {
-            let rate = [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56][*rate_idx];
-            let mother = encode_r12(data);
-            let tx = puncture(rate, &mother);
-            let rx = depuncture(rate, &tx, None);
-            let survived: Vec<bool> = rx
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| match r {
-                    RxBit::Bit { value, .. } => Some(*value == mother[i]),
-                    RxBit::Erasure => None,
-                })
-                .collect();
-            prop_assert!(survived.iter().all(|&ok| ok));
-            prop_assert_eq!(survived.len(), tx.len());
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn realtime_plan_never_flips_protected() {
     check(
         "realtime_plan_never_flips_protected",
@@ -116,22 +91,72 @@ fn realtime_plan_never_flips_protected() {
         |(target, front)| {
             let edge = if *front { FreeEdge::Front } else { FreeEdge::Back };
             let plan = RealtimePlan::new(target.len(), edge);
-            let out = plan.decode(target);
+            let (mut decoded, mut flips) = (Vec::new(), Vec::new());
+            plan.decode_into(target, &mut RealtimeScratch::new(), &mut decoded, &mut flips);
             let mask = protected_mask(target.len(), edge);
-            for &f in &out.flips {
+            for &f in &flips {
                 prop_assert!(!mask[f], "protected bit {} flipped", f);
             }
             // The paper's guarantee: at most 1/3 of bits flip.
-            prop_assert!(out.flips.len() * 3 <= target.len());
+            prop_assert!(flips.len() * 3 <= target.len());
             Ok(())
         },
     );
 }
 
+/// Textbook weighted hard-decision Viterbi that walks the punctured stream
+/// directly: the test oracle the packed trellis engine is held
+/// bit-identical to. Stolen positions cost nothing. Predecessors are
+/// visited in ascending state order and replaced only on a strictly
+/// smaller metric, so ties keep the lower state; a free end takes the
+/// first minimal state.
+fn reference(rate: CodeRate, tx: &[bool], weights: Option<&[u32]>, terminate: bool) -> Vec<bool> {
+    let (ka, kb) = rate.pattern();
+    let steps = rate.n_inputs(tx.len());
+    let mut metric = [u64::MAX; NUM_STATES];
+    metric[0] = 0;
+    let mut prev = vec![[0u8; NUM_STATES]; steps];
+    let mut src = 0;
+    for (t, prev_t) in prev.iter_mut().enumerate() {
+        // (received bit, mismatch weight) for the A and B outputs, or None
+        // where the pattern stole the position.
+        let mut rx = [None; 2];
+        for (slot, keep) in rx.iter_mut().zip([ka[t % ka.len()], kb[t % kb.len()]]) {
+            if keep {
+                *slot = Some((tx[src], weights.map_or(1, |w| w[src] as u64)));
+                src += 1;
+            }
+        }
+        let cost =
+            |r: Option<(bool, u64)>, bit: bool| r.map_or(0, |(v, w)| if v == bit { 0 } else { w });
+        let mut next = [u64::MAX; NUM_STATES];
+        for s in (0..NUM_STATES).filter(|&s| metric[s] != u64::MAX) {
+            for input in [false, true] {
+                let ns = transition_next(s as u8, input) as usize;
+                let (a, b) = transition_output(s as u8, input);
+                let m = metric[s] + cost(rx[0], a) + cost(rx[1], b);
+                if m < next[ns] {
+                    next[ns] = m;
+                    prev_t[ns] = s as u8;
+                }
+            }
+        }
+        metric = next;
+    }
+    let mut state =
+        if terminate { 0 } else { (0..NUM_STATES).min_by_key(|&s| metric[s]).unwrap_or(0) };
+    let mut out = vec![false; steps];
+    for t in (0..steps).rev() {
+        out[t] = state >> 5 == 1;
+        state = prev[t][state] as usize;
+    }
+    out
+}
+
 #[test]
 fn packed_engine_matches_scalar_reference() {
-    // The bit-packed trellis engine must agree with the scalar reference
-    // decoder on every rate, termination mode, corruption pattern, and —
+    // The bit-packed trellis engine must agree with the reference decoder
+    // on every rate, termination mode, corruption pattern, and —
     // critically — every metric-width kernel the weight magnitudes can
     // dispatch to (u16 renormalizing, u32, u64).
     check(
@@ -166,11 +191,39 @@ fn packed_engine_matches_scalar_reference() {
             };
             let w = weights.as_deref();
             let packed = decode_punctured(rate, &tx, w, *terminate);
-            let scalar = decode_punctured_scalar(rate, &tx, w, *terminate);
-            prop_assert_eq!(packed, scalar);
+            prop_assert_eq!(packed, reference(rate, &tx, w, *terminate));
             Ok(())
         },
     );
+}
+
+fn pattern_bits(n: usize, k: u64) -> Vec<bool> {
+    (0..n).map(|i| (i as u64 * k + k / 3) % 7 < 3).collect()
+}
+
+#[test]
+fn packed_path_matches_reference_on_fixed_patterns() {
+    // Deterministic companion to the randomized property: every rate,
+    // weighted and unweighted, terminated and free-ending.
+    for (len, k) in [(60usize, 11u64), (120, 5), (30, 29)] {
+        let mut data = pattern_bits(len, k);
+        data.extend([false; 6]);
+        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
+            let n = data.len() - data.len() % rate.period_inputs();
+            let mut tx = puncture(rate, &encode_r12(&data[..n]));
+            // Corrupt a few positions so the decode is not trivial.
+            for i in (3..tx.len()).step_by(37) {
+                tx[i] = !tx[i];
+            }
+            let weights: Vec<u32> =
+                (0..tx.len() as u32).map(|i| [1, 100, 1000][(i % 3) as usize]).collect();
+            for (w, term) in [(None, false), (None, true), (Some(&weights[..]), false)] {
+                let packed = decode_punctured(rate, &tx, w, term);
+                let oracle = reference(rate, &tx, w, term);
+                assert_eq!(packed, oracle, "len {len} rate {rate:?} term {term}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Golden-vector fixtures: JSON serialization, regeneration and checking.
 //!
 //! Each fixture is one JSON file under the crate's `fixtures/` directory:
-//! the four [`crate::trace::CASES`] (payload × chip matrix) plus a
+//! the five [`crate::trace::CASES`] (payload × chip × strategy) plus a
 //! standalone HT-mixed preamble fixture. All 64-bit values — digests,
 //! checkpoints, literal prefix words, `f64` bit patterns — are stored as
 //! 16-hex-char strings because the in-tree JSON type carries numbers as
@@ -175,7 +175,7 @@ pub fn preamble_trace() -> CaseTrace {
     }
 }
 
-/// Computes all current traces: the four cases plus the preamble.
+/// Computes all current traces: every case plus the preamble.
 pub fn current_traces() -> Result<Vec<CaseTrace>, String> {
     let mut out = Vec::with_capacity(CASES.len() + 1);
     for spec in &CASES {

@@ -20,7 +20,7 @@ use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
 use bluefi_bt::edr::{edr_modulate_phase, EdrScheme};
 use bluefi_core::pipeline::BlueFi;
 use bluefi_core::qam::Quantizer;
-use bluefi_core::reversal::{coded_stream, extract_psdu, reverse_fec};
+use bluefi_core::reversal::{coded_stream, extract_psdu, reverse_fec, DecodeStrategy};
 use bluefi_wifi::channels::{plan_channel, ChannelPlan};
 use bluefi_wifi::chip::ChipModel;
 use bluefi_wifi::tx::{coded_bits, scrambled_bits, symbol_spectrum, waveform_from_coded};
@@ -68,7 +68,8 @@ impl Chip {
     }
 }
 
-/// One golden-vector case: payload family × chip model.
+/// One golden-vector case: payload family × chip model × FEC-reversal
+/// strategy.
 #[derive(Debug, Clone, Copy)]
 pub struct CaseSpec {
     /// Fixture name (also the file stem under `fixtures/`).
@@ -77,15 +78,44 @@ pub struct CaseSpec {
     pub payload: PayloadKind,
     /// Transmitting chip.
     pub chip: Chip,
+    /// FEC-reversal strategy the synthesizer runs.
+    pub strategy: DecodeStrategy,
 }
 
 /// The committed case matrix: both payload families under both seed
-/// policies (AR9331 constant-1, RTL8811AU constant-71).
-pub const CASES: [CaseSpec; 4] = [
-    CaseSpec { name: "ble_adv_ar9331", payload: PayloadKind::BleAdv, chip: Chip::Ar9331 },
-    CaseSpec { name: "ble_adv_rtl8811au", payload: PayloadKind::BleAdv, chip: Chip::Rtl8811au },
-    CaseSpec { name: "edr_ar9331", payload: PayloadKind::Edr, chip: Chip::Ar9331 },
-    CaseSpec { name: "edr_rtl8811au", payload: PayloadKind::Edr, chip: Chip::Rtl8811au },
+/// policies (AR9331 constant-1, RTL8811AU constant-71) with the weighted
+/// Viterbi, plus one BLE case through the real-time decoder.
+pub const CASES: [CaseSpec; 5] = [
+    CaseSpec {
+        name: "ble_adv_ar9331",
+        payload: PayloadKind::BleAdv,
+        chip: Chip::Ar9331,
+        strategy: DecodeStrategy::WeightedViterbi,
+    },
+    CaseSpec {
+        name: "ble_adv_rtl8811au",
+        payload: PayloadKind::BleAdv,
+        chip: Chip::Rtl8811au,
+        strategy: DecodeStrategy::WeightedViterbi,
+    },
+    CaseSpec {
+        name: "edr_ar9331",
+        payload: PayloadKind::Edr,
+        chip: Chip::Ar9331,
+        strategy: DecodeStrategy::WeightedViterbi,
+    },
+    CaseSpec {
+        name: "edr_rtl8811au",
+        payload: PayloadKind::Edr,
+        chip: Chip::Rtl8811au,
+        strategy: DecodeStrategy::WeightedViterbi,
+    },
+    CaseSpec {
+        name: "ble_adv_realtime_ar9331",
+        payload: PayloadKind::BleAdv,
+        chip: Chip::Ar9331,
+        strategy: DecodeStrategy::Realtime,
+    },
 ];
 
 /// Scalar facts about a case, compared field-by-field before the stages.
@@ -147,9 +177,8 @@ struct Synth {
     mean_quant_error_db: f64,
 }
 
-fn synthesize_ble(seed: u8) -> Result<Synth, String> {
+fn synthesize_ble(bf: &BlueFi, seed: u8) -> Result<Synth, String> {
     let bits = adv_air_bits(&ble_case_pdu(), 38);
-    let bf = BlueFi::default();
     let syn = bf
         .synthesize(&bits, 2.426e9, seed)
         .ok_or_else(|| "2.426 GHz must be plannable".to_string())?;
@@ -166,9 +195,8 @@ fn synthesize_ble(seed: u8) -> Result<Synth, String> {
 
 /// The EDR arm mirrors the `e2e_edr` integration path: DPSK phase →
 /// CP-compatible θ̂ → per-symbol quantization → demap/deinterleave →
-/// weighted-Viterbi reversal → descramble.
-fn synthesize_edr(seed: u8) -> Result<Synth, String> {
-    let bf = BlueFi::default();
+/// FEC reversal → descramble.
+fn synthesize_edr(bf: &BlueFi, seed: u8) -> Result<Synth, String> {
     let plan = ChannelPlan::pinned(3, 13.0);
     let offset_hz =
         plan.subcarrier * bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
@@ -205,9 +233,10 @@ fn synthesize_edr(seed: u8) -> Result<Synth, String> {
 /// Captures the full stage trace for one case.
 pub fn trace_case(spec: &CaseSpec) -> Result<CaseTrace, String> {
     let seed = spec.chip.seed();
+    let bf = BlueFi { strategy: spec.strategy, ..BlueFi::default() };
     let s = match spec.payload {
-        PayloadKind::BleAdv => synthesize_ble(seed)?,
-        PayloadKind::Edr => synthesize_edr(seed)?,
+        PayloadKind::BleAdv => synthesize_ble(&bf, seed)?,
+        PayloadKind::Edr => synthesize_edr(&bf, seed)?,
     };
     // Internal consistency: the pinned-plan arm must agree with the
     // planner's view of the same frequency when not pinned.
@@ -234,7 +263,6 @@ pub fn trace_case(spec: &CaseSpec) -> Result<CaseTrace, String> {
     // weights — the deinterleaved pattern repeats every symbol.
     let il = Interleaver::new(s.mcs.modulation);
     let ncbps = il.block_len();
-    let bf = BlueFi::default();
     let w_of: Vec<u32> = (0..ncbps)
         .map(|k| bf.weights.weight_at(il.subcarrier_of(k), s.plan.tx_subcarrier))
         .collect();
@@ -324,4 +352,5 @@ mod tests {
         assert!(t.meta.n_symbols > 10 && t.meta.n_symbols < 40, "{}", t.meta.n_symbols);
         assert!(f64::from_bits(t.meta.mean_quant_error_bits) < -6.0);
     }
+
 }

@@ -18,7 +18,7 @@ fn check_subcommand_passes_on_committed_fixtures() {
     let out = conformance(&["check"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "exit: {:?}\n{stdout}", out.status);
-    assert!(stdout.contains("5 fixtures OK"), "{stdout}");
+    assert!(stdout.contains("6 fixtures OK"), "{stdout}");
 }
 
 #[test]

@@ -6,7 +6,7 @@ use bluefi_conformance::golden::{check_all, default_dir, regen_all};
 #[test]
 fn committed_fixtures_match_current_code() {
     let report = check_all(&default_dir()).expect("fixtures readable");
-    assert_eq!(report.checked.len(), 5, "{:?}", report.checked);
+    assert_eq!(report.checked.len(), 6, "{:?}", report.checked);
     assert!(report.is_clean(), "{}", report.render());
 }
 

@@ -17,12 +17,6 @@ pub struct Fir {
 }
 
 impl Fir {
-    /// Wraps raw taps.
-    pub fn from_taps(taps: Vec<f64>) -> Fir {
-        assert!(!taps.is_empty(), "FIR filter needs at least one tap");
-        Fir { taps }
-    }
-
     /// Windowed-sinc low-pass. `cutoff` is the -6 dB edge as a fraction of
     /// the sample rate (`0 < cutoff < 0.5`); `ntaps` should be odd for a
     /// symmetric (linear-phase) filter and is bumped to odd if it isn't.
