@@ -77,8 +77,11 @@ const METRICS: &[(&str, Class)] = &[
     ("single_packet.mean_us", Class::MeanUs),
     ("single_packet.p90_us", Class::TailUs),
     ("total.mean_us", Class::MeanUs),
-    ("per_stage.fec_reversal.mean_us", Class::MeanUs),
     ("per_stage.gfsk_modulate.mean_us", Class::MeanUs),
+    ("per_stage.cp_compat.mean_us", Class::MeanUs),
+    ("per_stage.qam_quantize_demap.mean_us", Class::MeanUs),
+    ("per_stage.fec_reversal.mean_us", Class::MeanUs),
+    ("per_stage.descramble_extract.mean_us", Class::MeanUs),
     ("beacon_fleet.patch_mean_us", Class::MeanUs),
     ("beacon_fleet.patch_p99_us", Class::TailUs),
     ("beacon_fleet.speedup_vs_fleet_cold", Class::HigherBetter),

@@ -79,13 +79,20 @@ fn gate_fails_on_synthetic_regression_and_names_the_metric() {
     // milliseconds, so the margin is enormous.
     scale_num(&mut doc, &["single_packet", "mean_us"], 2.0);
     scale_num(&mut doc, &["beacon_fleet", "patch_p99_us"], 4.0);
+    // The direct 61-tap Gaussian convolution is about 25× slower than the
+    // pulse table, so reverting to it looks like this.
+    scale_num(&mut doc, &["per_stage", "gfsk_modulate", "mean_us"], 25.0);
     let regressed = std::env::temp_dir().join("bluefi_perfgate_regressed.json");
     std::fs::write(&regressed, doc.render()).expect("write regressed report");
     let gate = run_gate(&baseline, &regressed);
     let _ = std::fs::remove_file(&regressed);
     assert_eq!(gate.status.code(), Some(1), "regression must exit 1:\n{}", gate.stdout);
     assert!(gate.stdout.contains("perfgate: FAIL"), "{}", gate.stdout);
-    for metric in ["single_packet.mean_us", "beacon_fleet.patch_p99_us"] {
+    for metric in [
+        "single_packet.mean_us",
+        "beacon_fleet.patch_p99_us",
+        "per_stage.gfsk_modulate.mean_us",
+    ] {
         assert!(
             gate.stdout.contains(&format!("{metric}:")),
             "failure report must name {metric}:\n{}",

@@ -32,12 +32,8 @@
 //! opt-in [`PhaseMode`](../../bluefi_core/pipeline) rather than a drop-in
 //! replacement: goldens for the cumulative path stay valid.
 
-use crate::gfsk::GfskParams;
+use crate::gfsk::{GfskParams, FILTER_SPAN};
 use bluefi_dsp::gaussian::gaussian_taps;
-
-/// Gaussian filter span in symbols — must match [`crate::gfsk`]'s
-/// modulator so both modes shape identically.
-const FILTER_SPAN: usize = 3;
 
 /// Largest residue period searched for; `h` must be rational with a small
 /// denominator for the anchored decomposition to exist.
@@ -132,8 +128,8 @@ impl AnchoredModulator {
         self.period as usize
     }
 
-    /// NRZ sign of bit `i` with edge extension (the same clamping the
-    /// convolution modulator's `nrz` lookup applies).
+    /// NRZ sign of bit `i` with edge extension (the same bit-index clamping
+    /// [`bluefi_dsp::gaussian::PulseTable`] applies).
     #[inline]
     fn sign(bits: &[bool], i: i64) -> f64 {
         let idx = i.clamp(0, bits.len() as i64 - 1) as usize;

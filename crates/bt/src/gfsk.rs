@@ -7,15 +7,13 @@
 //! ratio BlueFi's "one OFDM symbol ≈ 4 Bluetooth bits" bookkeeping comes
 //! from.
 
-use bluefi_dsp::gaussian::{gaussian_taps, shape_bits, shape_bits_to};
-use bluefi_dsp::phase::{
-    accumulate_frequency, accumulate_frequency_into, add_frequency_offset, phase_to_iq,
-};
+use bluefi_dsp::gaussian::{gaussian_taps, PulseTable};
+use bluefi_dsp::phase::{accumulate_frequency_into, add_frequency_offset, phase_to_iq};
 use bluefi_dsp::Cx;
 
-/// Gaussian filter span in symbols used by the modulator (plenty for
-/// BT = 0.5).
-const FILTER_SPAN: usize = 3;
+/// Gaussian filter span in symbols (plenty for BT = 0.5), shared by this
+/// modulator and [`crate::anchored`] so both shape identically.
+pub(crate) const FILTER_SPAN: usize = 3;
 
 /// GFSK modulator parameters.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +52,7 @@ impl GfskParams {
             (sps - sps.round()).abs() < 1e-9 && sps >= 1.0,
             "sample rate must be an integer multiple of the symbol rate"
         );
-        sps as usize
+        sps.round() as usize
     }
 
     /// Modulation index h = 2·f_d / symbol rate.
@@ -66,25 +64,19 @@ impl GfskParams {
 /// The instantaneous-frequency pulse train (cycles/sample) for a packet's
 /// bits, including guard bits of zero frequency on both ends.
 pub fn frequency_signal(bits: &[bool], p: &GfskParams) -> Vec<f64> {
-    let sps = p.sps();
-    let dev = p.deviation_hz / p.sample_rate_hz; // cycles/sample at full deviation
-    let shaped = shape_bits(bits, p.bt, sps, FILTER_SPAN);
-    let guard = p.guard_bits * sps;
-    let mut out = vec![0.0; guard];
-    out.extend(shaped.iter().map(|&v| v * dev));
-    out.extend(std::iter::repeat_n(0.0, guard));
+    let mut out = Vec::new();
+    GfskScratch::new().frequency_signal_into(bits, p, &mut out);
     out
 }
 
-/// Reusable state for allocation-free GFSK modulation: the Gaussian taps
-/// (cached per parameter set) and the intermediate frequency buffer. One
-/// scratch per worker thread; after the first packet of a given length,
+/// Reusable state for allocation-free GFSK modulation: the Gaussian pulse
+/// table (cached per parameter set) and the intermediate frequency buffer.
+/// One scratch per worker thread; after the first packet of a given length,
 /// modulation through the same scratch is allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GfskScratch {
-    // (bt bit-pattern, sps) the cached taps were built for.
-    taps_key: Option<(u64, usize)>,
-    taps: Vec<f64>,
+    // The pulse table and the (bt bit-pattern, sps) it was built for.
+    pulse: Option<((u64, usize), PulseTable)>,
     freq: Vec<f64>,
 }
 
@@ -99,17 +91,20 @@ impl GfskScratch {
         let sps = p.sps();
         let dev = p.deviation_hz / p.sample_rate_hz;
         let key = (p.bt.to_bits(), sps);
-        if self.taps_key != Some(key) {
-            self.taps = gaussian_taps(p.bt, sps, FILTER_SPAN);
-            self.taps_key = Some(key);
-            bluefi_dsp::contracts::probe_alloc();
-        }
+        let table = match &mut self.pulse {
+            Some((k, table)) if *k == key => table,
+            slot => {
+                bluefi_dsp::contracts::probe_alloc();
+                let taps = gaussian_taps(p.bt, sps, FILTER_SPAN);
+                &mut slot.insert((key, PulseTable::new(&taps, sps))).1
+            }
+        };
         let guard = p.guard_bits * sps;
         let n = bits.len() * sps;
         bluefi_dsp::contracts::ensure_len(out, guard + n + guard, 0.0);
         out[..guard].fill(0.0);
         out[guard + n..].fill(0.0);
-        shape_bits_to(bits, &self.taps, sps, dev, &mut out[guard..guard + n]);
+        table.shape_into(bits, dev, &mut out[guard..guard + n]);
     }
 
     /// Scratch-buffer variant of [`modulate_phase`].
@@ -136,12 +131,8 @@ impl GfskScratch {
 /// relative to the WiFi channel center — paper Sec 2.3's "modulating
 /// operation", which must precede CP construction).
 pub fn modulate_phase(bits: &[bool], p: &GfskParams, center_offset_hz: f64) -> Vec<f64> {
-    let freq = frequency_signal(bits, p);
-    let mut phase = accumulate_frequency(&freq, 0.0);
-    // lint: allow(float-eq) exact 0.0 is the "no offset" sentinel, not a computed value
-    if center_offset_hz != 0.0 {
-        add_frequency_offset(&mut phase, center_offset_hz / p.sample_rate_hz);
-    }
+    let mut phase = Vec::new();
+    GfskScratch::new().modulate_phase_into(bits, p, center_offset_hz, &mut phase);
     phase
 }
 
@@ -229,6 +220,40 @@ mod tests {
         assert!((f[mid] - dev_cps).abs() < dev_cps * 0.01);
     }
 
+    /// Direct 61-tap convolution, guard padding, accumulation and offset:
+    /// the oracle the table path must match bit for bit.
+    fn reference_phase(bits: &[bool], p: &GfskParams, center_offset_hz: f64) -> Vec<f64> {
+        let sps = p.sps();
+        let taps = gaussian_taps(p.bt, sps, FILTER_SPAN);
+        let dev = p.deviation_hz / p.sample_rate_hz;
+        let last = bits.len() as isize - 1;
+        let guard = vec![0.0; p.guard_bits * sps];
+        let shaped = (0..bits.len() * sps).map(|n| {
+            let s: f64 = taps
+                .iter()
+                .enumerate()
+                .map(|(k, &t)| {
+                    let i = (n + taps.len() / 2) as isize - k as isize;
+                    t * if bits[i.div_euclid(sps as isize).clamp(0, last) as usize] {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                })
+                .sum();
+            s * dev
+        });
+        let freq: Vec<f64> =
+            guard.iter().copied().chain(shaped).chain(guard.iter().copied()).collect();
+        let mut phase = bluefi_dsp::phase::accumulate_frequency(&freq, 0.0);
+        add_frequency_offset(&mut phase, center_offset_hz / p.sample_rate_hz);
+        phase
+    }
+
+    fn bit_patterns(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn scratch_modulation_matches_allocating_path() {
         let p = GfskParams::default();
@@ -237,9 +262,31 @@ mod tests {
         for (len, offset) in [(16usize, 0.0f64), (48, 1e6), (16, -2.5e6), (80, 4e6)] {
             let bits: Vec<bool> = (0..len).map(|i| (i * 11) % 5 < 2).collect();
             scratch.modulate_phase_into(&bits, &p, offset, &mut out);
-            let fresh = modulate_phase(&bits, &p, offset);
-            assert_eq!(out, fresh, "len {len} offset {offset}");
+            let want = bit_patterns(&reference_phase(&bits, &p, offset));
+            assert_eq!(bit_patterns(&out), want, "len {len} offset {offset}");
+            assert_eq!(bit_patterns(&modulate_phase(&bits, &p, offset)), want);
         }
+    }
+
+    #[test]
+    fn scratch_rebuilds_its_table_when_bt_changes() {
+        let mut scratch = GfskScratch::new();
+        let mut out = Vec::new();
+        let bits: Vec<bool> = (0..40).map(|i| (i * 7) % 3 == 0).collect();
+        for bt in [0.5, 0.3, 0.5, 0.3] {
+            let p = GfskParams { bt, ..GfskParams::default() };
+            scratch.modulate_phase_into(&bits, &p, 1e6, &mut out);
+            let mut fresh = Vec::new();
+            GfskScratch::new().modulate_phase_into(&bits, &p, 1e6, &mut fresh);
+            assert_eq!(bit_patterns(&out), bit_patterns(&fresh), "bt {bt}");
+        }
+    }
+
+    #[test]
+    fn sps_rounds_an_inexact_integer_quotient() {
+        // 0.7 / 0.1 is 6.999999999999999 in f64.
+        let p = GfskParams { sample_rate_hz: 0.7, symbol_rate_hz: 0.1, ..GfskParams::default() };
+        assert_eq!(p.sps(), 7);
     }
 
     #[test]

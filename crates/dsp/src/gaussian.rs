@@ -44,52 +44,165 @@ pub fn gaussian_taps(bt: f64, sps: usize, span: usize) -> Vec<f64> {
 /// Each bit is held for `sps` samples (NRZ) and the result is convolved with
 /// the Gaussian taps. The output length is `bits.len() * sps` and is aligned
 /// so that the center of bit `i` is at sample `i*sps + sps/2` (the filter's
-/// group delay is removed).
+/// group delay is removed). Bits past either end repeat the edge bit: real
+/// transmitters idle at the carrier, and extending avoids a fake frequency
+/// droop on the first/last bit.
 pub fn shape_bits(bits: &[bool], bt: f64, sps: usize, span: usize) -> Vec<f64> {
-    let taps = gaussian_taps(bt, sps, span);
+    let table = PulseTable::new(&gaussian_taps(bt, sps, span), sps);
     let mut out = vec![0.0; bits.len() * sps];
-    shape_bits_to(bits, &taps, sps, 1.0, &mut out);
+    table.shape_into(bits, 1.0, &mut out);
     out
 }
 
-/// Scratch-buffer core of [`shape_bits`]: convolves with caller-provided
-/// `taps` (from [`gaussian_taps`]) and writes `scale`-multiplied samples into
-/// `out`, which must be exactly `bits.len() * sps` long. Lets hot paths reuse
-/// both the taps and the output buffer.
-pub fn shape_bits_to(bits: &[bool], taps: &[f64], sps: usize, scale: f64, out: &mut [f64]) {
-    let delay = taps.len() / 2;
-    let n = bits.len() * sps;
-    assert_eq!(out.len(), n, "output must hold bits.len()*sps samples");
-    let nrz = |i: isize| -> f64 {
-        if i < 0 || i as usize >= n {
-            // Extend the edge bits rather than dropping to zero: real
-            // transmitters idle at the carrier, and extending avoids a fake
-            // frequency droop on the first/last bit.
-            if bits.is_empty() {
-                return 0.0;
+/// The NRZ convolution of [`shape_bits`], tabulated per sample phase and
+/// per pattern of the bits the filter window covers.
+///
+/// Output sample `n = b·sps + p` is the ordered sum over `k` of
+/// `taps[k]·(±1)`, the sign taken from bit `⌊(n + delay − k)/sps⌋`
+/// (`delay = taps.len()/2`, bit index clamped to the sequence: the edge
+/// extension). For a fixed phase `p` those bit indices are `b + lo(p) …
+/// b + hi(p)`, at most `span + 1` bits, so the sum depends only on `p` and
+/// on that bit pattern. [`PulseTable::new`] sums every (phase, pattern)
+/// entry once, with the same expression in the same `k` order as a direct
+/// convolution, which makes [`PulseTable::shape_into`] — one table load and
+/// one multiply per sample — bit-identical to it. At `sps = 20` and
+/// 61 taps the table holds 20 × 16 entries (2.5 KiB).
+#[derive(Debug, Clone)]
+pub struct PulseTable {
+    sps: usize,
+    /// Bits per window pattern: the widest `hi(p) − lo(p) + 1`.
+    width: u32,
+    /// `lo(0)`, the lowest bit offset any phase reads.
+    lo: isize,
+    /// Bits gathered per input bit: `hi(sps − 1) − lo(0) + 1`.
+    reach: usize,
+    /// Per phase `p`: `lo(p) − lo(0)`, the shift that aligns the gathered
+    /// bits with that phase's pattern.
+    shift: Vec<u32>,
+    /// `entries[p << width | pattern]`; pattern bit `j` is bit `b + lo(p) + j`.
+    entries: Vec<f64>,
+}
+
+impl PulseTable {
+    /// Tabulates the NRZ convolution with `taps` at `sps` samples per bit.
+    pub fn new(taps: &[f64], sps: usize) -> PulseTable {
+        assert!(sps >= 1 && !taps.is_empty());
+        let s = sps as isize;
+        let delay = (taps.len() / 2) as isize;
+        let last_k = taps.len() as isize - 1;
+        // Bit offsets (from the sample's own bit) covered at phase p.
+        let lo = |p: isize| (p + delay - last_k).div_euclid(s);
+        let hi = |p: isize| (p + delay).div_euclid(s);
+        let width = (0..s).map(|p| hi(p) - lo(p) + 1).max().unwrap_or(1) as u32;
+        let reach = (hi(s - 1) - lo(0) + 1) as usize;
+        assert!(reach <= 16, "filter spans {reach} bits; a pulse table holds at most 16");
+        let mut entries = Vec::with_capacity(sps << width);
+        let mut bit_of_tap = vec![0usize; taps.len()];
+        for p in 0..s {
+            // Pattern bit that sets the sign of tap k at this phase.
+            for (k, j) in bit_of_tap.iter_mut().enumerate() {
+                *j = ((p + delay - k as isize).div_euclid(s) - lo(p)) as usize;
             }
-            let b = if i < 0 { bits[0] } else { bits[bits.len() - 1] };
-            return if b { 1.0 } else { -1.0 };
+            for pattern in 0..1usize << width {
+                let sign = |k: usize| -> f64 {
+                    if pattern >> bit_of_tap[k] & 1 == 1 {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                };
+                entries.push(taps.iter().enumerate().map(|(k, &t)| t * sign(k)).sum());
+            }
         }
-        if bits[i as usize / sps] {
-            1.0
-        } else {
-            -1.0
+        let shift = (0..s).map(|p| (lo(p) - lo(0)) as u32).collect();
+        PulseTable { sps, width, lo: lo(0), reach, shift, entries }
+    }
+
+    /// Shapes `bits` and writes the `scale`-multiplied samples into `out`,
+    /// which must be exactly `bits.len() * sps` long.
+    pub fn shape_into(&self, bits: &[bool], scale: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), bits.len() * self.sps, "output must hold bits.len()*sps samples");
+        let last = bits.len() as isize - 1;
+        let mask = (1usize << self.width) - 1;
+        for (b, samples) in out.chunks_exact_mut(self.sps).enumerate() {
+            let window = (0..self.reach).fold(0usize, |w, j| {
+                let i = (b as isize + self.lo + j as isize).clamp(0, last);
+                w | (bits[i as usize] as usize) << j
+            });
+            let rows = self.entries.chunks_exact(mask + 1);
+            for ((slot, &shift), row) in samples.iter_mut().zip(&self.shift).zip(rows) {
+                *slot = row[window >> shift & mask] * scale;
+            }
         }
-    };
-    for (out_i, slot) in out.iter_mut().enumerate() {
-        let s: f64 = taps
-            .iter()
-            .enumerate()
-            .map(|(k, &t)| t * nrz(out_i as isize + delay as isize - k as isize))
-            .sum();
-        *slot = s * scale;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The direct convolution: the oracle the table must match bit for bit.
+    fn reference(bits: &[bool], taps: &[f64], sps: usize, scale: f64, out: &mut [f64]) {
+        let delay = taps.len() / 2;
+        let n = bits.len() * sps;
+        assert_eq!(out.len(), n, "output must hold bits.len()*sps samples");
+        let nrz = |i: isize| -> f64 {
+            if i < 0 || i as usize >= n {
+                if bits.is_empty() {
+                    return 0.0;
+                }
+                let b = if i < 0 { bits[0] } else { bits[bits.len() - 1] };
+                return if b { 1.0 } else { -1.0 };
+            }
+            if bits[i as usize / sps] {
+                1.0
+            } else {
+                -1.0
+            }
+        };
+        for (out_i, slot) in out.iter_mut().enumerate() {
+            let s: f64 = taps
+                .iter()
+                .enumerate()
+                .map(|(k, &t)| t * nrz(out_i as isize + delay as isize - k as isize))
+                .sum();
+            *slot = s * scale;
+        }
+    }
+
+    #[test]
+    fn pulse_table_is_bit_exact_against_the_direct_convolution() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut coin = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state & 1 == 1
+        };
+        for (bt, sps, span) in [
+            (0.5, 20, 3),
+            (0.5, 8, 4),
+            (0.3, 20, 5),
+            (0.5, 1, 3),
+            (0.5, 3, 1),
+            (0.5, 20, 1),
+        ] {
+            let taps = gaussian_taps(bt, sps, span);
+            let table = PulseTable::new(&taps, sps);
+            for len in [0usize, 1, 2, 3, 5, 17, 400] {
+                let bits: Vec<bool> = (0..len).map(|_| coin()).collect();
+                for scale in [1.0, 0.008] {
+                    let mut want = vec![0.0; len * sps];
+                    let mut got = vec![f64::NAN; len * sps];
+                    reference(&bits, &taps, sps, scale, &mut want);
+                    table.shape_into(&bits, scale, &mut got);
+                    let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                    let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "bt {bt} sps {sps} span {span} len {len}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn taps_are_symmetric_and_normalized() {

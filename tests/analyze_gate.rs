@@ -76,7 +76,7 @@ fn hatch_counts_are_pinned_per_rule() {
         ("R2", 0),
         ("R3", 0),
         ("R4", 0),
-        ("R5", 4), // allow(float-eq): exact sentinel comparisons in dsp/wifi
+        ("R5", 3), // allow(float-eq): exact sentinel comparisons in dsp/wifi
         ("R6", 0),
         ("R7", 0),
         ("R8", 0),
