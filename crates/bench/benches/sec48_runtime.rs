@@ -1,29 +1,33 @@
-//! Sec 4.8 — execution time and complexity: per-stage timing of packet
-//! generation (IQ generation, FFT+QAM, FEC reversal, scrambler), comparing
-//! the weighted Viterbi against the real-time O(T) decoder.
+//! Sec 4.8 — execution time and complexity: per-stage timing of cold packet
+//! generation, comparing the weighted Viterbi against the real-time O(T)
+//! decoder.
+//!
+//! Each strategy synthesizes the same advert through
+//! `BlueFi::synthesize_at_with` and one warm scratch at the `counters`
+//! telemetry level; the stages are the pipeline's own five phase spans
+//! (GFSK, CP compatibility, FFT + QAM with demap/deinterleave, FEC
+//! reversal, descramble/pack) plus the enclosing `synthesize` total, so
+//! the bench times exactly the code a synthesis runs.
 //!
 //! The paper: Python 2.60 s/packet (FEC 2.39 s), C 46.88 ms, real-time
 //! decoder + FFTW ≈ 0.954 ms — a ~50x decoder speedup with FEC dominating
 //! everywhere. Absolute numbers differ here; the *ratios* are the result.
 //!
-//! Run: `cargo bench -p bluefi-bench` (the harness is a plain
-//! `std::time::Instant` loop — `harness = false` — so the hermetic build
-//! needs no criterion).
+//! Run: `cargo bench -p bluefi-bench` (the harness is a plain telemetry
+//! readout — `harness = false` — so the hermetic build needs no
+//! criterion).
 
 use std::hint::black_box;
 
-use bluefi_bench::{bench_fn, BenchResult, Reporter};
+use bluefi_bench::Reporter;
 use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
-use bluefi_bt::gfsk::{modulate_phase, GfskParams};
-use bluefi_coding::lfsr::scramble;
-use bluefi_core::cp::CpCompat;
-use bluefi_core::pipeline::BlueFi;
-use bluefi_core::qam::{Quantizer, ScaleMode, DEFAULT_SCALE};
-use bluefi_core::reversal::{coded_stream, reverse_fec, DecodeStrategy, WeightProfile};
+use bluefi_core::pipeline::{BlueFi, SynthesisScratch};
+use bluefi_core::reversal::DecodeStrategy;
+use bluefi_core::telemetry::{self, Level, SpanKind};
 use bluefi_wifi::channels::ChannelPlan;
-use bluefi_wifi::Modulation;
 
-const SAMPLES: usize = 10;
+const WARMUP: usize = 10;
+const PACKETS: usize = 200;
 
 fn beacon_bits() -> Vec<bool> {
     let pdu = AdvPdu {
@@ -35,95 +39,56 @@ fn beacon_bits() -> Vec<bool> {
     adv_air_bits(&pdu, 38)
 }
 
-fn main() {
-    let gfsk = GfskParams::default();
-    let bits = beacon_bits();
-    let offset_hz = 13.0 * bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
-    let cp = CpCompat::sgi();
-    let mut results: Vec<BenchResult> = Vec::new();
-
-    results.push(bench_fn("stage1_iq_generation", SAMPLES, || {
-        let phase = modulate_phase(black_box(&bits), &gfsk, offset_hz);
-        black_box(cp.make_compatible(&phase, offset_hz / gfsk.sample_rate_hz))
-    }));
-
-    let phase = modulate_phase(&bits, &gfsk, offset_hz);
-    let theta = cp.make_compatible(&phase, offset_hz / gfsk.sample_rate_hz);
-    let bodies = cp.strip_cp(&theta);
-    let quant = Quantizer::new(Modulation::Qam64, ScaleMode::Fixed(DEFAULT_SCALE));
-    results.push(bench_fn("stage2_fft_qam", SAMPLES, || {
-        for body in &bodies {
-            black_box(quant.quantize_body(black_box(body)));
-        }
-    }));
-
-    // FEC reversal, both ways, on realistic symbol counts.
-    let mk_coded = |strategy: DecodeStrategy| {
-        let mcs = strategy.mcs();
-        let q = Quantizer::new(mcs.modulation, ScaleMode::Fixed(DEFAULT_SCALE));
-        let symbols: Vec<_> = bodies.iter().map(|b| q.quantize_body(b)).collect();
-        coded_stream(&symbols, mcs, 13.0, &WeightProfile::default())
-    };
-    let (coded56, weights56) = mk_coded(DecodeStrategy::WeightedViterbi);
-    results.push(bench_fn("stage3_fec_weighted_viterbi", SAMPLES, || {
-        black_box(reverse_fec(
-            black_box(&coded56),
-            &weights56,
-            DecodeStrategy::WeightedViterbi,
-            13.0,
-        ))
-    }));
-    let (coded23, weights23) = mk_coded(DecodeStrategy::Realtime);
-    results.push(bench_fn("stage3_fec_realtime", SAMPLES, || {
-        black_box(reverse_fec(
-            black_box(&coded23),
-            &weights23,
-            DecodeStrategy::Realtime,
-            13.0,
-        ))
-    }));
-
-    let data: Vec<bool> = (0..coded56.len() * 5 / 6).map(|i| i % 3 == 0).collect();
-    results.push(bench_fn("stage4_scrambler", SAMPLES, || {
-        black_box(scramble(71, black_box(&data)))
-    }));
-
-    // End to end, both strategies.
+/// Mean µs per packet of each span in `kinds` over [`PACKETS`] cold
+/// syntheses under `strategy`.
+fn profile(strategy: DecodeStrategy, bits: &[bool], kinds: &[SpanKind]) -> Vec<f64> {
+    let bf = BlueFi { strategy, ..Default::default() };
     let plan = ChannelPlan::pinned(3, 13.0);
-    for (name, strategy) in [
-        ("end_to_end_viterbi", DecodeStrategy::WeightedViterbi),
-        ("end_to_end_realtime", DecodeStrategy::Realtime),
-    ] {
-        let bf = BlueFi { strategy, ..Default::default() };
-        results.push(bench_fn(name, SAMPLES, || {
-            black_box(bf.synthesize_at(black_box(&bits), plan, 71))
-        }));
+    let mut scratch = SynthesisScratch::new();
+    for _ in 0..WARMUP {
+        black_box(bf.synthesize_at_with(bits, plan, 71, &mut scratch));
     }
-
-    let rows: Vec<Vec<String>> = results
+    telemetry::reset();
+    for _ in 0..PACKETS {
+        black_box(bf.synthesize_at_with(black_box(bits), plan, 71, &mut scratch));
+    }
+    let snap = telemetry::drain_section();
+    kinds
         .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{:.4}", r.median_ms()),
-                format!("{:.4}", r.mean_ms()),
-                format!("{}", r.samples_ms.len()),
-            ]
+        .map(|&kind| {
+            snap.span_stat(kind)
+                .map_or(f64::NAN, |s| s.hist.sum as f64 / 1e3 / PACKETS as f64)
+        })
+        .collect()
+}
+
+fn main() {
+    // The five pipeline phases, then the enclosing total.
+    let mut kinds = SpanKind::pipeline_phases().to_vec();
+    kinds.push(SpanKind::Synthesize);
+    let bits = beacon_bits();
+    telemetry::set_level(Level::Counters);
+    let viterbi = profile(DecodeStrategy::WeightedViterbi, &bits, &kinds);
+    let realtime = profile(DecodeStrategy::Realtime, &bits, &kinds);
+
+    let rows: Vec<Vec<String>> = kinds
+        .iter()
+        .zip(viterbi.iter().zip(&realtime))
+        .map(|(kind, (v, r))| {
+            vec![kind.name().to_string(), format!("{v:.1}"), format!("{r:.1}")]
         })
         .collect();
     let mut rep = Reporter::from_args();
     rep.table(
-        "Sec 4.8 — per-stage runtime (ms/iter)",
-        &["stage", "median", "mean", "samples"],
+        &format!("Sec 4.8 — per-stage runtime (mean µs/packet over {PACKETS} packets)"),
+        &["stage", "weighted Viterbi", "real-time"],
         rows,
     );
 
     // The paper's headline ratio: the real-time decoder is far cheaper
     // than the weighted Viterbi.
-    let med = |name: &str| {
-        results.iter().find(|r| r.name == name).map(|r| r.median_ms()).unwrap_or(f64::NAN)
-    };
-    let speedup = med("stage3_fec_weighted_viterbi") / med("stage3_fec_realtime");
+    let fec = kinds.iter().position(|&k| k == SpanKind::FecReversal).unwrap_or(0);
+    let speedup = viterbi[fec] / realtime[fec];
     rep.note(format!(
         "\nFEC reversal speedup (weighted Viterbi / real-time): {speedup:.1}x"
     ));

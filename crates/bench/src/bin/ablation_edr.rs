@@ -10,9 +10,7 @@ use bluefi_bt::edr::{edr_demodulate, edr_modulate_phase, EdrScheme};
 use bluefi_core::par::par_map;
 use bluefi_bt::gfsk::{modulate_phase, GfskParams};
 use bluefi_bt::receiver::{GfskReceiver, ReceiverConfig};
-use bluefi_core::pipeline::BlueFi;
-use bluefi_core::qam::Quantizer;
-use bluefi_core::reversal::{coded_stream, extract_psdu, reverse_fec};
+use bluefi_core::pipeline::{BlueFi, SynthesisScratch};
 use bluefi_wifi::channels::ChannelPlan;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
 use bluefi_wifi::ChipModel;
@@ -21,32 +19,26 @@ fn pattern(n: usize, k: usize) -> Vec<bool> {
     (0..n).map(|i| (i * k + 1) % 5 < 2).collect()
 }
 
-/// Pushes a phase trajectory through the full pipeline and returns the
+/// Pushes a phase trajectory, offset to subcarrier 13 of WiFi channel 3,
+/// through the phase-input pipeline entry and returns the
 /// chip-transmitted PPDU.
-fn through_pipeline(phase: Vec<f64>, offset_hz: f64) -> bluefi_wifi::Ppdu {
+fn through_pipeline(phase: &[f64]) -> bluefi_wifi::Ppdu {
     let bf = BlueFi::default();
-    let p = GfskParams::default();
-    let theta = bf.cp.make_compatible(&phase, offset_hz / p.sample_rate_hz);
-    let bodies = bf.cp.strip_cp(&theta);
-    let quant = Quantizer::new(bluefi_wifi::Modulation::Qam64, bf.scale);
-    let symbols: Vec<_> = bodies.iter().map(|b| quant.quantize_body(b)).collect();
-    let (coded, weights) = coded_stream(&symbols, bf.strategy.mcs(), 13.0, &bf.weights);
-    let mut rev = reverse_fec(&coded, &weights, bf.strategy, 13.0);
-    let (psdu, _) = extract_psdu(&mut rev.scrambled, 71);
-    ChipModel::ar9331().transmit_with_seed(&psdu, bf.strategy.mcs(), 18.0, 71)
+    let plan = ChannelPlan::pinned(3, 13.0);
+    let mut scratch = SynthesisScratch::new();
+    let syn = bf.synthesize_phase_with(phase, plan, 71, &mut scratch);
+    ChipModel::ar9331().transmit_with_seed(&syn.psdu, syn.mcs, 18.0, 71)
 }
 
 fn main() {
     let p = GfskParams::default();
     let offset_hz = 13.0 * SUBCARRIER_SPACING_HZ;
-    let _plan = ChannelPlan::pinned(3, 13.0);
     let mut rows = Vec::new();
 
     // GFSK baseline (1 Mbps) for context, using the packetized receiver.
     {
         let bits = pattern(120, 5);
-        let phase = modulate_phase(&bits, &p, offset_hz);
-        let ppdu = through_pipeline(phase, offset_hz);
+        let ppdu = through_pipeline(&modulate_phase(&bits, &p, offset_hz));
         let rx = GfskReceiver::new(ReceiverConfig {
             channel_offset_hz: offset_hz,
             ..Default::default()
@@ -80,8 +72,7 @@ fn main() {
     ];
     rows.extend(par_map(&schemes, |_, &(name, scheme)| {
         let bits = pattern(scheme.bits_per_symbol() * 120, 7);
-        let phase = edr_modulate_phase(&bits, scheme, &p, offset_hz);
-        let ppdu = through_pipeline(phase, offset_hz);
+        let ppdu = through_pipeline(&edr_modulate_phase(&bits, scheme, &p, offset_hz));
         let rx = GfskReceiver::new(ReceiverConfig {
             channel_offset_hz: offset_hz,
             filter_halfwidth_hz: 750e3,

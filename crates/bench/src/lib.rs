@@ -1,8 +1,8 @@
 //! # bluefi-bench
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index), plus `Instant`-based benches for the Sec 4.8 runtime
-//! table.
+//! experiment index), plus the Sec 4.8 runtime bench, which reads the
+//! pipeline's own telemetry spans.
 //! Every binary prints the rows/series the paper reports; EXPERIMENTS.md
 //! records paper-vs-measured.
 
@@ -11,7 +11,7 @@
 
 use bluefi_core::json::{Json, ToJson};
 use bluefi_core::telemetry::{self, Level, Table};
-use bluefi_dsp::power::{mean, median, percentile_sorted};
+use bluefi_dsp::power::{mean, percentile_sorted};
 
 /// The structured output sink every bench binary reports through.
 ///
@@ -148,50 +148,6 @@ fn parse_usize(text: &str) -> Option<usize> {
     }
 }
 
-/// One timed benchmark result from [`bench_fn`].
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark label.
-    pub name: String,
-    /// Per-iteration wall time, milliseconds, one entry per sample.
-    pub samples_ms: Vec<f64>,
-}
-
-impl BenchResult {
-    /// Median per-iteration time, ms.
-    pub fn median_ms(&self) -> f64 {
-        median(&self.samples_ms)
-    }
-
-    /// Mean per-iteration time, ms.
-    pub fn mean_ms(&self) -> f64 {
-        mean(&self.samples_ms)
-    }
-}
-
-/// Times `f` with a warm-up pass and `samples` timed samples — the
-/// hermetic stand-in for criterion's `bench_function` (std `Instant`
-/// only; no registry dependency).
-pub fn bench_fn<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) -> BenchResult {
-    use std::time::Instant;
-    // Warm-up: one untimed call, then calibrate iterations so each sample
-    // runs long enough for the clock (≥ ~2 ms per sample).
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once = start.elapsed().as_secs_f64();
-    let iters = (2e-3 / once.max(1e-9)).ceil().clamp(1.0, 10_000.0) as usize;
-    let samples_ms = (0..samples.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            t.elapsed().as_secs_f64() * 1e3 / iters as f64
-        })
-        .collect();
-    BenchResult { name: name.to_string(), samples_ms }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,13 +186,5 @@ mod tests {
         assert_eq!(parse_usize("1e300"), None);
         assert_eq!(parse_usize("NaN"), None);
         assert_eq!(parse_usize("ten"), None);
-    }
-
-    #[test]
-    fn bench_fn_produces_positive_samples() {
-        let r = bench_fn("spin", 3, || (0..1000).sum::<u64>());
-        assert_eq!(r.samples_ms.len(), 3);
-        assert!(r.median_ms() >= 0.0);
-        assert!(r.mean_ms() < 1e3);
     }
 }

@@ -61,14 +61,6 @@ impl GfskParams {
     }
 }
 
-/// The instantaneous-frequency pulse train (cycles/sample) for a packet's
-/// bits, including guard bits of zero frequency on both ends.
-pub fn frequency_signal(bits: &[bool], p: &GfskParams) -> Vec<f64> {
-    let mut out = Vec::new();
-    GfskScratch::new().frequency_signal_into(bits, p, &mut out);
-    out
-}
-
 /// Reusable state for allocation-free GFSK modulation: the Gaussian pulse
 /// table (cached per parameter set) and the intermediate frequency buffer.
 /// One scratch per worker thread; after the first packet of a given length,
@@ -86,7 +78,9 @@ impl GfskScratch {
         GfskScratch::default()
     }
 
-    /// Scratch-buffer variant of [`frequency_signal`].
+    /// The instantaneous-frequency pulse train (cycles/sample) for a
+    /// packet's bits, including guard bits of zero frequency on both ends,
+    /// written into `out`.
     pub fn frequency_signal_into(&mut self, bits: &[bool], p: &GfskParams, out: &mut Vec<f64>) {
         let sps = p.sps();
         let dev = p.deviation_hz / p.sample_rate_hz;
@@ -293,7 +287,8 @@ mod tests {
     fn guard_bits_are_at_carrier_frequency() {
         let p = GfskParams::default();
         let bits = vec![true; 8];
-        let f = frequency_signal(&bits, &p);
+        let mut f = Vec::new();
+        GfskScratch::new().frequency_signal_into(&bits, &p, &mut f);
         // First couple of guard bits are ~zero frequency (the Gaussian tail
         // of the first data bit bleeds into the last guard bit).
         for &v in &f[..2 * 20] {

@@ -74,9 +74,10 @@ impl ViterbiScratch {
         plan.decode_into(punctured, weights, terminate, &mut self.packed, out);
     }
 
-    /// Scratch variant of [`reencode_flips`]: re-encodes through the internal
-    /// buffers and writes the differing positions into `flips` (cleared
-    /// first), allocating only when a buffer must grow.
+    /// Re-encodes `decoded` and writes the transmitted positions where it
+    /// differs from the punctured target ("bit-flips" in the paper's
+    /// language) into `flips` (cleared first). Re-encodes through the
+    /// internal buffers, allocating only when a buffer must grow.
     pub fn reencode_flips_into(
         &mut self,
         rate: crate::puncture::CodeRate,
@@ -113,20 +114,6 @@ pub fn decode_punctured(
     let mut out = Vec::new();
     ViterbiScratch::new().decode_punctured_into(rate, punctured, weights, terminate, &mut out);
     out
-}
-
-/// Re-encodes `decoded` and reports which transmitted positions of the
-/// original punctured target differ ("bit-flips" in the paper's language).
-/// Thin shim over [`ViterbiScratch::reencode_flips_into`]; hot paths should
-/// hold a scratch.
-pub fn reencode_flips(
-    rate: crate::puncture::CodeRate,
-    decoded: &[bool],
-    target_punctured: &[bool],
-) -> Vec<usize> {
-    let mut flips = Vec::new();
-    ViterbiScratch::new().reencode_flips_into(rate, decoded, target_punctured, &mut flips);
-    flips
 }
 
 #[cfg(test)]
@@ -188,7 +175,8 @@ mod tests {
         let protected = |i: usize| i % 13 >= 5;
         let weights: Vec<u32> = (0..n).map(|i| if protected(i) { 1000 } else { 1 }).collect();
         let dec = decode_punctured(rate, target, Some(&weights), false);
-        let flips = reencode_flips(rate, &dec, target);
+        let mut flips = Vec::new();
+        ViterbiScratch::new().reencode_flips_into(rate, &dec, target, &mut flips);
         assert!(
             !flips.is_empty(),
             "a random target should not be exactly encodable at rate 5/6"
@@ -214,7 +202,8 @@ mod tests {
         };
         let weights: Vec<u32> = (0..n).map(weight_of).collect();
         let dec = decode_punctured(rate, target, Some(&weights), false);
-        let flips = reencode_flips(rate, &dec, target);
+        let mut flips = Vec::new();
+        ViterbiScratch::new().reencode_flips_into(rate, &dec, target, &mut flips);
         assert!(!flips.is_empty());
         let cost: u64 = flips.iter().map(|&f| weight_of(f) as u64).sum();
         // Never pay a 1000-weight flip, and the total cost should be
@@ -239,7 +228,8 @@ mod tests {
             tx[i] = !tx[i];
         }
         let dec = decode_punctured(rate, &tx, None, true);
-        let flips = reencode_flips(rate, &dec, &tx);
+        let mut flips = Vec::new();
+        ViterbiScratch::new().reencode_flips_into(rate, &dec, &tx, &mut flips);
         assert!(flips.len() <= 6, "got {} flips", flips.len());
     }
 

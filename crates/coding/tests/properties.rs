@@ -8,8 +8,8 @@ use bluefi_coding::hamming::{decode15_10, decode_r13, encode15_10, encode_r13, B
 use bluefi_coding::lfsr::{ble_whiten, recover_seed, scramble};
 use bluefi_coding::puncture::{puncture, CodeRate};
 use bluefi_coding::realtime::{protected_mask, RealtimePlan, RealtimeScratch};
-use bluefi_coding::viterbi::{decode_punctured, reencode_flips};
-use bluefi_coding::FreeEdge;
+use bluefi_coding::viterbi::decode_punctured;
+use bluefi_coding::{FreeEdge, ViterbiScratch};
 use bluefi_core::check::{bools, check};
 use bluefi_core::rng::{Rng, SeedableRng, StdRng};
 use bluefi_core::{prop_assert, prop_assert_eq};
@@ -238,7 +238,9 @@ fn weighted_viterbi_respects_infinite_weight_stripes() {
             let target: Vec<bool> = (0..n).map(|i| data[i % data.len()] ^ (i % 7 == 3)).collect();
             let weights: Vec<u32> = (0..n).map(|i| if i % 13 >= 6 { 1000 } else { 1 }).collect();
             let dec = decode_punctured(rate, &target, Some(&weights), false);
-            for f in reencode_flips(rate, &dec, &target) {
+            let mut flips = Vec::new();
+            ViterbiScratch::new().reencode_flips_into(rate, &dec, &target, &mut flips);
+            for f in flips {
                 prop_assert!(f % 13 < 6, "protected stripe bit {} flipped", f);
             }
             Ok(())

@@ -18,13 +18,12 @@
 use crate::digest::StageVector;
 use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
 use bluefi_bt::edr::{edr_modulate_phase, EdrScheme};
-use bluefi_core::pipeline::BlueFi;
-use bluefi_core::qam::Quantizer;
-use bluefi_core::reversal::{coded_stream, extract_psdu, reverse_fec, DecodeStrategy};
+use bluefi_core::pipeline::{BlueFi, Synthesis, SynthesisScratch};
+use bluefi_core::reversal::DecodeStrategy;
 use bluefi_wifi::channels::{plan_channel, ChannelPlan};
 use bluefi_wifi::chip::ChipModel;
 use bluefi_wifi::tx::{coded_bits, scrambled_bits, symbol_spectrum, waveform_from_coded};
-use bluefi_wifi::{Interleaver, Mcs};
+use bluefi_wifi::Interleaver;
 
 /// Which Bluetooth payload family a case exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,68 +165,20 @@ pub fn edr_case_bits() -> Vec<bool> {
     (0..120).map(|i| (i * 5 + 1) % 7 < 3).collect()
 }
 
-// Intermediate synthesis facts shared by both payload arms.
-struct Synth {
-    psdu: Vec<u8>,
-    plan: ChannelPlan,
-    mcs: Mcs,
-    n_symbols: usize,
-    flips: Vec<usize>,
-    forced_bits: usize,
-    mean_quant_error_db: f64,
-}
-
-fn synthesize_ble(bf: &BlueFi, seed: u8) -> Result<Synth, String> {
+fn synthesize_ble(bf: &BlueFi, seed: u8) -> Result<Synthesis, String> {
     let bits = adv_air_bits(&ble_case_pdu(), 38);
-    let syn = bf
-        .synthesize(&bits, 2.426e9, seed)
-        .ok_or_else(|| "2.426 GHz must be plannable".to_string())?;
-    Ok(Synth {
-        psdu: syn.psdu,
-        plan: syn.plan,
-        mcs: syn.mcs,
-        n_symbols: syn.n_symbols,
-        flips: syn.flips,
-        forced_bits: syn.forced_bits,
-        mean_quant_error_db: syn.mean_quant_error_db,
-    })
+    bf.synthesize(&bits, 2.426e9, seed)
+        .ok_or_else(|| "2.426 GHz must be plannable".to_string())
 }
 
-/// The EDR arm mirrors the `e2e_edr` integration path: DPSK phase →
-/// CP-compatible θ̂ → per-symbol quantization → demap/deinterleave →
-/// FEC reversal → descramble.
-fn synthesize_edr(bf: &BlueFi, seed: u8) -> Result<Synth, String> {
+/// The EDR arm: the DPSK phase through the phase-generic pipeline entry,
+/// as in the `e2e_edr` integration test.
+fn synthesize_edr(bf: &BlueFi, seed: u8) -> Synthesis {
     let plan = ChannelPlan::pinned(3, 13.0);
-    let offset_hz =
-        plan.subcarrier * bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
-    let phase = edr_modulate_phase(
-        &edr_case_bits(),
-        EdrScheme::Dqpsk2,
-        &bf.gfsk,
-        offset_hz,
-    );
-    let theta = bf.cp.make_compatible(&phase, offset_hz / bf.gfsk.sample_rate_hz);
-    let bodies = bf.cp.strip_cp(&theta);
-    let quant = Quantizer::new(bf.strategy.mcs().modulation, bf.scale);
-    let symbols: Vec<_> = bodies.iter().map(|b| quant.quantize_body(b)).collect();
-    let mut err_sum = 0.0;
-    for s in &symbols {
-        err_sum += s.in_band_error_db(plan.tx_subcarrier, bf.weights.band);
-    }
-    let mcs = bf.strategy.mcs();
-    let (coded, weights) = coded_stream(&symbols, mcs, plan.tx_subcarrier, &bf.weights);
-    let mut rev = reverse_fec(&coded, &weights, bf.strategy, plan.tx_subcarrier);
-    let flips = rev.flips.clone();
-    let (psdu, forced_bits) = extract_psdu(&mut rev.scrambled, seed);
-    Ok(Synth {
-        psdu,
-        plan,
-        mcs,
-        n_symbols: symbols.len(),
-        flips,
-        forced_bits,
-        mean_quant_error_db: err_sum / symbols.len().max(1) as f64,
-    })
+    let offset_hz = plan.tx_subcarrier * bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
+    let phase = edr_modulate_phase(&edr_case_bits(), EdrScheme::Dqpsk2, &bf.gfsk, offset_hz);
+    bf.synthesize_phase_with(&phase, plan, seed, &mut SynthesisScratch::new())
+        .clone()
 }
 
 /// Captures the full stage trace for one case.
@@ -236,7 +187,7 @@ pub fn trace_case(spec: &CaseSpec) -> Result<CaseTrace, String> {
     let bf = BlueFi { strategy: spec.strategy, ..BlueFi::default() };
     let s = match spec.payload {
         PayloadKind::BleAdv => synthesize_ble(&bf, seed)?,
-        PayloadKind::Edr => synthesize_edr(&bf, seed)?,
+        PayloadKind::Edr => synthesize_edr(&bf, seed),
     };
     // Internal consistency: the pinned-plan arm must agree with the
     // planner's view of the same frequency when not pinned.

@@ -98,15 +98,17 @@ pub struct SynthesisScratch {
     pub(crate) theta_hat: Vec<f64>,
     // Quantizer cached per (modulation, scale mode): construction runs a
     // debug-expensive constellation contract.
-    pub(crate) quantizer: Option<(Modulation, ScaleMode, Quantizer)>,
+    quantizer: Option<(Modulation, ScaleMode, Quantizer)>,
     // Interleaver cached per modulation: construction runs a
     // debug-expensive bijectivity contract.
     interleaver: Option<(Modulation, Interleaver)>,
-    pub(crate) fft_buf: Vec<Cx>,
+    fft_buf: Vec<Cx>,
     pub(crate) sym: QuantizedSymbol,
-    pub(crate) demap: Vec<bool>,
-    pub(crate) interleaved: Vec<bool>,
-    pub(crate) block: Vec<bool>,
+    demap: Vec<bool>,
+    interleaved: Vec<bool>,
+    block: Vec<bool>,
+    // Per-symbol in-band quantization errors, in symbol order.
+    pub(crate) errs: Vec<f64>,
     w_of: Vec<u32>,
     pub(crate) coded: Vec<bool>,
     weights: Vec<u32>,
@@ -143,16 +145,7 @@ impl SynthesisScratch {
         }
     }
 
-    pub(crate) fn quantizer_for(&mut self, modulation: Modulation, mode: ScaleMode) -> &Quantizer {
-        match &self.quantizer {
-            Some((m, s, _)) if *m == modulation && *s == mode => {}
-            _ => self.quantizer = Some((modulation, mode, Quantizer::new(modulation, mode))),
-        }
-        // lint: allow(panic) the match arm above guarantees Some
-        &self.quantizer.as_ref().unwrap().2
-    }
-
-    pub(crate) fn interleaver_for(&mut self, modulation: Modulation) -> Interleaver {
+    fn interleaver_for(&mut self, modulation: Modulation) -> Interleaver {
         match &self.interleaver {
             Some((m, il)) if *m == modulation => *il,
             _ => {
@@ -161,6 +154,44 @@ impl SynthesisScratch {
                 il
             }
         }
+    }
+
+    /// The one per-symbol step of Secs 2.5 + 2.7, shared by the cold chain
+    /// and the template patch: FFT-quantizes OFDM symbol `b` of `theta_hat`,
+    /// records its in-band error in `errs[b]`, and demaps and
+    /// deinterleaves it into `coded[b·N_CBPS..]`. `errs` and `coded` must
+    /// already span the packet.
+    pub(crate) fn quantize_symbol(&mut self, bf: &BlueFi, tx_subcarrier: f64, b: usize) {
+        let modulation = bf.strategy.mcs().modulation;
+        let il = self.interleaver_for(modulation);
+        let quantizer = match &mut self.quantizer {
+            Some((m, s, q)) if *m == modulation && *s == bf.scale => q,
+            slot => {
+                let q = Quantizer::new(modulation, bf.scale);
+                &mut slot.insert((modulation, bf.scale, q)).2
+            }
+        };
+        let bl = bf.cp.block_len();
+        let body = &self.theta_hat[b * bl + bf.cp.cp_len..(b + 1) * bl];
+        quantizer.quantize_body_into(body, &mut self.fft_buf, &mut self.sym);
+        // In-band error: what the Bluetooth receiver's filter sees.
+        self.errs[b] = self.sym.in_band_error_db(tx_subcarrier, bf.weights.band);
+        let ncbps = il.block_len();
+        let bps = modulation.bits_per_symbol();
+        bluefi_dsp::contracts::ensure_len(&mut self.interleaved, ncbps, false);
+        for (d, &p) in self.sym.points.iter().enumerate() {
+            demap_point_into(modulation, p, &mut self.demap);
+            self.interleaved[d * bps..(d + 1) * bps].copy_from_slice(&self.demap);
+        }
+        il.deinterleave_into(&self.interleaved, &mut self.block);
+        self.coded[b * ncbps..(b + 1) * ncbps].copy_from_slice(&self.block);
+    }
+
+    /// Mean of the recorded per-symbol errors, summed in symbol order
+    /// (impairment I2).
+    pub(crate) fn mean_quant_error_db(&self) -> f64 {
+        let sum = self.errs.iter().fold(0.0, |acc, e| acc + e);
+        sum / self.errs.len().max(1) as f64
     }
 }
 
@@ -204,16 +235,15 @@ impl BlueFi {
         // Telemetry spans/counters below are static atomics — they add no
         // heap allocations, preserving the zero-alloc steady state.
         let _span_total = telemetry::span(SpanKind::Synthesize);
-        let mcs = self.strategy.mcs();
         // Synthesize at the (possibly integer-snapped) transmit subcarrier.
         let offset_hz = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ;
-        let offset_cps = offset_hz / self.gfsk.sample_rate_hz;
 
         // Sec 2.3 + 2.4: GFSK phase, recentered on the WiFi channel, then
         // the CP- and windowing-compatible mapping. The anchored mode fuses
         // modulation, offset and block extension into one closed-form fill
         // (see `bluefi_bt::anchored`); the cumulative mode accumulates
-        // frequency and extends, as the paper describes.
+        // frequency and hands the phase to the phase-generic chain, as the
+        // paper describes.
         let anchored =
             self.phase == PhaseMode::Anchored && s.anchored_for(&self.gfsk).is_some();
         if anchored {
@@ -227,55 +257,79 @@ impl BlueFi {
                 let ext_len = self.cp.n_blocks(phase_len.max(1)) * self.cp.block_len() + 1;
                 // lint: allow(panic) anchored_for returned Some on the line above
                 let am = s.anchored.as_ref().and_then(|(_, m)| m.as_ref()).unwrap();
+                let offset_cps = offset_hz / self.gfsk.sample_rate_hz;
                 am.fill_ext(bt_bits, offset_cps, ext_len, &mut s.theta_ext);
             }
-            let _sp2 = telemetry::span(SpanKind::CpCompat);
+            let _sp = telemetry::span(SpanKind::CpCompat);
             self.cp.pocket_map_into(&s.theta_ext, &mut s.theta_hat);
         } else {
+            let mut phase = std::mem::take(&mut s.phase);
             {
                 let _sp = telemetry::span(SpanKind::Gfsk);
-                s.gfsk.modulate_phase_into(bt_bits, &self.gfsk, offset_hz, &mut s.phase);
+                s.gfsk.modulate_phase_into(bt_bits, &self.gfsk, offset_hz, &mut phase);
             }
-            let _sp = telemetry::span(SpanKind::CpCompat);
-            self.cp
-                .make_compatible_into(&s.phase, offset_cps, &mut s.theta_ext, &mut s.theta_hat);
+            self.make_compatible_into(&phase, plan, s);
+            s.phase = phase;
         }
-        let bl = self.cp.block_len();
-        let n_symbols = s.theta_hat.len() / bl;
+        self.synthesize_theta_hat(plan, seed, s)
+    }
 
-        // Secs 2.5 + 2.7 front half, fused per symbol: FFT + constellation
-        // quantization, then demap and deinterleave straight into the coded
-        // stream — no per-symbol storage.
-        s.quantizer_for(mcs.modulation, self.scale);
+    /// Synthesizes a PSDU whose transmission emits `phase`: any
+    /// constant-envelope phase trajectory (radians, one sample per
+    /// `gfsk.sample_rate_hz`) that already carries the channel offset of
+    /// `plan.tx_subcarrier` — GFSK, or the π/4-DQPSK/8DPSK EDR phases of
+    /// the Sec 5.3 extension. Runs the same chain as
+    /// [`BlueFi::synthesize_at_with`] from CP compatibility on, so
+    /// `synthesize_phase_with(modulate_phase(bits, ..), ..)` equals the
+    /// cumulative-phase synthesis of `bits` in every field.
+    pub fn synthesize_phase_with<'s>(
+        &self,
+        phase: &[f64],
+        plan: ChannelPlan,
+        seed: u8,
+        scratch: &'s mut SynthesisScratch,
+    ) -> &'s Synthesis {
+        let _span_total = telemetry::span(SpanKind::Synthesize);
+        self.make_compatible_into(phase, plan, scratch);
+        self.synthesize_theta_hat(plan, seed, scratch)
+    }
+
+    /// Sec 2.4 on an offset phase: the CP- and windowing-compatible θ̂ into
+    /// the scratch.
+    fn make_compatible_into(&self, phase: &[f64], plan: ChannelPlan, s: &mut SynthesisScratch) {
+        let _sp = telemetry::span(SpanKind::CpCompat);
+        let offset_cps = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ / self.gfsk.sample_rate_hz;
+        self.cp.make_compatible_into(phase, offset_cps, &mut s.theta_ext, &mut s.theta_hat);
+    }
+
+    /// Secs 2.5–2.8 from the scratch's θ̂: the per-symbol step over every
+    /// OFDM symbol, weighted FEC reversal, then forcing, descrambling and
+    /// packing the PSDU.
+    fn synthesize_theta_hat<'s>(
+        &self,
+        plan: ChannelPlan,
+        seed: u8,
+        s: &'s mut SynthesisScratch,
+    ) -> &'s Synthesis {
+        let mcs = self.strategy.mcs();
+        let n_symbols = s.theta_hat.len() / self.cp.block_len();
         let il = s.interleaver_for(mcs.modulation);
         let ncbps = il.block_len();
-        let bps = mcs.modulation.bits_per_symbol();
         bluefi_dsp::contracts::ensure_len(&mut s.w_of, ncbps, 0);
         for (k, w) in s.w_of.iter_mut().enumerate() {
             *w = self.weights.weight_at(il.subcarrier_of(k), plan.tx_subcarrier);
         }
-        bluefi_dsp::contracts::ensure_capacity(&mut s.coded, n_symbols * ncbps);
+        bluefi_dsp::contracts::ensure_len(&mut s.coded, n_symbols * ncbps, false);
+        bluefi_dsp::contracts::ensure_len(&mut s.errs, n_symbols, 0.0);
         bluefi_dsp::contracts::ensure_capacity(&mut s.weights, n_symbols * ncbps);
-        // lint: allow(panic) quantizer_for above guarantees Some
-        let quantizer = &s.quantizer.as_ref().unwrap().2;
-        let mut err_sum = 0.0;
-        let span_quantize = telemetry::span(SpanKind::Quantize);
-        for b in 0..n_symbols {
-            let body = &s.theta_hat[b * bl + self.cp.cp_len..(b + 1) * bl];
-            quantizer.quantize_body_into(body, &mut s.fft_buf, &mut s.sym);
-            // In-band error: what the Bluetooth receiver's filter sees.
-            err_sum += s.sym.in_band_error_db(plan.tx_subcarrier, self.weights.band);
-            bluefi_dsp::contracts::ensure_len(&mut s.interleaved, ncbps, false);
-            for (d, &p) in s.sym.points.iter().enumerate() {
-                demap_point_into(mcs.modulation, p, &mut s.demap);
-                s.interleaved[d * bps..(d + 1) * bps].copy_from_slice(&s.demap);
+        {
+            let _sp = telemetry::span(SpanKind::Quantize);
+            for b in 0..n_symbols {
+                s.quantize_symbol(self, plan.tx_subcarrier, b);
+                s.weights.extend_from_slice(&s.w_of);
             }
-            il.deinterleave_into(&s.interleaved, &mut s.block);
-            s.coded.extend_from_slice(&s.block);
-            s.weights.extend_from_slice(&s.w_of);
         }
-        drop(span_quantize);
-        let mean_quant_error_db = err_sum / n_symbols.max(1) as f64;
+        let mean_quant_error_db = s.mean_quant_error_db();
 
         // Sec 2.7 back half: weighted FEC reversal.
         {
@@ -417,6 +471,38 @@ mod tests {
                     "{} vs {}",
                     via.mean_quant_error_db,
                     fresh.mean_quant_error_db
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phase_entry_equals_cumulative_synthesis() {
+        // The GFSK phase fed through the phase-input entry must reproduce
+        // the cumulative bits-input synthesis in every field, floats to the
+        // bit, for both strategies and both subcarrier signs.
+        let bits = beacon_bits();
+        let mut via_bits = SynthesisScratch::new();
+        let mut via_phase = SynthesisScratch::new();
+        for strategy in [DecodeStrategy::WeightedViterbi, DecodeStrategy::Realtime] {
+            let bf = BlueFi { strategy, ..Default::default() };
+            for plan in [ChannelPlan::pinned(3, 13.0), ChannelPlan::pinned(6, -3.0)] {
+                let offset_hz = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ;
+                let phase = bluefi_bt::gfsk::modulate_phase(&bits, &bf.gfsk, offset_hz);
+                let want = bf.synthesize_at_with(&bits, plan, 71, &mut via_bits);
+                let got = bf.synthesize_phase_with(&phase, plan, 71, &mut via_phase);
+                let ctx = format!("{strategy:?} at {}", plan.tx_subcarrier);
+                assert_eq!(got.psdu, want.psdu, "{ctx}");
+                assert_eq!(got.plan, want.plan, "{ctx}");
+                assert_eq!(got.mcs, want.mcs, "{ctx}");
+                assert_eq!(got.seed, want.seed, "{ctx}");
+                assert_eq!(got.n_symbols, want.n_symbols, "{ctx}");
+                assert_eq!(got.flips, want.flips, "{ctx}");
+                assert_eq!(got.forced_bits, want.forced_bits, "{ctx}");
+                assert_eq!(
+                    got.mean_quant_error_db.to_bits(),
+                    want.mean_quant_error_db.to_bits(),
+                    "{ctx}"
                 );
             }
         }

@@ -2,13 +2,10 @@
 //! deinterleave → FEC "decode" (weighted Viterbi or the real-time solver) →
 //! descramble (paper Secs 2.7–2.8).
 
-use crate::qam::QuantizedSymbol;
 use crate::telemetry::{self, Counter};
 use bluefi_coding::lfsr::Lfsr7;
 use bluefi_coding::realtime::realtime_plan;
 use bluefi_coding::{CodeRate, FreeEdge, ViterbiScratch};
-use bluefi_wifi::qam::demap_point;
-use bluefi_wifi::Interleaver;
 use bluefi_wifi::Mcs;
 
 /// Weight classes for the modified Viterbi (paper Table 1).
@@ -49,34 +46,6 @@ impl WeightProfile {
     }
 }
 
-/// Demaps and deinterleaves quantized symbols back to the coded bit stream,
-/// attaching a weight to every transmitted bit.
-pub fn coded_stream(
-    symbols: &[QuantizedSymbol],
-    mcs: Mcs,
-    bt_subcarrier: f64,
-    profile: &WeightProfile,
-) -> (Vec<bool>, Vec<u32>) {
-    let il = Interleaver::new(mcs.modulation);
-    let ncbps = il.block_len();
-    let mut coded = Vec::with_capacity(symbols.len() * ncbps);
-    let mut weights = Vec::with_capacity(symbols.len() * ncbps);
-    // Per-position weights repeat every symbol; compute once.
-    let w_of: Vec<u32> = (0..ncbps)
-        .map(|k| profile.weight_at(il.subcarrier_of(k), bt_subcarrier))
-        .collect();
-    for sym in symbols {
-        let mut interleaved = Vec::with_capacity(ncbps);
-        for p in &sym.points {
-            interleaved.extend(demap_point(mcs.modulation, *p));
-        }
-        let block = il.deinterleave(&interleaved);
-        coded.extend_from_slice(&block);
-        weights.extend_from_slice(&w_of);
-    }
-    (coded, weights)
-}
-
 /// How to reverse the FEC encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeStrategy {
@@ -108,22 +77,8 @@ pub struct Reversal {
 }
 
 /// Reverses the encoder: finds data bits whose encoding approximates the
-/// target coded stream, avoiding flips on high-weight bits. Allocating
-/// shim over [`reverse_fec_with`] with a fresh scratch.
-pub fn reverse_fec(
-    coded: &[bool],
-    weights: &[u32],
-    strategy: DecodeStrategy,
-    bt_subcarrier: f64,
-) -> Reversal {
-    let mut out = Reversal::default();
-    let mut vit = ViterbiScratch::new();
-    reverse_fec_with(coded, weights, strategy, bt_subcarrier, &mut vit, &mut out);
-    out
-}
-
-/// Scratch-buffer variant of [`reverse_fec`]: decodes through `vit` and
-/// writes the result into `out`. Both strategies are allocation-free at
+/// target coded stream, avoiding flips on high-weight bits. Decodes
+/// through `vit` and writes the result into `out`. Both strategies are allocation-free at
 /// steady state: the weighted-Viterbi path runs the bit-packed engine, and
 /// the real-time path replays the interned elimination plan through the
 /// scratch's embedded buffers.
@@ -160,18 +115,9 @@ pub fn reverse_fec_with(
 
 /// Forces the scrambled-bit positions BlueFi does not control — the 16-bit
 /// SERVICE field, the 6 tail bits and trailing pad — to the values the chip
-/// will actually produce, and extracts the PSDU.
-///
-/// Returns `(psdu_bytes, n_forced_bits)`.
-pub fn extract_psdu(scrambled: &mut [bool], seed: u8) -> (Vec<u8>, usize) {
-    let mut psdu = Vec::new();
-    let forced = extract_psdu_into(scrambled, seed, &mut psdu);
-    (psdu, forced)
-}
-
-/// Scratch-buffer variant of [`extract_psdu`]: packs the descrambled PSDU
-/// into `psdu` (resized to the byte count), allocating only when it must
-/// grow. Returns the number of forced bits.
+/// will actually produce, then packs the descrambled PSDU into `psdu`
+/// (resized to the byte count), allocating only when it must grow.
+/// Returns the number of forced bits.
 pub fn extract_psdu_into(scrambled: &mut [bool], seed: u8, psdu: &mut Vec<u8>) -> usize {
     let total = scrambled.len();
     assert!(total > 22, "need at least SERVICE + tail");
@@ -244,6 +190,14 @@ mod tests {
     use super::*;
     use bluefi_wifi::tx::{coded_bits, scrambled_bits};
 
+    fn reversed(coded: &[bool], strategy: DecodeStrategy, bt_subcarrier: f64) -> Reversal {
+        let weights = vec![1u32; coded.len()];
+        let mut out = Reversal::default();
+        let mut vit = ViterbiScratch::new();
+        reverse_fec_with(coded, &weights, strategy, bt_subcarrier, &mut vit, &mut out);
+        out
+    }
+
     #[test]
     fn weight_profile_matches_table1() {
         let p = WeightProfile::default();
@@ -268,8 +222,7 @@ mod tests {
         let psdu = vec![0x5Au8; 61]; // 16+488+6=510 -> 2 symbols (520)
         let scrambled = scrambled_bits(&psdu, 71, mcs);
         let coded = coded_bits(&scrambled, mcs);
-        let weights = vec![1u32; coded.len()];
-        let rev = reverse_fec(&coded, &weights, DecodeStrategy::WeightedViterbi, 12.0);
+        let rev = reversed(&coded, DecodeStrategy::WeightedViterbi, 12.0);
         assert!(rev.flips.is_empty(), "flips: {:?}", rev.flips);
         assert_eq!(rev.scrambled, scrambled);
     }
@@ -277,12 +230,13 @@ mod tests {
     #[test]
     fn extract_psdu_roundtrip() {
         // 62 bytes is the maximal PSDU for two MCS7 symbols
-        // (16 + 496 + 6 = 518 of 520 bits), matching extract_psdu's
+        // (16 + 496 + 6 = 518 of 520 bits), matching extract_psdu_into's
         // choose-the-largest convention.
         let mcs = Mcs::bluefi_viterbi();
         let psdu: Vec<u8> = (0..62).map(|i| (i * 7 + 1) as u8).collect();
         let mut scrambled = scrambled_bits(&psdu, 71, mcs);
-        let (got, forced) = extract_psdu(&mut scrambled, 71);
+        let mut got = Vec::new();
+        let forced = extract_psdu_into(&mut scrambled, 71, &mut got);
         assert_eq!(forced, 0, "a genuine chip stream needs no forcing");
         assert_eq!(&got[..psdu.len()], &psdu[..]);
     }
@@ -297,7 +251,7 @@ mod tests {
         scrambled[3] = !scrambled[3];
         let tail_start = 16 + 496;
         scrambled[tail_start + 2] = !scrambled[tail_start + 2];
-        let (_, forced) = extract_psdu(&mut scrambled, 71);
+        let forced = extract_psdu_into(&mut scrambled, 71, &mut Vec::new());
         assert_eq!(forced, 3);
     }
 
@@ -307,13 +261,12 @@ mod tests {
         // A non-codeword target: just pseudo-random coded bits.
         let n = mcs.coded_bits_per_symbol() * 4;
         let coded: Vec<bool> = (0..n).map(|i| (i * 2654435761usize) % 97 < 48).collect();
-        let weights = vec![1u32; n];
-        let rev = reverse_fec(&coded, &weights, DecodeStrategy::Realtime, 12.0);
+        let rev = reversed(&coded, DecodeStrategy::Realtime, 12.0);
         for &f in &rev.flips {
             assert!(f % 13 <= 4, "flip at cycle position {}", f % 13);
         }
         // Negative offset: flips on the other side.
-        let rev = reverse_fec(&coded, &weights, DecodeStrategy::Realtime, -12.0);
+        let rev = reversed(&coded, DecodeStrategy::Realtime, -12.0);
         for &f in &rev.flips {
             if f >= 39 {
                 assert!(f % 13 >= 8, "flip at cycle position {}", f % 13);
@@ -323,30 +276,34 @@ mod tests {
 
     #[test]
     fn coded_stream_demaps_what_tx_mapped() {
-        use crate::qam::QuantizedSymbol;
+        use crate::pipeline::{BlueFi, SynthesisScratch};
+        use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
+        use bluefi_wifi::channels::ChannelPlan;
         use bluefi_wifi::tx::symbol_spectrum;
-        // Build a spectrum with the real TX path, read back its data
-        // points, and check coded_stream inverts interleaving+mapping.
-        let mcs = Mcs::bluefi_viterbi();
-        let coded: Vec<bool> = (0..312).map(|i| i % 7 < 3).collect();
-        let spec = symbol_spectrum(&coded, mcs, 0);
-        let points: Vec<_> = bluefi_wifi::subcarriers::data_subcarriers()
-            .iter()
-            .map(|&sc| spec[bluefi_dsp::fft::bin_of_subcarrier(sc, 64)])
-            .collect();
-        let sym = QuantizedSymbol {
-            points,
-            scale: 1.0,
-            residue: 0.0,
-            energy: 1.0,
-            per_subcarrier: vec![(0.0, 0.0); 52],
+        // Run the pipeline's per-symbol step on real θ̂ symbols, then map
+        // the coded bits it wrote with the real TX path: every data
+        // subcarrier must carry exactly the point the step quantized, so
+        // the step's demap + deinterleave inverts mapping + interleaving.
+        let pdu = AdvPdu {
+            pdu_type: AdvPduType::AdvNonconnInd,
+            adv_address: [1, 2, 3, 4, 5, 6],
+            adv_data: (0..12).collect(),
+            tx_add: false,
         };
-        let (got, weights) = coded_stream(&[sym], mcs, 12.5, &WeightProfile::default());
-        assert_eq!(got, coded);
-        assert_eq!(weights.len(), 312);
-        // Table 1 weights ride along in coded-bit order.
-        assert_eq!(weights[9], 1000);
-        assert_eq!(weights[8], 100);
-        assert_eq!(weights[0], 1);
+        let bf = BlueFi::default();
+        let plan = ChannelPlan::pinned(3, 13.0);
+        let mut s = SynthesisScratch::new();
+        let n_symbols = bf.synthesize_at_with(&adv_air_bits(&pdu, 38), plan, 71, &mut s).n_symbols;
+        let mcs = bf.strategy.mcs();
+        let ncbps = mcs.coded_bits_per_symbol();
+        for b in [0, n_symbols / 2, n_symbols - 1] {
+            s.quantize_symbol(&bf, plan.tx_subcarrier, b);
+            let spec = symbol_spectrum(&s.coded[b * ncbps..(b + 1) * ncbps], mcs, b);
+            let points: Vec<_> = bluefi_wifi::subcarriers::data_subcarriers()
+                .iter()
+                .map(|&sc| spec[bluefi_dsp::fft::bin_of_subcarrier(sc, 64)])
+                .collect();
+            assert_eq!(points, s.sym.points, "symbol {b}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! 6. **+Header** — the complete PSDU through the full chip TX, preamble
 //!    included.
 
-use crate::pipeline::BlueFi;
+use crate::pipeline::{BlueFi, SynthesisScratch};
 use crate::qam::Quantizer;
 use crate::telemetry::{self, Counter, SpanKind};
 use bluefi_bt::gfsk::{modulate_iq, modulate_phase};
@@ -25,7 +25,7 @@ use bluefi_wifi::channels::ChannelPlan;
 use bluefi_wifi::ofdm::GuardInterval;
 use bluefi_wifi::pilots::ht_pilot_values;
 use bluefi_wifi::subcarriers::{data_subcarriers, FFT_SIZE, PILOT_SUBCARRIERS};
-use bluefi_wifi::tx::{coded_bits, symbol_spectrum, waveform_from_spectra};
+use bluefi_wifi::tx::{symbol_spectrum, waveform_from_spectra};
 use bluefi_wifi::ChipModel;
 
 /// The cumulative impairment stages of Fig 8.
@@ -125,10 +125,8 @@ pub fn waveform_at_stage(
         "waveform_at_stage: expected {} bodies of {FFT_SIZE} samples",
         theta_hat.len() / bf.cp.block_len()
     );
-    let plan64 = fft_plan(FFT_SIZE);
-    let quantizer = Quantizer::new(mcs.modulation, bf.scale);
-
     if stage == Stage::Qam {
+        let plan64 = fft_plan(FFT_SIZE);
         // Quantize EVERY bin to the grid (no pilots/nulls yet).
         let spectra: Vec<Vec<Cx>> = bodies
             .iter()
@@ -147,23 +145,30 @@ pub fn waveform_at_stage(
     }
 
     // Stage >= PilotNull: quantize data subcarriers, standard pilots/nulls.
-    let symbols: Vec<_> = bodies.iter().map(|b| quantizer.quantize_body(b)).collect();
     if stage == Stage::PilotNull {
-        let spectra: Vec<Vec<Cx>> = symbols
+        let quantizer = Quantizer::new(mcs.modulation, bf.scale);
+        let spectra: Vec<Vec<Cx>> = bodies
             .iter()
             .enumerate()
-            .map(|(n, s)| spectrum_with_pilots(&s.points, mcs.modulation, n))
+            .map(|(n, b)| {
+                spectrum_with_pilots(&quantizer.quantize_body(b).points, mcs.modulation, n)
+            })
             .collect();
         return waveform_from_spectra(&spectra, GuardInterval::Short, true);
     }
 
-    // Stage >= Fec: FEC reversal, re-encode, re-map.
-    let (coded, weights) =
-        crate::reversal::coded_stream(&symbols, mcs, plan.tx_subcarrier, &bf.weights);
-    let rev = crate::reversal::reverse_fec(&coded, &weights, bf.strategy, plan.tx_subcarrier);
+    // Stage >= Fec: the full synthesis chain.
+    let mut s = SynthesisScratch::new();
+    let syn = bf.synthesize_at_with(bt_bits, plan, seed, &mut s).clone();
     if stage == Stage::Fec {
-        let recoded = coded_from_scrambled(&rev.scrambled, mcs);
-        let spectra: Vec<Vec<Cx>> = recoded
+        // The FEC-realizable coded stream: the demapped target with the
+        // reversal's flips toggled — exactly what the encoder emits for
+        // the decoded bits — re-mapped.
+        for &f in &syn.flips {
+            s.coded[f] = !s.coded[f];
+        }
+        let spectra: Vec<Vec<Cx>> = s
+            .coded
             .chunks_exact(mcs.coded_bits_per_symbol())
             .enumerate()
             .map(|(n, chunk)| symbol_spectrum(chunk, mcs, n))
@@ -173,7 +178,6 @@ pub fn waveform_at_stage(
 
     // Stage::Header — the complete system through a (windowless) SDR chip
     // model so only the framing/preamble differs from +FEC.
-    let syn = bf.synthesize_at(bt_bits, plan, seed);
     let chip = ChipModel::usrp(seed);
     // Return in waveform units comparable to the other stages: transmit at
     // the reference power and hand back the raw IQ.
@@ -204,15 +208,10 @@ fn spectrum_with_pilots(
     spec
 }
 
-/// Re-encodes a scrambled stream to its transmitted coded bits (the
-/// waveform the chip will actually emit after the FEC stage).
-fn coded_from_scrambled(scrambled: &[bool], mcs: bluefi_wifi::Mcs) -> Vec<bool> {
-    coded_bits(scrambled, mcs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reversal::DecodeStrategy;
     use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
     use bluefi_bt::receiver::{GfskReceiver, ReceiverConfig};
     use bluefi_wifi::channels::plan_channel;
@@ -280,6 +279,56 @@ mod tests {
             assert!(diff > 1e-6, "consecutive stages identical");
         }
     }
+
+    /// FNV-1a over the raw bits of every sample: any change to any IQ
+    /// value, or to the length, changes the digest.
+    fn digest(wave: &[Cx]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ wave.len() as u64;
+        for v in wave {
+            for word in [v.re.to_bits(), v.im.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn stage_waveforms_are_pinned() {
+        // Every stage's waveform, bit for bit, for one fixed input under
+        // each strategy — the Viterbi case on a positive subcarrier, the
+        // real-time case on a negative one. +FEC toggles the flips on the
+        // demapped coded stream, which must equal re-encoding the
+        // reversal's decoded bits exactly.
+        let cases = [
+            (DecodeStrategy::WeightedViterbi, plan_channel(2.426e9).unwrap(), PINNED_VITERBI),
+            (DecodeStrategy::Realtime, ChannelPlan::pinned(6, -3.0), PINNED_REALTIME),
+        ];
+        for (strategy, plan, want) in cases {
+            let bf = BlueFi { strategy, ..Default::default() };
+            let got = Stage::all()
+                .map(|stage| digest(&waveform_at_stage(&bf, &bits(), plan, 71, stage)));
+            assert_eq!(got, want, "{strategy:?}: {got:#018x?}");
+        }
+    }
+
+    const PINNED_VITERBI: [u64; 6] = [
+        0x1ddcb0c81b3d3e41,
+        0x268abe670ba4b210,
+        0xfa50516eb2ff3054,
+        0x4f6a66cce0c004d5,
+        0x894ef6a687556141,
+        0x3190af703fe48b37,
+    ];
+    const PINNED_REALTIME: [u64; 6] = [
+        0xaa5a5aaf854dfd63,
+        0x4a54dc8e0166b0b3,
+        0xbbd13b4ca37f507f,
+        0x19bc2d7e6d7678aa,
+        0x0d7c7bcae738299b,
+        0x1e0b0414080453a4,
+    ];
 
     #[test]
     fn baseline_is_constant_envelope_and_later_stages_are_not() {

@@ -63,7 +63,6 @@ use crate::telemetry::{self, Counter, Gauge, SpanKind};
 use bluefi_coding::lfsr::Lfsr7;
 use bluefi_coding::realtime::{realtime_plan, FreeEdge, RealtimeCheckpoint};
 use bluefi_wifi::channels::ChannelPlan;
-use bluefi_wifi::qam::demap_point_into;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
 
 /// Number of store shards (fixed; key hash selects one).
@@ -124,14 +123,13 @@ pub struct Template {
     errs: Vec<f64>,
     /// Saved real-time decode state of `coded` (pre-forcing).
     ckpt: RealtimeCheckpoint,
-    /// Base flip list (the suffix re-encode splices after these).
-    flips: Vec<usize>,
     /// The scrambler sequence for `seed`, one bit per scrambled position.
     seq: Vec<bool>,
     /// Which interleaver-cycle edge the decode sacrifices (from the plan's
     /// subcarrier sign; Back-edge templates use an assisted full replay).
     edge: FreeEdge,
-    /// The base synthesis (metadata + PSDU prefix source).
+    /// The base synthesis (metadata, PSDU prefix source, and the flip list
+    /// the suffix re-encode splices after).
     base: Synthesis,
 }
 
@@ -144,7 +142,6 @@ impl Template {
             + self.coded.capacity()
             + self.errs.capacity() * 8
             + self.ckpt.bytes()
-            + self.flips.capacity() * 8
             + self.seq.capacity()
             + self.base.psdu.capacity()
             + self.base.flips.capacity() * 8
@@ -354,9 +351,9 @@ impl CachedEngine {
     }
 
     /// Miss path: run the cold pipeline, then capture everything the patch
-    /// path will splice from. The extra capture work (a re-decode for the
-    /// pre-forcing checkpoint, a re-quantization for per-symbol errors)
-    /// costs about one more cold synthesis — paid once per key.
+    /// path will splice from. The cold pass already recorded the coded
+    /// stream and the per-symbol errors; the one extra piece of work is a
+    /// re-decode for the pre-forcing checkpoint — paid once per key.
     fn build(
         &self,
         bt_bits: &[bool],
@@ -371,8 +368,6 @@ impl CachedEngine {
         self.bf.synthesize_at_with(bt_bits, plan, seed, s);
         // lint: allow(panic) the cold pipeline always stores a result
         let base = s.result.as_ref().unwrap().clone();
-        let n_symbols = base.n_symbols;
-        let mcs = base.mcs;
         let edge =
             if plan.tx_subcarrier >= 0.0 { FreeEdge::Front } else { FreeEdge::Back };
 
@@ -380,39 +375,21 @@ impl CachedEngine {
         // bits (extract_psdu_into forced SERVICE/tail/pad in-place in
         // s.rev.scrambled, so that buffer is no longer the raw decode).
         let rt_plan = realtime_plan(s.coded.len(), edge);
-        let mut decoded = Vec::new();
-        let mut flips = Vec::new();
-        rt_plan.decode_into(&s.coded, s.vit.realtime_scratch(), &mut decoded, &mut flips);
-        debug_assert_eq!(flips, base.flips, "re-decode must reproduce the base flips");
+        let decoded = &mut s.rev.scrambled;
+        rt_plan.decode_into(&s.coded, s.vit.realtime_scratch(), decoded, &mut s.rev.flips);
         let mut ckpt = RealtimeCheckpoint::new();
-        rt_plan.save_checkpoint(s.vit.realtime_scratch(), &decoded, &mut ckpt);
-
-        // Per-symbol quantization errors, in pipeline order.
-        let bl = self.bf.cp.block_len();
-        s.quantizer_for(mcs.modulation, self.bf.scale);
-        // lint: allow(panic) quantizer_for above guarantees Some
-        let quantizer = &s.quantizer.as_ref().unwrap().2;
-        let mut errs = Vec::with_capacity(n_symbols);
-        for b in 0..n_symbols {
-            let body = &s.theta_hat[b * bl + self.bf.cp.cp_len..(b + 1) * bl];
-            quantizer.quantize_body_into(body, &mut s.fft_buf, &mut s.sym);
-            errs.push(s.sym.in_band_error_db(plan.tx_subcarrier, self.bf.weights.band));
-        }
+        rt_plan.save_checkpoint(s.vit.realtime_scratch(), decoded, &mut ckpt);
 
         // The scrambler sequence for every scrambled position.
         let mut lfsr = Lfsr7::new(seed);
-        let mut seq = Vec::with_capacity(decoded.len());
-        for _ in 0..decoded.len() {
-            seq.push(lfsr.next_bit());
-        }
+        let seq: Vec<bool> = (0..decoded.len()).map(|_| lfsr.next_bit()).collect();
 
         Arc::new(Template {
             bits: bt_bits.to_vec(),
             theta_ext: s.theta_ext.clone(),
             coded: s.coded.clone(),
-            errs,
+            errs: s.errs.clone(),
             ckpt,
-            flips,
             seq,
             edge,
             base,
@@ -482,52 +459,35 @@ impl CachedEngine {
 
         // 3. Dirty scan + local requantize. OFDM symbol b reads extended
         // phase [b·bl, (b+1)·bl] inclusive (the +1 is the windowing
-        // lookahead), so a bit-identical window ⇒ identical symbol.
+        // lookahead), so a bit-identical window ⇒ identical symbol. Clean
+        // symbols keep the template's coded bits and errors; dirty ones go
+        // through the cold chain's per-symbol step.
         let bl = self.bf.cp.block_len();
-        let cp_len = self.bf.cp.cp_len;
         let n_symbols = tpl.base.n_symbols;
         let mcs = tpl.base.mcs;
-        s.quantizer_for(mcs.modulation, self.bf.scale);
-        let il = s.interleaver_for(mcs.modulation);
-        let ncbps = il.block_len();
-        let bps = mcs.modulation.bits_per_symbol();
+        let ncbps = mcs.coded_bits_per_symbol();
         bluefi_dsp::contracts::ensure_len(&mut s.coded, tpl.coded.len(), false);
         s.coded.copy_from_slice(&tpl.coded);
-        // lint: allow(panic) quantizer_for above guarantees Some
-        let quantizer = &s.quantizer.as_ref().unwrap().2;
-        let mut err_sum = 0.0;
+        bluefi_dsp::contracts::ensure_len(&mut s.errs, n_symbols, 0.0);
+        s.errs.copy_from_slice(&tpl.errs);
         let mut first_dirty: Option<usize> = None;
         let mut dirty_count = 0u64;
         // Symbol b reads phase window [b·bl, (b+1)·bl]; symbols whose
         // window ends before the refill point hold copied samples and are
         // clean by construction — no comparison needed.
         let b_scan = t_fill.div_ceil(bl).saturating_sub(1);
-        for b in 0..n_symbols {
-            if b < b_scan {
-                err_sum += tpl.errs[b];
-                continue;
-            }
+        for b in b_scan..n_symbols {
             let w_new = &s.theta_ext[b * bl..=(b + 1) * bl];
             let w_old = &tpl.theta_ext[b * bl..=(b + 1) * bl];
-            let dirty = w_new.iter().zip(w_old).any(|(x, y)| x.to_bits() != y.to_bits());
-            if dirty {
+            if w_new.iter().zip(w_old).any(|(x, y)| x.to_bits() != y.to_bits()) {
                 first_dirty.get_or_insert(b);
                 dirty_count += 1;
-                let body = &s.theta_hat[b * bl + cp_len..(b + 1) * bl];
-                quantizer.quantize_body_into(body, &mut s.fft_buf, &mut s.sym);
-                err_sum += s.sym.in_band_error_db(plan.tx_subcarrier, self.bf.weights.band);
-                bluefi_dsp::contracts::ensure_len(&mut s.interleaved, ncbps, false);
-                for (d, &p) in s.sym.points.iter().enumerate() {
-                    demap_point_into(mcs.modulation, p, &mut s.demap);
-                    s.interleaved[d * bps..(d + 1) * bps].copy_from_slice(&s.demap);
-                }
-                il.deinterleave_into(&s.interleaved, &mut s.block);
-                s.coded[b * ncbps..(b + 1) * ncbps].copy_from_slice(&s.block);
-            } else {
-                err_sum += tpl.errs[b];
+                s.quantize_symbol(&self.bf, plan.tx_subcarrier, b);
             }
         }
-        let mean_quant_error_db = err_sum / n_symbols.max(1) as f64;
+        // Re-summed in symbol order with the patched entries substituted,
+        // so the mean is the cold chain's to the bit.
+        let mean_quant_error_db = s.mean_quant_error_db();
         sp_requant.set_detail(dirty_count);
         drop(sp_requant);
         let mut sp_fec = telemetry::trace_span(SpanKind::FecReversal);
@@ -556,7 +516,7 @@ impl CachedEngine {
                     &s.coded,
                     b_bound,
                     t_start,
-                    &tpl.flips,
+                    &tpl.base.flips,
                     &mut flips,
                 );
                 ((b_bound.max(16) - 16) / 8).min(tpl.base.psdu.len())

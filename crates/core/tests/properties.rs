@@ -4,7 +4,7 @@
 use bluefi_core::check::{check, f64s};
 use bluefi_core::cp::CpCompat;
 use bluefi_core::qam::{Quantizer, ScaleMode, DEFAULT_SCALE};
-use bluefi_core::reversal::{extract_psdu, WeightProfile};
+use bluefi_core::reversal::{extract_psdu_into, WeightProfile};
 use bluefi_core::rng::Rng;
 use bluefi_core::{prop_assert, prop_assert_eq};
 use bluefi_wifi::qam::Modulation;
@@ -63,14 +63,15 @@ fn extract_psdu_inverts_chip_framing() {
         |rng| (rng.gen_range(1usize..120), rng.gen_range(1u8..128)),
         |&(psdu_len, seed)| {
             // Build the *maximal* PSDU for its symbol count so the
-            // convention matches (see reversal::extract_psdu).
+            // convention matches (see reversal::extract_psdu_into).
             let mcs = Mcs::bluefi_viterbi();
             let ndbps = mcs.data_bits_per_symbol();
             let n_sym = (16 + psdu_len * 8 + 6).div_ceil(ndbps);
             let max_len = (n_sym * ndbps - 22) / 8;
             let psdu: Vec<u8> = (0..max_len).map(|i| (i * 37 + seed as usize) as u8).collect();
             let mut scrambled = scrambled_bits(&psdu, seed, mcs);
-            let (got, forced) = extract_psdu(&mut scrambled, seed);
+            let mut got = Vec::new();
+            let forced = extract_psdu_into(&mut scrambled, seed, &mut got);
             prop_assert_eq!(forced, 0);
             prop_assert_eq!(&got[..psdu.len()], &psdu[..]);
             Ok(())

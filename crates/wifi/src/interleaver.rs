@@ -77,15 +77,8 @@ impl Interleaver {
         }
     }
 
-    /// Inverse of [`Interleaver::interleave`]. Thin shim over
-    /// [`Interleaver::deinterleave_into`].
-    pub fn deinterleave(&self, block: &[bool]) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.deinterleave_into(block, &mut out);
-        out
-    }
-
-    /// Scratch-buffer variant of [`Interleaver::deinterleave`].
+    /// Inverse of [`Interleaver::interleave`]: un-permutes into `out`
+    /// (resized to the block length), allocating only when `out` must grow.
     pub fn deinterleave_into(&self, block: &[bool], out: &mut Vec<bool>) {
         assert_eq!(block.len(), self.block_len());
         bluefi_dsp::contracts::ensure_len(out, block.len(), false);
@@ -153,7 +146,9 @@ mod tests {
     fn interleave_roundtrip() {
         let il = Interleaver::new(Modulation::Qam64);
         let block: Vec<bool> = (0..il.block_len()).map(|i| i % 5 < 2).collect();
-        assert_eq!(il.deinterleave(&il.interleave(&block)), block);
+        let mut back = Vec::new();
+        il.deinterleave_into(&il.interleave(&block), &mut back);
+        assert_eq!(back, block);
     }
 
     #[test]

@@ -134,15 +134,7 @@ pub fn map_bits(modulation: Modulation, bits: &[bool]) -> Cx {
 }
 
 /// Demaps a constellation point (in unnormalized units) back to bits —
-/// exact for on-grid points, nearest-point otherwise. Thin shim over
-/// [`demap_point_into`].
-pub fn demap_point(modulation: Modulation, point: Cx) -> Vec<bool> {
-    let mut out = Vec::new();
-    demap_point_into(modulation, point, &mut out);
-    out
-}
-
-/// Scratch-buffer variant of [`demap_point`]: writes the
+/// exact for on-grid points, nearest-point otherwise. Writes the
 /// `bits_per_symbol()` demapped bits into `out` (resized to fit),
 /// allocating only when `out` must grow — the per-subcarrier workhorse of
 /// the FEC-reversal hot loop.
@@ -266,7 +258,9 @@ mod tests {
             for v in 0..(1u32 << n) {
                 let bits: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
                 let p = map_bits(m, &bits);
-                assert_eq!(demap_point(m, p), bits, "{m:?} value {v:#b}");
+                let mut got = Vec::new();
+                demap_point_into(m, p, &mut got);
+                assert_eq!(got, bits, "{m:?} value {v:#b}");
             }
         }
     }

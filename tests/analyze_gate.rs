@@ -72,7 +72,7 @@ fn hatch_counts_are_pinned_per_rule() {
         })
         .collect();
     let expect = [
-        ("R1", 15usize), // allow(panic): contracts/plan-cache/template invariants
+        ("R1", 11usize), // allow(panic): contracts/plan-cache/template invariants
         ("R2", 0),
         ("R3", 0),
         ("R4", 0),

@@ -5,9 +5,7 @@
 use bluefi::bt::edr::{edr_demodulate, edr_modulate_phase, EdrScheme};
 use bluefi::bt::gfsk::GfskParams;
 use bluefi::bt::receiver::{GfskReceiver, ReceiverConfig};
-use bluefi::core::pipeline::BlueFi;
-use bluefi::core::qam::Quantizer;
-use bluefi::core::reversal::{coded_stream, extract_psdu, reverse_fec};
+use bluefi::core::pipeline::{BlueFi, SynthesisScratch};
 use bluefi::wifi::channels::ChannelPlan;
 use bluefi::wifi::subcarriers::SUBCARRIER_SPACING_HZ;
 use bluefi::wifi::ChipModel;
@@ -19,19 +17,15 @@ fn pattern(n: usize, k: usize) -> Vec<bool> {
 fn edr_over_bluefi(scheme: EdrScheme) -> f64 {
     let p = GfskParams::default();
     let bits = pattern(scheme.bits_per_symbol() * 60, 5);
-    let offset_hz = ChannelPlan::pinned(3, 13.0).subcarrier * SUBCARRIER_SPACING_HZ;
+    let plan = ChannelPlan::pinned(3, 13.0);
+    let offset_hz = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ;
     let phase = edr_modulate_phase(&bits, scheme, &p, offset_hz);
 
-    // The pipeline's stages are phase-generic: run them on the DPSK phase.
+    // The pipeline is phase-generic: feed it the DPSK phase.
     let bf = BlueFi::default();
-    let theta = bf.cp.make_compatible(&phase, offset_hz / p.sample_rate_hz);
-    let bodies = bf.cp.strip_cp(&theta);
-    let quant = Quantizer::new(bluefi::wifi::Modulation::Qam64, bf.scale);
-    let symbols: Vec<_> = bodies.iter().map(|b| quant.quantize_body(b)).collect();
-    let (coded, weights) = coded_stream(&symbols, bf.strategy.mcs(), 13.0, &bf.weights);
-    let mut rev = reverse_fec(&coded, &weights, bf.strategy, 13.0);
-    let (psdu, _) = extract_psdu(&mut rev.scrambled, 71);
-    let ppdu = ChipModel::ar9331().transmit_with_seed(&psdu, bf.strategy.mcs(), 18.0, 71);
+    let mut scratch = SynthesisScratch::new();
+    let syn = bf.synthesize_phase_with(&phase, plan, 71, &mut scratch);
+    let ppdu = ChipModel::ar9331().transmit_with_seed(&syn.psdu, syn.mcs, 18.0, 71);
 
     // Differential receiver over the filtered baseband.
     let rx = GfskReceiver::new(ReceiverConfig {
