@@ -28,6 +28,7 @@
 
 use bluefi_bench::{arg_str, arg_usize, Reporter};
 use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
+use bluefi_coding::realtime::{FreeEdge, RealtimePlan};
 use bluefi_core::json::Json;
 use bluefi_core::par::{clamped_workers, host_cpus, worker_count, BatchJob, SynthesisBatch};
 use bluefi_core::pipeline::{BlueFi, PhaseMode, SynthesisScratch};
@@ -496,6 +497,18 @@ fn main() {
         fleet_cold_mean / patch_mean.max(1e-9),
         fleet_cold_mean,
     ));
+    // The real-time plan for the longest packet the audio streamer sends
+    // (800 OFDM symbols at MCS 5): its build time and heap footprint.
+    let plan_bits = 800 * 312;
+    let plan_t0 = Instant::now();
+    let rt_plan = RealtimePlan::new(plan_bits, FreeEdge::Front);
+    let plan_build_ms = plan_t0.elapsed().as_secs_f64() * 1e3;
+    let plan_bytes = rt_plan.bytes();
+    drop(rt_plan);
+    rep.note(format!(
+        "real-time plan, {plan_bits} coded bits: {:.2} MiB heap, built in {plan_build_ms:.1} ms",
+        plan_bytes as f64 / (1 << 20) as f64
+    ));
     rep.table(
         "Runtime profile — beacon fleet, hit-rate sweep",
         &["target hit", "observed", "keys", "packets/s"],
@@ -636,6 +649,14 @@ fn main() {
                     ));
                     Json::Obj(pairs)
                 }),
+            ]),
+        ),
+        (
+            "realtime_plan",
+            Json::obj(vec![
+                ("coded_bits", Json::Num(plan_bits as f64)),
+                ("bytes", Json::Num(plan_bytes as f64)),
+                ("build_ms", Json::Num(plan_build_ms)),
             ]),
         ),
         (

@@ -6,7 +6,11 @@
 //!
 //! Because the code is linear over GF(2), every output bit is a parity of
 //! the current input and up to six previous inputs — the property the
-//! real-time decoder ([`crate::realtime`]) exploits.
+//! real-time decoder ([`crate::realtime`]) exploits. The same fact makes
+//! a packed re-encode cheap: [`encode_words_into`] computes 64 outputs per
+//! word as an XOR of shifted input words.
+
+use crate::puncture::CodeRate;
 
 /// Generator polynomial g₀ = 133₈ (taps on `d[i]`, `d[i-2]`, `d[i-3]`, `d[i-5]`, `d[i-6]`).
 pub const G0: u8 = 0o133;
@@ -93,9 +97,136 @@ pub fn encode_r12(bits: &[bool]) -> Vec<bool> {
     ConvEncoder::new().encode(bits)
 }
 
-/// Scratch-buffer variant of [`encode_r12`].
-pub fn encode_r12_into(bits: &[bool], out: &mut Vec<bool>) {
-    ConvEncoder::new().encode_into(bits, out);
+/// Packs `bits` LSB-first into `words` (resized to `⌈len/64⌉`): bit `i`
+/// lands at bit `i mod 64` of word `i / 64`, and the last word's unused
+/// high bits are zero. Allocates only when `words` must grow.
+fn pack_into(bits: &[bool], words: &mut Vec<u64>) {
+    bluefi_dsp::contracts::ensure_len(words, bits.len().div_ceil(64), 0);
+    for (w, chunk) in words.iter_mut().zip(bits.chunks(64)) {
+        let mut bytes = chunk.chunks_exact(8);
+        let mut v = 0;
+        for (i, eight) in bytes.by_ref().enumerate() {
+            v |= u64::from(pack8(eight)) << (8 * i);
+        }
+        let done = chunk.len() / 8 * 8;
+        for (j, &bit) in bytes.remainder().iter().enumerate() {
+            v |= u64::from(bit) << (done + j);
+        }
+        *w = v;
+    }
+}
+
+/// Packs 8 bools LSB-first into a byte with one multiply: read as the
+/// bytes of a little-endian `u64`, bool `j` sits at bit `8j`, and the
+/// constant's taps `2^(56−7j)` move it to bit `56 + j` — every partial
+/// product lands on a distinct bit, so nothing carries.
+#[inline]
+fn pack8(eight: &[bool]) -> u8 {
+    let x = u64::from_le_bytes(std::array::from_fn(|j| u8::from(eight[j])));
+    (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
+
+/// Word form of [`encode_r12`]: `input` packs the information bits
+/// LSB-first (bit `i` at bit `i mod 64` of word `i / 64`; the encoder
+/// starts at the zero state), and `a`/`b`
+/// receive the A and B outputs packed the same way, one word per input
+/// word. Each output word is an XOR of shifted input words — one shift per
+/// generator tap — so a word of 64 inputs costs a dozen operations.
+pub fn encode_words_into(input: &[u64], a: &mut Vec<u64>, b: &mut Vec<u64>) {
+    bluefi_dsp::contracts::ensure_len(a, input.len(), 0);
+    bluefi_dsp::contracts::ensure_len(b, input.len(), 0);
+    let mut prev = 0u64;
+    for ((&cur, wa), wb) in input.iter().zip(a.iter_mut()).zip(b.iter_mut()) {
+        // delayed[k] = d[i-k] for the 64 positions of this word: the word
+        // shifted up k, topped up with the previous word's high bits.
+        let delayed: [u64; MEMORY + 1] =
+            std::array::from_fn(|k| if k == 0 { cur } else { (cur << k) | (prev >> (64 - k)) });
+        // Window bit 6 - k holds the input k steps ago (see `push`).
+        let output = |g: u8| {
+            (0..=MEMORY)
+                .filter(|&k| (g >> (MEMORY - k)) & 1 == 1)
+                .fold(0, |v, k| v ^ delayed[k])
+        };
+        *wa = output(G0);
+        *wb = output(G1);
+        prev = cur;
+    }
+}
+
+/// Reusable buffers for re-encoding a decoded stream and listing where the
+/// re-encoding differs from its target ("bit-flips" in the paper's
+/// language), on packed words: pack, [`encode_words_into`],
+/// [`crate::puncture::puncture_words_into`], then XOR against the packed
+/// target and walk the set bits with `trailing_zeros`. Serves both FEC
+/// reversal strategies. One per worker thread, never shared; allocation-free
+/// once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct Reencoder {
+    input: Vec<u64>,
+    a: Vec<u64>,
+    b: Vec<u64>,
+    tx: Vec<u64>,
+    target: Vec<u64>,
+}
+
+impl Reencoder {
+    /// Empty buffers; they grow on first use.
+    pub fn new() -> Reencoder {
+        Reencoder::default()
+    }
+
+    /// Re-encodes `decoded` from the zero state at `rate` and appends to
+    /// `flips`, in ascending order, every transmitted position `t ≥ t_from`
+    /// where the punctured re-encoding differs from `target`. `target` must
+    /// be exactly as long as that re-encoding. Only the suffix that can
+    /// reach `t_from` is packed and encoded: from the puncturing period
+    /// holding `t_from`, plus the encoder memory before it.
+    pub fn push_flips_from(
+        &mut self,
+        rate: CodeRate,
+        decoded: &[bool],
+        target: &[bool],
+        t_from: usize,
+        flips: &mut Vec<usize>,
+    ) {
+        let (p, q) = (rate.period_inputs(), rate.period_outputs());
+        assert_eq!(
+            rate.transmitted_len(decoded.len()),
+            target.len(),
+            "target length must match the re-encoding"
+        );
+        if t_from >= target.len() {
+            return;
+        }
+        // First input of the period holding t_from, backed off by the
+        // encoder memory (whole periods, so puncturing starts in phase).
+        // Inputs before `lo` are missing from the encoder's history, which
+        // only corrupts outputs of the first MEMORY inputs — all before
+        // t_from — unless `lo` is 0, where the zero state is the truth.
+        let i_from = t_from / q * p;
+        let lo = i_from.saturating_sub(MEMORY) / p * p;
+        let t_lo = lo / p * q;
+        pack_into(&decoded[lo..], &mut self.input);
+        encode_words_into(&self.input, &mut self.a, &mut self.b);
+        crate::puncture::puncture_words_into(
+            rate,
+            &self.a,
+            &self.b,
+            decoded.len() - lo,
+            &mut self.tx,
+        );
+        pack_into(&target[t_lo..], &mut self.target);
+        for (w, (&got, &want)) in self.tx.iter().zip(&self.target).enumerate() {
+            let mut diff = got ^ want;
+            while diff != 0 {
+                let t = t_lo + 64 * w + diff.trailing_zeros() as usize;
+                if t >= t_from {
+                    flips.push(t);
+                }
+                diff &= diff - 1;
+            }
+        }
+    }
 }
 
 /// Output pair for a (state, input) trellis transition — used by the

@@ -71,6 +71,45 @@ impl Lfsr7 {
     }
 }
 
+/// One 127-bit period of a seed's scrambler sequence — the m-sequence
+/// repeats every 127 bits — held as the 8-bit window starting at each
+/// phase, so descrambling a byte is one lookup and one XOR instead of
+/// eight register steps.
+#[derive(Debug, Clone)]
+pub struct ScramblerPeriod {
+    /// `window[ph]`: sequence bits `ph..ph + 8` (mod 127), LSB first.
+    window: [u8; 127],
+}
+
+impl ScramblerPeriod {
+    /// The period of the sequence [`Lfsr7::new`]`(seed)` emits.
+    pub fn new(seed: u8) -> ScramblerPeriod {
+        let mut lfsr = Lfsr7::new(seed);
+        let mut bits = [false; 127 + 7];
+        for b in bits.iter_mut() {
+            *b = lfsr.next_bit();
+        }
+        let mut window = [0u8; 127];
+        for (ph, w) in window.iter_mut().enumerate() {
+            *w = bits[ph..ph + 8]
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (j, &b)| acc | (u8::from(b) << j));
+        }
+        ScramblerPeriod { window }
+    }
+
+    /// Sequence bit `i` (counting from the seed, as the register emits).
+    pub fn bit(&self, i: usize) -> bool {
+        self.window[i % 127] & 1 == 1
+    }
+
+    /// Sequence bits `i..i + 8`, LSB first.
+    pub fn byte(&self, i: usize) -> u8 {
+        self.window[i % 127]
+    }
+}
+
 /// The 802.11 frame-synchronous data scrambler.
 ///
 /// `scramble(seed, bits)` XORs the LFSR sequence onto `bits`; applying it
@@ -202,6 +241,20 @@ mod tests {
         let bits: Vec<bool> = (0..100).map(|i| i % 7 < 3).collect();
         for clk in [0u8, 1, 33, 63] {
             assert_eq!(br_whiten(clk, &br_whiten(clk, &bits)), bits);
+        }
+    }
+
+    #[test]
+    fn period_table_matches_the_register() {
+        for seed in [1u8, 71, 127] {
+            let period = ScramblerPeriod::new(seed);
+            let mut lfsr = Lfsr7::new(seed);
+            let seq: Vec<bool> = (0..400).map(|_| lfsr.next_bit()).collect();
+            for i in 0..seq.len() - 8 {
+                assert_eq!(period.bit(i), seq[i], "seed {seed} bit {i}");
+                let byte = (0..8).fold(0u8, |acc, j| acc | (u8::from(seq[i + j]) << j));
+                assert_eq!(period.byte(i), byte, "seed {seed} byte at {i}");
+            }
         }
     }
 

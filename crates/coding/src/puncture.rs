@@ -30,7 +30,7 @@ impl CodeRate {
 
     /// The puncturing pattern as (keep-A, keep-B) flags per input bit,
     /// repeated cyclically over the input stream.
-    pub fn pattern(self) -> (&'static [bool], &'static [bool]) {
+    pub const fn pattern(self) -> (&'static [bool], &'static [bool]) {
         match self {
             CodeRate::R12 => (&[true], &[true]),
             CodeRate::R23 => (&[true, true], &[true, false]),
@@ -64,6 +64,16 @@ impl CodeRate {
             self
         );
         n_input / p * self.period_outputs()
+    }
+
+    /// Number of transmitted bits [`puncture`] emits for `n_input`
+    /// information bits, a trailing partial period included.
+    pub fn transmitted_len(self, n_input: usize) -> usize {
+        let (ka, kb) = self.pattern();
+        let p = ka.len();
+        let partial: usize =
+            (0..n_input % p).map(|j| usize::from(ka[j]) + usize::from(kb[j])).sum();
+        n_input / p * self.period_outputs() + partial
     }
 
     /// Number of information bits for `n_tx` transmitted bits.
@@ -112,6 +122,100 @@ pub fn puncture_into(rate: CodeRate, mother: &[bool], out: &mut Vec<bool>) {
                 out.len(),
                 rate.n_transmitted(pairs)
             );
+        }
+    }
+}
+
+/// Spreading tables that puncture packed words a byte of inputs at a time.
+/// For a byte of 8 inputs whose first input sits at pattern phase `φ`,
+/// `spread[φ][0][a]` places its A bits and `spread[φ][1][b]` its B bits at
+/// their offsets within the byte's run of `count[φ]` transmitted bits; the
+/// next byte starts at phase `next[φ]`.
+struct WordPuncture {
+    spread: [[[u16; 256]; 2]; 5],
+    count: [u8; 5],
+    next: [u8; 5],
+}
+
+const fn word_puncture(rate: CodeRate) -> WordPuncture {
+    let (ka, kb) = rate.pattern();
+    let p = ka.len();
+    let mut wp = WordPuncture { spread: [[[0; 256]; 2]; 5], count: [0; 5], next: [0; 5] };
+    let mut phase = 0;
+    while phase < p {
+        let mut v = 0;
+        while v < 256 {
+            let (mut off, mut j) = (0, 0);
+            while j < 8 {
+                let ph = (phase + j) % p;
+                if ka[ph] {
+                    wp.spread[phase][0][v] |= (((v >> j) & 1) << off) as u16;
+                    off += 1;
+                }
+                if kb[ph] {
+                    wp.spread[phase][1][v] |= (((v >> j) & 1) << off) as u16;
+                    off += 1;
+                }
+                j += 1;
+            }
+            wp.count[phase] = off as u8;
+            v += 1;
+        }
+        wp.next[phase] = ((phase + 8) % p) as u8;
+        phase += 1;
+    }
+    wp
+}
+
+static WORD_PUNCTURE: [WordPuncture; 4] = [
+    word_puncture(CodeRate::R12),
+    word_puncture(CodeRate::R23),
+    word_puncture(CodeRate::R34),
+    word_puncture(CodeRate::R56),
+];
+
+/// Word form of [`puncture_into`]: `a` and `b` hold the mother code's A
+/// and B outputs for `n_in` inputs, packed LSB-first (bit `i` at bit
+/// `i mod 64` of word `i / 64`, as
+/// [`crate::convolutional::encode_words_into`] writes them). Writes the
+/// transmitted stream packed the same way into `out` — `⌈n_tx/64⌉` words
+/// with `n_tx = rate.transmitted_len(n_in)`, bits past `n_tx` zero — a
+/// table lookup per byte of inputs. Allocates only when `out` must grow.
+pub fn puncture_words_into(rate: CodeRate, a: &[u64], b: &[u64], n_in: usize, out: &mut Vec<u64>) {
+    let n_bytes = n_in.div_ceil(8);
+    assert!(a.len() * 8 >= n_bytes && b.len() * 8 >= n_bytes, "packed streams shorter than n_in");
+    let tab = &WORD_PUNCTURE[match rate {
+        CodeRate::R12 => 0,
+        CodeRate::R23 => 1,
+        CodeRate::R34 => 2,
+        CodeRate::R56 => 3,
+    }];
+    let n_tx = rate.transmitted_len(n_in);
+    // Each byte emits at most 16 bits; the final partial byte may run past
+    // n_tx, so the buffer holds whole bytes' output and is cut afterwards.
+    bluefi_dsp::contracts::ensure_capacity(out, (n_bytes * 16).div_ceil(64) + 1);
+    let (mut acc, mut fill, mut phase) = (0u128, 0, 0);
+    for k in 0..n_bytes {
+        let (w, sh) = (k / 8, 8 * (k % 8));
+        let va = usize::from((a[w] >> sh) as u8);
+        let vb = usize::from((b[w] >> sh) as u8);
+        let bits = tab.spread[phase][0][va] | tab.spread[phase][1][vb];
+        acc |= u128::from(bits) << fill;
+        fill += u32::from(tab.count[phase]);
+        if fill >= 64 {
+            out.push(acc as u64);
+            acc >>= 64;
+            fill -= 64;
+        }
+        phase = usize::from(tab.next[phase]);
+    }
+    if fill > 0 {
+        out.push(acc as u64);
+    }
+    out.truncate(n_tx.div_ceil(64));
+    if n_tx % 64 != 0 {
+        if let Some(last) = out.last_mut() {
+            *last &= (1u64 << (n_tx % 64)) - 1;
         }
     }
 }

@@ -16,8 +16,11 @@
 //! system, a correspondence the `paper_candidate_table_claim` test checks
 //! explicitly. The implementation here solves the system directly with an
 //! incremental Gaussian elimination whose bandwidth is bounded by the
-//! encoder memory, so the runtime is O(T) with a small constant — the ~50×
-//! speedup over Viterbi that Sec 4.8 reports.
+//! encoder memory, so the runtime is O(T) with a small constant: a
+//! [`RealtimePlan`] replays it as two passes of mask parities. Sec 4.8 of
+//! the paper reports ≈ 50× over a scalar C Viterbi; against this crate's
+//! bit-packed Viterbi engine the FEC stage measures 5.4–6.6× cheaper on a
+//! 92-symbol advert (EXPERIMENTS.md Sec 4.8).
 //!
 //! ## Mask construction
 //!
@@ -33,8 +36,8 @@
 //! zero initial state makes a few early equations degenerate (at stream
 //! start `A₀ = B₀ = d₀`, so no mask can pin both).
 
-use crate::convolutional::{encode_r12_into, G0, G1};
-use crate::puncture::{puncture_into, CodeRate};
+use crate::convolutional::{Reencoder, G0, G1, MEMORY};
+use crate::puncture::CodeRate;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -56,55 +59,64 @@ pub enum FreeEdge {
     Back,
 }
 
-/// The GF(2) sum of two sparse rows: the symmetric difference of two
-/// ascending unknown lists, itself ascending.
-fn xor_rows(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Generator taps as input-index offsets (0 = current input).
-fn taps(g: u8) -> Vec<u32> {
-    (0..7).filter(|&d| (g >> (6 - d)) & 1 == 1).map(|d| d as u32).collect()
-}
-
-/// The symbolic parity equation of transmitted bit `t` at rate 2/3:
-/// which input-bit indices XOR to produce it.
-fn symbolic_row(t: usize, taps_a: &[u32], taps_b: &[u32]) -> Vec<u32> {
+/// The symbolic parity equation of transmitted bit `t` at rate 2/3, in
+/// *substitution coordinates*: input `u` sits at coordinate `u` for Front
+/// plans and `n_in − 1 − u` for Back plans, so that in both every pivot is
+/// its row's largest coordinate. Returned as `(top, bits)`, bit `k` of
+/// `bits` standing for coordinate `top − k`.
+fn equation(t: usize, n_in: usize, asc: bool) -> (usize, u64) {
     let g = t / 3;
-    let (latest, tapset): (i64, &[u32]) = match t % 3 {
-        0 => (2 * g as i64, taps_a),
-        1 => (2 * g as i64, taps_b),
-        _ => (2 * g as i64 + 1, taps_a),
+    let (latest, gen) = match t % 3 {
+        0 => (2 * g, G0),
+        1 => (2 * g, G1),
+        _ => (2 * g + 1, G0),
     };
-    let mut unknowns: Vec<u32> = tapset
-        .iter()
-        .filter_map(|&d| {
-            let idx = latest - d as i64;
-            (idx >= 0).then_some(idx as u32)
-        })
-        .collect();
-    unknowns.sort_unstable();
-    unknowns
+    let mut bits = 0u64;
+    for d in (0..=MEMORY).filter(|&d| d <= latest && (gen >> (MEMORY - d)) & 1 == 1) {
+        // Input latest − d: coordinate latest − d (Front) or
+        // n_in − 1 − latest + d = top − (MEMORY − d) (Back).
+        bits |= 1 << if asc { d } else { MEMORY - d };
+    }
+    let top = if asc { latest } else { n_in - 1 - latest + MEMORY };
+    (top, bits)
+}
+
+/// Reduces the equation `(top, bits)` (see [`equation`]) against stored
+/// pivot rows: `row_at(c)` is the row pivoting at coordinate `c` (bit `j`
+/// for coordinate `c − j`, so bit 0 is set) or 0 when `c` is no pivot yet,
+/// and `on_row(c)` hears each row XORed in. Returns the new pivot and the
+/// reduced row relative to it, or `None` when the equation is dependent.
+///
+/// # Panics
+/// When a reduction would reach more than 128 coordinates below `top`, or
+/// leave a row wider than 64: the elimination is banded by the encoder
+/// memory (stored rows span at most 6 inputs; the mask walk's longest
+/// reduction chain reaches 91 below its start), and a row outside the
+/// window means that assumption broke.
+fn reduce(
+    top: usize,
+    bits: u64,
+    row_at: impl Fn(usize) -> u64,
+    mut on_row: impl FnMut(usize),
+) -> Option<(usize, u64)> {
+    let mut bits = u128::from(bits);
+    while bits != 0 {
+        let k = bits.trailing_zeros() as usize;
+        let p = top - k;
+        let row = row_at(p);
+        if row == 0 {
+            let reduced = bits >> k;
+            assert!(reduced >> 64 == 0, "reduced row below coordinate {top} wider than 64");
+            return Some((p, reduced as u64));
+        }
+        on_row(p);
+        assert!(
+            k + (64 - row.leading_zeros() as usize) <= 128,
+            "elimination row reaches more than 128 inputs below coordinate {top}"
+        );
+        bits ^= u128::from(row) << k;
+    }
+    None
 }
 
 /// Builds the maximal protected-position mask for `n_tx` transmitted bits
@@ -118,8 +130,6 @@ fn symbolic_row(t: usize, taps_a: &[u32], taps_b: &[u32]) -> Vec<u32> {
 /// maximum for rate 2/3).
 pub fn protected_mask(n_tx: usize, edge: FreeEdge) -> Vec<bool> {
     assert_eq!(n_tx % 39, 0, "length must be a multiple of 39, got {n_tx}");
-    let taps_a = taps(G0);
-    let taps_b = taps(G1);
     // Priority phases, most important first. For Front we protect every
     // position at cycle offset ≥ 5 (24 per 39 — the paper's {5..13},
     // {18..25}, {31..38}), then add offset-4 positions while rank lasts
@@ -128,16 +138,13 @@ pub fn protected_mask(n_tx: usize, edge: FreeEdge) -> Vec<bool> {
     let phase_of = |t: usize| -> usize {
         let pos = t % 13;
         match edge {
-            FreeEdge::Front => {
-                5_usize.saturating_sub(pos)
-            }
-            FreeEdge::Back => {
-                pos.saturating_sub(7)
-            }
+            FreeEdge::Front => 5_usize.saturating_sub(pos),
+            FreeEdge::Back => pos.saturating_sub(7),
         }
     };
     let n_in = n_tx / 3 * 2;
-    let mut pivots: Vec<Option<Vec<u32>>> = vec![None; n_in];
+    // Pivot rows by coordinate, relative to their pivot (0 = none).
+    let mut rows = vec![0u64; n_in];
     let mut mask = vec![false; n_tx];
     // Processing direction keeps the elimination banded: Front-mode
     // equations reference unknowns just introduced, so ascending order with
@@ -152,25 +159,11 @@ pub fn protected_mask(n_tx: usize, edge: FreeEdge) -> Vec<bool> {
             if phase_of(t) != phase || mask[t] {
                 continue;
             }
-            // lint: allow(r10) one-shot mask construction, amortized by RealtimePlan
-            let mut row = symbolic_row(t, &taps_a, &taps_b);
             // Reduce symbolically; accept iff independent.
-            loop {
-                let pivot = if asc { row.last() } else { row.first() };
-                match pivot {
-                    None => break, // dependent -> stays unprotected
-                    Some(&p) => match &pivots[p as usize] {
-                        Some(prow) => {
-                            // lint: allow(r10) sparse GF(2) rows are variable-length; the Vec is the row
-                            row = xor_rows(&row, prow);
-                        }
-                        None => {
-                            pivots[p as usize] = Some(row);
-                            mask[t] = true;
-                            break;
-                        }
-                    },
-                }
+            let (top, bits) = equation(t, n_in, asc);
+            if let Some((p, row)) = reduce(top, bits, |c| rows[c], |_| {}) {
+                rows[p] = row;
+                mask[t] = true;
             }
         }
     }
@@ -183,104 +176,145 @@ pub fn protected_mask(n_tx: usize, edge: FreeEdge) -> Vec<bool> {
 /// protectable, which pivot each equation lands on, which previously-stored
 /// rows it combines with — depends only on the code, never on the target
 /// bits. A plan captures that structure once; decoding a target is then a
-/// pure replay: propagate right-hand sides along the recorded dependency
-/// lists and back-substitute. This is what makes the decoder genuinely
-/// real-time (the paper's "pre-generated lookup table" plays the same
+/// pure replay (the paper's "pre-generated lookup table" plays the same
 /// role).
+///
+/// The elimination is banded, so the plan stores it as bit masks over a
+/// sliding window rather than index lists. Each row, in processing order
+/// (ascending transmit position for Front, descending for Back), keeps its
+/// source position `t`, its pivot, and a `u64` mask of the earlier rows
+/// whose right-hand sides it XORs (bit `k` = the row `k + 1` places
+/// before it). Each substitution coordinate keeps a `u8` mask of its
+/// pivot row's other unknowns (bit `k` = coordinate `k + 1` below it).
+/// A decode is two shift-register passes, each step one parity of
+/// `window & mask`; a row that does not fit its window fails the build.
 #[derive(Debug, Clone)]
 pub struct RealtimePlan {
     n_tx: usize,
     n_in: usize,
     mask: Vec<bool>,
-    /// Pivot rows in processing order.
-    rows: Vec<PlanRow>,
-    /// Row indices sorted in substitution order (by pivot, ascending for
-    /// Front, descending for Back).
-    sub_order: Vec<u32>,
-    /// Whether rows were processed in ascending transmitted order (Front).
+    /// Whether rows were processed in ascending transmitted order (Front);
+    /// also maps substitution coordinates to inputs (see [`equation`]).
     asc: bool,
-    /// `min_pivot_from[i]` = the smallest pivot among `rows[i..]` (`n_in`
-    /// for `i == rows.len()`): the suffix-redecode bound — inputs below it
-    /// are untouched by any row at index ≥ `i`.
-    min_pivot_from: Vec<u32>,
-}
-
-#[derive(Debug, Clone)]
-struct PlanRow {
-    /// The pivot unknown this row solves for.
-    pivot: u32,
-    /// The transmitted-bit index the equation came from.
-    t: u32,
-    /// Indices (into `rows`) whose RHS was XORed in during reduction.
-    rhs_deps: Vec<u32>,
-    /// The reduced row's unknowns (pivot included).
-    unknowns: Vec<u32>,
+    /// Per row: the transmitted position its equation came from.
+    t: Vec<u32>,
+    /// Per row: the earlier rows whose right-hand sides it XORs.
+    deps: Vec<u64>,
+    /// Per row: the substitution coordinate it solves for.
+    pivot: Vec<u32>,
+    /// Per substitution coordinate: the other unknowns of the row pivoting
+    /// there (0 for free inputs, which decode to 0).
+    sub: Vec<u8>,
 }
 
 impl RealtimePlan {
     /// Builds the plan for `n_tx` transmitted bits (multiple of 39) with
     /// the given sacrificial edge. Cost is one symbolic elimination; every
     /// subsequent [`RealtimePlan::decode_into`] is a replay.
+    ///
+    /// # Panics
+    /// When a row's dependencies reach more than 64 rows back, or its
+    /// reduced unknowns more than 8 inputs past its pivot — the banded
+    /// layout cannot hold it.
     pub fn new(n_tx: usize, edge: FreeEdge) -> RealtimePlan {
         let mask = protected_mask(n_tx, edge);
         let n_in = n_tx / 3 * 2;
-        let taps_a = taps(G0);
-        let taps_b = taps(G1);
         let asc = edge == FreeEdge::Front;
-        // pivot unknown -> row index
-        let mut pivot_of: Vec<Option<u32>> = vec![None; n_in];
-        let mut rows: Vec<PlanRow> = Vec::new();
+        let n_rows = mask.iter().filter(|&&m| m).count();
+        let (mut t_of, mut deps, mut pivot) =
+            (Vec::with_capacity(n_rows), Vec::with_capacity(n_rows), Vec::with_capacity(n_rows));
+        let mut sub = vec![0u8; n_in];
+        // Build-time only: the row pivoting at each coordinate.
+        let mut row_of = vec![u32::MAX; n_in];
         for i in 0..n_tx {
             let t = if asc { i } else { n_tx - 1 - i };
             if !mask[t] {
                 continue;
             }
-            // lint: allow(r10) one-shot plan construction, amortized across decodes
-            let mut unknowns = symbolic_row(t, &taps_a, &taps_b);
-            let mut rhs_deps = Vec::new();
-            loop {
-                let pivot = if asc { unknowns.last() } else { unknowns.first() };
-                match pivot {
-                    None => unreachable!("mask rows are independent by construction"),
-                    Some(&p) => match pivot_of[p as usize] {
-                        Some(ri) => {
-                            rhs_deps.push(ri);
-                            // lint: allow(r10) one-shot plan construction, amortized across decodes
-                            unknowns = xor_rows(&unknowns, &rows[ri as usize].unknowns);
-                        }
-                        None => {
-                            pivot_of[p as usize] = Some(rows.len() as u32);
-                            rows.push(PlanRow {
-                                pivot: p,
-                                t: t as u32,
-                                rhs_deps,
-                                unknowns,
-                            });
-                            break;
-                        }
-                    },
-                }
-            }
+            let r = t_of.len();
+            let (top, bits) = equation(t, n_in, asc);
+            let mut dep = 0u64;
+            let row_at = |c: usize| match row_of[c] {
+                u32::MAX => 0,
+                _ => 1 | u64::from(sub[c]) << 1,
+            };
+            let reduced = reduce(top, bits, row_at, |c| {
+                let back = r - 1 - row_of[c] as usize;
+                assert!(back < 64, "row for transmit bit {t} depends on a row {} back", back + 1);
+                dep ^= 1 << back;
+            });
+            let Some((p, row)) = reduced else {
+                unreachable!("mask rows are independent by construction")
+            };
+            assert!(
+                row >> 9 == 0,
+                "row for transmit bit {t} spans more than 8 inputs past its pivot"
+            );
+            sub[p] = (row >> 1) as u8;
+            row_of[p] = r as u32;
+            t_of.push(t as u32);
+            deps.push(dep);
+            pivot.push(p as u32);
         }
-        let mut sub_order: Vec<u32> = (0..rows.len() as u32).collect();
-        sub_order.sort_by_key(|&i| {
-            let p = rows[i as usize].pivot as i64;
-            if asc {
-                p
-            } else {
-                -p
-            }
-        });
-        let mut min_pivot_from = vec![n_in as u32; rows.len() + 1];
-        for i in (0..rows.len()).rev() {
-            min_pivot_from[i] = min_pivot_from[i + 1].min(rows[i].pivot);
-        }
-        RealtimePlan { n_tx, n_in, mask, rows, sub_order, asc, min_pivot_from }
+        RealtimePlan { n_tx, n_in, mask, asc, t: t_of, deps, pivot, sub }
     }
 
     /// The protected-position mask this plan realizes.
     pub fn mask(&self) -> &[bool] {
         &self.mask
+    }
+
+    /// Heap footprint of the plan, in bytes.
+    pub fn bytes(&self) -> usize {
+        self.mask.capacity()
+            + self.t.capacity() * 4
+            + self.deps.capacity() * 8
+            + self.pivot.capacity() * 4
+            + self.sub.capacity()
+    }
+
+    /// Phase 1 of a replay from row `r0`: propagates right-hand sides in
+    /// processing order, `win` holding the earlier rows' values (bit `k` =
+    /// row `r0 − 1 − k`), and scatters each to its pivot's coordinate.
+    fn propagate(&self, target: &[bool], r0: usize, win: u64, rhs: &mut [bool]) {
+        // The two newest values are kept out of the window so that the
+        // parity over the older rows — the long part of each step — does
+        // not wait for the rows just solved: per row, only an AND and an
+        // XOR with the newest value sit on the loop-carried path.
+        let (mut older, mut n2, mut n1) = (win >> 2, win >> 1 & 1, win & 1);
+        let rows = self.t[r0..].iter().zip(&self.deps[r0..]).zip(&self.pivot[r0..]);
+        for ((&t, &dep), &p) in rows {
+            let from_older = u64::from((older << 2 & dep).count_ones() & 1);
+            let early = u64::from(target[t as usize]) ^ from_older ^ (n2 & dep >> 1);
+            let v = (early ^ (n1 & dep)) & 1;
+            older = (older << 1) | n2;
+            (n2, n1) = (n1, v);
+            rhs[p as usize] = v == 1;
+        }
+    }
+
+    /// Phase 2 of a replay from coordinate `c0`: back-substitutes in
+    /// coordinate order, `win` holding the preceding coordinates' values
+    /// (bit `k` = coordinate `c0 − 1 − k`).
+    fn substitute(&self, rhs: &[bool], c0: usize, win: u8, decoded: &mut [bool]) {
+        // As in `propagate`, the newest value stays out of the window so
+        // only an AND and an XOR with it are on the loop-carried path.
+        let (mut older, mut newest) = (u32::from(win >> 1), u32::from(win & 1));
+        let mut step = |slot: &mut bool, (&r, &m): (&bool, &u8)| {
+            let m = u32::from(m);
+            let early = u32::from(r) ^ ((older << 1 & m).count_ones() & 1);
+            let v = (early ^ (newest & m)) & 1;
+            older = (older << 1) | newest;
+            newest = v;
+            *slot = v == 1;
+        };
+        let coords = rhs[c0..].iter().zip(&self.sub[c0..]);
+        if self.asc {
+            decoded[c0..].iter_mut().zip(coords).for_each(|(s, c)| step(s, c));
+        } else {
+            let n = self.n_in - c0;
+            decoded[..n].iter_mut().rev().zip(coords).for_each(|(s, c)| step(s, c));
+        }
     }
 
     /// Decodes a target coded stream (length must equal the plan's): replays
@@ -296,43 +330,18 @@ impl RealtimePlan {
         flips: &mut Vec<usize>,
     ) {
         assert_eq!(target.len(), self.n_tx, "target length must match the plan");
-        // Phase 1: propagate right-hand sides along the recorded reductions
-        // (rhs_deps only reference earlier rows, so one forward pass fills
-        // the whole vector).
-        let rhs = &mut scratch.rhs;
-        bluefi_dsp::contracts::ensure_len(rhs, self.rows.len(), false);
-        for (i, row) in self.rows.iter().enumerate() {
-            let mut v = target[row.t as usize];
-            for &d in &row.rhs_deps {
-                v ^= rhs[d as usize];
-            }
-            rhs[i] = v;
-        }
-        // Phase 2: substitution in pivot order. Free unknowns default to 0.
+        // Phase 1 fills every pivot's right-hand side; free inputs keep 0.
+        bluefi_dsp::contracts::ensure_len(&mut scratch.rhs, self.n_in, false);
+        scratch.rhs.fill(false);
+        self.propagate(target, 0, 0, &mut scratch.rhs);
+        // Phase 2: substitution; free unknowns come out 0.
         bluefi_dsp::contracts::ensure_len(decoded, self.n_in, false);
-        decoded.fill(false);
-        for &ri in &self.sub_order {
-            let row = &self.rows[ri as usize];
-            let mut v = rhs[ri as usize];
-            for &u in &row.unknowns {
-                if u != row.pivot {
-                    v ^= decoded[u as usize];
-                }
-            }
-            decoded[row.pivot as usize] = v;
-        }
-        // Verify and collect flips through the scratch re-encode buffers.
-        encode_r12_into(decoded, &mut scratch.reenc_mother);
-        puncture_into(CodeRate::R23, &scratch.reenc_mother, &mut scratch.reenc_punct);
-        debug_assert_eq!(scratch.reenc_punct.len(), self.n_tx);
+        self.substitute(&scratch.rhs, 0, 0, decoded);
+        // Verify and collect flips through the packed re-encoder.
         let cap = flips.capacity();
         flips.clear();
-        for (t, (a, b)) in scratch.reenc_punct.iter().zip(target).enumerate() {
-            if a != b {
-                debug_assert!(!self.mask[t], "protected bit {t} flipped");
-                flips.push(t);
-            }
-        }
+        scratch.reenc.push_flips_from(CodeRate::R23, decoded, target, 0, flips);
+        debug_assert!(flips.iter().all(|&t| !self.mask[t]), "a protected bit flipped");
         if flips.capacity() > cap {
             bluefi_dsp::contracts::probe_alloc();
         }
@@ -351,16 +360,16 @@ impl RealtimePlan {
         ckpt: &mut RealtimeCheckpoint,
     ) {
         debug_assert_eq!(decoded.len(), self.n_in);
-        bluefi_dsp::contracts::ensure_len(&mut ckpt.rhs, self.rows.len(), false);
-        ckpt.rhs.copy_from_slice(&scratch.rhs[..self.rows.len()]);
+        bluefi_dsp::contracts::ensure_len(&mut ckpt.rhs, self.n_in, false);
+        ckpt.rhs.copy_from_slice(&scratch.rhs[..self.n_in]);
         bluefi_dsp::contracts::ensure_len(&mut ckpt.decoded, self.n_in, false);
         ckpt.decoded.copy_from_slice(decoded);
     }
 
     /// Index of the first elimination row sourced at or past transmit
-    /// position `t_start` (rows are stored in ascending-`t` order).
+    /// position `t_start` (Front rows are stored in ascending-`t` order).
     fn first_replayed_row(&self, t_start: usize) -> usize {
-        self.rows.partition_point(|row| (row.t as usize) < t_start)
+        self.t.partition_point(|&t| (t as usize) < t_start)
     }
 
     /// How many elimination rows a suffix re-decode from transmit
@@ -369,7 +378,7 @@ impl RealtimePlan {
     /// plan, i.e. the cost of a full replay). Exposed so callers can
     /// attribute patch-path FEC work, e.g. on a trace span's detail.
     pub fn replayed_rows_from(&self, t_start: usize) -> usize {
-        self.rows.len() - self.first_replayed_row(t_start)
+        self.t.len() - self.first_replayed_row(t_start)
     }
 
     /// Incremental redecode for a target that matches the checkpointed one
@@ -395,45 +404,33 @@ impl RealtimePlan {
     ) -> usize {
         debug_assert!(self.asc, "suffix redecode requires a Front-edge plan");
         debug_assert_eq!(target.len(), self.n_tx);
-        debug_assert_eq!(ckpt.rhs.len(), self.rows.len());
+        debug_assert_eq!(ckpt.rhs.len(), self.n_in);
         debug_assert_eq!(ckpt.decoded.len(), self.n_in);
         // Rows are in ascending-t order: the first row sourced at or past
-        // the mutation is found by binary search.
+        // the mutation is found by binary search. Inputs below the smallest
+        // pivot any replayed row solves are untouched by the replay.
         let r_start = self.first_replayed_row(t_start);
-        let b_bound = self.min_pivot_from[r_start] as usize;
+        let b_bound = self.pivot[r_start..].iter().min().map_or(self.n_in, |&p| p as usize);
         // Phase 1 (suffix): rows < r_start read unchanged targets and
-        // unchanged dependencies, so their RHS comes from the checkpoint;
-        // rows ≥ r_start are recomputed into the scratch.
-        bluefi_dsp::contracts::ensure_len(&mut scratch.rhs, self.rows.len(), false);
-        for i in r_start..self.rows.len() {
-            let row = &self.rows[i];
-            let mut v = target[row.t as usize];
-            for &d in &row.rhs_deps {
-                let d = d as usize;
-                v ^= if d < r_start { ckpt.rhs[d] } else { scratch.rhs[d] };
-            }
-            scratch.rhs[i] = v;
-        }
+        // unchanged dependencies, so their right-hand sides come from the
+        // checkpoint — both as the replay's starting window and for the
+        // substitution below; rows ≥ r_start are recomputed.
+        bluefi_dsp::contracts::ensure_len(&mut scratch.rhs, self.n_in, false);
+        scratch.rhs[b_bound..].copy_from_slice(&ckpt.rhs[b_bound..]);
+        let win = self.pivot[r_start.saturating_sub(64)..r_start]
+            .iter()
+            .fold(0u64, |w, &p| (w << 1) | u64::from(ckpt.rhs[p as usize]));
+        self.propagate(target, r_start, win, &mut scratch.rhs);
         // Phase 2: inputs below b_bound are solved by rows < r_start whose
         // unknowns are all < b_bound (Front pivots are row maxima), so they
-        // keep their checkpointed values; every pivot ≥ b_bound is
-        // re-substituted in ascending pivot order.
+        // keep their checkpointed values; every coordinate ≥ b_bound is
+        // re-substituted in ascending order.
         bluefi_dsp::contracts::ensure_len(decoded, self.n_in, false);
         decoded.copy_from_slice(&ckpt.decoded);
-        let s_start = self
-            .sub_order
-            .partition_point(|&ri| (self.rows[ri as usize].pivot as usize) < b_bound);
-        for &ri in &self.sub_order[s_start..] {
-            let ri = ri as usize;
-            let row = &self.rows[ri];
-            let mut v = if ri < r_start { ckpt.rhs[ri] } else { scratch.rhs[ri] };
-            for &u in &row.unknowns {
-                if u != row.pivot {
-                    v ^= decoded[u as usize];
-                }
-            }
-            decoded[row.pivot as usize] = v;
-        }
+        let win = ckpt.decoded[b_bound.saturating_sub(8)..b_bound]
+            .iter()
+            .fold(0u8, |w, &d| (w << 1) | u8::from(d));
+        self.substitute(&scratch.rhs, b_bound, win, decoded);
         b_bound
     }
 
@@ -443,6 +440,7 @@ impl RealtimePlan {
     /// ≥ `b_bound` or whose target bit changed (≥ `t_start`) — and splices
     /// it after the base decode's flips. `base_flips` must be the flip list
     /// of the checkpointed decode against the checkpointed target.
+    #[allow(clippy::too_many_arguments)]
     pub fn reencode_flips_suffix(
         &self,
         decoded: &[bool],
@@ -450,6 +448,7 @@ impl RealtimePlan {
         b_bound: usize,
         t_start: usize,
         base_flips: &[usize],
+        scratch: &mut RealtimeScratch,
         flips: &mut Vec<usize>,
     ) {
         debug_assert_eq!(decoded.len(), self.n_in);
@@ -463,31 +462,8 @@ impl RealtimePlan {
         flips.clear();
         let keep = base_flips.partition_point(|&f| f < t_flip);
         flips.extend_from_slice(&base_flips[..keep]);
-        // Generator taps as input-index offsets, hardcoded for the suffix
-        // walk (pinned against `taps(G0)`/`taps(G1)` by a test).
-        const TAPS_A: [usize; 5] = [0, 2, 3, 5, 6];
-        const TAPS_B: [usize; 5] = [0, 1, 2, 3, 6];
-        let parity = |taps: &[usize; 5], j: usize| -> bool {
-            let mut v = false;
-            for &d in taps {
-                if d <= j {
-                    v ^= decoded[j - d];
-                }
-            }
-            v
-        };
-        for (t, &want) in target.iter().enumerate().skip(t_flip) {
-            let g = t / 3;
-            let re = match t % 3 {
-                0 => parity(&TAPS_A, 2 * g),
-                1 => parity(&TAPS_B, 2 * g),
-                _ => parity(&TAPS_A, 2 * g + 1),
-            };
-            if re != want {
-                debug_assert!(!self.mask[t], "protected bit {t} flipped");
-                flips.push(t);
-            }
-        }
+        scratch.reenc.push_flips_from(CodeRate::R23, decoded, target, t_flip, flips);
+        debug_assert!(flips.iter().all(|&t| !self.mask[t]), "a protected bit flipped");
         if flips.capacity() > cap {
             bluefi_dsp::contracts::probe_alloc();
         }
@@ -495,10 +471,10 @@ impl RealtimePlan {
 }
 
 /// A saved decode state for one `(plan, target)` pair: the propagated
-/// right-hand sides and the recovered information bits. Captured by
-/// [`RealtimePlan::save_checkpoint`], consumed by
-/// [`RealtimePlan::redecode_suffix`] to patch in a mutated target without
-/// replaying the untouched prefix of the elimination.
+/// right-hand sides (by substitution coordinate) and the recovered
+/// information bits. Captured by [`RealtimePlan::save_checkpoint`],
+/// consumed by [`RealtimePlan::redecode_suffix`] to patch in a mutated
+/// target without replaying the untouched prefix of the elimination.
 #[derive(Debug, Clone, Default)]
 pub struct RealtimeCheckpoint {
     rhs: Vec<bool>,
@@ -518,15 +494,15 @@ impl RealtimeCheckpoint {
     }
 }
 
-/// Reusable buffers for [`RealtimePlan::decode_into`]: the RHS propagation
-/// vector and the re-encode verification buffers. One per worker thread,
-/// never shared; buffers grow to the largest plan replayed and are then
-/// reused allocation-free.
+/// Reusable buffers for [`RealtimePlan::decode_into`]: the right-hand-side
+/// vector and the packed re-encoder of the verify step (which
+/// [`crate::ViterbiScratch::reencode_flips_into`] shares). One per worker
+/// thread, never shared; buffers grow to the largest plan replayed and are
+/// then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct RealtimeScratch {
     rhs: Vec<bool>,
-    reenc_mother: Vec<bool>,
-    reenc_punct: Vec<bool>,
+    pub(crate) reenc: Reencoder,
 }
 
 impl RealtimeScratch {
@@ -596,7 +572,7 @@ mod tests {
         let n = 39 * 8;
         let plan = RealtimePlan::new(n, FreeEdge::Front);
         let all = plan.replayed_rows_from(0);
-        assert_eq!(all, plan.rows.len(), "t_start 0 replays the whole plan");
+        assert_eq!(all, plan.t.len(), "t_start 0 replays the whole plan");
         assert_eq!(plan.replayed_rows_from(n), 0, "past-the-end replays nothing");
         let mut prev = all;
         for t in [1, n / 4, n / 2, n - 1] {
@@ -606,7 +582,7 @@ mod tests {
         }
         // Consistency with the row layout itself.
         for t in [0, 7, n / 3, n - 1] {
-            let direct = plan.rows.iter().filter(|row| (row.t as usize) >= t).count();
+            let direct = plan.t.iter().filter(|&&row_t| (row_t as usize) >= t).count();
             assert_eq!(plan.replayed_rows_from(t), direct);
         }
     }
@@ -759,10 +735,35 @@ mod tests {
 
     #[test]
     fn hardcoded_suffix_taps_match_the_generators() {
-        // reencode_flips_suffix walks the generators with hardcoded tap
-        // offsets; pin them against the canonical derivation.
-        assert_eq!(taps(G0), vec![0, 2, 3, 5, 6]);
-        assert_eq!(taps(G1), vec![0, 1, 2, 3, 6]);
+        // The equation builder derives each parity row from the generator
+        // octals; pin the tap offsets it yields (A: d, d-2, d-3, d-5, d-6;
+        // B: d, d-1, d-2, d-3, d-6) in both coordinate directions, away
+        // from the stream start where early taps fall off.
+        let (n_in, t) = (200, 3 * 20);
+        let latest = 2 * (t / 3);
+        for (t, want) in [(t, [0, 2, 3, 5, 6]), (t + 1, [0, 1, 2, 3, 6])] {
+            let (top, bits) = equation(t, n_in, true);
+            let got: Vec<usize> = (0..64).filter(|k| bits >> k & 1 == 1).map(|k| top - k).collect();
+            let mut expect: Vec<usize> = want.iter().map(|d| latest - d).collect();
+            expect.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(got, expect, "Front, t = {t}");
+            let (top, bits) = equation(t, n_in, false);
+            let mut got: Vec<usize> =
+                (0..64).filter(|k| bits >> k & 1 == 1).map(|k| n_in - 1 - (top - k)).collect();
+            got.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(got, expect, "Back, t = {t}");
+        }
+        // The first output sees only the current input.
+        assert_eq!(equation(0, n_in, true), (0, 1));
+    }
+
+    #[test]
+    fn full_length_plan_fits_in_four_megabytes() {
+        // 800 OFDM symbols at MCS 5 (312 coded bits each), the longest
+        // packet the audio streamer sends: the banded plan's heap footprint.
+        let plan = RealtimePlan::new(800 * 312, FreeEdge::Front);
+        assert_eq!(plan.t.len(), 800 * 312 / 3 * 2);
+        assert!(plan.bytes() < 4 << 20, "plan holds {} bytes", plan.bytes());
     }
 
     #[test]
@@ -796,7 +797,15 @@ mod tests {
             assert_eq!(got_dec[..b], ckpt.decoded[..b]);
 
             let mut got_flips = Vec::new();
-            plan.reencode_flips_suffix(&got_dec, &target, b, t_start, &base_flips, &mut got_flips);
+            plan.reencode_flips_suffix(
+                &got_dec,
+                &target,
+                b,
+                t_start,
+                &base_flips,
+                &mut scratch,
+                &mut got_flips,
+            );
             assert_eq!(got_flips, want_flips, "t_start={t_start}");
         }
     }
@@ -816,7 +825,7 @@ mod tests {
         assert_eq!(b, n / 3 * 2);
         assert_eq!(got, decoded);
         let mut got_flips = Vec::new();
-        plan.reencode_flips_suffix(&got, &base, b, n, &flips, &mut got_flips);
+        plan.reencode_flips_suffix(&got, &base, b, n, &flips, &mut scratch, &mut got_flips);
         assert_eq!(got_flips, flips);
     }
 

@@ -24,8 +24,8 @@
 use crate::trellis::{trellis_plan, PackedScratch};
 
 /// Reusable decoder state: the packed engine's metric columns and
-/// survivor words, the re-encode buffers, and the real-time decoder's
-/// replay buffers.
+/// survivor words, and the real-time decoder's replay buffers (whose
+/// packed re-encoder both strategies use).
 ///
 /// One scratch amortizes every allocation the decoder needs; after the
 /// first decode of a given length, subsequent decodes through the same
@@ -33,13 +33,11 @@ use crate::trellis::{trellis_plan, PackedScratch};
 /// per worker thread, never shared.
 #[derive(Debug, Clone, Default)]
 pub struct ViterbiScratch {
-    // Re-encode buffers for `reencode_flips_into`.
-    reenc_mother: Vec<bool>,
-    reenc_punct: Vec<bool>,
     // The packed engine's metric columns and survivor words.
     packed: PackedScratch,
     // Replay buffers for the real-time decoder, so one scratch serves both
-    // FEC-reversal strategies (`core::reversal` picks per packet).
+    // FEC-reversal strategies (`core::reversal` picks per packet); its
+    // packed re-encoder serves `reencode_flips_into` too.
     realtime: crate::realtime::RealtimeScratch,
 }
 
@@ -76,8 +74,9 @@ impl ViterbiScratch {
 
     /// Re-encodes `decoded` and writes the transmitted positions where it
     /// differs from the punctured target ("bit-flips" in the paper's
-    /// language) into `flips` (cleared first). Re-encodes through the
-    /// internal buffers, allocating only when a buffer must grow.
+    /// language) into `flips` (cleared first). Re-encodes on packed words
+    /// through the scratch's [`crate::convolutional::Reencoder`],
+    /// allocating only when a buffer must grow.
     pub fn reencode_flips_into(
         &mut self,
         rate: crate::puncture::CodeRate,
@@ -85,16 +84,9 @@ impl ViterbiScratch {
         target_punctured: &[bool],
         flips: &mut Vec<usize>,
     ) {
-        crate::convolutional::encode_r12_into(decoded, &mut self.reenc_mother);
-        crate::puncture::puncture_into(rate, &self.reenc_mother, &mut self.reenc_punct);
-        assert_eq!(self.reenc_punct.len(), target_punctured.len());
         let cap = flips.capacity();
         flips.clear();
-        for (i, (a, b)) in self.reenc_punct.iter().zip(target_punctured).enumerate() {
-            if a != b {
-                flips.push(i);
-            }
-        }
+        self.realtime.reenc.push_flips_from(rate, decoded, target_punctured, 0, flips);
         if flips.capacity() > cap {
             bluefi_dsp::contracts::probe_alloc();
         }

@@ -2,15 +2,20 @@
 //! promises, on the in-tree `bluefi_core::check` harness.
 
 use bluefi_coding::bch::{check_sync_word, sync_word};
-use bluefi_coding::convolutional::{encode_r12, transition_next, transition_output, NUM_STATES};
+use bluefi_coding::convolutional::{
+    encode_r12, encode_words_into, transition_next, transition_output, Reencoder, G0, G1,
+    NUM_STATES,
+};
 use bluefi_coding::crc::{crc16_bits, crc16_check, crc24_bits, crc24_check, BLE_ADV_CRC_INIT};
 use bluefi_coding::hamming::{decode15_10, decode_r13, encode15_10, encode_r13, BlockStatus};
 use bluefi_coding::lfsr::{ble_whiten, recover_seed, scramble};
-use bluefi_coding::puncture::{puncture, CodeRate};
-use bluefi_coding::realtime::{protected_mask, RealtimePlan, RealtimeScratch};
+use bluefi_coding::puncture::{puncture, puncture_words_into, CodeRate};
+use bluefi_coding::realtime::{
+    protected_mask, RealtimeCheckpoint, RealtimePlan, RealtimeScratch,
+};
 use bluefi_coding::viterbi::decode_punctured;
 use bluefi_coding::{FreeEdge, ViterbiScratch};
-use bluefi_core::check::{bools, check};
+use bluefi_core::check::{bools, check, check_n};
 use bluefi_core::rng::{Rng, SeedableRng, StdRng};
 use bluefi_core::{prop_assert, prop_assert_eq};
 
@@ -102,6 +107,282 @@ fn realtime_plan_never_flips_protected() {
             Ok(())
         },
     );
+}
+
+/// The real-time decoder as a plain sparse-row Gaussian elimination: the
+/// test oracle the banded bit-mask [`RealtimePlan`] and the windowed
+/// [`protected_mask`] walk are held bit-identical to. Rows are ascending
+/// `Vec`s of input indices; the mask walk, the elimination with its
+/// recorded right-hand-side dependencies, the replay, the substitution and
+/// the re-encode are each spelled out once, with no windowing.
+mod vec_row_oracle {
+    use super::*;
+
+    /// The GF(2) sum of two sparse rows: the symmetric difference of two
+    /// ascending unknown lists, itself ascending.
+    fn xor_rows(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        out
+    }
+
+    /// Generator taps as input-index offsets (0 = current input).
+    fn taps(g: u8) -> Vec<u32> {
+        (0..7).filter(|&d| (g >> (6 - d)) & 1 == 1).map(|d| d as u32).collect()
+    }
+
+    /// The parity equation of transmitted bit `t` at rate 2/3: which input
+    /// indices XOR to produce it, ascending.
+    fn symbolic_row(t: usize) -> Vec<u32> {
+        let g = t / 3;
+        let (latest, tapset) = match t % 3 {
+            0 => (2 * g as i64, taps(G0)),
+            1 => (2 * g as i64, taps(G1)),
+            _ => (2 * g as i64 + 1, taps(G0)),
+        };
+        let mut unknowns: Vec<u32> = tapset
+            .iter()
+            .filter_map(|&d| {
+                let idx = latest - d as i64;
+                (idx >= 0).then_some(idx as u32)
+            })
+            .collect();
+        unknowns.sort_unstable();
+        unknowns
+    }
+
+    /// Reduces `row` against `pivots` (pivot = last unknown when `asc`,
+    /// first otherwise); `Err(row)` when it lands on a free pivot.
+    fn reduce(
+        mut row: Vec<u32>,
+        asc: bool,
+        pivots: &[Option<(Vec<u32>, usize)>],
+        deps: &mut Vec<usize>,
+    ) -> Option<(u32, Vec<u32>)> {
+        loop {
+            let p = *(if asc { row.last() } else { row.first() })?;
+            match &pivots[p as usize] {
+                Some((prow, ri)) => {
+                    deps.push(*ri);
+                    row = xor_rows(&row, prow);
+                }
+                None => return Some((p, row)),
+            }
+        }
+    }
+
+    pub fn mask(n_tx: usize, edge: FreeEdge) -> Vec<bool> {
+        let phase_of = |t: usize| match edge {
+            FreeEdge::Front => 5_usize.saturating_sub(t % 13),
+            FreeEdge::Back => (t % 13).saturating_sub(7),
+        };
+        let asc = edge == FreeEdge::Front;
+        let mut pivots: Vec<Option<(Vec<u32>, usize)>> = vec![None; n_tx / 3 * 2];
+        let mut mask = vec![false; n_tx];
+        for phase in 0..=5 {
+            for i in 0..n_tx {
+                let t = if asc { i } else { n_tx - 1 - i };
+                if phase_of(t) != phase || mask[t] {
+                    continue;
+                }
+                if let Some((p, row)) = reduce(symbolic_row(t), asc, &pivots, &mut Vec::new()) {
+                    pivots[p as usize] = Some((row, 0));
+                    mask[t] = true;
+                }
+            }
+        }
+        mask
+    }
+
+    /// Decodes `target` protecting `mask`: returns `(decoded, flips)`.
+    pub fn decode(target: &[bool], mask: &[bool], edge: FreeEdge) -> (Vec<bool>, Vec<usize>) {
+        let n_tx = target.len();
+        let n_in = n_tx / 3 * 2;
+        let asc = edge == FreeEdge::Front;
+        // Elimination in processing order, recording per row its source
+        // position, the rows whose right-hand sides it XORs, and its
+        // reduced unknowns.
+        let mut pivots: Vec<Option<(Vec<u32>, usize)>> = vec![None; n_in];
+        let mut rows: Vec<(usize, Vec<usize>, u32, Vec<u32>)> = Vec::new();
+        for i in 0..n_tx {
+            let t = if asc { i } else { n_tx - 1 - i };
+            if !mask[t] {
+                continue;
+            }
+            let mut deps = Vec::new();
+            let (p, row) = reduce(symbolic_row(t), asc, &pivots, &mut deps)
+                .expect("mask rows are independent");
+            pivots[p as usize] = Some((row.clone(), rows.len()));
+            rows.push((t, deps, p, row));
+        }
+        // Replay: right-hand sides forward, then substitution in pivot
+        // order (free unknowns are 0).
+        let mut rhs = vec![false; rows.len()];
+        for (i, (t, deps, _, _)) in rows.iter().enumerate() {
+            rhs[i] = deps.iter().fold(target[*t], |v, &d| v ^ rhs[d]);
+        }
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&i| if asc { rows[i].2 as i64 } else { -(rows[i].2 as i64) });
+        let mut decoded = vec![false; n_in];
+        for i in order {
+            let (_, _, p, unknowns) = &rows[i];
+            decoded[*p as usize] = unknowns
+                .iter()
+                .filter(|&&u| u != *p)
+                .fold(rhs[i], |v, &u| v ^ decoded[u as usize]);
+        }
+        let reenc = puncture(CodeRate::R23, &encode_r12(&decoded));
+        let flips = (0..n_tx).filter(|&t| reenc[t] != target[t]).collect();
+        (decoded, flips)
+    }
+}
+
+/// The banded plan against the sparse-row oracle on random targets of
+/// `symbols` OFDM symbols (312 coded bits each), both edges: equal decoded
+/// bits and flips.
+fn assert_plan_matches_oracle(symbols: impl Iterator<Item = usize>, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut scratch = RealtimeScratch::new();
+    let (mut decoded, mut flips) = (Vec::new(), Vec::new());
+    for symbols in symbols {
+        let target: Vec<bool> = (0..symbols * 312).map(|_| rng.gen::<bool>()).collect();
+        for edge in [FreeEdge::Front, FreeEdge::Back] {
+            let plan = RealtimePlan::new(target.len(), edge);
+            let (want_dec, want_flips) = vec_row_oracle::decode(&target, plan.mask(), edge);
+            plan.decode_into(&target, &mut scratch, &mut decoded, &mut flips);
+            assert!(decoded == want_dec, "{symbols} symbols, {edge:?}: decoded bits differ");
+            assert_eq!(flips, want_flips, "{symbols} symbols, {edge:?}: flips");
+        }
+    }
+}
+
+#[test]
+fn banded_plan_matches_the_vec_row_oracle_up_to_130_symbols() {
+    assert_plan_matches_oracle(1..=130, 0x0BAD_5EED);
+}
+
+#[test]
+fn banded_plan_matches_the_vec_row_oracle_every_29th_length_to_1000() {
+    assert_plan_matches_oracle((145..=1000).step_by(29), 0x0BAD_5EEE);
+}
+
+#[test]
+fn windowed_mask_walk_matches_the_sparse_walk() {
+    for symbols in (1..=40).chain([101, 130, 377]) {
+        for edge in [FreeEdge::Front, FreeEdge::Back] {
+            let n = symbols * 312;
+            assert_eq!(
+                protected_mask(n, edge),
+                vec_row_oracle::mask(n, edge),
+                "{symbols} symbols, {edge:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn suffix_redecode_equals_full_decode_at_random_points() {
+    check_n(
+        "suffix_redecode_equals_full_decode_at_random_points",
+        16,
+        |rng| {
+            let n = 39 * rng.gen_range(1usize..40);
+            let base = bools(rng, n..n + 1);
+            let tail = bools(rng, n..n + 1);
+            let t_start = rng.gen_range(0..n + 1);
+            (base, tail, t_start)
+        },
+        |(base, tail, t_start)| {
+            let n = base.len();
+            let plan = RealtimePlan::new(n, FreeEdge::Front);
+            let mut scratch = RealtimeScratch::new();
+            let (mut decoded, mut base_flips) = (Vec::new(), Vec::new());
+            plan.decode_into(base, &mut scratch, &mut decoded, &mut base_flips);
+            let mut ckpt = RealtimeCheckpoint::new();
+            plan.save_checkpoint(&scratch, &decoded, &mut ckpt);
+            let mut target = base.clone();
+            target[*t_start..].copy_from_slice(&tail[*t_start..]);
+
+            let (mut want_dec, mut want_flips) = (Vec::new(), Vec::new());
+            plan.decode_into(&target, &mut RealtimeScratch::new(), &mut want_dec, &mut want_flips);
+            let mut got_dec = Vec::new();
+            let b = plan.redecode_suffix(&target, *t_start, &ckpt, &mut scratch, &mut got_dec);
+            prop_assert_eq!(&got_dec, &want_dec);
+            let mut got_flips = Vec::new();
+            plan.reencode_flips_suffix(
+                &got_dec,
+                &target,
+                b,
+                *t_start,
+                &base_flips,
+                &mut scratch,
+                &mut got_flips,
+            );
+            prop_assert_eq!(got_flips, want_flips);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn packed_encoder_matches_puncture_of_encode_r12() {
+    // Word-shift encode + word puncture against the bool chain, every rate,
+    // every input length 0..=200 (partial final periods included); then the
+    // flip scan against a corrupted target from several start positions.
+    let mut rng = StdRng::seed_from_u64(0x00E1_C0DE);
+    let mut reenc = Reencoder::new();
+    let (mut a, mut b, mut words, mut flips) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
+        for n in 0..=200usize {
+            let data: Vec<bool> = (0..n).map(|_| rng.gen::<bool>()).collect();
+            let want = puncture(rate, &encode_r12(&data));
+            assert_eq!(rate.transmitted_len(n), want.len(), "{rate:?} n={n}: length");
+            let mut input = vec![0u64; n.div_ceil(64)];
+            for (i, _) in data.iter().enumerate().filter(|(_, &bit)| bit) {
+                input[i / 64] |= 1 << (i % 64);
+            }
+            encode_words_into(&input, &mut a, &mut b);
+            puncture_words_into(rate, &a, &b, n, &mut words);
+            assert_eq!(words.len(), want.len().div_ceil(64), "{rate:?} n={n}: words");
+            for (t, &bit) in want.iter().enumerate() {
+                assert_eq!(words[t / 64] >> (t % 64) & 1 == 1, bit, "{rate:?} n={n}: bit {t}");
+            }
+            if want.len() % 64 != 0 {
+                assert_eq!(words.last().unwrap() >> (want.len() % 64), 0, "{rate:?} n={n}: tail");
+            }
+            let mut target = want.clone();
+            let corrupt: Vec<usize> =
+                (0..target.len()).filter(|_| rng.gen_range(0..9) == 0).collect();
+            for &t in &corrupt {
+                target[t] = !target[t];
+            }
+            for t_from in [0, target.len() / 3, target.len().saturating_sub(7), target.len()] {
+                flips.clear();
+                reenc.push_flips_from(rate, &data, &target, t_from, &mut flips);
+                let want_flips: Vec<usize> =
+                    corrupt.iter().copied().filter(|&t| t >= t_from).collect();
+                assert_eq!(flips, want_flips, "{rate:?} n={n} t_from={t_from}");
+            }
+        }
+    }
 }
 
 /// Textbook weighted hard-decision Viterbi that walks the punctured stream

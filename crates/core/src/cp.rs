@@ -113,21 +113,22 @@ impl CpCompat {
         // One extra lookahead sample: the last block's CP tail references
         // θ[N+64+L], the sample just past the block.
         self.extend_into(theta, extend_freq_cps, ext);
-        self.pocket_map_into(ext, out);
+        self.pocket_map_into(ext, 0, out);
     }
 
     /// The per-block pocket mapping alone: builds θ̂ from an
     /// already-extended θ (whole blocks plus one lookahead sample, as
-    /// produced by [`CpCompat::extend_into`] or an anchored-phase fill).
-    /// Factored out so the template cache's patch path can re-map
-    /// individual recomputed spans with the exact same copy semantics as
-    /// the cold path.
-    pub fn pocket_map_into(&self, ext: &[f64], out: &mut Vec<f64>) {
+    /// produced by [`CpCompat::extend_into`] or an anchored-phase fill),
+    /// from block `first_block` on; earlier blocks of `out` are left as
+    /// they are. Block `b` reads only `ext[b·bl ..= (b+1)·bl]`, so the
+    /// template cache's patch path re-maps just the blocks its mutation
+    /// reaches, with the exact same copy semantics as the cold path.
+    pub fn pocket_map_into(&self, ext: &[f64], first_block: usize, out: &mut Vec<f64>) {
         let theta = ext;
         let bl = self.block_len();
         debug_assert_eq!((theta.len() - 1) % bl, 0);
         bluefi_dsp::contracts::ensure_len(out, theta.len() - 1, 0.0);
-        for block in 0..out.len() / bl {
+        for block in first_block..out.len() / bl {
             let base = block * bl;
             for n in 0..bl {
                 out[base + n] = match self.pocket {

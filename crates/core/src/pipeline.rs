@@ -105,8 +105,6 @@ pub struct SynthesisScratch {
     fft_buf: Vec<Cx>,
     pub(crate) sym: QuantizedSymbol,
     demap: Vec<bool>,
-    interleaved: Vec<bool>,
-    block: Vec<bool>,
     // Per-symbol in-band quantization errors, in symbol order.
     pub(crate) errs: Vec<f64>,
     w_of: Vec<u32>,
@@ -158,9 +156,10 @@ impl SynthesisScratch {
 
     /// The one per-symbol step of Secs 2.5 + 2.7, shared by the cold chain
     /// and the template patch: FFT-quantizes OFDM symbol `b` of `theta_hat`,
-    /// records its in-band error in `errs[b]`, and demaps and
-    /// deinterleaves it into `coded[b·N_CBPS..]`. `errs` and `coded` must
-    /// already span the packet.
+    /// records its in-band error in `errs[b]`, and demaps it, writing each
+    /// bit straight to its deinterleaved place in `coded[b·N_CBPS..]` (the
+    /// interleaver's table). `errs` and `coded` must already span the
+    /// packet.
     pub(crate) fn quantize_symbol(&mut self, bf: &BlueFi, tx_subcarrier: f64, b: usize) {
         let modulation = bf.strategy.mcs().modulation;
         let il = self.interleaver_for(modulation);
@@ -178,13 +177,14 @@ impl SynthesisScratch {
         self.errs[b] = self.sym.in_band_error_db(tx_subcarrier, bf.weights.band);
         let ncbps = il.block_len();
         let bps = modulation.bits_per_symbol();
-        bluefi_dsp::contracts::ensure_len(&mut self.interleaved, ncbps, false);
-        for (d, &p) in self.sym.points.iter().enumerate() {
+        let coded = &mut self.coded[b * ncbps..(b + 1) * ncbps];
+        let table = il.coded_index_table();
+        for (&p, ks) in self.sym.points.iter().zip(table.chunks_exact(bps)) {
             demap_point_into(modulation, p, &mut self.demap);
-            self.interleaved[d * bps..(d + 1) * bps].copy_from_slice(&self.demap);
+            for (&bit, &k) in self.demap.iter().zip(ks) {
+                coded[usize::from(k)] = bit;
+            }
         }
-        il.deinterleave_into(&self.interleaved, &mut self.block);
-        self.coded[b * ncbps..(b + 1) * ncbps].copy_from_slice(&self.block);
     }
 
     /// Mean of the recorded per-symbol errors, summed in symbol order
@@ -261,7 +261,7 @@ impl BlueFi {
                 am.fill_ext(bt_bits, offset_cps, ext_len, &mut s.theta_ext);
             }
             let _sp = telemetry::span(SpanKind::CpCompat);
-            self.cp.pocket_map_into(&s.theta_ext, &mut s.theta_hat);
+            self.cp.pocket_map_into(&s.theta_ext, 0, &mut s.theta_hat);
         } else {
             let mut phase = std::mem::take(&mut s.phase);
             {
@@ -315,18 +315,27 @@ impl BlueFi {
         let n_symbols = s.theta_hat.len() / self.cp.block_len();
         let il = s.interleaver_for(mcs.modulation);
         let ncbps = il.block_len();
-        bluefi_dsp::contracts::ensure_len(&mut s.w_of, ncbps, 0);
-        for (k, w) in s.w_of.iter_mut().enumerate() {
-            *w = self.weights.weight_at(il.subcarrier_of(k), plan.tx_subcarrier);
+        // Only the weighted Viterbi reads per-bit weights; the real-time
+        // solver's protected set is fixed by its plan.
+        let weighted = self.strategy == DecodeStrategy::WeightedViterbi;
+        if weighted {
+            bluefi_dsp::contracts::ensure_len(&mut s.w_of, ncbps, 0);
+            for (k, w) in s.w_of.iter_mut().enumerate() {
+                *w = self.weights.weight_at(il.subcarrier_of(k), plan.tx_subcarrier);
+            }
+            bluefi_dsp::contracts::ensure_capacity(&mut s.weights, n_symbols * ncbps);
+        } else {
+            s.weights.clear();
         }
         bluefi_dsp::contracts::ensure_len(&mut s.coded, n_symbols * ncbps, false);
         bluefi_dsp::contracts::ensure_len(&mut s.errs, n_symbols, 0.0);
-        bluefi_dsp::contracts::ensure_capacity(&mut s.weights, n_symbols * ncbps);
         {
             let _sp = telemetry::span(SpanKind::Quantize);
             for b in 0..n_symbols {
                 s.quantize_symbol(self, plan.tx_subcarrier, b);
-                s.weights.extend_from_slice(&s.w_of);
+                if weighted {
+                    s.weights.extend_from_slice(&s.w_of);
+                }
             }
         }
         let mean_quant_error_db = s.mean_quant_error_db();

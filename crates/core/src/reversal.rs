@@ -3,7 +3,7 @@
 //! descramble (paper Secs 2.7–2.8).
 
 use crate::telemetry::{self, Counter};
-use bluefi_coding::lfsr::Lfsr7;
+use bluefi_coding::lfsr::{Lfsr7, ScramblerPeriod};
 use bluefi_coding::realtime::realtime_plan;
 use bluefi_coding::{CodeRate, FreeEdge, ViterbiScratch};
 use bluefi_wifi::Mcs;
@@ -124,45 +124,33 @@ pub fn extract_psdu_into(scrambled: &mut [bool], seed: u8, psdu: &mut Vec<u8>) -
     let psdu_bits = (total - 16 - 6) / 8 * 8;
     let tail_start = 16 + psdu_bits;
 
-    // The scrambler sequence (SERVICE and pad are zeros, so their scrambled
-    // value IS the sequence; tail is forced to zero post-scrambling).
-    let mut lfsr = Lfsr7::new(seed);
+    // The scrambler sequence, one 127-bit period. SERVICE and pad are
+    // zeros, so their scrambled value IS the sequence; the tail is forced
+    // to zero after scrambling.
+    let seq = ScramblerPeriod::new(seed);
     let mut forced = 0;
-    for (i, s) in scrambled.iter_mut().enumerate() {
-        let seq = lfsr.next_bit();
-        let forced_value = if i < 16 {
-            Some(seq) // scrambled SERVICE zeros
-        } else if (tail_start..tail_start + 6).contains(&i) {
-            Some(false) // tail bits zeroed after scrambling
-        } else if i >= tail_start + 6 {
-            Some(seq) // scrambled pad zeros
-        } else {
-            None
-        };
-        if let Some(v) = forced_value {
-            if *s != v {
-                forced += 1;
-                *s = v;
-            }
+    let mut force = |s: &mut bool, v: bool| {
+        if *s != v {
+            forced += 1;
+            *s = v;
         }
+    };
+    for (i, s) in scrambled.iter_mut().enumerate().take(16) {
+        force(s, seq.bit(i));
+    }
+    for s in &mut scrambled[tail_start..tail_start + 6] {
+        force(s, false);
+    }
+    for (i, s) in scrambled.iter_mut().enumerate().skip(tail_start + 6) {
+        force(s, seq.bit(i));
     }
 
-    // Descramble the PSDU region and pack LSB-first in one streaming pass.
-    // Descrambling = XOR with the same sequence; regenerate it aligned to
-    // position 0 and skip the SERVICE field's 16 bits.
-    let mut lfsr = Lfsr7::new(seed);
-    for _ in 0..16 {
-        lfsr.next_bit();
-    }
+    // Descramble the PSDU region and pack LSB-first: each byte XORs the
+    // 8-bit window of the sequence at its position.
     bluefi_dsp::contracts::ensure_len(psdu, psdu_bits / 8, 0u8);
-    for (byte_i, slot) in psdu.iter_mut().enumerate() {
-        let mut b = 0u8;
-        for bit in 0..8 {
-            if scrambled[16 + byte_i * 8 + bit] ^ lfsr.next_bit() {
-                b |= 1 << bit;
-            }
-        }
-        *slot = b;
+    for (byte_i, (slot, bits)) in psdu.iter_mut().zip(scrambled[16..].chunks_exact(8)).enumerate() {
+        let packed = bits.iter().enumerate().fold(0u8, |acc, (j, &b)| acc | (u8::from(b) << j));
+        *slot = packed ^ seq.byte(16 + 8 * byte_i);
     }
     if bluefi_dsp::contracts::enabled() && psdu_bits >= 8 {
         // Stage contract: the streaming pack must agree with a re-derivation

@@ -17,22 +17,24 @@
 //! * **Phase** — the anchored evaluator ([`bluefi_bt::anchored`]) computes
 //!   each sample as a closed-form function of an integer residue and a
 //!   ±3-symbol pulse window, so an unchanged window reproduces the
-//!   *identical* `f64`. The patch refills the whole extended phase (a few
-//!   microseconds) and finds dirty OFDM symbols by comparing raw bits of
-//!   the new and templated phase — a symbol whose 73-sample window matches
-//!   is untouched through every later stage, by determinism of the shared
-//!   code path.
+//!   *identical* `f64`. The patch re-evaluates the extended phase from the
+//!   first mutated bit's pulse window on and finds dirty OFDM symbols by
+//!   comparing raw bits of the new and templated phase — a symbol whose
+//!   73-sample window matches is untouched through every later stage, by
+//!   determinism of the shared code path.
 //! * **CP pocket map, FFT, quantization, demap, deinterleave** — all
-//!   per-symbol-local: only dirty symbols are recomputed; clean symbols'
-//!   coded bits are copied from the template.
+//!   per-symbol-local: only the symbols the refill reaches are pocket-mapped
+//!   and only dirty ones are recomputed; clean symbols' coded bits are
+//!   copied from the template.
 //! * **FEC reversal** — the real-time decoder is a replay of a fixed GF(2)
 //!   elimination. [`bluefi_coding::realtime::RealtimePlan::redecode_suffix`]
 //!   replays only the rows sourced at or after the first changed coded bit
 //!   against a saved checkpoint, returning the first information bit that
 //!   can differ; everything below it is copied.
-//! * **Descramble/pack** — the scrambler is a fixed LFSR stream (stored in
-//!   the template), so untouched PSDU bytes are copied and the suffix is
-//!   re-XORed; the forced-bit census is recounted in ~30 operations.
+//! * **Descramble/pack** — the scrambler is a fixed LFSR stream with period
+//!   127 (one period is rebuilt from the seed per patch), so untouched PSDU
+//!   bytes are copied and the suffix is re-XORed; the forced-bit census is
+//!   recounted in ~30 operations.
 //!
 //! ## Store
 //!
@@ -60,7 +62,7 @@ use crate::cp::PocketMode;
 use crate::pipeline::{BlueFi, PhaseMode, Synthesis, SynthesisScratch};
 use crate::reversal::DecodeStrategy;
 use crate::telemetry::{self, Counter, Gauge, SpanKind};
-use bluefi_coding::lfsr::Lfsr7;
+use bluefi_coding::lfsr::ScramblerPeriod;
 use bluefi_coding::realtime::{realtime_plan, FreeEdge, RealtimeCheckpoint};
 use bluefi_wifi::channels::ChannelPlan;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
@@ -123,8 +125,6 @@ pub struct Template {
     errs: Vec<f64>,
     /// Saved real-time decode state of `coded` (pre-forcing).
     ckpt: RealtimeCheckpoint,
-    /// The scrambler sequence for `seed`, one bit per scrambled position.
-    seq: Vec<bool>,
     /// Which interleaver-cycle edge the decode sacrifices (from the plan's
     /// subcarrier sign; Back-edge templates use an assisted full replay).
     edge: FreeEdge,
@@ -142,7 +142,6 @@ impl Template {
             + self.coded.capacity()
             + self.errs.capacity() * 8
             + self.ckpt.bytes()
-            + self.seq.capacity()
             + self.base.psdu.capacity()
             + self.base.flips.capacity() * 8
     }
@@ -380,17 +379,12 @@ impl CachedEngine {
         let mut ckpt = RealtimeCheckpoint::new();
         rt_plan.save_checkpoint(s.vit.realtime_scratch(), decoded, &mut ckpt);
 
-        // The scrambler sequence for every scrambled position.
-        let mut lfsr = Lfsr7::new(seed);
-        let seq: Vec<bool> = (0..decoded.len()).map(|_| lfsr.next_bit()).collect();
-
         Arc::new(Template {
             bits: bt_bits.to_vec(),
             theta_ext: s.theta_ext.clone(),
             coded: s.coded.clone(),
             errs: s.errs.clone(),
             ckpt,
-            seq,
             edge,
             base,
         })
@@ -420,9 +414,13 @@ impl CachedEngine {
         let sp_splice = telemetry::trace_span(SpanKind::Gfsk);
 
         // 1. Splice the extended phase: every sample before the first
-        // mutated bit's pulse window is copied from the base fill (it is
-        // float-identical by the anchored closed form), and only the
-        // suffix is re-evaluated.
+        // mutated bit's pulse window is float-identical to the base fill
+        // (anchored closed form), and only the suffix is re-evaluated.
+        // OFDM symbol b reads extended phase [b·bl, (b+1)·bl] inclusive
+        // (the +1 is the windowing lookahead), so symbols below `b_scan`
+        // read only unchanged samples: they are clean, and nothing below
+        // their end is copied, mapped or compared.
+        let bl = self.bf.cp.block_len();
         let ext_len = tpl.theta_ext.len();
         let first_diff = bt_bits.iter().zip(&tpl.bits).position(|(a, b)| a != b);
         let mut theta_ext = std::mem::take(&mut s.theta_ext);
@@ -432,15 +430,17 @@ impl CachedEngine {
                     Some(d) => am.first_sample_of_bit(d).min(ext_len),
                     None => ext_len, // identical payload: pure copy
                 };
+                let b_scan = t_fill.div_ceil(bl).saturating_sub(1);
+                let t_copy = (b_scan * bl).min(t_fill);
                 bluefi_dsp::contracts::ensure_len(&mut theta_ext, ext_len, 0.0);
-                theta_ext[..t_fill].copy_from_slice(&tpl.theta_ext[..t_fill]);
+                theta_ext[t_copy..t_fill].copy_from_slice(&tpl.theta_ext[t_copy..t_fill]);
                 am.fill_ext_from(bt_bits, offset_cps, t_fill, &mut theta_ext);
-                Some(t_fill)
+                Some(b_scan)
             }
             None => None,
         };
         s.theta_ext = theta_ext;
-        let Some(t_fill) = filled else {
+        let Some(b_scan) = filled else {
             // Unreachable in practice — eligibility pinned the anchored
             // mode — but degrade to the cold engine rather than panic.
             drop(sp_splice);
@@ -450,19 +450,18 @@ impl CachedEngine {
 
         drop(sp_splice);
 
-        // 2. Pocket map (cheap full pass; identical code path as cold).
+        // 2. Pocket map of the blocks from `b_scan` on (identical code path
+        // as cold; earlier blocks are never read).
         {
             let _sp_pocket = telemetry::trace_span(SpanKind::CpCompat);
-            self.bf.cp.pocket_map_into(&s.theta_ext, &mut s.theta_hat);
+            self.bf.cp.pocket_map_into(&s.theta_ext, b_scan, &mut s.theta_hat);
         }
         let mut sp_requant = telemetry::trace_span(SpanKind::Quantize);
 
-        // 3. Dirty scan + local requantize. OFDM symbol b reads extended
-        // phase [b·bl, (b+1)·bl] inclusive (the +1 is the windowing
-        // lookahead), so a bit-identical window ⇒ identical symbol. Clean
-        // symbols keep the template's coded bits and errors; dirty ones go
-        // through the cold chain's per-symbol step.
-        let bl = self.bf.cp.block_len();
+        // 3. Dirty scan + local requantize: a bit-identical window ⇒
+        // identical symbol. Clean symbols keep the template's coded bits
+        // and errors; dirty ones go through the cold chain's per-symbol
+        // step.
         let n_symbols = tpl.base.n_symbols;
         let mcs = tpl.base.mcs;
         let ncbps = mcs.coded_bits_per_symbol();
@@ -472,10 +471,6 @@ impl CachedEngine {
         s.errs.copy_from_slice(&tpl.errs);
         let mut first_dirty: Option<usize> = None;
         let mut dirty_count = 0u64;
-        // Symbol b reads phase window [b·bl, (b+1)·bl]; symbols whose
-        // window ends before the refill point hold copied samples and are
-        // clean by construction — no comparison needed.
-        let b_scan = t_fill.div_ceil(bl).saturating_sub(1);
         for b in b_scan..n_symbols {
             let w_new = &s.theta_ext[b * bl..=(b + 1) * bl];
             let w_old = &tpl.theta_ext[b * bl..=(b + 1) * bl];
@@ -517,6 +512,7 @@ impl CachedEngine {
                     b_bound,
                     t_start,
                     &tpl.base.flips,
+                    s.vit.realtime_scratch(),
                     &mut flips,
                 );
                 ((b_bound.max(16) - 16) / 8).min(tpl.base.psdu.len())
@@ -539,20 +535,18 @@ impl CachedEngine {
         let _sp_extract = telemetry::trace_span(SpanKind::Extract);
 
         // 5. PSDU bytes: prefix copied from the base, suffix re-descrambled
-        // with the stored sequence. The PSDU region is never forced, so the
-        // raw decode XOR the sequence IS the extract_psdu_into output.
+        // against one period of the seed's sequence. The PSDU region is
+        // never forced, so the raw decode XOR the sequence IS the
+        // extract_psdu_into output.
         let decoded = &s.rev.scrambled;
+        let seq = ScramblerPeriod::new(seed);
         bluefi_dsp::contracts::ensure_len(&mut psdu, tpl.base.psdu.len(), 0u8);
         psdu[..byte_lo].copy_from_slice(&tpl.base.psdu[..byte_lo]);
         for (byte_i, slot) in psdu.iter_mut().enumerate().skip(byte_lo) {
             let at = 16 + byte_i * 8;
-            let mut v = 0u8;
-            for bit in 0..8 {
-                if decoded[at + bit] ^ tpl.seq[at + bit] {
-                    v |= 1 << bit;
-                }
-            }
-            *slot = v;
+            let bits = &decoded[at..at + 8];
+            let packed = bits.iter().enumerate().fold(0u8, |acc, (j, &b)| acc | (u8::from(b) << j));
+            *slot = packed ^ seq.byte(at);
         }
 
         // 6. Forced-bit census over the chip-owned regions (≤ 30 positions;
@@ -562,13 +556,13 @@ impl CachedEngine {
         let tail_start = 16 + psdu_bits;
         let mut forced_bits = 0;
         for i in 0..16 {
-            forced_bits += usize::from(decoded[i] != tpl.seq[i]);
+            forced_bits += usize::from(decoded[i] != seq.bit(i));
         }
         for i in tail_start..tail_start + 6 {
             forced_bits += usize::from(decoded[i]);
         }
         for i in tail_start + 6..n_in {
-            forced_bits += usize::from(decoded[i] != tpl.seq[i]);
+            forced_bits += usize::from(decoded[i] != seq.bit(i));
         }
 
         telemetry::incr(Counter::PacketsSynthesized);

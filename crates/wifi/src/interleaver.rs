@@ -19,6 +19,36 @@ use crate::subcarriers::{subcarrier_of_data_index, N_DATA};
 /// Number of interleaver columns (HT-20).
 pub const N_COL: usize = 13;
 
+/// The two-permutation formula for input bit `k` at `nbpsc` coded bits
+/// per subcarrier (see the module docs); const so the tables below are
+/// evaluated at compile time.
+const fn permute_formula(k: usize, nbpsc: usize) -> usize {
+    let ncbps = N_DATA * nbpsc;
+    let nrow = 4 * nbpsc;
+    let s = if nbpsc / 2 > 1 { nbpsc / 2 } else { 1 };
+    let i = nrow * (k % N_COL) + k / N_COL;
+    s * (i / s) + (i + ncbps - 13 * i / ncbps) % s
+}
+
+/// The deinterleave table for one modulation: entry `j` is the coded-bit
+/// index whose interleaved position is `j`.
+const fn coded_index_table<const N: usize>(nbpsc: usize) -> [u16; N] {
+    let mut table = [0u16; N];
+    let mut k = 0;
+    while k < N {
+        table[permute_formula(k, nbpsc)] = k as u16;
+        k += 1;
+    }
+    table
+}
+
+static TABLE_BPSK: [u16; N_DATA] = coded_index_table(1);
+static TABLE_QPSK: [u16; 2 * N_DATA] = coded_index_table(2);
+static TABLE_QAM16: [u16; 4 * N_DATA] = coded_index_table(4);
+static TABLE_QAM64: [u16; 6 * N_DATA] = coded_index_table(6);
+static TABLE_QAM256: [u16; 8 * N_DATA] = coded_index_table(8);
+static TABLE_QAM1024: [u16; 10 * N_DATA] = coded_index_table(10);
+
 /// The interleaver for one modulation order at HT-20 / 1 spatial stream.
 #[derive(Debug, Clone, Copy)]
 pub struct Interleaver {
@@ -49,13 +79,23 @@ impl Interleaver {
 
     /// The output position of input (coded) bit `k` within its symbol.
     pub fn permute(&self, k: usize) -> usize {
-        let ncbps = self.block_len();
-        assert!(k < ncbps);
-        let nbpsc = self.modulation.bits_per_symbol();
-        let nrow = 4 * nbpsc;
-        let s = (nbpsc / 2).max(1);
-        let i = nrow * (k % N_COL) + k / N_COL;
-        s * (i / s) + (i + ncbps - 13 * i / ncbps) % s
+        assert!(k < self.block_len());
+        permute_formula(k, self.modulation.bits_per_symbol())
+    }
+
+    /// The inverse permutation as a table, compile-time evaluated: entry
+    /// `j` is the coded bit that interleaved position `j` carries. A
+    /// demapper can write interleaved bit `j` of symbol `b` straight to
+    /// coded position `b·N_CBPS + table[j]`.
+    pub fn coded_index_table(&self) -> &'static [u16] {
+        match self.modulation {
+            Modulation::Bpsk => &TABLE_BPSK,
+            Modulation::Qpsk => &TABLE_QPSK,
+            Modulation::Qam16 => &TABLE_QAM16,
+            Modulation::Qam64 => &TABLE_QAM64,
+            Modulation::Qam256 => &TABLE_QAM256,
+            Modulation::Qam1024 => &TABLE_QAM1024,
+        }
     }
 
     /// Interleaves one symbol's worth of coded bits. Thin shim over
@@ -72,8 +112,8 @@ impl Interleaver {
     pub fn interleave_into(&self, block: &[bool], out: &mut Vec<bool>) {
         assert_eq!(block.len(), self.block_len());
         bluefi_dsp::contracts::ensure_len(out, block.len(), false);
-        for (k, &b) in block.iter().enumerate() {
-            out[self.permute(k)] = b;
+        for (slot, &k) in out.iter_mut().zip(self.coded_index_table()) {
+            *slot = block[usize::from(k)];
         }
     }
 
@@ -82,8 +122,8 @@ impl Interleaver {
     pub fn deinterleave_into(&self, block: &[bool], out: &mut Vec<bool>) {
         assert_eq!(block.len(), self.block_len());
         bluefi_dsp::contracts::ensure_len(out, block.len(), false);
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = block[self.permute(k)];
+        for (&b, &k) in block.iter().zip(self.coded_index_table()) {
+            out[usize::from(k)] = b;
         }
     }
 
@@ -138,6 +178,25 @@ mod tests {
                 let j = il.permute(k);
                 assert!(!seen[j], "{m:?}: output {j} hit twice");
                 seen[j] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn table_inverts_the_formula() {
+        for m in [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+            Modulation::Qam1024,
+        ] {
+            let il = Interleaver::new(m);
+            let table = il.coded_index_table();
+            assert_eq!(table.len(), il.block_len(), "{m:?}");
+            for k in 0..il.block_len() {
+                assert_eq!(usize::from(table[il.permute(k)]), k, "{m:?}: coded bit {k}");
             }
         }
     }
