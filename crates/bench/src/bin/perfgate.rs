@@ -14,8 +14,11 @@
 //! * **tails (p90/p99)** — fail above `baseline × 2.0 + 50 µs` (tails are
 //!   noisier than means)
 //! * **allocations/packet** — any growth fails (the claim is exactly zero)
-//! * **speedups / throughput** (higher is better) — fail below
-//!   `baseline × 0.6`
+//! * **throughput** (higher is better) — fail below `baseline × 0.6`
+//!
+//! Ratios of two gated means (such as the beacon fleet's cold ÷ patch
+//! speedup) are not gated: a faster numerator alone would fail them
+//! although nothing regressed, and each side is already gated on its own.
 //!
 //! A gated metric missing from the fresh report fails the gate (schema
 //! erosion is a regression too); one missing from the baseline is noted
@@ -38,7 +41,7 @@ enum Class {
     TailUs,
     /// Allocations per packet: must not grow at all.
     Alloc,
-    /// Ratio or rate where higher is better (speedups, packets/s).
+    /// Rate where higher is better (packets/s, requests/s).
     HigherBetter,
 }
 
@@ -85,7 +88,6 @@ const METRICS: &[(&str, Class)] = &[
     ("beacon_fleet.cold_mean_us", Class::MeanUs),
     ("beacon_fleet.patch_mean_us", Class::MeanUs),
     ("beacon_fleet.patch_p99_us", Class::TailUs),
-    ("beacon_fleet.speedup_vs_fleet_cold", Class::HigherBetter),
     ("batch.threads[workers=1].packets_per_s", Class::HigherBetter),
     ("service_soak.requests_per_s", Class::HigherBetter),
     ("allocs_per_packet.steady_state", Class::Alloc),

@@ -15,7 +15,7 @@
 //!   (`dsp::fft::fft_plan`). The decode kernel indexes the punctured
 //!   stream in place, with no per-step pattern arithmetic.
 //! * **Branchless add–compare–select** — path metrics live in two flat
-//!   `[u64; 64]` columns swept as 32 butterflies per step (destination
+//!   `[u16; 64]` columns swept as 32 butterflies per step (destination
 //!   states `j` and `j + 32` share the same two predecessors, so each
 //!   metric word is loaded once). The branch metric collapses to a
 //!   4-entry table indexed by the 2-bit transition output code
@@ -32,8 +32,8 @@
 //!
 //! The packed engine must reproduce the reference decoder bit for bit: the
 //! test oracle in `tests/properties.rs` checks it on random streams across
-//! every rate and metric width, and the conformance golden vectors pin the
-//! packet outputs. The load-bearing equivalences:
+//! every rate and every weight up to [`MAX_WEIGHT`], and the conformance
+//! golden vectors pin the packet outputs. The load-bearing equivalences:
 //!
 //! 1. **Tie-breaks select the even predecessor.** The reference decoder
 //!    visits predecessors in ascending state order and replaces only on
@@ -43,56 +43,43 @@
 //!    reference `min_by_key` returns the first minimum; the packed scan
 //!    ascends with a strict compare.
 //! 3. **Sentinel-rooted metrics never win.** The reference decoder skips
-//!    unreachable states; the packed sweep instead lets
-//!    sentinel-rooted metrics participate, which is safe because state 0
-//!    reaches every state within `MEMORY = 6` steps, after which no
-//!    sentinel-rooted cell remains — and while they exist they sit at
-//!    least `INF` above any reachable metric (a reachable metric is
-//!    bounded by the total mismatch budget `Σ weights < INF`), so every
+//!    unreachable states; the packed sweep instead lets sentinel-rooted
+//!    metrics participate, which is safe because state 0 reaches every
+//!    state within `MEMORY = 6` steps, after which no sentinel-rooted
+//!    cell remains — and while they exist they hold at least `INF16`,
+//!    strictly above any reachable metric (see [`MAX_WEIGHT`]), so every
 //!    compare resolves exactly as the reference skip would. (Survivor bits
 //!    of unreachable states may differ, but traceback only visits states
 //!    on the winning — reachable — path.)
-//! 4. **No overflow.** During the ≤ 6 sentinel-decay steps a metric is at
-//!    most `INF + 6 · 2 · u32::MAX`, far below the `u64` wrap point for
-//!    `INF = u64::MAX / 4`; afterwards metrics are bounded by the budget.
-//!    The narrow `u32` kernel is dispatched only when the budget is ≤
-//!    [`SMALL_METRIC_BOUND`], which bounds its worst transient below
-//!    `u32::MAX` the same way (see [`INF32`]).
+//! 4. **Renormalization changes no decision, and nothing overflows.**
+//!    Every `RENORM_INTERVAL` steps the kernel subtracts the minimum
+//!    metric from every state: a common shift, so every comparison,
+//!    survivor bit and argmin is unchanged. [`TrellisPlan::decode_into`]
+//!    rejects any weight above [`MAX_WEIGHT`], which keeps every compared
+//!    value below `i16::MAX`, so the `u16` metrics never wrap and the
+//!    signed `i16` compare equals the unsigned one.
 
 use crate::convolutional::{G0, G1, NUM_STATES};
 use crate::puncture::CodeRate;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The "unreachable" path metric sentinel of the wide (`u64`) kernel.
-const INF: u64 = u64::MAX / 4;
-
-/// Sentinel for the narrow (`u32`) metric kernel. With a total mismatch
-/// budget of at most [`SMALL_METRIC_BOUND`] = 2²⁶, the worst transient
-/// metric during the 6 sentinel-decay steps is bounded by
-/// `2³⁰ + 6 · 2 · 2²⁶ < 2³¹`, so narrow metrics never wrap **and** stay
-/// inside the signed-compare range SIMD units prefer.
-const INF32: u32 = 1 << 30;
-
-/// Largest total mismatch budget (Σ per-transmitted-bit weights, or the
-/// transmitted length when unweighted) for which the `u32` kernel is
-/// provably overflow-free. The BlueFi hot path (Table-1 confidence
-/// weights over a 32 760-bit symbol payload) sums to ~5.6 M ≪ 2²⁶, so
-/// packet decodes never need the wide kernel.
-const SMALL_METRIC_BOUND: u64 = 1 << 26;
-
-/// Sentinel for the `u16` renormalizing kernel; see
-/// [`SMALL_WEIGHT_BOUND`] for the bounds that make it exact.
+/// The "unreachable" path-metric sentinel; see [`MAX_WEIGHT`] for the
+/// bounds that make it exact.
 const INF16: u16 = 16_000;
 
-/// Largest single mismatch weight for which the `u16` kernel is provably
-/// exact. Unlike the wider kernels it bounds the *per-step* cost, not the
-/// total budget, because the kernel renormalizes: every
-/// [`RENORM_INTERVAL`] steps it subtracts the minimum metric from every
+/// Largest per-transmitted-bit mismatch weight the trellis accepts:
+/// [`TrellisPlan::decode_into`] panics on a larger one. Paper Table 1's
+/// weights (1000/100/1) and unweighted decodes (every weight 1) sit
+/// below it.
+///
+/// The bound makes the `u16` metrics exact. It bounds the *per-step*
+/// cost, not the total, because the kernel renormalizes: every
+/// `RENORM_INTERVAL` steps it subtracts the minimum metric from every
 /// state, which shifts all metrics by a common constant and therefore
 /// changes **no** comparison, survivor bit, or argmin — only the stored
-/// representation. The bounds, with `tot ≤ 2 · SMALL_WEIGHT_BOUND = 2330`
-/// the worst per-step cost:
+/// representation. The bounds, with `tot ≤ 2 · MAX_WEIGHT = 2330` the
+/// worst per-step cost:
 ///
 /// * **Spread.** Any state is reachable from any state in `MEMORY = 6`
 ///   steps (the state register is the last 6 inputs), so every reachable
@@ -100,65 +87,41 @@ const INF16: u16 = 16_000;
 /// * **Sentinels.** No renormalization happens before step 8, so while
 ///   sentinel-rooted cells exist (the first 6 steps) they hold at least
 ///   `INF16 = 16 000`, strictly above any reachable metric
-///   (`≤ 6 · tot = 13 980`) — identical decisions to the wide kernels —
+///   (`≤ 6 · tot = 13 980`) — the same decisions as the reference skip —
 ///   and at most `INF16 + 6 · tot = 29 980 < i16::MAX`.
 /// * **No overflow.** After a renormalization the minimum is 0; within
 ///   the next 8 steps the minimum grows by at most `8 · tot`, so every
 ///   compared value is at most `(8 + 6) · tot = 32 620 < i16::MAX` —
 ///   no wrap, and signed 8-lane SIMD compares are exact.
-const SMALL_WEIGHT_BOUND: u32 = 1_165;
+pub const MAX_WEIGHT: u32 = 1_165;
 
-/// Steps between `u16`-kernel renormalizations (a power of two so the
-/// check is a mask test). Must stay ≥ `MEMORY + 1` (sentinels must be
-/// gone before the first subtraction) and small enough for the overflow
-/// bound above.
+/// Steps between renormalizations (a power of two so the check is a
+/// mask test). Must stay ≥ `MEMORY + 1` (sentinels must be gone before
+/// the first subtraction) and small enough for the overflow bound of
+/// [`MAX_WEIGHT`].
 const RENORM_INTERVAL: usize = 8;
 
-/// `ABIT[j]` / `BBIT[j]`: the A / B output bit of the edge arriving at
-/// destination `j` from its **even** predecessor — the one branch cost
-/// the symmetry-folded kernel computes per butterfly (every other branch
-/// cost is its complement; see the `acs_kernel` docs).
-const ABIT: [bool; NUM_STATES / 2] = {
-    let mut a = [false; NUM_STATES / 2];
+/// All-ones/all-zeros lane masks of one output bit (`bit` = 2 for A,
+/// 1 for B) of the edge arriving at each destination `j < 32` from its
+/// **even** predecessor — the one branch cost the symmetry-folded kernel
+/// computes per butterfly (every other branch cost is its complement;
+/// see [`TrellisPlan::acs`]). As masks, the branch cost becomes pure mask
+/// arithmetic (`weight & (MASK ^ target)`) instead of a lane select —
+/// constant vectors after vectorization.
+const fn even_code_masks(bit: u8) -> [u16; NUM_STATES / 2] {
+    let mut m = [0u16; NUM_STATES / 2];
     let mut j = 0;
     while j < NUM_STATES / 2 {
-        a[j] = CODES[0][j] & 2 != 0;
+        m[j] = if CODES[0][j] & bit != 0 { u16::MAX } else { 0 };
         j += 1;
     }
-    a
-};
-
-/// See [`ABIT`].
-const BBIT: [bool; NUM_STATES / 2] = {
-    let mut b = [false; NUM_STATES / 2];
-    let mut j = 0;
-    while j < NUM_STATES / 2 {
-        b[j] = CODES[0][j] & 1 != 0;
-        j += 1;
-    }
-    b
-};
-
-/// [`ABIT`]/[`BBIT`] widened to all-ones/all-zeros lane masks, so the
-/// branch cost becomes pure mask arithmetic (`weight & (MASK ^ target)`)
-/// instead of a lane select — constant vectors after vectorization.
-macro_rules! bit_masks {
-    ($bits:expr, $ty:ty) => {{
-        let mut m = [0 as $ty; NUM_STATES / 2];
-        let mut j = 0;
-        while j < NUM_STATES / 2 {
-            m[j] = if $bits[j] { <$ty>::MAX } else { 0 };
-            j += 1;
-        }
-        m
-    }};
+    m
 }
-const AMASK64: [u64; NUM_STATES / 2] = bit_masks!(ABIT, u64);
-const BMASK64: [u64; NUM_STATES / 2] = bit_masks!(BBIT, u64);
-const AMASK32: [u32; NUM_STATES / 2] = bit_masks!(ABIT, u32);
-const BMASK32: [u32; NUM_STATES / 2] = bit_masks!(BBIT, u32);
-const AMASK16: [u16; NUM_STATES / 2] = bit_masks!(ABIT, u16);
-const BMASK16: [u16; NUM_STATES / 2] = bit_masks!(BBIT, u16);
+
+/// Output-A masks; see [`even_code_masks`].
+const AMASK: [u16; NUM_STATES / 2] = even_code_masks(2);
+/// Output-B masks; see [`even_code_masks`].
+const BMASK: [u16; NUM_STATES / 2] = even_code_masks(1);
 
 /// `LANE_BIT[j] = 1 << j`: the survivor-word bit a butterfly's decision
 /// occupies, as a constant table so the take-bit packing is a lane-masked
@@ -208,18 +171,11 @@ const CODES: [[u8; NUM_STATES]; 2] = {
 /// allocation-free.
 #[derive(Debug, Clone)]
 pub struct PackedScratch {
-    /// Current-step path metrics for the wide kernel, one `u64` per state.
-    cur: Box<[u64; NUM_STATES]>,
+    /// Current-step path metrics, one renormalized `u16` per state — see
+    /// [`MAX_WEIGHT`].
+    cur: Box<[u16; NUM_STATES]>,
     /// Next-step path metrics (ping-pongs with `cur` by pointer swap).
-    nxt: Box<[u64; NUM_STATES]>,
-    /// Metric columns for the narrow (`u32`) kernel — see
-    /// [`SMALL_METRIC_BOUND`] for when it is provably safe to use.
-    cur32: Box<[u32; NUM_STATES]>,
-    nxt32: Box<[u32; NUM_STATES]>,
-    /// Metric columns for the renormalizing `u16` kernel — see
-    /// [`SMALL_WEIGHT_BOUND`].
-    cur16: Box<[u16; NUM_STATES]>,
-    nxt16: Box<[u16; NUM_STATES]>,
+    nxt: Box<[u16; NUM_STATES]>,
     /// `survivors[t]` bit `s` = the ACS decision at step `t` for
     /// destination state `s`: 0 selects the even predecessor, 1 the odd.
     survivors: Vec<u64>,
@@ -235,12 +191,8 @@ impl PackedScratch {
     /// An empty scratch; the survivor history grows on first use.
     pub fn new() -> PackedScratch {
         PackedScratch {
-            cur: Box::new([INF; NUM_STATES]),
-            nxt: Box::new([INF; NUM_STATES]),
-            cur32: Box::new([INF32; NUM_STATES]),
-            nxt32: Box::new([INF32; NUM_STATES]),
-            cur16: Box::new([INF16; NUM_STATES]),
-            nxt16: Box::new([INF16; NUM_STATES]),
+            cur: Box::new([INF16; NUM_STATES]),
+            nxt: Box::new([INF16; NUM_STATES]),
             survivors: Vec::new(),
         }
     }
@@ -307,14 +259,16 @@ impl TrellisPlan {
     /// reference decoder. When `terminate` is true the survivor must end
     /// in state 0.
     ///
-    /// The weight magnitudes pick the metric width: per-bit weights up to
-    /// [`SMALL_WEIGHT_BOUND`] run the renormalizing `u16` kernel (8 SIMD
-    /// lanes), total budgets up to [`SMALL_METRIC_BOUND`] the `u32`
-    /// kernel (4 lanes), anything larger the wide `u64` kernel. All three
-    /// produce identical survivor decisions — narrower kernels hold the
-    /// same integers (up to the comparison-preserving renormalization
-    /// offset), just stored smaller — so the choice is invisible in the
-    /// output.
+    /// One kernel serves every decode: `u16` path metrics, renormalized
+    /// every `RENORM_INTERVAL` steps (8 SIMD lanes per compare). They
+    /// hold the reference decoder's integers up to a common,
+    /// comparison-preserving offset, so the output is the same bits.
+    ///
+    /// # Panics
+    ///
+    /// If `target` does not hold the plan's `n_tx` bits, if `weights` is
+    /// not one weight per transmitted bit, or if any weight exceeds
+    /// [`MAX_WEIGHT`] — the bound that keeps the narrow metrics exact.
     ///
     /// Allocation-free at steady state: only `scratch` / `out` growth
     /// allocates.
@@ -327,37 +281,24 @@ impl TrellisPlan {
         out: &mut Vec<bool>,
     ) {
         assert_eq!(target.len(), self.n_tx, "target length must match the plan");
+        if let Some(w) = weights {
+            assert_eq!(w.len(), target.len(), "one weight per transmitted bit");
+            let w_max = w.iter().copied().max().unwrap_or(0);
+            assert!(
+                w_max <= MAX_WEIGHT,
+                "weight {w_max} exceeds trellis::MAX_WEIGHT ({MAX_WEIGHT})"
+            );
+        }
         bluefi_dsp::contracts::ensure_len(out, self.steps, false);
         if self.steps == 0 {
             return;
         }
         bluefi_dsp::contracts::ensure_len(&mut scratch.survivors, self.steps, 0u64);
-        let (w_max, budget): (u32, u64) = match weights {
-            Some(w) => {
-                assert_eq!(w.len(), target.len(), "one weight per transmitted bit");
-                (w.iter().copied().max().unwrap_or(0), w.iter().map(|&x| x as u64).sum())
-            }
-            None => (1, self.n_tx as u64),
-        };
-        let PackedScratch { cur, nxt, cur32, nxt32, cur16, nxt16, survivors } = scratch;
+        let PackedScratch { cur, nxt, survivors } = scratch;
         let survivors = &mut survivors[..self.steps];
-        let start = if w_max <= SMALL_WEIGHT_BOUND {
-            match weights {
-                Some(w) => {
-                    self.acs16(target, |i| w[i] as u16, cur16, nxt16, survivors, terminate)
-                }
-                None => self.acs16(target, |_| 1u16, cur16, nxt16, survivors, terminate),
-            }
-        } else if budget <= SMALL_METRIC_BOUND {
-            match weights {
-                Some(w) => self.acs32(target, |i| w[i], cur32, nxt32, survivors, terminate),
-                None => self.acs32(target, |_| 1u32, cur32, nxt32, survivors, terminate),
-            }
-        } else {
-            match weights {
-                Some(w) => self.acs64(target, |i| w[i] as u64, cur, nxt, survivors, terminate),
-                None => self.acs64(target, |_| 1u64, cur, nxt, survivors, terminate),
-            }
+        let start = match weights {
+            Some(w) => self.acs(target, |i| w[i] as u16, cur, nxt, survivors, terminate),
+            None => self.acs(target, |_| 1, cur, nxt, survivors, terminate),
         };
         // Walk the packed survivor history backward, emitting one decoded
         // bit per step. The decision bit of a destination state *is* the
@@ -369,173 +310,156 @@ impl TrellisPlan {
             state = ((state & 31) << 1) | bit as usize;
         }
     }
-}
 
-/// Stamps the forward add–compare–select sweep for one metric width.
-///
-/// The kernel leans on a symmetry of the (133,171) generators: both
-/// polynomials tap the current input (window bit 6) *and* the oldest state
-/// bit (window bit 0), so toggling either the input bit or the predecessor
-/// parity flips **both** output bits — `CODES[1][j] = CODES[0][j] ^ 3` and
-/// `CODES[k][j + 32] = CODES[k][j] ^ 3` (pinned by a unit test below).
-/// With per-step emission costs `ca0/ca1` (for output A = 0/1) and
-/// `cb0/cb1`, the four branch metrics of a butterfly therefore collapse to
-/// one value `x` (cost of the even predecessor's code) and its complement
-/// `tot − x` where `tot = ca0 + ca1 + cb0 + cb1` — no table lookups inside
-/// the loop, and the per-lane select reads compile-time-constant masks
-/// ([`ABIT`]/[`BBIT`]), which keeps the whole butterfly loop branchless
-/// and auto-vectorizable.
-///
-/// Tie-breaks use `odd < even`, so ties select the even predecessor —
-/// matching the reference decoder, which visits predecessors ascending and
-/// replaces only on strictly smaller metric. The final-state argmin scans
-/// ascending with a strict compare (first minimum), mirroring the
-/// reference `min_by_key`. Unreachable states decay from the `INF`
-/// sentinel within `MEMORY` steps (state 0 reaches every state in 6
-/// transitions), so no
-/// clamp is needed: sentinel-rooted metrics stay strictly above every
-/// reachable metric while they exist, and the overflow headroom above the
-/// sentinel covers those 6 steps (see `INF` / `INF32`).
-macro_rules! acs_kernel {
-    ($name:ident, $ty:ty, $sty:ty, $inf:expr, $amask:expr, $bmask:expr, $renorm:literal) => {
-        fn $name(
-            &self,
-            target: &[bool],
-            weight_of: impl Fn(usize) -> $ty,
-            cur: &mut Box<[$ty; NUM_STATES]>,
-            nxt: &mut Box<[$ty; NUM_STATES]>,
-            survivors: &mut [u64],
-            terminate: bool,
-        ) -> usize {
-            /// One trellis step: 32 butterflies (destinations `j` for
-            /// input 0 and `j + 32` for input 1 share predecessors `2j`
-            /// and `2j + 1`, loaded once), with the even-predecessor
-            /// branch cost supplied by `x_of` so rate-punctured steps
-            /// that transmit a single bit (4 of every 5 at R5/6, the
-            /// BlueFi hot path) pay for one mask chain instead of two.
-            /// Everything inside is constant-mask arithmetic, a compare,
-            /// and a select — branchless, cross-iteration-independent,
-            /// lane-parallel. Returns the packed survivor word.
-            #[inline(always)]
-            fn step<F: Fn(usize) -> $ty>(
-                c: &[$ty; NUM_STATES],
-                n: &mut [$ty; NUM_STATES],
-                tot: $ty,
-                x_of: F,
-            ) -> u64 {
-                // Decision masks land in `u32` cells: survivor-word lane
-                // width, and — measured — the vector factor this pins is
-                // the fastest configuration for every kernel (wider
-                // factors push the stride-2 metric loads into scalar
-                // gathers that cost more than the extra lanes recover).
-                let mut take_lo = [0u32; NUM_STATES / 2];
-                let mut take_hi = [0u32; NUM_STATES / 2];
-                for j in 0..NUM_STATES / 2 {
-                    let x = x_of(j);
-                    let y = tot - x;
-                    let m0 = c[2 * j];
-                    let m1 = c[2 * j + 1];
-                    let lo0 = m0 + x;
-                    let lo1 = m1 + y;
-                    // In the narrow kernels every metric stays below the
-                    // signed midpoint (see the sentinel docs), so the
-                    // signed compare is the unsigned one — minus the SIMD
-                    // sign-bias fixups.
-                    let tl = (lo1 as $sty) < (lo0 as $sty); // tie -> even
-                    n[j] = if tl { lo1 } else { lo0 };
-                    let hi0 = m0 + y;
-                    let hi1 = m1 + x;
-                    let th = (hi1 as $sty) < (hi0 as $sty);
-                    n[NUM_STATES / 2 + j] = if th { hi1 } else { hi0 };
-                    take_lo[j] = if tl { u32::MAX } else { 0 };
-                    take_hi[j] = if th { u32::MAX } else { 0 };
-                }
-                // Fold the decision masks into the survivor word: two
-                // pure OR reductions over constant lane bits, which the
-                // vectorizer keeps in SIMD accumulators.
-                let mut lo_word = 0u32;
-                for j in 0..NUM_STATES / 2 {
-                    lo_word |= take_lo[j] & LANE_BIT[j];
-                }
-                let mut hi_word = 0u32;
-                for j in 0..NUM_STATES / 2 {
-                    hi_word |= take_hi[j] & LANE_BIT[j];
-                }
-                lo_word as u64 | (hi_word as u64) << (NUM_STATES / 2)
+    /// The forward add–compare–select sweep; returns the traceback's
+    /// start state.
+    ///
+    /// The kernel leans on a symmetry of the (133,171) generators: both
+    /// polynomials tap the current input (window bit 6) *and* the oldest
+    /// state bit (window bit 0), so toggling either the input bit or the
+    /// predecessor parity flips **both** output bits —
+    /// `CODES[1][j] = CODES[0][j] ^ 3` and `CODES[k][j + 32] = CODES[k][j] ^ 3`
+    /// (pinned by a unit test below). With per-step emission costs
+    /// `ca0/ca1` (for output A = 0/1) and `cb0/cb1`, the four branch
+    /// metrics of a butterfly therefore collapse to one value `x` (cost of
+    /// the even predecessor's code) and its complement `tot − x` where
+    /// `tot = ca0 + ca1 + cb0 + cb1` — no table lookups inside the loop,
+    /// and the per-lane select reads compile-time-constant masks
+    /// ([`AMASK`]/[`BMASK`]), which keeps the whole butterfly loop
+    /// branchless and auto-vectorizable.
+    ///
+    /// Tie-breaks use `odd < even`, so ties select the even predecessor —
+    /// matching the reference decoder, which visits predecessors ascending
+    /// and replaces only on strictly smaller metric. The final-state argmin
+    /// scans ascending with a strict compare (first minimum), mirroring the
+    /// reference `min_by_key`. Unreachable states decay from the
+    /// [`INF16`] sentinel within `MEMORY` steps (state 0 reaches every
+    /// state in 6 transitions), so no clamp is needed: sentinel-rooted
+    /// metrics stay strictly above every reachable metric while they exist
+    /// (see [`MAX_WEIGHT`]).
+    fn acs(
+        &self,
+        target: &[bool],
+        weight_of: impl Fn(usize) -> u16,
+        cur: &mut Box<[u16; NUM_STATES]>,
+        nxt: &mut Box<[u16; NUM_STATES]>,
+        survivors: &mut [u64],
+        terminate: bool,
+    ) -> usize {
+        /// One trellis step: 32 butterflies (destinations `j` for input 0
+        /// and `j + 32` for input 1 share predecessors `2j` and `2j + 1`,
+        /// loaded once), with the even-predecessor branch cost supplied by
+        /// `x_of` so rate-punctured steps that transmit a single bit (4 of
+        /// every 5 at R5/6, the BlueFi hot path) pay for one mask chain
+        /// instead of two. Everything inside is constant-mask arithmetic,
+        /// a compare, and a select — branchless, cross-iteration-independent,
+        /// lane-parallel. Returns the packed survivor word.
+        #[inline(always)]
+        fn step<F: Fn(usize) -> u16>(
+            c: &[u16; NUM_STATES],
+            n: &mut [u16; NUM_STATES],
+            tot: u16,
+            x_of: F,
+        ) -> u64 {
+            // Decision masks land in `u32` cells: survivor-word lane
+            // width, and — measured — the vector factor this pins is the
+            // fastest configuration (wider factors push the stride-2
+            // metric loads into scalar gathers that cost more than the
+            // extra lanes recover).
+            let mut take_lo = [0u32; NUM_STATES / 2];
+            let mut take_hi = [0u32; NUM_STATES / 2];
+            for j in 0..NUM_STATES / 2 {
+                let x = x_of(j);
+                let y = tot - x;
+                let m0 = c[2 * j];
+                let m1 = c[2 * j + 1];
+                let lo0 = m0 + x;
+                let lo1 = m1 + y;
+                // Every metric stays below the signed midpoint (see
+                // `MAX_WEIGHT`), so the signed compare is the unsigned
+                // one — minus the SIMD sign-bias fixups.
+                let tl = (lo1 as i16) < (lo0 as i16); // tie -> even
+                n[j] = if tl { lo1 } else { lo0 };
+                let hi0 = m0 + y;
+                let hi1 = m1 + x;
+                let th = (hi1 as i16) < (hi0 as i16);
+                n[NUM_STATES / 2 + j] = if th { hi1 } else { hi0 };
+                take_lo[j] = if tl { u32::MAX } else { 0 };
+                take_hi[j] = if th { u32::MAX } else { 0 };
             }
+            // Fold the decision masks into the survivor word: two pure OR
+            // reductions over constant lane bits, which the vectorizer
+            // keeps in SIMD accumulators.
+            let mut lo_word = 0u32;
+            for j in 0..NUM_STATES / 2 {
+                lo_word |= take_lo[j] & LANE_BIT[j];
+            }
+            let mut hi_word = 0u32;
+            for j in 0..NUM_STATES / 2 {
+                hi_word |= take_hi[j] & LANE_BIT[j];
+            }
+            lo_word as u64 | (hi_word as u64) << (NUM_STATES / 2)
+        }
 
-            cur.fill($inf);
-            cur[0] = 0; // 802.11 convention: the encoder starts at state 0
-            for (t, &desc) in self.step_desc.iter().enumerate() {
-                let off = (desc >> 2) as usize;
-                let keep_a = desc & 1 != 0;
-                let keep_b = desc & 2 != 0;
-                let c = &**cur;
-                let n = &mut **nxt;
-                // Erasures (stolen positions) cost zero: an absent side
-                // simply drops out of the even-predecessor cost. The
-                // target-bit mask XOR flips "code bit set" into "code bit
-                // wrong", so the cost is `weight` exactly on mismatch.
-                survivors[t] = match (keep_a, keep_b) {
-                    (true, true) => {
-                        let wa = weight_of(off);
-                        let ta = if target[off] { <$ty>::MAX } else { 0 };
-                        let wb = weight_of(off + 1);
-                        let tb = if target[off + 1] { <$ty>::MAX } else { 0 };
-                        step(c, n, wa + wb, |j| {
-                            (wa & ($amask[j] ^ ta)) + (wb & ($bmask[j] ^ tb))
-                        })
-                    }
-                    (true, false) => {
-                        let wa = weight_of(off);
-                        let ta = if target[off] { <$ty>::MAX } else { 0 };
-                        step(c, n, wa, |j| wa & ($amask[j] ^ ta))
-                    }
-                    (false, true) => {
-                        let wb = weight_of(off);
-                        let tb = if target[off] { <$ty>::MAX } else { 0 };
-                        step(c, n, wb, |j| wb & ($bmask[j] ^ tb))
-                    }
-                    (false, false) => step(c, n, 0, |_| 0),
-                };
-                std::mem::swap(cur, nxt);
-                // The u16 kernel renormalizes: shifting every metric by
-                // the same constant changes no comparison (so survivors,
-                // tie-breaks, and the final argmin are untouched) and
-                // keeps the narrow metrics inside their overflow bound —
-                // see `SMALL_WEIGHT_BOUND` for the proof.
-                if $renorm && (t + 1) % RENORM_INTERVAL == 0 {
-                    let mn = cur.iter().copied().fold(<$ty>::MAX, <$ty>::min);
-                    for m in cur.iter_mut() {
-                        *m -= mn;
-                    }
+        cur.fill(INF16);
+        cur[0] = 0; // 802.11 convention: the encoder starts at state 0
+        for (t, &desc) in self.step_desc.iter().enumerate() {
+            let off = (desc >> 2) as usize;
+            let keep_a = desc & 1 != 0;
+            let keep_b = desc & 2 != 0;
+            let c = &**cur;
+            let n = &mut **nxt;
+            // Erasures (stolen positions) cost zero: an absent side simply
+            // drops out of the even-predecessor cost. The target-bit mask
+            // XOR flips "code bit set" into "code bit wrong", so the cost
+            // is `weight` exactly on mismatch.
+            survivors[t] = match (keep_a, keep_b) {
+                (true, true) => {
+                    let wa = weight_of(off);
+                    let ta = if target[off] { u16::MAX } else { 0 };
+                    let wb = weight_of(off + 1);
+                    let tb = if target[off + 1] { u16::MAX } else { 0 };
+                    step(c, n, wa + wb, |j| (wa & (AMASK[j] ^ ta)) + (wb & (BMASK[j] ^ tb)))
                 }
-            }
-            if terminate {
-                0
-            } else {
-                // First minimal metric, ascending — the reference argmin.
-                let mut best = cur[0];
-                let mut state = 0usize;
-                for (i, &m) in cur.iter().enumerate() {
-                    if m < best {
-                        best = m;
-                        state = i;
-                    }
+                (true, false) => {
+                    let wa = weight_of(off);
+                    let ta = if target[off] { u16::MAX } else { 0 };
+                    step(c, n, wa, |j| wa & (AMASK[j] ^ ta))
                 }
-                state
+                (false, true) => {
+                    let wb = weight_of(off);
+                    let tb = if target[off] { u16::MAX } else { 0 };
+                    step(c, n, wb, |j| wb & (BMASK[j] ^ tb))
+                }
+                (false, false) => step(c, n, 0, |_| 0),
+            };
+            std::mem::swap(cur, nxt);
+            // Renormalize: shifting every metric by the same constant
+            // changes no comparison (so survivors, tie-breaks, and the
+            // final argmin are untouched) and keeps the narrow metrics
+            // inside their overflow bound — see `MAX_WEIGHT` for the proof.
+            if (t + 1) % RENORM_INTERVAL == 0 {
+                let mn = cur.iter().copied().fold(u16::MAX, u16::min);
+                for m in cur.iter_mut() {
+                    *m -= mn;
+                }
             }
         }
-    };
-}
-
-impl TrellisPlan {
-    // The wide kernel keeps the plain unsigned compare: budgets beyond
-    // [`SMALL_METRIC_BOUND`] give no signed-range guarantee (and SSE2 has
-    // no packed 64-bit compare to feed anyway).
-    acs_kernel!(acs64, u64, u64, INF, AMASK64, BMASK64, false);
-    acs_kernel!(acs32, u32, i32, INF32, AMASK32, BMASK32, false);
-    acs_kernel!(acs16, u16, i16, INF16, AMASK16, BMASK16, true);
+        if terminate {
+            0
+        } else {
+            // First minimal metric, ascending — the reference argmin.
+            let mut best = cur[0];
+            let mut state = 0usize;
+            for (i, &m) in cur.iter().enumerate() {
+                if m < best {
+                    best = m;
+                    state = i;
+                }
+            }
+            state
+        }
+    }
 }
 
 type PlanKey = (usize, CodeRate);
@@ -603,8 +527,8 @@ mod tests {
         }
         // And the const masks are exactly the even-predecessor code bits.
         for j in 0..NUM_STATES / 2 {
-            assert_eq!(ABIT[j], CODES[0][j] & 2 != 0);
-            assert_eq!(BBIT[j], CODES[0][j] & 1 != 0);
+            assert_eq!(AMASK[j] == u16::MAX, CODES[0][j] & 2 != 0);
+            assert_eq!(BMASK[j] == u16::MAX, CODES[0][j] & 1 != 0);
         }
     }
 
@@ -632,5 +556,17 @@ mod tests {
         let mut out = vec![true; 3];
         plan.decode_into(&[], None, false, &mut scratch, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds trellis::MAX_WEIGHT")]
+    fn weight_above_the_bound_is_rejected() {
+        let rate = CodeRate::R12;
+        let n_tx = rate.period_outputs() * 4;
+        let plan = TrellisPlan::new(rate, n_tx);
+        let mut weights = vec![MAX_WEIGHT; n_tx];
+        weights[n_tx / 2] = MAX_WEIGHT + 1;
+        let (target, mut out) = (vec![false; n_tx], Vec::new());
+        plan.decode_into(&target, Some(&weights), false, &mut PackedScratch::new(), &mut out);
     }
 }

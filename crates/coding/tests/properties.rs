@@ -13,6 +13,7 @@ use bluefi_coding::puncture::{puncture, puncture_words_into, CodeRate};
 use bluefi_coding::realtime::{
     protected_mask, RealtimeCheckpoint, RealtimePlan, RealtimeScratch,
 };
+use bluefi_coding::trellis::MAX_WEIGHT;
 use bluefi_coding::viterbi::decode_punctured;
 use bluefi_coding::{FreeEdge, ViterbiScratch};
 use bluefi_core::check::{bools, check, check_n};
@@ -437,21 +438,20 @@ fn reference(rate: CodeRate, tx: &[bool], weights: Option<&[u32]>, terminate: bo
 #[test]
 fn packed_engine_matches_scalar_reference() {
     // The bit-packed trellis engine must agree with the reference decoder
-    // on every rate, termination mode, corruption pattern, and —
-    // critically — every metric-width kernel the weight magnitudes can
-    // dispatch to (u16 renormalizing, u32, u64).
+    // on every rate, termination mode, corruption pattern, and weight the
+    // engine accepts: unweighted, or any weight up to `MAX_WEIGHT`.
     check(
         "packed_engine_matches_scalar_reference",
         |rng| {
             // 30 = lcm of the puncturing periods, so every rate divides.
             let data = bools(rng, 30..31);
             let rate_idx = rng.gen_range(0usize..4);
-            let wclass = rng.gen_range(0usize..4);
+            let weighted = rng.gen::<bool>();
             let terminate = rng.gen::<bool>();
             let seed = rng.gen::<u64>();
-            (data, rate_idx, wclass, terminate, seed)
+            (data, rate_idx, weighted, terminate, seed)
         },
-        |(data, rate_idx, wclass, terminate, seed)| {
+        |(data, rate_idx, weighted, terminate, seed)| {
             let rate = [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56][*rate_idx];
             let mut tx = puncture(rate, &encode_r12(data));
             let mut rng = StdRng::seed_from_u64(*seed);
@@ -460,16 +460,8 @@ fn packed_engine_matches_scalar_reference() {
                     *bit = !*bit;
                 }
             }
-            // One weight class per kernel: unweighted and small weights
-            // take the renormalizing u16 path, mid-size weights the u32
-            // path, and huge weights (total budget above 2^26) the u64
-            // path.
-            let weights: Option<Vec<u32>> = match wclass {
-                0 => None,
-                1 => Some((0..tx.len()).map(|_| rng.gen_range(1u32..1_166)).collect()),
-                2 => Some((0..tx.len()).map(|_| rng.gen_range(2_000u32..50_001)).collect()),
-                _ => Some((0..tx.len()).map(|_| rng.gen_range(1u32 << 22..1 << 24)).collect()),
-            };
+            let weights: Option<Vec<u32>> = weighted
+                .then(|| (0..tx.len()).map(|_| rng.gen_range(1..MAX_WEIGHT + 1)).collect());
             let w = weights.as_deref();
             let packed = decode_punctured(rate, &tx, w, *terminate);
             prop_assert_eq!(packed, reference(rate, &tx, w, *terminate));
@@ -484,24 +476,46 @@ fn pattern_bits(n: usize, k: u64) -> Vec<bool> {
 
 #[test]
 fn packed_path_matches_reference_on_fixed_patterns() {
-    // Deterministic companion to the randomized property: every rate,
-    // weighted and unweighted, terminated and free-ending.
-    for (len, k) in [(60usize, 11u64), (120, 5), (30, 29)] {
+    // Deterministic companion to the randomized property: short streams at
+    // every rate plus one full 105-symbol MCS 7 payload (32 760
+    // transmitted bits) at R5/6 and at R1/2, unweighted and under four
+    // weight vectors, terminated and free-ending. Three of the vectors sit
+    // at the edge of the renormalization proof (`trellis::MAX_WEIGHT`):
+    // every weight at the bound, the bound alternating with 0, and random
+    // weights in `1000..=MAX_WEIGHT`.
+    const ALL: [CodeRate; 4] = [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56];
+    let cases: [(usize, u64, &[CodeRate]); 5] = [
+        (60, 11, &ALL),
+        (120, 5, &ALL),
+        (30, 29, &ALL),
+        (27_294, 13, &[CodeRate::R56]), // 27 300 inputs -> 32 760 transmitted
+        (16_374, 13, &[CodeRate::R12]), // 16 380 inputs -> 32 760 transmitted
+    ];
+    let mut rng = StdRng::seed_from_u64(0x7ab1e);
+    for (len, k, rates) in cases {
         let mut data = pattern_bits(len, k);
         data.extend([false; 6]);
-        for rate in [CodeRate::R12, CodeRate::R23, CodeRate::R34, CodeRate::R56] {
+        for &rate in rates {
             let n = data.len() - data.len() % rate.period_inputs();
             let mut tx = puncture(rate, &encode_r12(&data[..n]));
             // Corrupt a few positions so the decode is not trivial.
             for i in (3..tx.len()).step_by(37) {
                 tx[i] = !tx[i];
             }
-            let weights: Vec<u32> =
-                (0..tx.len() as u32).map(|i| [1, 100, 1000][(i % 3) as usize]).collect();
-            for (w, term) in [(None, false), (None, true), (Some(&weights[..]), false)] {
-                let packed = decode_punctured(rate, &tx, w, term);
-                let oracle = reference(rate, &tx, w, term);
-                assert_eq!(packed, oracle, "len {len} rate {rate:?} term {term}");
+            let n_tx = tx.len() as u32;
+            let weight_sets: [Vec<u32>; 4] = [
+                (0..n_tx).map(|i| [1, 100, 1000][(i % 3) as usize]).collect(),
+                vec![MAX_WEIGHT; tx.len()],
+                (0..n_tx).map(|i| if i % 2 == 0 { MAX_WEIGHT } else { 0 }).collect(),
+                (0..n_tx).map(|_| rng.gen_range(1000..MAX_WEIGHT + 1)).collect(),
+            ];
+            let weightings = std::iter::once(None).chain(weight_sets.iter().map(|w| Some(&w[..])));
+            for (wi, w) in weightings.enumerate() {
+                for term in [false, true] {
+                    let packed = decode_punctured(rate, &tx, w, term);
+                    let oracle = reference(rate, &tx, w, term);
+                    assert_eq!(packed, oracle, "len {len} rate {rate:?} weights #{wi} term {term}");
+                }
             }
         }
     }

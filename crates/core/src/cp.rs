@@ -76,7 +76,7 @@ impl CpCompat {
         n.div_ceil(self.block_len())
     }
 
-    /// Builds θ̂ from θ. The input is conceptually extended by `extend`
+    /// Builds θ̂ from θ. The input is conceptually extended by `extend_into`
     /// (below) to a whole number of blocks.
     ///
     /// Per block at offset `N` (paper's equations, generalized from L=8):
@@ -175,17 +175,11 @@ impl CpCompat {
         }
     }
 
-    /// Extends θ to a whole number of blocks *plus one lookahead sample* by
-    /// continuing at a constant frequency `extend_freq_cps` (cycles/sample —
-    /// normally the Bluetooth channel's offset, so the carrier just keeps
-    /// spinning).
-    pub fn extend(&self, theta: &[f64], extend_freq_cps: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.extend_into(theta, extend_freq_cps, &mut out);
-        out
-    }
-
-    /// Scratch-buffer variant of [`CpCompat::extend`].
+    /// Extends θ into `out`: a whole number of blocks *plus one lookahead
+    /// sample*, continuing at a constant frequency `extend_freq_cps`
+    /// (cycles/sample — normally the Bluetooth channel's offset, so the
+    /// carrier just keeps spinning). `out` is resized in place, allocating
+    /// only when it must grow.
     pub fn extend_into(&self, theta: &[f64], extend_freq_cps: f64, out: &mut Vec<f64>) {
         let bl = self.block_len();
         let target = self.n_blocks(theta.len().max(1)) * bl + 1;
@@ -319,8 +313,10 @@ mod tests {
         let c = CpCompat::sgi();
         let f = 0.05;
         let theta = ramp(100, f); // not a multiple of 72
-        let ext = c.extend(&theta, f);
+        let mut ext = vec![f64::NAN; 3]; // stale contents must be overwritten
+        c.extend_into(&theta, f, &mut ext);
         assert_eq!(ext.len(), 145); // two blocks + one lookahead sample
+        assert_eq!(ext[..100], theta[..]);
         // The continuation keeps the same slope.
         for i in 100..145 {
             let expect = 2.0 * std::f64::consts::PI * f * i as f64;

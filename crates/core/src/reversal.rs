@@ -9,6 +9,11 @@ use bluefi_coding::{CodeRate, FreeEdge, ViterbiScratch};
 use bluefi_wifi::Mcs;
 
 /// Weight classes for the modified Viterbi (paper Table 1).
+///
+/// `high`, `medium` and `low` must each be at most
+/// [`bluefi_coding::trellis::MAX_WEIGHT`] (1165): the trellis keeps its
+/// path metrics in renormalized `u16` and rejects a larger weight at
+/// decode time. Table 1's 1000/100/1 sit below it.
 #[derive(Debug, Clone, Copy)]
 pub struct WeightProfile {
     /// Weight for bits on subcarriers inside the main Bluetooth spectrum.
@@ -184,6 +189,14 @@ mod tests {
         let mut vit = ViterbiScratch::new();
         reverse_fec_with(coded, &weights, strategy, bt_subcarrier, &mut vit, &mut out);
         out
+    }
+
+    #[test]
+    fn table1_weights_fit_the_trellis_bound() {
+        let p = WeightProfile::default();
+        for w in [p.high, p.medium, p.low] {
+            assert!(w <= bluefi_coding::trellis::MAX_WEIGHT, "weight {w} above the trellis bound");
+        }
     }
 
     #[test]
