@@ -1,6 +1,6 @@
 //! Pass 2 — a per-file item index on the token stream.
 //!
-//! Walks the [`tokenize`](crate::tokens::tokenize) output once and records
+//! Walks the [`tokenize`] output once and records
 //! every `fn` item with its visibility, enclosing `mod`/`impl` context,
 //! crate-qualified path, body span (token and line ranges) and test-ness,
 //! plus the file's `use`-imports (local name → originating workspace

@@ -1,6 +1,6 @@
 //! Pass 1 — a token stream atop the line lexer.
 //!
-//! [`SourceFile`](crate::source::SourceFile) already classifies every
+//! [`SourceFile`] already classifies every
 //! character as code / comment / literal content and blanks string and char
 //! *contents* out of the per-line `code` view. This module tokenizes that
 //! `code` view into identifiers, literals and punctuation with spans

@@ -1,9 +1,13 @@
-//! Runtime profile of the synthesis hot path (paper Sec 4.8): single-packet
-//! latency through a warm scratch, a per-stage timing breakdown from the
-//! telemetry recorder, steady-state allocations per packet with telemetry
-//! both enabled and disabled (via the self-reporting probe in
-//! `bluefi_dsp::contracts` — debug builds only), and batch
-//! throughput at a host-clamped worker ladder on the Fig 9 workload.
+//! Runtime profile of the synthesis hot path (paper Sec 4.8): cold
+//! single-packet latency through a warm scratch and a per-stage timing
+//! breakdown from the telemetry recorder, once under the default weighted
+//! Viterbi and once under the configuration the template engine serves
+//! (real-time decoder, anchored phase), with the paper's stage × strategy
+//! table and FEC speedup; steady-state allocations per packet with
+//! telemetry both enabled and disabled (via the self-reporting probe in
+//! `bluefi_dsp::contracts` — debug builds only); batch throughput at a
+//! host-clamped worker ladder on the Fig 9 workload; and the beacon-fleet
+//! template cache.
 //!
 //! Telemetry runs at the `counters` level unless `BLUEFI_TELEMETRY`
 //! overrides it (or `--trace-out` forces `trace`); the worker ladder is
@@ -33,21 +37,143 @@ use bluefi_core::json::Json;
 use bluefi_core::par::{clamped_workers, host_cpus, worker_count, BatchJob, SynthesisBatch};
 use bluefi_core::pipeline::{BlueFi, PhaseMode, SynthesisScratch};
 use bluefi_core::reversal::DecodeStrategy;
-use bluefi_core::telemetry::{self, Level, SpanKind};
+use bluefi_core::telemetry::trace::TraceSnapshot;
+use bluefi_core::telemetry::{self, Level, Snapshot, SpanKind};
 use bluefi_core::template::{CachedEngine, CachedScratch};
 use bluefi_dsp::contracts;
 use bluefi_dsp::power::{mean, percentile_sorted};
-use bluefi_wifi::channels::{bt_channel_freq_hz, plan_channel, usable_bt_channels_in_wifi};
+use bluefi_wifi::channels::{
+    bt_channel_freq_hz, plan_channel, usable_bt_channels_in_wifi, ChannelPlan,
+};
 use std::time::Instant;
 
-fn beacon_bits(variant: u8) -> Vec<bool> {
-    let pdu = AdvPdu {
+fn beacon_pdu(variant: u8) -> AdvPdu {
+    AdvPdu {
         pdu_type: AdvPduType::AdvNonconnInd,
         adv_address: [variant, 0x0E, 0xF1, 0x00, 0x00, 0x01],
         adv_data: (0..30).map(|i| (i * 5 + 1) as u8 ^ variant).collect(),
         tx_add: false,
-    };
-    adv_air_bits(&pdu, 38)
+    }
+}
+
+fn beacon_bits(variant: u8) -> Vec<bool> {
+    adv_air_bits(&beacon_pdu(variant), 38)
+}
+
+/// Report sections: each ends with a trace capture (when tracing) and then
+/// `drain_section`, whose reset clears the trace rings too.
+struct Sections {
+    tracing: bool,
+    traces: Vec<TraceSnapshot>,
+}
+
+impl Sections {
+    /// Closes the current section and returns its telemetry; the next
+    /// section starts from zero.
+    fn end(&mut self) -> Snapshot {
+        if self.tracing {
+            self.traces.push(telemetry::trace::snapshot());
+        }
+        telemetry::drain_section()
+    }
+}
+
+/// One strategy's cold packets: per-trial latency (sorted) and the
+/// recorder's view of exactly those trials.
+struct ColdPackets {
+    lat_sorted: Vec<f64>,
+    snap: Snapshot,
+}
+
+/// The five pipeline phases, then the enclosing `synthesize` total.
+fn stage_kinds() -> Vec<SpanKind> {
+    let mut kinds = SpanKind::pipeline_phases().to_vec();
+    kinds.push(SpanKind::Synthesize);
+    kinds
+}
+
+impl ColdPackets {
+    /// Times `trials` cold packets under `bf` through one warm scratch,
+    /// cycling `variants` so consecutive trials never repeat a coded
+    /// target, then closes the section so the stage histograms of two
+    /// strategies never mix.
+    fn time(
+        bf: &BlueFi,
+        variants: &[Vec<bool>],
+        plan: ChannelPlan,
+        trials: usize,
+        sections: &mut Sections,
+    ) -> ColdPackets {
+        let mut scratch = SynthesisScratch::new();
+        bf.synthesize_at_with(&variants[0], plan, 71, &mut scratch); // warm-up
+        telemetry::reset(); // per-stage stats cover only the timed trials
+        let mut lat_sorted: Vec<f64> = (0..trials)
+            .map(|i| {
+                // Offset by one so trial 0 does not repeat the warm-up payload.
+                let b = &variants[(i + 1) % variants.len()];
+                let t0 = Instant::now();
+                std::hint::black_box(bf.synthesize_at_with(b, plan, 71, &mut scratch));
+                t0.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        lat_sorted.sort_by(|a, b| a.total_cmp(b));
+        ColdPackets { lat_sorted, snap: sections.end() }
+    }
+
+    fn mean_us(&self) -> f64 {
+        mean(&self.lat_sorted)
+    }
+
+    /// Mean µs per packet of one span, if the recorder saw it.
+    fn stage_mean_us(&self, kind: SpanKind) -> Option<f64> {
+        self.snap.span_stat(kind).and_then(|s| s.hist.mean()).map(|m| m / 1e3)
+    }
+
+    /// Share of the enclosing `synthesize` total spent in `kind`, in %.
+    fn share_pct(&self, kind: SpanKind) -> f64 {
+        let sum = |k| self.snap.span_stat(k).map_or(0, |s| s.hist.sum);
+        let total = sum(SpanKind::Synthesize);
+        if total > 0 { 100.0 * sum(kind) as f64 / total as f64 } else { 0.0 }
+    }
+
+    /// The `single_packet`, `per_stage` and `total` report objects. The
+    /// enclosing `synthesize` span is the denominator, not a stage: it is
+    /// its own `total` object, so the child shares sum to ≤100%.
+    fn report(&self, distinct_payloads: usize) -> Vec<(&'static str, Json)> {
+        let sorted = &self.lat_sorted;
+        let single = Json::obj(vec![
+            ("mean_us", Json::Num(self.mean_us())),
+            ("median_us", Json::Num(percentile_sorted(sorted, 50.0))),
+            ("p10_us", Json::Num(percentile_sorted(sorted, 10.0))),
+            ("p90_us", Json::Num(percentile_sorted(sorted, 90.0))),
+            ("distinct_payloads", Json::Num(distinct_payloads as f64)),
+        ]);
+        let mut per_stage = Vec::new();
+        let mut total = Json::Null;
+        for kind in stage_kinds() {
+            let Some(stat) = self.snap.span_stat(kind) else { continue };
+            let h = &stat.hist;
+            let us = |v: Option<u64>| v.map(|n| n as f64 / 1e3).unwrap_or(0.0);
+            let mut fields = vec![
+                ("count", Json::Num(h.count as f64)),
+                ("mean_us", Json::Num(h.mean().map(|m| m / 1e3).unwrap_or(0.0))),
+                ("p50_us", Json::Num(us(h.percentile(50.0)))),
+                ("p90_us", Json::Num(us(h.percentile(90.0)))),
+                ("total_ms", Json::Num(h.sum as f64 / 1e6)),
+            ];
+            if kind == SpanKind::Synthesize {
+                total = Json::obj(fields);
+            } else {
+                fields.push(("share_pct", Json::Num(self.share_pct(kind))));
+                per_stage.push((kind.name(), Json::obj(fields)));
+            }
+        }
+        vec![("single_packet", single), ("per_stage", Json::obj(per_stage)), ("total", total)]
+    }
+}
+
+fn counter_value(snap: &Snapshot, name: &str) -> u64 {
+    snap.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v).unwrap_or(0)
 }
 
 /// Steady-state allocations per packet at the current telemetry level.
@@ -55,7 +181,7 @@ fn beacon_bits(variant: u8) -> Vec<bool> {
 fn steady_allocs_per_packet(
     bf: &BlueFi,
     variants: &[Vec<bool>],
-    plan: bluefi_wifi::channels::ChannelPlan,
+    plan: ChannelPlan,
     trials: usize,
 ) -> (f64, u64) {
     let mut cold = SynthesisScratch::new();
@@ -88,88 +214,25 @@ fn main() {
     for w in telemetry::warnings() {
         rep.note(format!("telemetry warning: {w}"));
     }
-    // Per-section causal-trace captures, merged into one export at the end
-    // (each section boundary resets the recorder, so each capture must
-    // happen first).
-    let mut trace_sections: Vec<telemetry::trace::TraceSnapshot> = Vec::new();
+    // Per-section causal-trace captures, merged into one export at the end.
+    let mut sections = Sections { tracing, traces: Vec::new() };
     let bf = BlueFi::default();
+    // The configuration the template engine serves: its cold path is the
+    // real-time Sec 4.8 column, and the beacon fleet below patches it.
+    let realtime_bf = BlueFi {
+        strategy: DecodeStrategy::Realtime,
+        phase: PhaseMode::Anchored,
+        ..BlueFi::default()
+    };
     // lint: allow(panic) channel 38 = 2426 MHz is plannable by construction
     let plan = plan_channel(2.426e9).expect("advertising channel must be plannable");
     // Distinct payload variants so consecutive trials never repeat a coded
     // target; cold-path latency cycles them.
     let variants: Vec<Vec<bool>> = (0..8u8).map(beacon_bits).collect();
-    let bits = variants[0].clone();
 
-    // -- Single-packet latency through a warm scratch ---------------------
-    let mut scratch = SynthesisScratch::new();
-    bf.synthesize_at_with(&bits, plan, 71, &mut scratch); // warm-up
-    telemetry::reset(); // per-stage stats cover only the timed trials
-    let lat_us: Vec<f64> = (0..trials)
-        .map(|i| {
-            // Offset by one so trial 0 does not repeat the warm-up payload.
-            let b = &variants[(i + 1) % variants.len()];
-            let t0 = Instant::now();
-            std::hint::black_box(bf.synthesize_at_with(b, plan, 71, &mut scratch));
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-
-    // -- Per-stage breakdown from the telemetry recorder ------------------
-    // The enclosing `synthesize` span is the denominator, not a stage: it
-    // is reported as a separate `total` object so the child shares sum to
-    // ≤100% (the old schema put it inside `per_stage` at share 100, and
-    // naive consumers summing shares read ~200%).
-    let snap = telemetry::snapshot();
-    let total_ns: u64 = snap
-        .span_stat(SpanKind::Synthesize)
-        .map(|s| s.hist.sum)
-        .unwrap_or(0);
-    let mut stage_rows = Vec::new();
-    let mut per_stage_json = Vec::new();
-    let mut total_json = Json::Null;
-    let mut phases: Vec<SpanKind> = SpanKind::pipeline_phases().to_vec();
-    phases.push(SpanKind::Synthesize);
-    for kind in phases {
-        let Some(stat) = snap.span_stat(kind) else { continue };
-        let h = &stat.hist;
-        let us = |v: Option<u64>| v.map(|n| n as f64 / 1e3).unwrap_or(0.0);
-        let is_total = kind == SpanKind::Synthesize;
-        let share = if total_ns > 0 { 100.0 * h.sum as f64 / total_ns as f64 } else { 0.0 };
-        stage_rows.push(vec![
-            if is_total { format!("{} (total)", kind.name()) } else { kind.name().to_string() },
-            format!("{}", h.count),
-            format!("{:.1}", h.mean().map(|m| m / 1e3).unwrap_or(0.0)),
-            format!("{:.1}", us(h.percentile(50.0))),
-            format!("{:.1}", us(h.percentile(90.0))),
-            format!("{:.3}", h.sum as f64 / 1e6),
-            format!("{share:.1}%"),
-        ]);
-        let mut fields = vec![
-            ("count", Json::Num(h.count as f64)),
-            ("mean_us", Json::Num(h.mean().map(|m| m / 1e3).unwrap_or(0.0))),
-            ("p50_us", Json::Num(us(h.percentile(50.0)))),
-            ("p90_us", Json::Num(us(h.percentile(90.0)))),
-            ("total_ms", Json::Num(h.sum as f64 / 1e6)),
-        ];
-        if is_total {
-            total_json = Json::obj(fields);
-        } else {
-            fields.push(("share_pct", Json::Num(share)));
-            per_stage_json.push((kind.name(), Json::obj(fields)));
-        }
-    }
-
-    let counter_value = |snap: &telemetry::Snapshot, name: &str| -> u64 {
-        snap.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v).unwrap_or(0)
-    };
-
-    // Section boundary: latency/per-stage numbers are final; drain
-    // so the next section starts from zero. Traces are captured first —
-    // the reset inside `drain_section` clears the trace rings too.
-    if tracing {
-        trace_sections.push(telemetry::trace::snapshot());
-    }
-    telemetry::drain_section();
+    // -- Cold packets, one section per FEC strategy -----------------------
+    let viterbi = ColdPackets::time(&bf, &variants, plan, trials, &mut sections);
+    let realtime = ColdPackets::time(&realtime_bf, &variants, plan, trials, &mut sections);
 
     // -- Steady-state allocations per packet ------------------------------
     // The probe only counts in debug builds; release builds
@@ -180,12 +243,7 @@ fn main() {
     telemetry::set_level(Level::Off);
     let (steady_disabled, _) = steady_allocs_per_packet(&bf, &variants, plan, trials);
     telemetry::set_level(level);
-
-    // Section boundary after the allocation probes.
-    if tracing {
-        trace_sections.push(telemetry::trace::snapshot());
-    }
-    telemetry::drain_section();
+    sections.end();
 
     // -- Batch throughput on the Fig 9 workload ---------------------------
     // One beacon per usable even-indexed Bluetooth channel, repeated until
@@ -252,51 +310,28 @@ fn main() {
         std::hint::black_box(demo.synthesize(&jobs[..jobs.len().min(8)]));
     }
 
-    // Section boundary after batch throughput.
-    if tracing {
-        trace_sections.push(telemetry::trace::snapshot());
-    }
-    telemetry::drain_section();
+    sections.end();
 
     // -- Beacon-fleet template cache --------------------------------------
-    // The production beacon-fleet shape: one payload class per key, with a
-    // rotating counter in the trailing byte. The first synthesis caches a
-    // template; every later packet takes the GF(2) delta-patch path
-    // (`core::template`), which must be an order of magnitude faster than
-    // cold synthesis while staying bit-exact (conformance pins exactness).
-    let fleet_bf = BlueFi {
-        strategy: DecodeStrategy::Realtime,
-        phase: PhaseMode::Anchored,
-        ..BlueFi::default()
-    };
+    // The benchmark's beacon-fleet mutation: a 2-byte little-endian counter
+    // in the middle of the AdvData, rebuilt through `adv_air_bits` so CRC
+    // and whitening stay valid. The first synthesis caches a template;
+    // every later packet takes the GF(2) delta-patch path
+    // (`core::template`), which conformance pins bit-exact.
     let n_fleet = trials.clamp(20, 120);
-    let fleet_base = bits.clone();
-    let fleet_packet = |counter: usize| -> Vec<bool> {
-        let mut b = fleet_base.clone();
-        let n = b.len();
-        let c = (counter % 256) as u8;
-        for bit in 0..8 {
-            b[n - 8 + bit] ^= c >> bit & 1 == 1;
-        }
-        b
-    };
-    let fleet_payloads: Vec<Vec<bool>> = (0..n_fleet).map(fleet_packet).collect();
-
-    // Cold baseline: the identical anchored real-time pipeline, no cache.
-    let mut fleet_cold_scratch = SynthesisScratch::new();
-    fleet_bf.synthesize_at_with(&fleet_payloads[0], plan, 71, &mut fleet_cold_scratch);
-    let fleet_cold_us: Vec<f64> = fleet_payloads
-        .iter()
-        .map(|b| {
-            let t0 = Instant::now();
-            std::hint::black_box(fleet_bf.synthesize_at_with(b, plan, 71, &mut fleet_cold_scratch));
-            t0.elapsed().as_secs_f64() * 1e6
+    let fleet_pdu = beacon_pdu(0);
+    let counter_at = fleet_pdu.adv_data.len() / 2 - 1;
+    let fleet_payloads: Vec<Vec<bool>> = (0..n_fleet as u16)
+        .map(|counter| {
+            let mut pdu = fleet_pdu.clone();
+            pdu.adv_data[counter_at..counter_at + 2].copy_from_slice(&counter.to_le_bytes());
+            adv_air_bits(&pdu, 38)
         })
         .collect();
 
     // Patch latency: prime the template and warm every buffer on the same
     // mutation set, then time each cache-hit packet individually.
-    let fleet_engine = CachedEngine::new(fleet_bf.clone());
+    let fleet_engine = CachedEngine::new(realtime_bf.clone());
     let mut fleet_scratch = CachedScratch::new();
     for b in &fleet_payloads {
         fleet_engine.synthesize_at_with(b, plan, 71, &mut fleet_scratch);
@@ -310,13 +345,9 @@ fn main() {
             t0.elapsed().as_secs_f64() * 1e6
         })
         .collect();
-    // Section boundary after the fleet cold/patch comparison (the drained
-    // snapshot doubles as the section's counter readout); each sweep point
-    // below then drains again so its counters are per-point.
-    if tracing {
-        trace_sections.push(telemetry::trace::snapshot());
-    }
-    let fleet_after = telemetry::drain_section();
+    // The drained snapshot doubles as the section's counter readout; each
+    // sweep point below then drains again so its counters are per-point.
+    let fleet_after = sections.end();
     let fleet_hits =
         counter_value(&fleet_after, "template_hit") - counter_value(&fleet_before, "template_hit");
 
@@ -331,21 +362,14 @@ fn main() {
             .min(n_fleet)
             .min(126);
         let seeds: Vec<u8> = (0..k).map(|i| (i % 126 + 1) as u8).collect();
-        let engine = CachedEngine::new(fleet_bf.clone());
+        let engine = CachedEngine::new(realtime_bf.clone());
         let mut scratch = CachedScratch::new();
         let t0 = Instant::now();
         for (i, b) in fleet_payloads.iter().enumerate() {
             std::hint::black_box(engine.synthesize_at_with(b, plan, seeds[i % k], &mut scratch));
         }
         let dt = t0.elapsed().as_secs_f64();
-        // Per-point boundary: the drained snapshot is this point's counter
-        // readout, and the reset means the next point (and the next
-        // section) starts from zero. The preceding section boundary
-        // guarantees the first point starts clean too.
-        if tracing {
-            trace_sections.push(telemetry::trace::snapshot());
-        }
-        let point = telemetry::drain_section();
+        let point = sections.end();
         let hits = counter_value(&point, "template_hit");
         let misses = counter_value(&point, "template_miss");
         let observed = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
@@ -364,80 +388,56 @@ fn main() {
         ]));
     }
 
-    // -- Service soak (daemon transport overhead) -------------------------
-    // The full `bluefi-service` stack — unix socket, frame codec, bounded
-    // queue, worker pool — over the deterministic mock backend, so the
-    // requests/s number isolates transport cost from synthesis cost.
-    let soak_clients = 16usize;
-    let soak_reqs = 25usize;
-    let soak_path = std::env::temp_dir().join(format!("bluefi-profile-{}.sock", std::process::id()));
-    let soak_path = soak_path.to_string_lossy().to_string();
-    let soak_server = bluefi_service::Server::spawn(
-        &soak_path,
-        std::sync::Arc::new(bluefi_service::MockBackend::new()),
-        bluefi_service::ServiceConfig::default(),
-    )
-    // lint: allow(panic) a fresh socket in the temp dir must bind
-    .expect("bind soak socket");
-    let soak_bits = &variants[0];
-    let soak_ok = std::sync::atomic::AtomicU64::new(0);
-    let soak_t0 = Instant::now();
-    std::thread::scope(|s| {
-        for c in 0..soak_clients {
-            let path = &soak_path;
-            let ok = &soak_ok;
-            s.spawn(move || {
-                let Ok(mut client) = bluefi_service::ServiceClient::connect(path) else {
-                    return;
-                };
-                let _ = client.set_timeout(std::time::Duration::from_secs(10));
-                let channel = [10u8, 24, 50][c % 3];
-                for _ in 0..soak_reqs {
-                    if client.synthesize(soak_bits, channel, 71).is_ok() {
-                        ok.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let soak_dt = soak_t0.elapsed().as_secs_f64();
-    let soak_total = (soak_clients * soak_reqs) as u64;
-    let soak_ok = soak_ok.into_inner();
-    let soak_rps = soak_ok as f64 / soak_dt.max(1e-9);
-    soak_server.drain();
-    let soak_stopped = soak_server.shutdown();
-    let soak_stats = soak_stopped.stats();
-
-    // Section boundary after the soak (the service spans/counters feed the
-    // same recorder).
-    if tracing {
-        trace_sections.push(telemetry::trace::snapshot());
-    }
-    let soak_section = telemetry::drain_section();
-    let soak_shed = counter_value(&soak_section, "service_shed");
-
     // -- Report -----------------------------------------------------------
-    // Sort the latency series once; all percentiles read from it.
-    let mut lat_sorted = lat_us.clone();
-    lat_sorted.sort_by(|a, b| a.total_cmp(b));
+    let strategies = [("weighted Viterbi", &viterbi), ("real-time, anchored", &realtime)];
     rep.table(
         "Runtime profile — single-packet synthesis latency (warm scratch)",
-        &["payload", "mean µs", "median µs", "p10 µs", "p90 µs", "trials"],
-        vec![vec![
-            format!("cold ({} variants)", variants.len()),
-            format!("{:.1}", mean(&lat_us)),
-            format!("{:.1}", percentile_sorted(&lat_sorted, 50.0)),
-            format!("{:.1}", percentile_sorted(&lat_sorted, 10.0)),
-            format!("{:.1}", percentile_sorted(&lat_sorted, 90.0)),
-            format!("{trials}"),
-        ]],
+        &["strategy", "mean µs", "median µs", "p10 µs", "p90 µs", "trials"],
+        strategies
+            .iter()
+            .map(|(name, cold)| {
+                vec![
+                    format!("{name} ({} payloads)", variants.len()),
+                    format!("{:.1}", cold.mean_us()),
+                    format!("{:.1}", percentile_sorted(&cold.lat_sorted, 50.0)),
+                    format!("{:.1}", percentile_sorted(&cold.lat_sorted, 10.0)),
+                    format!("{:.1}", percentile_sorted(&cold.lat_sorted, 90.0)),
+                    format!("{trials}"),
+                ]
+            })
+            .collect(),
     );
-    if !stage_rows.is_empty() {
+    if viterbi.snap.span_stat(SpanKind::Synthesize).is_some() {
+        let cell = |cold: &ColdPackets, kind| {
+            let mean = cold.stage_mean_us(kind).unwrap_or(0.0);
+            if kind == SpanKind::Synthesize {
+                format!("{mean:.1}")
+            } else {
+                format!("{mean:.1} ({:.1}%)", cold.share_pct(kind))
+            }
+        };
         rep.table(
-            &format!("Runtime profile — per-stage breakdown (telemetry level: {})", level.name()),
-            &["stage", "count", "mean µs", "p50 µs", "p90 µs", "total ms", "share"],
-            stage_rows,
+            &format!(
+                "Sec 4.8 — per-stage runtime, mean µs/packet (share of total) over {trials} \
+                 packets (telemetry level: {})",
+                level.name()
+            ),
+            &["stage", "weighted Viterbi", "real-time, anchored"],
+            stage_kinds()
+                .into_iter()
+                .map(|kind| {
+                    vec![kind.name().to_string(), cell(&viterbi, kind), cell(&realtime, kind)]
+                })
+                .collect(),
         );
+        // The paper's headline ratio: the real-time decoder is far cheaper
+        // than the weighted Viterbi.
+        let fec = |cold: &ColdPackets| cold.stage_mean_us(SpanKind::FecReversal).unwrap_or(0.0);
+        rep.note(format!(
+            "\nFEC reversal speedup (weighted Viterbi / real-time): {:.1}x \
+             (paper: ~50x; FEC dominates every pipeline)",
+            fec(&viterbi) / fec(&realtime).max(1e-9)
+        ));
     } else {
         rep.note(format!(
             "\nper-stage breakdown unavailable (telemetry level: {}; set \
@@ -460,42 +460,27 @@ fn main() {
     }
     let mut patch_sorted = patch_us.clone();
     patch_sorted.sort_by(|a, b| a.total_cmp(b));
-    let mut fleet_cold_sorted = fleet_cold_us.clone();
-    fleet_cold_sorted.sort_by(|a, b| a.total_cmp(b));
     let patch_mean = mean(&patch_us);
-    let fleet_cold_mean = mean(&fleet_cold_us);
     rep.table(
         &format!(
             "Runtime profile — beacon fleet, template cache ({n_fleet} packets, \
-             counter mutations)"
+             mid-AdvData counter mutations)"
         ),
         &["path", "mean µs", "p50 µs", "p90 µs", "p99 µs", "packets/s"],
-        vec![
-            vec![
-                "cold (anchored realtime)".to_string(),
-                format!("{fleet_cold_mean:.1}"),
-                format!("{:.1}", percentile_sorted(&fleet_cold_sorted, 50.0)),
-                format!("{:.1}", percentile_sorted(&fleet_cold_sorted, 90.0)),
-                format!("{:.1}", percentile_sorted(&fleet_cold_sorted, 99.0)),
-                format!("{:.0}", 1e6 / fleet_cold_mean.max(1e-9)),
-            ],
-            vec![
-                format!("cached patch ({fleet_hits} hits)"),
-                format!("{patch_mean:.1}"),
-                format!("{:.1}", percentile_sorted(&patch_sorted, 50.0)),
-                format!("{:.1}", percentile_sorted(&patch_sorted, 90.0)),
-                format!("{:.1}", percentile_sorted(&patch_sorted, 99.0)),
-                format!("{:.0}", 1e6 / patch_mean.max(1e-9)),
-            ],
-        ],
+        vec![vec![
+            format!("cached patch ({fleet_hits} hits)"),
+            format!("{patch_mean:.1}"),
+            format!("{:.1}", percentile_sorted(&patch_sorted, 50.0)),
+            format!("{:.1}", percentile_sorted(&patch_sorted, 90.0)),
+            format!("{:.1}", percentile_sorted(&patch_sorted, 99.0)),
+            format!("{:.0}", 1e6 / patch_mean.max(1e-9)),
+        ]],
     );
     rep.note(format!(
-        "\ncache-hit patch speedup: {:.1}x vs the cold single-packet mean \
-         ({:.1} µs), {:.1}x vs the anchored real-time cold path ({:.1} µs)",
-        mean(&lat_us) / patch_mean.max(1e-9),
-        mean(&lat_us),
-        fleet_cold_mean / patch_mean.max(1e-9),
-        fleet_cold_mean,
+        "\ncache-hit patch speedup: {:.1}x vs the same configuration's cold packet \
+         (real-time, anchored: {:.1} µs)",
+        realtime.mean_us() / patch_mean.max(1e-9),
+        realtime.mean_us(),
     ));
     // The real-time plan for the longest packet the audio streamer sends
     // (800 OFDM symbols at MCS 5): its build time and heap footprint.
@@ -523,18 +508,6 @@ fn main() {
         "\nparallel output bit-exact with sequential: {}",
         if bit_exact { "yes" } else { "NO — determinism violated" }
     ));
-    rep.table(
-        "Runtime profile — service soak (mock backend, transport overhead)",
-        &["clients", "requests", "ok", "shed", "seconds", "requests/s"],
-        vec![vec![
-            format!("{soak_clients}"),
-            format!("{soak_total}"),
-            format!("{soak_ok}"),
-            format!("{soak_shed}"),
-            format!("{soak_dt:.3}"),
-            format!("{soak_rps:.0}"),
-        ]],
-    );
     let cpus = host_cpus();
     if clamped {
         rep.note(format!(
@@ -549,30 +522,14 @@ fn main() {
         ));
     }
 
-    let report = Json::obj(vec![
+    let mut fields = vec![
         ("trials", Json::Num(trials as f64)),
         ("host_cpus", Json::Num(cpus as f64)),
         ("contracts_enabled", Json::Bool(measured)),
-        (
-            "single_packet",
-            Json::obj(vec![
-                ("mean_us", Json::Num(mean(&lat_us))),
-                ("median_us", Json::Num(percentile_sorted(&lat_sorted, 50.0))),
-                ("p10_us", Json::Num(percentile_sorted(&lat_sorted, 10.0))),
-                ("p90_us", Json::Num(percentile_sorted(&lat_sorted, 90.0))),
-                ("distinct_payloads", Json::Num(variants.len() as f64)),
-            ]),
-        ),
-        (
-            "per_stage",
-            Json::Obj(
-                per_stage_json
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            ),
-        ),
-        ("total", total_json),
+    ];
+    fields.extend(viterbi.report(variants.len()));
+    fields.push(("realtime", Json::obj(realtime.report(variants.len()))));
+    fields.extend([
         (
             "allocs_per_packet",
             Json::obj(vec![
@@ -589,10 +546,11 @@ fn main() {
                 ("allocs_per_packet_disabled", Json::Num(steady_disabled)),
                 (
                     "warnings",
-                    Json::Arr(snap.warnings.iter().map(|w| Json::Str(w.clone())).collect()),
+                    Json::Arr(viterbi.snap.warnings.iter().map(|w| Json::Str(w.clone())).collect()),
                 ),
                 ("counters", {
-                    let pairs: Vec<(String, Json)> = snap
+                    let pairs: Vec<(String, Json)> = viterbi
+                        .snap
                         .counters
                         .iter()
                         .filter(|(_, v)| *v > 0)
@@ -615,20 +573,10 @@ fn main() {
             "beacon_fleet",
             Json::obj(vec![
                 ("packets", Json::Num(n_fleet as f64)),
-                ("cold_mean_us", Json::Num(fleet_cold_mean)),
-                ("cold_p50_us", Json::Num(percentile_sorted(&fleet_cold_sorted, 50.0))),
                 ("patch_mean_us", Json::Num(patch_mean)),
                 ("patch_p50_us", Json::Num(percentile_sorted(&patch_sorted, 50.0))),
                 ("patch_p90_us", Json::Num(percentile_sorted(&patch_sorted, 90.0))),
                 ("patch_p99_us", Json::Num(percentile_sorted(&patch_sorted, 99.0))),
-                (
-                    "speedup_vs_cold_single_packet",
-                    Json::Num(mean(&lat_us) / patch_mean.max(1e-9)),
-                ),
-                (
-                    "speedup_vs_fleet_cold",
-                    Json::Num(fleet_cold_mean / patch_mean.max(1e-9)),
-                ),
                 ("hit_rate_sweep", Json::Arr(sweep_json)),
                 ("template_counters", {
                     let names = [
@@ -659,25 +607,13 @@ fn main() {
                 ("build_ms", Json::Num(plan_build_ms)),
             ]),
         ),
-        (
-            "service_soak",
-            Json::obj(vec![
-                ("backend", Json::Str("mock".to_string())),
-                ("clients", Json::Num(soak_clients as f64)),
-                ("requests", Json::Num(soak_total as f64)),
-                ("ok", Json::Num(soak_ok as f64)),
-                ("shed", Json::Num(soak_shed as f64)),
-                ("server_ok", Json::Num(soak_stats.ok() as f64)),
-                ("seconds", Json::Num(soak_dt)),
-                ("requests_per_s", Json::Num(soak_rps)),
-            ]),
-        ),
     ]);
+    let report = Json::obj(fields);
     // lint: allow(panic) a report the caller asked for must be writable
     std::fs::write(&out_path, report.render() + "\n").expect("write runtime report");
     rep.note(format!("wrote {out_path}"));
     if tracing {
-        let chrome = telemetry::trace::chrome_trace(&trace_sections);
+        let chrome = telemetry::trace::chrome_trace(&sections.traces);
         let n_events = chrome
             .get("traceEvents")
             .and_then(Json::as_arr)
@@ -688,7 +624,7 @@ fn main() {
         rep.note(format!(
             "wrote {trace_out} ({n_events} trace events from {} sections; \
              open in Perfetto or chrome://tracing)",
-            trace_sections.len()
+            sections.traces.len()
         ));
     }
     rep.finish();

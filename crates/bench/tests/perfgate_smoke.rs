@@ -82,6 +82,9 @@ fn gate_fails_on_synthetic_regression_and_names_the_metric() {
     // The direct 61-tap Gaussian convolution is about 25× slower than the
     // pulse table, so reverting to it looks like this.
     scale_num(&mut doc, &["per_stage", "gfsk_modulate", "mean_us"], 25.0);
+    // Swapping the real-time plan's mask replay for the weighted Viterbi
+    // makes its FEC stage about 6× slower.
+    scale_num(&mut doc, &["realtime", "per_stage", "fec_reversal", "mean_us"], 6.0);
     let regressed = std::env::temp_dir().join("bluefi_perfgate_regressed.json");
     std::fs::write(&regressed, doc.render()).expect("write regressed report");
     let gate = run_gate(&baseline, &regressed);
@@ -92,6 +95,7 @@ fn gate_fails_on_synthetic_regression_and_names_the_metric() {
         "single_packet.mean_us",
         "beacon_fleet.patch_p99_us",
         "per_stage.gfsk_modulate.mean_us",
+        "realtime.per_stage.fec_reversal.mean_us",
     ] {
         assert!(
             gate.stdout.contains(&format!("{metric}:")),

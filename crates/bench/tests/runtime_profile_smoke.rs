@@ -25,6 +25,47 @@ fn run_profile(out_name: &str, level: &str) -> Json {
     Json::parse(&text).expect("report must be valid JSON")
 }
 
+/// Per-stage breakdown of one strategy's section: the enclosing synthesize
+/// span lives in its own `total` field (NOT inside per_stage — summing
+/// per_stage shares must not double-count the parent), every child phase
+/// covers exactly the timed trials, and the child shares sum to ≤100%.
+fn assert_stage_breakdown(section: &Json, trials: f64) {
+    let per_stage = section.get("per_stage").expect("per_stage section");
+    assert!(
+        per_stage.get("synthesize").is_none(),
+        "parent span must not sit inside per_stage"
+    );
+    let total = section.get("total").expect("total section");
+    let total_ms = total.get("total_ms").and_then(Json::as_f64).expect("synthesize total");
+    assert_eq!(total.get("count").and_then(Json::as_f64), Some(trials));
+    let mut share_sum = 0.0;
+    for stage in PHASES {
+        let s = per_stage.get(stage).unwrap_or_else(|| panic!("missing stage {stage}"));
+        assert_eq!(s.get("count").and_then(Json::as_f64), Some(trials), "{stage}");
+        for key in ["mean_us", "p50_us", "p90_us", "total_ms", "share_pct"] {
+            let v = s.get(key).and_then(Json::as_f64).expect(key);
+            assert!(v.is_finite() && v >= 0.0, "{stage}.{key} = {v}");
+        }
+        let share = s.get("share_pct").and_then(Json::as_f64).expect("share");
+        assert!(share <= 100.0 + 1e-9, "{stage} share {share}");
+        share_sum += share;
+        assert!(
+            s.get("total_ms").and_then(Json::as_f64).expect("total") <= total_ms + 1e-9,
+            "{stage} exceeds the end-to-end total"
+        );
+        // The percentile fix: interpolated p50 can no longer exceed the
+        // bucket ceiling artifactually; it must stay within the envelope
+        // implied by mean and p90.
+        let p50 = s.get("p50_us").and_then(Json::as_f64).expect("p50");
+        let p90 = s.get("p90_us").and_then(Json::as_f64).expect("p90");
+        assert!(p50 <= p90 + 1e-9, "{stage}: p50 {p50} > p90 {p90}");
+    }
+    assert!(
+        share_sum <= 100.0 + 1e-6,
+        "child stage shares sum to {share_sum}% (> 100%)"
+    );
+}
+
 #[test]
 fn runtime_profile_emits_valid_report() {
     let report = run_profile("bluefi_runtime_profile_smoke.json", "counters");
@@ -75,57 +116,30 @@ fn runtime_profile_emits_valid_report() {
         assert!(pps.is_finite() && pps > 0.0);
     }
 
-    // Per-stage breakdown: the enclosing synthesize span lives in its own
-    // `total` field (NOT inside per_stage — summing per_stage shares must
-    // not double-count the parent), every child phase covers exactly the
-    // timed trials, and the child shares sum to ≤100%.
-    let per_stage = report.get("per_stage").expect("per_stage section");
-    assert!(
-        per_stage.get("synthesize").is_none(),
-        "parent span must not sit inside per_stage"
-    );
-    let total = report.get("total").expect("total section");
-    let total_ms = total.get("total_ms").and_then(Json::as_f64).expect("synthesize total");
-    assert_eq!(total.get("count").and_then(Json::as_f64), Some(2.0));
-    let mut share_sum = 0.0;
-    for stage in PHASES {
-        let s = per_stage.get(stage).unwrap_or_else(|| panic!("missing stage {stage}"));
-        assert_eq!(s.get("count").and_then(Json::as_f64), Some(2.0), "{stage}");
-        for key in ["mean_us", "p50_us", "p90_us", "total_ms", "share_pct"] {
-            let v = s.get(key).and_then(Json::as_f64).expect(key);
-            assert!(v.is_finite() && v >= 0.0, "{stage}.{key} = {v}");
-        }
-        let share = s.get("share_pct").and_then(Json::as_f64).expect("share");
-        assert!(share <= 100.0 + 1e-9, "{stage} share {share}");
-        share_sum += share;
-        assert!(
-            s.get("total_ms").and_then(Json::as_f64).expect("total") <= total_ms + 1e-9,
-            "{stage} exceeds the end-to-end total"
-        );
-        // The percentile fix: interpolated p50 can no longer exceed the
-        // bucket ceiling artifactually; it must stay within the envelope
-        // implied by mean and p90.
-        let p50 = s.get("p50_us").and_then(Json::as_f64).expect("p50");
-        let p90 = s.get("p90_us").and_then(Json::as_f64).expect("p90");
-        assert!(p50 <= p90 + 1e-9, "{stage}: p50 {p50} > p90 {p90}");
+    // Both FEC strategies report the same per-stage schema: the default
+    // weighted Viterbi at the top level, the template engine's real-time
+    // configuration under `realtime`.
+    assert_stage_breakdown(&report, 2.0);
+    let realtime = report.get("realtime").expect("realtime section");
+    for key in ["mean_us", "median_us", "p10_us", "p90_us"] {
+        let v = realtime.get("single_packet").and_then(|s| s.get(key)).and_then(Json::as_f64);
+        assert!(v.is_some_and(|v| v.is_finite() && v > 0.0), "realtime.single_packet.{key}");
     }
-    assert!(
-        share_sum <= 100.0 + 1e-6,
-        "child stage shares sum to {share_sum}% (> 100%)"
-    );
+    assert_stage_breakdown(realtime, 2.0);
 
-    // Service soak section: the daemon round-trip ran, every request
-    // succeeded (nothing shed, nothing lost) and the gated throughput
-    // metric is a real number.
-    let soak = report.get("service_soak").expect("service_soak section");
-    assert_eq!(soak.get("backend").and_then(Json::as_str), Some("mock"));
-    let soak_requests = soak.get("requests").and_then(Json::as_f64).expect("requests");
-    assert!(soak_requests > 0.0);
-    assert_eq!(soak.get("ok").and_then(Json::as_f64), Some(soak_requests));
-    assert_eq!(soak.get("server_ok").and_then(Json::as_f64), Some(soak_requests));
-    assert_eq!(soak.get("shed").and_then(Json::as_f64), Some(0.0));
-    let rps = soak.get("requests_per_s").and_then(Json::as_f64).expect("requests_per_s");
-    assert!(rps.is_finite() && rps > 0.0);
+    // One timing harness: the mock-backend soak and the fleet's own cold
+    // loop are gone (the fleet patch compares against `realtime`).
+    assert!(report.get("service_soak").is_none(), "service_soak must be gone");
+    let fleet = report.get("beacon_fleet").expect("beacon_fleet section");
+    for key in [
+        "cold_mean_us",
+        "cold_p50_us",
+        "speedup_vs_cold_single_packet",
+        "speedup_vs_fleet_cold",
+    ] {
+        assert!(fleet.get(key).is_none(), "beacon_fleet.{key} must be gone");
+    }
+    assert!(fleet.get("patch_mean_us").and_then(Json::as_f64).is_some_and(|v| v > 0.0));
 
     // Telemetry section: recording was live and allocation-free both ways.
     let tel = report.get("telemetry").expect("telemetry section");

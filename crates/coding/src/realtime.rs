@@ -19,7 +19,7 @@
 //! encoder memory, so the runtime is O(T) with a small constant: a
 //! [`RealtimePlan`] replays it as two passes of mask parities. Sec 4.8 of
 //! the paper reports ≈ 50× over a scalar C Viterbi; against this crate's
-//! bit-packed Viterbi engine the FEC stage measures 5.4–6.6× cheaper on a
+//! bit-packed Viterbi engine the FEC stage measures 5.3–8.6× cheaper on a
 //! 92-symbol advert (EXPERIMENTS.md Sec 4.8).
 //!
 //! ## Mask construction

@@ -15,7 +15,7 @@
 //!
 //! ## Storage
 //!
-//! Each recording thread owns a [`ThreadState`]: a fixed-capacity event
+//! Each recording thread owns a `ThreadState`: a fixed-capacity event
 //! ring ([`TRACE_RING_CAPACITY`], overwrite-oldest with drop accounting),
 //! an in-flight packet buffer, and [`EXEMPLAR_SLOTS`] tail-exemplar slots
 //! that keep the slowest packets' full span sets even after the ring has

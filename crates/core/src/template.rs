@@ -164,7 +164,7 @@ struct Shard {
 
 /// A sharded, capacity-bounded template store with CLOCK eviction.
 ///
-/// Keys hash to one of [`SHARD_COUNT`] independent `Mutex<Shard>`s; the
+/// Keys hash to one of `SHARD_COUNT` (16) independent `Mutex<Shard>`s; the
 /// byte budget is divided evenly across shards. Each `get` grants the
 /// entry a second chance; eviction sweeps the clock hand, clearing
 /// reference bits until it finds an unreferenced victim. A template larger

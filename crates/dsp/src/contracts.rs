@@ -7,7 +7,7 @@
 //! every `cargo test` run exercises them.
 //!
 //! The helpers here are the checks shared across crates (energy accounting,
-//! permutation bijectivity); crate-local invariants use the [`contract!`]
+//! permutation bijectivity); crate-local invariants use the [`contract!`](crate::contract!)
 //! macro directly. All numeric comparisons are tolerance-based — exact
 //! float equality is itself a lint violation (R5).
 

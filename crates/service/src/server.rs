@@ -256,8 +256,8 @@ impl Inner {
 }
 
 /// A running daemon: owns the accept thread and the worker pool. Spawn
-/// with [`Server::spawn`], stop with [`Server::shutdown`] (or the `drain`
-/// endpoint followed by [`Server::join`]).
+/// with [`Server::spawn`], stop with [`Server::shutdown`], which drains
+/// and joins; the `drain` endpoint and [`Server::drain`] only begin a drain.
 pub struct Server {
     inner: Arc<Inner>,
     accept: Option<JoinHandle<()>>,
