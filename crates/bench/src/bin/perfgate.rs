@@ -86,6 +86,7 @@ const METRICS: &[(&str, Class)] = &[
     ("per_stage.fec_reversal.mean_us", Class::MeanUs),
     ("per_stage.descramble_extract.mean_us", Class::MeanUs),
     ("realtime.single_packet.mean_us", Class::MeanUs),
+    ("realtime.per_stage.qam_quantize_demap.mean_us", Class::MeanUs),
     ("realtime.per_stage.fec_reversal.mean_us", Class::MeanUs),
     ("beacon_fleet.patch_mean_us", Class::MeanUs),
     ("beacon_fleet.patch_p99_us", Class::TailUs),

@@ -47,6 +47,9 @@ use bluefi_wifi::channels::{
 };
 use std::time::Instant;
 
+/// Timed passes over the beacon-fleet mutation set.
+const PATCH_RUNS: usize = 5;
+
 fn beacon_pdu(variant: u8) -> AdvPdu {
     AdvPdu {
         pdu_type: AdvPduType::AdvNonconnInd,
@@ -330,21 +333,37 @@ fn main() {
         .collect();
 
     // Patch latency: prime the template and warm every buffer on the same
-    // mutation set, then time each cache-hit packet individually.
+    // mutation set, then time each cache-hit packet individually, in
+    // PATCH_RUNS passes over the set. Each tail percentile is the median of
+    // the passes' percentiles, so one host stall in one pass cannot set it.
     let fleet_engine = CachedEngine::new(realtime_bf.clone());
     let mut fleet_scratch = CachedScratch::new();
     for b in &fleet_payloads {
         fleet_engine.synthesize_at_with(b, plan, 71, &mut fleet_scratch);
     }
     let fleet_before = telemetry::snapshot();
-    let patch_us: Vec<f64> = fleet_payloads
-        .iter()
-        .map(|b| {
-            let t0 = Instant::now();
-            std::hint::black_box(fleet_engine.synthesize_at_with(b, plan, 71, &mut fleet_scratch));
-            t0.elapsed().as_secs_f64() * 1e6
+    let patch_runs: Vec<Vec<f64>> = (0..PATCH_RUNS)
+        .map(|_| {
+            let mut run: Vec<f64> = fleet_payloads
+                .iter()
+                .map(|b| {
+                    let t0 = Instant::now();
+                    std::hint::black_box(
+                        fleet_engine.synthesize_at_with(b, plan, 71, &mut fleet_scratch),
+                    );
+                    t0.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            run.sort_by(|a, b| a.total_cmp(b));
+            run
         })
         .collect();
+    let patch_pct = |p: f64| {
+        let mut per_run: Vec<f64> =
+            patch_runs.iter().map(|run| percentile_sorted(run, p)).collect();
+        per_run.sort_by(|a, b| a.total_cmp(b));
+        per_run[per_run.len() / 2]
+    };
     // The drained snapshot doubles as the section's counter readout; each
     // sweep point below then drains again so its counters are per-point.
     let fleet_after = sections.end();
@@ -458,21 +477,19 @@ fn main() {
              run without --release)",
         );
     }
-    let mut patch_sorted = patch_us.clone();
-    patch_sorted.sort_by(|a, b| a.total_cmp(b));
-    let patch_mean = mean(&patch_us);
+    let patch_mean = mean(&patch_runs.concat());
     rep.table(
         &format!(
-            "Runtime profile — beacon fleet, template cache ({n_fleet} packets, \
-             mid-AdvData counter mutations)"
+            "Runtime profile — beacon fleet, template cache ({n_fleet} packets × {PATCH_RUNS} \
+             passes, mid-AdvData counter mutations; percentiles: median of the passes)"
         ),
         &["path", "mean µs", "p50 µs", "p90 µs", "p99 µs", "packets/s"],
         vec![vec![
             format!("cached patch ({fleet_hits} hits)"),
             format!("{patch_mean:.1}"),
-            format!("{:.1}", percentile_sorted(&patch_sorted, 50.0)),
-            format!("{:.1}", percentile_sorted(&patch_sorted, 90.0)),
-            format!("{:.1}", percentile_sorted(&patch_sorted, 99.0)),
+            format!("{:.1}", patch_pct(50.0)),
+            format!("{:.1}", patch_pct(90.0)),
+            format!("{:.1}", patch_pct(99.0)),
             format!("{:.0}", 1e6 / patch_mean.max(1e-9)),
         ]],
     );
@@ -573,10 +590,11 @@ fn main() {
             "beacon_fleet",
             Json::obj(vec![
                 ("packets", Json::Num(n_fleet as f64)),
+                ("patch_runs", Json::Num(PATCH_RUNS as f64)),
                 ("patch_mean_us", Json::Num(patch_mean)),
-                ("patch_p50_us", Json::Num(percentile_sorted(&patch_sorted, 50.0))),
-                ("patch_p90_us", Json::Num(percentile_sorted(&patch_sorted, 90.0))),
-                ("patch_p99_us", Json::Num(percentile_sorted(&patch_sorted, 99.0))),
+                ("patch_p50_us", Json::Num(patch_pct(50.0))),
+                ("patch_p90_us", Json::Num(patch_pct(90.0))),
+                ("patch_p99_us", Json::Num(patch_pct(99.0))),
                 ("hit_rate_sweep", Json::Arr(sweep_json)),
                 ("template_counters", {
                     let names = [

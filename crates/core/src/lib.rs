@@ -15,7 +15,7 @@
 //! * [`template`] — template cache + GF(2) delta synthesis for beacon
 //!   fleets (first synthesis per key is cached; mutated payloads are
 //!   patched bit-exactly: a mid-AdvData counter change costs about
-//!   450 µs against 1.2 ms cold in `BENCH_runtime.json`).
+//!   390 µs against 0.92 ms cold in `BENCH_runtime.json`).
 //! * [`verify`] — forward loopback through the real TX chain and a COTS
 //!   Bluetooth receiver model.
 //!

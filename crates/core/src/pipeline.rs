@@ -12,7 +12,7 @@ use bluefi_bt::gfsk::{GfskParams, GfskScratch};
 use bluefi_coding::ViterbiScratch;
 use bluefi_dsp::Cx;
 use bluefi_wifi::channels::{plan_channel, ChannelPlan};
-use bluefi_wifi::qam::{demap_point_into, Modulation};
+use bluefi_wifi::qam::Modulation;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
 use bluefi_wifi::{Interleaver, Mcs};
 
@@ -104,7 +104,6 @@ pub struct SynthesisScratch {
     interleaver: Option<(Modulation, Interleaver)>,
     fft_buf: Vec<Cx>,
     pub(crate) sym: QuantizedSymbol,
-    demap: Vec<bool>,
     // Per-symbol in-band quantization errors, in symbol order.
     pub(crate) errs: Vec<f64>,
     w_of: Vec<u32>,
@@ -156,10 +155,11 @@ impl SynthesisScratch {
 
     /// The one per-symbol step of Secs 2.5 + 2.7, shared by the cold chain
     /// and the template patch: FFT-quantizes OFDM symbol `b` of `theta_hat`,
-    /// records its in-band error in `errs[b]`, and demaps it, writing each
-    /// bit straight to its deinterleaved place in `coded[b·N_CBPS..]` (the
-    /// interleaver's table). `errs` and `coded` must already span the
-    /// packet.
+    /// records its in-band error in `errs[b]`, and writes each point's Gray
+    /// bits — recorded by the quantizer from the same per-axis rounding, so
+    /// nothing is quantized twice — straight to their deinterleaved places
+    /// in `coded[b·N_CBPS..]` (the interleaver's table). `errs` and `coded`
+    /// must already span the packet.
     pub(crate) fn quantize_symbol(&mut self, bf: &BlueFi, tx_subcarrier: f64, b: usize) {
         let modulation = bf.strategy.mcs().modulation;
         let il = self.interleaver_for(modulation);
@@ -179,10 +179,9 @@ impl SynthesisScratch {
         let bps = modulation.bits_per_symbol();
         let coded = &mut self.coded[b * ncbps..(b + 1) * ncbps];
         let table = il.coded_index_table();
-        for (&p, ks) in self.sym.points.iter().zip(table.chunks_exact(bps)) {
-            demap_point_into(modulation, p, &mut self.demap);
-            for (&bit, &k) in self.demap.iter().zip(ks) {
-                coded[usize::from(k)] = bit;
+        for (&word, ks) in self.sym.bits.iter().zip(table.chunks_exact(bps)) {
+            for (j, &k) in ks.iter().enumerate() {
+                coded[usize::from(k)] = (word >> (bps - 1 - j)) & 1 == 1;
             }
         }
     }

@@ -26,7 +26,7 @@
 
 use bluefi_dsp::fft::{bin_of_subcarrier, fft_plan};
 use bluefi_dsp::{Cx, FftPlan};
-use bluefi_wifi::qam::{quantize_point, Modulation};
+use bluefi_wifi::qam::{quantize_point_bits, Modulation};
 use bluefi_wifi::subcarriers::{data_subcarriers, FFT_SIZE};
 use std::sync::Arc;
 
@@ -51,6 +51,11 @@ pub struct QuantizedSymbol {
     /// Constellation points on the 52 data subcarriers (unnormalized
     /// units), in data-subcarrier order.
     pub points: Vec<Cx>,
+    /// Each point's Gray-coded mapper bits, packed as
+    /// [`quantize_point_bits`] returns them (b0 the most significant of
+    /// `bits_per_symbol()` bits): exactly what the demapper would write
+    /// for `points[d]`, taken from the same per-axis quantization.
+    pub bits: Vec<u16>,
     /// The scale factor used.
     pub scale: f64,
     /// Frequency-domain residue `Σ|X − X̂|²` over data subcarriers.
@@ -73,15 +78,19 @@ impl QuantizedSymbol {
     }
 
     /// Residue relative to energy over the subcarriers within
-    /// `half_width` of `bt_subcarrier`, in dB.
+    /// `half_width` of `bt_subcarrier`, in dB. Data subcarriers ascend, so
+    /// those within the band form one contiguous run of data indices; the
+    /// sums visit just that run, in data-subcarrier order.
     pub fn in_band_error_db(&self, bt_subcarrier: f64, half_width: f64) -> f64 {
+        let data = data_subcarriers();
+        // The two edges of `|sc − bt| ≤ half_width`; NaN leaves them equal.
+        let start = data.partition_point(|&sc| sc as f64 - bt_subcarrier < -half_width);
+        let end = data.partition_point(|&sc| sc as f64 - bt_subcarrier <= half_width);
         let mut residue = 0.0;
         let mut energy = 0.0;
-        for (d, &sc) in data_subcarriers().iter().enumerate() {
-            if (sc as f64 - bt_subcarrier).abs() <= half_width {
-                residue += self.per_subcarrier[d].0;
-                energy += self.per_subcarrier[d].1;
-            }
+        for &(r, e) in &self.per_subcarrier[start..end.max(start)] {
+            residue += r;
+            energy += e;
         }
         10.0 * (residue / energy.max(1e-12)).log10()
     }
@@ -161,19 +170,21 @@ impl Quantizer {
         }
         self.plan.forward(fft_buf);
         bluefi_dsp::contracts::ensure_len(&mut out.points, 52, Cx::ZERO);
+        bluefi_dsp::contracts::ensure_len(&mut out.bits, 52, 0);
         bluefi_dsp::contracts::ensure_len(&mut out.per_subcarrier, 52, (0.0, 0.0));
         out.scale = scale;
         out.residue = 0.0;
         out.energy = 0.0;
         for (d, &sc) in data_subcarriers().iter().enumerate() {
             let x = fft_buf[bin_of_subcarrier(sc, FFT_SIZE)];
-            let q = quantize_point(x, self.modulation);
+            let (q, bits) = quantize_point_bits(x, self.modulation);
             let r = (x - q).norm_sq();
             let e = x.norm_sq();
             out.residue += r;
             out.energy += e;
             out.per_subcarrier[d] = (r, e);
             out.points[d] = q;
+            out.bits[d] = bits;
         }
     }
 }
@@ -281,6 +292,35 @@ mod tests {
         assert!(dynamic.error_db() <= fixed.error_db() + 1e-9);
         // The paper: "the performance difference is negligible".
         assert!(fixed.error_db() - dynamic.error_db() < 6.0);
+    }
+
+    #[test]
+    fn in_band_error_sums_the_band_like_a_full_scan() {
+        // The contiguous-run sum must equal the scan that tests every data
+        // subcarrier, to the bit, for band edges on, off and between
+        // subcarriers and for empty or degenerate bands.
+        let q = Quantizer::new(Modulation::Qam64, ScaleMode::Fixed(DEFAULT_SCALE));
+        let sym = q.quantize_body(&tone_phase(9.3));
+        let scan = |bt: f64, hw: f64| {
+            let (mut residue, mut energy) = (0.0, 0.0);
+            for (d, &sc) in data_subcarriers().iter().enumerate() {
+                if (sc as f64 - bt).abs() <= hw {
+                    residue += sym.per_subcarrier[d].0;
+                    energy += sym.per_subcarrier[d].1;
+                }
+            }
+            10.0 * (residue / f64::max(energy, 1e-12)).log10()
+        };
+        for bt in [-30.0, -28.0, -21.0, -12.8, -0.5, 0.0, 3.0, 7.0, 12.8, 13.0, 27.5, 28.0, 31.0] {
+            for hw in [-1.0, 0.0, 0.2, 1.0, 4.0, 6.5, 60.0, f64::INFINITY, f64::NAN] {
+                assert_eq!(
+                    sym.in_band_error_db(bt, hw).to_bits(),
+                    scan(bt, hw).to_bits(),
+                    "bt {bt}, half width {hw}"
+                );
+            }
+        }
+        assert_eq!(sym.in_band_error_db(f64::NAN, 4.0).to_bits(), scan(f64::NAN, 4.0).to_bits());
     }
 
     #[test]

@@ -7,7 +7,10 @@ use bluefi_core::qam::{Quantizer, ScaleMode, DEFAULT_SCALE};
 use bluefi_core::reversal::{extract_psdu_into, WeightProfile};
 use bluefi_core::rng::Rng;
 use bluefi_core::{prop_assert, prop_assert_eq};
-use bluefi_wifi::qam::Modulation;
+use bluefi_dsp::fft::{bin_of_subcarrier, FftPlan};
+use bluefi_dsp::Cx;
+use bluefi_wifi::qam::{demap_point_into, quantize_point, Modulation};
+use bluefi_wifi::subcarriers::data_subcarriers;
 use bluefi_wifi::tx::scrambled_bits;
 use bluefi_wifi::Mcs;
 
@@ -51,6 +54,52 @@ fn quantizer_outputs_stay_on_grid() {
             }
             prop_assert!(sym.residue >= 0.0);
             prop_assert!(sym.per_subcarrier.len() == 52);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn recorded_gray_bits_are_the_demapped_bits() {
+    const ALL: [Modulation; 6] = [
+        Modulation::Bpsk,
+        Modulation::Qpsk,
+        Modulation::Qam16,
+        Modulation::Qam64,
+        Modulation::Qam256,
+        Modulation::Qam1024,
+    ];
+    check(
+        "recorded_gray_bits_are_the_demapped_bits",
+        |rng| {
+            let modulation = ALL[rng.gen_range(0usize..ALL.len())];
+            // Dynamic's grid search swaps candidate symbols; the bits must
+            // travel with their points.
+            let mode = if rng.gen::<bool>() {
+                ScaleMode::Dynamic
+            } else {
+                let reach = modulation.max_level() as f64 / 7.0;
+                ScaleMode::Fixed(DEFAULT_SCALE * reach * rng.gen_range(0.2..2.0))
+            };
+            (f64s(rng, -10.0..10.0, 64..65), modulation, mode)
+        },
+        |(phases, modulation, mode)| {
+            let sym = Quantizer::new(*modulation, *mode).quantize_body(phases);
+            let mut spectrum: Vec<Cx> = phases.iter().map(|&p| Cx::expj(p) * sym.scale).collect();
+            FftPlan::new(64).forward(&mut spectrum);
+            let n = modulation.bits_per_symbol();
+            let mut want = Vec::new();
+            prop_assert_eq!(sym.bits.len(), 52);
+            for (d, &sc) in data_subcarriers().iter().enumerate() {
+                let x = spectrum[bin_of_subcarrier(sc, 64)];
+                let q = quantize_point(x, *modulation);
+                prop_assert_eq!(sym.points[d], q);
+                demap_point_into(*modulation, q, &mut want);
+                let word = sym.bits[d];
+                let got: Vec<bool> = (0..n).map(|j| (word >> (n - 1 - j)) & 1 == 1).collect();
+                prop_assert_eq!(&got, &want);
+                prop_assert!(word >> n == 0);
+            }
             Ok(())
         },
     );

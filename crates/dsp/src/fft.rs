@@ -25,8 +25,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    // Twiddles for the forward transform: e^{-j2πk/N}, k in 0..N/2.
-    twiddles: Vec<Cx>,
+    // Forward twiddles laid out stage by stage: the stage whose butterflies
+    // span `half` reads the contiguous run `stage_twiddles[half − 1..2·half
+    // − 1]`, entry k being e^{-j2π(k·N/2half)/N} copied from the N/2-entry
+    // table, so every stage multiplies by the same values as a strided walk
+    // of that table would.
+    stage_twiddles: Vec<Cx>,
     bitrev: Vec<u32>,
 }
 
@@ -37,15 +41,22 @@ impl FftPlan {
     /// Panics when `n` is zero or not a power of two.
     pub fn new(n: usize) -> FftPlan {
         assert!(n.is_power_of_two() && n > 0, "FFT size must be a power of two, got {n}");
-        let twiddles = (0..n / 2)
+        let twiddles: Vec<Cx> = (0..n / 2)
             .map(|k| Cx::expj(-2.0 * PI * k as f64 / n as f64))
             .collect();
+        let mut stage_twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut half = 1;
+        while half < n {
+            let step = n / (2 * half);
+            stage_twiddles.extend((0..half).map(|k| twiddles[k * step]));
+            half *= 2;
+        }
         let bits = n.trailing_zeros();
         let bitrev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
             .collect::<Vec<_>>();
         let bitrev = if n == 1 { vec![0] } else { bitrev };
-        FftPlan { n, twiddles, bitrev }
+        FftPlan { n, stage_twiddles, bitrev }
     }
 
     /// Transform length.
@@ -67,7 +78,7 @@ impl FftPlan {
     pub fn forward(&self, data: &mut [Cx]) {
         assert_eq!(data.len(), self.n, "buffer length must match plan size");
         let e_in = if contracts::enabled() { contracts::energy(data) } else { 0.0 };
-        self.transform(data, false);
+        self.transform::<false>(data);
         if contracts::enabled() {
             contracts::check_parseval(e_in, contracts::energy(data), self.n, "FftPlan::forward");
         }
@@ -80,7 +91,7 @@ impl FftPlan {
     pub fn inverse(&self, data: &mut [Cx]) {
         assert_eq!(data.len(), self.n, "buffer length must match plan size");
         let e_in = if contracts::enabled() { contracts::energy(data) } else { 0.0 };
-        self.transform(data, true);
+        self.transform::<true>(data);
         let k = 1.0 / self.n as f64;
         for v in data.iter_mut() {
             *v = v.scale(k);
@@ -92,36 +103,31 @@ impl FftPlan {
         }
     }
 
-    fn transform(&self, data: &mut [Cx], inverse: bool) {
+    /// Bit-reversal permutation, then radix-2 butterflies. `INVERSE`
+    /// conjugates the twiddles; being a const parameter, it leaves the
+    /// forward butterfly loop without a branch.
+    fn transform<const INVERSE: bool>(&self, data: &mut [Cx]) {
         let n = self.n;
         if n == 1 {
             return;
         }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        // Iterative butterflies.
         let mut half = 1;
         while half < n {
-            let step = n / (2 * half);
-            for start in (0..n).step_by(2 * half) {
-                for k in 0..half {
-                    let w = {
-                        let t = self.twiddles[k * step];
-                        if inverse {
-                            t.conj()
-                        } else {
-                            t
-                        }
-                    };
-                    let a = data[start + k];
-                    let b = data[start + k + half] * w;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
+            let twiddles = &self.stage_twiddles[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((lo, hi), &t) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                    let w = if INVERSE { t.conj() } else { t };
+                    let a = *lo;
+                    let b = *hi * w;
+                    *lo = a + b;
+                    *hi = a - b;
                 }
             }
             half *= 2;
@@ -266,6 +272,52 @@ mod tests {
         let x = vec![cx(2.0, -3.0)];
         assert_close(&fft(&x), &x, 1e-15);
         assert_close(&ifft(&x), &x, 1e-15);
+    }
+
+    #[test]
+    fn staged_twiddles_reproduce_the_strided_butterflies_bit_for_bit() {
+        // The textbook loop: one N/2-entry twiddle table walked with a
+        // per-stage stride. The plan must give the same floats, not just
+        // close ones.
+        for n in [2usize, 8, 64, 256] {
+            let x: Vec<Cx> =
+                (0..n).map(|i| cx((i as f64 * 0.71).sin() * 3.0, (i as f64 * 1.3).cos())).collect();
+            let table: Vec<Cx> =
+                (0..n / 2).map(|k| Cx::expj(-2.0 * PI * k as f64 / n as f64)).collect();
+            for inverse in [false, true] {
+                let mut want = x.clone();
+                let plan = FftPlan::new(n);
+                for i in 0..n {
+                    let j = plan.bitrev[i] as usize;
+                    if i < j {
+                        want.swap(i, j);
+                    }
+                }
+                let mut half = 1;
+                while half < n {
+                    for start in (0..n).step_by(2 * half) {
+                        for k in 0..half {
+                            let t = table[k * (n / (2 * half))];
+                            let w = if inverse { t.conj() } else { t };
+                            let a = want[start + k];
+                            let b = want[start + k + half] * w;
+                            want[start + k] = a + b;
+                            want[start + k + half] = a - b;
+                        }
+                    }
+                    half *= 2;
+                }
+                let mut got = x.clone();
+                if inverse {
+                    plan.transform::<true>(&mut got);
+                } else {
+                    plan.forward(&mut got);
+                }
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.re.to_bits(), g.im.to_bits()), (w.re.to_bits(), w.im.to_bits()));
+                }
+            }
+        }
     }
 
     #[test]

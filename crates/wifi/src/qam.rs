@@ -94,16 +94,6 @@ fn bits_to_level(bits: &[bool]) -> i32 {
     2 * v as i32 - ((1 << m) - 1)
 }
 
-/// Writes one axis level's `m` bits into `out` (b0 first; the inverse of
-/// [`bits_to_level`]), allocation-free.
-fn write_level_bits(level: i32, m: usize, out: &mut [bool]) {
-    let v = ((level + ((1 << m) - 1)) / 2) as u32;
-    let idx = gray_encode(v);
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = (idx >> (m - 1 - j)) & 1 == 1;
-    }
-}
-
 /// Maps `bits_per_symbol` interleaved bits to a constellation point in
 /// unnormalized units (multiply by [`Modulation::kmod`] for standard power).
 pub fn map_bits(modulation: Modulation, bits: &[bool]) -> Cx {
@@ -134,10 +124,10 @@ pub fn map_bits(modulation: Modulation, bits: &[bool]) -> Cx {
 }
 
 /// Demaps a constellation point (in unnormalized units) back to bits —
-/// exact for on-grid points, nearest-point otherwise. Writes the
-/// `bits_per_symbol()` demapped bits into `out` (resized to fit),
-/// allocating only when `out` must grow — the per-subcarrier workhorse of
-/// the FEC-reversal hot loop.
+/// exact for on-grid points, nearest-point otherwise: the word of
+/// [`quantize_point_bits`], unpacked. Writes the `bits_per_symbol()`
+/// demapped bits into `out` (resized to fit), allocating only when `out`
+/// must grow.
 pub fn demap_point_into(modulation: Modulation, point: Cx, out: &mut Vec<bool>) {
     let n = modulation.bits_per_symbol();
     bluefi_dsp::contracts::ensure_len(out, n, false);
@@ -149,15 +139,9 @@ pub fn demap_point_into(modulation: Modulation, point: Cx, out: &mut Vec<bool>) 
 fn demap_point_to(modulation: Modulation, point: Cx, out: &mut [bool]) {
     let n = modulation.bits_per_symbol();
     assert_eq!(out.len(), n);
-    match modulation {
-        Modulation::Bpsk => out[0] = point.re >= 0.0,
-        _ => {
-            let m = n / 2;
-            let i = quantize_axis(point.re, modulation);
-            let q = quantize_axis(point.im, modulation);
-            write_level_bits(i, m, &mut out[..m]);
-            write_level_bits(q, m, &mut out[m..]);
-        }
+    let (_, word) = quantize_point_bits(point, modulation);
+    for (j, slot) in out.iter_mut().enumerate() {
+        *slot = (word >> (n - 1 - j)) & 1 == 1;
     }
 }
 
@@ -182,38 +166,108 @@ pub fn check_constellation_unit_energy(modulation: Modulation) {
     );
 }
 
-/// Snaps one axis value to the nearest constellation level (odd integer in
-/// `[-max, max]`).
-pub fn quantize_axis(v: f64, modulation: Modulation) -> i32 {
-    let max = modulation.max_level();
+/// Index `k ∈ 0..L` of the per-axis level nearest to `v`, where level
+/// `k` is `2k − (L − 1)` in unnormalized units — the one quantizer behind
+/// [`quantize_axis`], [`quantize_point`] and the demapper.
+///
+/// BPSK splits at zero (`v ≥ 0` is level +1). Every other modulation
+/// returns exactly the level `2·round((v − 1)/2) + 1` clamped to
+/// `±max_level`, with `round` half away from zero (`f64::round`), but
+/// without the libm call `f64::round` makes on the baseline x86-64 target:
+///
+/// * `y = (v − 1)/2` is the same float the formula rounds; it is clamped
+///   to `[−L/2, L/2 − 1]`. Rounding is monotone and fixes integers, so
+///   rounding the clamped `y` equals clamping the rounded one.
+/// * After the clamp `|y| ≤ 16 < 2³¹` (1024-QAM has `L = 32`), so
+///   `y as i32` is exactly `t = trunc(y)`, and `f = y − t` is exact: `t`
+///   has the sign of `y` and no larger exponent, so the difference is the
+///   low bits of `y`'s significand.
+/// * `round(y) = t + [f ≥ ½] − [f ≤ −½]`, which is half away from zero.
+///
+/// ±∞ and huge values clamp to the outer levels. NaN maps to level −1
+/// (index `L/2 − 1`) in every modulation, where BPSK's sign test sends it:
+/// it survives the clamp, `NaN as i32` is 0, and both fraction tests fail.
+#[inline]
+fn nearest_level_index(v: f64, modulation: Modulation) -> u32 {
     if modulation == Modulation::Bpsk {
-        return if v >= 0.0 { 1 } else { -1 };
+        return u32::from(v >= 0.0);
     }
-    // Nearest odd integer, clamped.
-    let snapped = 2.0 * ((v - 1.0) / 2.0).round() + 1.0;
-    (snapped as i32).clamp(-max, max)
+    let half = (modulation.levels_per_axis() / 2) as i32;
+    let (lo, hi) = (f64::from(-half), f64::from(half - 1));
+    let y = ((v - 1.0) / 2.0).clamp(lo, hi);
+    let t = y as i32;
+    let f = y - f64::from(t);
+    // `[f > −½] − 1` is `−[f ≤ −½]` for every number; for NaN both
+    // comparisons fail and `r = −1`.
+    let r = t - 1 + i32::from(f > -0.5) + i32::from(f >= 0.5);
+    (r + half) as u32
+}
+
+/// The level (odd integer) of level index `k`.
+#[inline]
+fn level_of_index(k: u32, modulation: Modulation) -> i32 {
+    2 * k as i32 - modulation.max_level()
+}
+
+/// Snaps one axis value to the nearest constellation level (odd integer in
+/// `[-max, max]`; NaN gives −1, see [`quantize_point_bits`]).
+pub fn quantize_axis(v: f64, modulation: Modulation) -> i32 {
+    level_of_index(nearest_level_index(v, modulation), modulation)
 }
 
 /// Snaps a complex value to the nearest constellation point (unnormalized
 /// units) — the paper's Sec 2.5 quantizer (Fig 4).
 pub fn quantize_point(v: Cx, modulation: Modulation) -> Cx {
-    match modulation {
-        Modulation::Bpsk => cx(quantize_axis(v.re, modulation) as f64, 0.0),
-        _ => cx(
-            quantize_axis(v.re, modulation) as f64,
-            quantize_axis(v.im, modulation) as f64,
-        ),
+    quantize_point_bits(v, modulation).0
+}
+
+/// Snaps `v` to the nearest constellation point and returns it with its
+/// Gray-coded bits, packed: bit `n − 1 − j` of the word is mapper input
+/// `b_j` (`n = bits_per_symbol()`), so the word holds exactly the bits
+/// [`demap_point_into`] writes for the point. Each axis is quantized once,
+/// to a level index, and the point and the bits both come from it.
+///
+/// A NaN axis snaps to level −1 and carries level −1's bits.
+#[inline]
+pub fn quantize_point_bits(v: Cx, modulation: Modulation) -> (Cx, u16) {
+    let ki = nearest_level_index(v.re, modulation);
+    let re = f64::from(level_of_index(ki, modulation));
+    if modulation == Modulation::Bpsk {
+        return (cx(re, 0.0), ki as u16);
     }
+    let kq = nearest_level_index(v.im, modulation);
+    let im = f64::from(level_of_index(kq, modulation));
+    let m = modulation.bits_per_symbol() / 2;
+    (cx(re, im), ((gray_encode(ki) << m) | gray_encode(kq)) as u16)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const ALL: [Modulation; 6] = [
+        Modulation::Bpsk,
+        Modulation::Qpsk,
+        Modulation::Qam16,
+        Modulation::Qam64,
+        Modulation::Qam256,
+        Modulation::Qam1024,
+    ];
+
     fn level_to_bits(level: i32, m: usize) -> Vec<bool> {
-        let mut out = vec![false; m];
-        write_level_bits(level, m, &mut out);
-        out
+        let idx = gray_encode(((level + (1 << m) - 1) / 2) as u32);
+        (0..m).map(|j| (idx >> (m - 1 - j)) & 1 == 1).collect()
+    }
+
+    /// The quantizer as it was written with `f64::round`: the oracle the
+    /// libm-free level index must reproduce on every number but NaN.
+    fn round_oracle(v: f64, modulation: Modulation) -> i32 {
+        let max = modulation.max_level();
+        if modulation == Modulation::Bpsk {
+            return if v >= 0.0 { 1 } else { -1 };
+        }
+        let snapped = 2.0 * ((v - 1.0) / 2.0).round() + 1.0;
+        (snapped as i32).clamp(-max, max)
     }
 
     #[test]
@@ -246,14 +300,7 @@ mod tests {
 
     #[test]
     fn map_demap_roundtrip_all_modulations() {
-        for m in [
-            Modulation::Bpsk,
-            Modulation::Qpsk,
-            Modulation::Qam16,
-            Modulation::Qam64,
-            Modulation::Qam256,
-            Modulation::Qam1024,
-        ] {
+        for m in ALL {
             let n = m.bits_per_symbol();
             for v in 0..(1u32 << n) {
                 let bits: Vec<bool> = (0..n).map(|i| (v >> i) & 1 == 1).collect();
@@ -303,6 +350,72 @@ mod tests {
         assert_eq!(quantize_axis(-123.0, m), -7);
         let p = quantize_point(cx(4.2, -6.8), m);
         assert_eq!((p.re, p.im), (5.0, -7.0));
+    }
+
+    #[test]
+    fn rounding_matches_the_round_oracle_at_every_tie() {
+        // Ties of `round((v − 1)/2)` sit on the even integers; check each
+        // one across (and just past) the clamp range, and its two
+        // neighbouring floats.
+        for m in ALL {
+            let max = m.max_level();
+            for tie in (-max - 3..=max + 3).filter(|t| t % 2 == 0) {
+                let tie = f64::from(tie);
+                for v in [tie.next_down(), tie, tie.next_up()] {
+                    assert_eq!(quantize_axis(v, m), round_oracle(v, m), "{m:?} at {v:e}");
+                }
+            }
+            for v in [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 0.5, -0.5] {
+                assert_eq!(quantize_axis(v, m), round_oracle(v, m), "{m:?} at {v:e}");
+            }
+            // And off the ties: uniform values around the grid plus raw
+            // bit patterns (every finite magnitude).
+            let mut s = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..20_000 {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let uniform = (s >> 11) as f64 / (1u64 << 53) as f64;
+                let raw = f64::from_bits(s);
+                for v in [(uniform - 0.5) * 4.0 * f64::from(max + 2), raw] {
+                    if !v.is_nan() {
+                        assert_eq!(quantize_axis(v, m), round_oracle(v, m), "{m:?} at {v:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_and_huge_axes_snap_to_valid_levels() {
+        for m in ALL {
+            let max = m.max_level();
+            let n = m.bits_per_symbol();
+            for (v, want) in [
+                (f64::NAN, -1),
+                (f64::INFINITY, max),
+                (f64::NEG_INFINITY, -max),
+                (1e300, max),
+                (-1e300, -max),
+            ] {
+                assert_eq!(quantize_axis(v, m), want, "{m:?} at {v:e}");
+                // The point, the packed bits and the demapper agree on the
+                // same valid level — on either axis.
+                for x in [cx(v, 0.5), cx(0.5, v), cx(v, v)] {
+                    let (q, word) = quantize_point_bits(x, m);
+                    assert_eq!(q, quantize_point(x, m));
+                    let mut direct = Vec::new();
+                    demap_point_into(m, x, &mut direct);
+                    let mut via_point = Vec::new();
+                    demap_point_into(m, q, &mut via_point);
+                    assert_eq!(direct, via_point, "{m:?} at {x:?}");
+                    let unpacked: Vec<bool> =
+                        (0..n).map(|j| (word >> (n - 1 - j)) & 1 == 1).collect();
+                    assert_eq!(unpacked, direct, "{m:?} at {x:?}");
+                    assert_eq!(map_bits(m, &direct), q, "{m:?} at {x:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,29 +17,44 @@ pub const MAX_SUBCARRIER: i32 = 28;
 
 /// Returns true when `k` is one of the four pilot subcarriers.
 #[inline]
-pub fn is_pilot(k: i32) -> bool {
-    PILOT_SUBCARRIERS.contains(&k)
+pub const fn is_pilot(k: i32) -> bool {
+    let mut i = 0;
+    while i < PILOT_SUBCARRIERS.len() {
+        if PILOT_SUBCARRIERS[i] == k {
+            return true;
+        }
+        i += 1;
+    }
+    false
 }
 
 /// Returns true when `k` carries data in an HT-20 symbol.
 #[inline]
-pub fn is_data(k: i32) -> bool {
-    (-MAX_SUBCARRIER..=MAX_SUBCARRIER).contains(&k) && k != 0 && !is_pilot(k)
+pub const fn is_data(k: i32) -> bool {
+    -MAX_SUBCARRIER <= k && k <= MAX_SUBCARRIER && k != 0 && !is_pilot(k)
 }
 
-/// The 52 data subcarriers in ascending order
-/// (−28..−22, −20..−8, −6..−1, 1..6, 8..20, 22..28).
-pub fn data_subcarriers() -> [i32; N_DATA] {
+/// The data subcarriers in ascending order, evaluated at compile time.
+static DATA_SUBCARRIERS: [i32; N_DATA] = {
     let mut out = [0i32; N_DATA];
     let mut n = 0;
-    for k in -MAX_SUBCARRIER..=MAX_SUBCARRIER {
+    let mut k = -MAX_SUBCARRIER;
+    while k <= MAX_SUBCARRIER {
         if is_data(k) {
             out[n] = k;
             n += 1;
         }
+        k += 1;
     }
-    debug_assert_eq!(n, N_DATA);
+    assert!(n == N_DATA);
     out
+};
+
+/// The 52 data subcarriers in ascending order
+/// (−28..−22, −20..−8, −6..−1, 1..6, 8..20, 22..28).
+#[inline]
+pub fn data_subcarriers() -> &'static [i32; N_DATA] {
+    &DATA_SUBCARRIERS
 }
 
 /// Maps a data-subcarrier ordinal (0..52) to its subcarrier index.
