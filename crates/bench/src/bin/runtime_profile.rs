@@ -2,7 +2,7 @@
 //! single-packet latency through a warm scratch and a per-stage timing
 //! breakdown from the telemetry recorder, once under the default weighted
 //! Viterbi and once under the configuration the template engine serves
-//! (real-time decoder, anchored phase), with the paper's stage × strategy
+//! (the real-time decoder), with the paper's stage × strategy
 //! table and FEC speedup; steady-state allocations per packet with
 //! telemetry both enabled and disabled (via the self-reporting probe in
 //! `bluefi_dsp::contracts` — debug builds only); batch throughput at a
@@ -35,7 +35,7 @@ use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
 use bluefi_coding::realtime::{FreeEdge, RealtimePlan};
 use bluefi_core::json::Json;
 use bluefi_core::par::{clamped_workers, host_cpus, worker_count, BatchJob, SynthesisBatch};
-use bluefi_core::pipeline::{BlueFi, PhaseMode, SynthesisScratch};
+use bluefi_core::pipeline::{BlueFi, SynthesisScratch};
 use bluefi_core::reversal::DecodeStrategy;
 use bluefi_core::telemetry::trace::TraceSnapshot;
 use bluefi_core::telemetry::{self, Level, Snapshot, SpanKind};
@@ -222,11 +222,7 @@ fn main() {
     let bf = BlueFi::default();
     // The configuration the template engine serves: its cold path is the
     // real-time Sec 4.8 column, and the beacon fleet below patches it.
-    let realtime_bf = BlueFi {
-        strategy: DecodeStrategy::Realtime,
-        phase: PhaseMode::Anchored,
-        ..BlueFi::default()
-    };
+    let realtime_bf = BlueFi { strategy: DecodeStrategy::Realtime, ..BlueFi::default() };
     // lint: allow(panic) channel 38 = 2426 MHz is plannable by construction
     let plan = plan_channel(2.426e9).expect("advertising channel must be plannable");
     // Distinct payload variants so consecutive trials never repeat a coded
@@ -408,7 +404,7 @@ fn main() {
     }
 
     // -- Report -----------------------------------------------------------
-    let strategies = [("weighted Viterbi", &viterbi), ("real-time, anchored", &realtime)];
+    let strategies = [("weighted Viterbi", &viterbi), ("real-time", &realtime)];
     rep.table(
         "Runtime profile — single-packet synthesis latency (warm scratch)",
         &["strategy", "mean µs", "median µs", "p10 µs", "p90 µs", "trials"],
@@ -441,7 +437,7 @@ fn main() {
                  packets (telemetry level: {})",
                 level.name()
             ),
-            &["stage", "weighted Viterbi", "real-time, anchored"],
+            &["stage", "weighted Viterbi", "real-time"],
             stage_kinds()
                 .into_iter()
                 .map(|kind| {
@@ -495,7 +491,7 @@ fn main() {
     );
     rep.note(format!(
         "\ncache-hit patch speedup: {:.1}x vs the same configuration's cold packet \
-         (real-time, anchored: {:.1} µs)",
+         (real-time: {:.1} µs)",
         realtime.mean_us() / patch_mean.max(1e-9),
         realtime.mean_us(),
     ));

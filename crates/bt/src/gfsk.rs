@@ -7,13 +7,13 @@
 //! ratio BlueFi's "one OFDM symbol ≈ 4 Bluetooth bits" bookkeeping comes
 //! from.
 
-use bluefi_dsp::gaussian::{gaussian_taps, PulseTable};
-use bluefi_dsp::phase::{accumulate_frequency_into, add_frequency_offset, phase_to_iq};
+use bluefi_dsp::gaussian::{gaussian_taps, tap_count, PulseTable};
+use bluefi_dsp::phase::phase_to_iq;
 use bluefi_dsp::Cx;
+use std::f64::consts::PI;
 
-/// Gaussian filter span in symbols (plenty for BT = 0.5), shared by this
-/// modulator and [`crate::anchored`] so both shape identically.
-pub(crate) const FILTER_SPAN: usize = 3;
+/// Gaussian filter span in symbols (plenty for BT = 0.5).
+const FILTER_SPAN: usize = 3;
 
 /// GFSK modulator parameters.
 #[derive(Debug, Clone, Copy)]
@@ -59,17 +59,32 @@ impl GfskParams {
     pub fn modulation_index(&self) -> f64 {
         2.0 * self.deviation_hz / self.symbol_rate_hz
     }
+
+    /// First phase sample that can depend on bit `i`:
+    /// `guard + sps·i − taps/2 + 1`, saturating at 0. The filter first
+    /// reads bit `i` at shape sample `sps·i − taps/2` (its lowest tap), and
+    /// phase sample `t` accumulates frequency samples `< t` only. Every
+    /// phase sample before this index is therefore bit-identical across
+    /// payloads that agree on all bits `< i`. The edge clamp lets the
+    /// first bits (`sps·i < taps/2`) reach shape sample 0, whose first
+    /// phase sample, `guard + 1`, is still at or after this index.
+    pub fn first_sample_of_bit(&self, i: usize) -> usize {
+        let sps = self.sps();
+        (self.guard_bits * sps + sps * i + 1).saturating_sub(tap_count(sps, FILTER_SPAN) / 2)
+    }
 }
 
 /// Reusable state for allocation-free GFSK modulation: the Gaussian pulse
-/// table (cached per parameter set) and the intermediate frequency buffer.
-/// One scratch per worker thread; after the first packet of a given length,
-/// modulation through the same scratch is allocation-free.
+/// table (cached per parameter set), the intermediate frequency buffer and
+/// the accumulator at each bit boundary. One scratch per worker thread;
+/// after the first packet of a given length, modulation through the same
+/// scratch is allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GfskScratch {
     // The pulse table and the (bt bit-pattern, sps) it was built for.
     pulse: Option<((u64, usize), PulseTable)>,
     freq: Vec<f64>,
+    bit_acc: Vec<f64>,
 }
 
 impl GfskScratch {
@@ -78,12 +93,51 @@ impl GfskScratch {
         GfskScratch::default()
     }
 
-    /// The instantaneous-frequency pulse train (cycles/sample) for a
-    /// packet's bits, including guard bits of zero frequency on both ends,
-    /// written into `out`.
-    pub fn frequency_signal_into(&mut self, bits: &[bool], p: &GfskParams, out: &mut Vec<f64>) {
+    /// Scratch-buffer variant of [`modulate_phase`]: the accumulation of
+    /// [`GfskScratch::resume_phase_into`] started at bit 0.
+    pub fn modulate_phase_into(
+        &mut self,
+        bits: &[bool],
+        p: &GfskParams,
+        center_offset_hz: f64,
+        out: &mut Vec<f64>,
+    ) {
+        self.resume_phase_into(bits, p, center_offset_hz, 0, 0.0, out);
+    }
+
+    /// The one GFSK accumulation loop, started at bit boundary `first_bit`
+    /// with the un-offset accumulator `acc` it had there.
+    ///
+    /// `out` is sized to the packet (guard bits on both ends included) and
+    /// written from sample `guard + first_bit·sps` on — from sample 0 when
+    /// `first_bit` is 0; earlier samples are zeroed. Sample `t` is
+    /// `acc_t + 2π·off·t`, where `acc_t` is the sum of `2π·f` over the
+    /// frequency samples before `t` (zero in the guards) and `off` is
+    /// `center_offset_hz` in cycles/sample: the paper's Sec 2.3 frequency
+    /// accumulation followed by its offset "modulating operation", in the
+    /// same operations and order as
+    /// [`bluefi_dsp::phase::accumulate_frequency_into`] followed by
+    /// [`bluefi_dsp::phase::add_frequency_offset`].
+    ///
+    /// The loop records `acc_t` at every bit boundary `t = guard + k·sps`,
+    /// `k = first_bit..=bits.len()`, in
+    /// [`GfskScratch::bit_accumulators`]. Resuming at `k` with the value
+    /// recorded for a payload that agrees on every bit that reaches the
+    /// samples before that boundary (see
+    /// [`GfskParams::first_sample_of_bit`]) writes exactly what modulating
+    /// from bit 0 would.
+    pub fn resume_phase_into(
+        &mut self,
+        bits: &[bool],
+        p: &GfskParams,
+        center_offset_hz: f64,
+        first_bit: usize,
+        mut acc: f64,
+        out: &mut Vec<f64>,
+    ) {
         let sps = p.sps();
-        let dev = p.deviation_hz / p.sample_rate_hz;
+        let n = bits.len();
+        assert!(first_bit <= n, "first bit {first_bit} past the end of {n} bits");
         let key = (p.bt.to_bits(), sps);
         let table = match &mut self.pulse {
             Some((k, table)) if *k == key => table,
@@ -93,30 +147,46 @@ impl GfskScratch {
                 &mut slot.insert((key, PulseTable::new(&taps, sps))).1
             }
         };
+        bluefi_dsp::contracts::ensure_len(&mut self.freq, (n - first_bit) * sps, 0.0);
+        table.shape_into(bits, first_bit, p.deviation_hz / p.sample_rate_hz, &mut self.freq);
+        bluefi_dsp::contracts::ensure_len(&mut self.bit_acc, n + 1, 0.0);
+
         let guard = p.guard_bits * sps;
-        let n = bits.len() * sps;
-        bluefi_dsp::contracts::ensure_len(out, guard + n + guard, 0.0);
-        out[..guard].fill(0.0);
-        out[guard + n..].fill(0.0);
-        table.shape_into(bits, dev, &mut out[guard..guard + n]);
+        bluefi_dsp::contracts::ensure_len(out, guard + n * sps + guard, 0.0);
+        let step = 2.0 * PI * (center_offset_hz / p.sample_rate_hz);
+        let shaped_from = guard + first_bit * sps;
+        let (head, shaped) = out.split_at_mut(shaped_from);
+        if first_bit == 0 {
+            // Leading guard: zero frequency, so the accumulator holds.
+            for (t, slot) in head.iter_mut().enumerate() {
+                *slot = acc + step * t as f64;
+            }
+        }
+        let mut t = shaped_from;
+        let bit_acc = &mut self.bit_acc[first_bit..n];
+        for ((slots, freq), at_boundary) in
+            shaped.chunks_exact_mut(sps).zip(self.freq.chunks_exact(sps)).zip(bit_acc)
+        {
+            *at_boundary = acc;
+            for (slot, &f) in slots.iter_mut().zip(freq) {
+                *slot = acc + step * t as f64;
+                acc += 2.0 * PI * f;
+                t += 1;
+            }
+        }
+        self.bit_acc[n] = acc;
+        // Trailing guard: zero frequency again.
+        for (t, slot) in out.iter_mut().enumerate().skip(guard + n * sps) {
+            *slot = acc + step * t as f64;
+        }
     }
 
-    /// Scratch-buffer variant of [`modulate_phase`].
-    pub fn modulate_phase_into(
-        &mut self,
-        bits: &[bool],
-        p: &GfskParams,
-        center_offset_hz: f64,
-        out: &mut Vec<f64>,
-    ) {
-        let mut freq = std::mem::take(&mut self.freq);
-        self.frequency_signal_into(bits, p, &mut freq);
-        accumulate_frequency_into(&freq, 0.0, out);
-        self.freq = freq;
-        // lint: allow(float-eq) exact 0.0 is the "no offset" sentinel, not a computed value
-        if center_offset_hz != 0.0 {
-            add_frequency_offset(out, center_offset_hz / p.sample_rate_hz);
-        }
+    /// The un-offset accumulator at each bit boundary `guard + k·sps`,
+    /// `k = 0..=bits.len()`, as the last modulation recorded it (entries
+    /// below that call's first bit are zero): the value to resume at `k`
+    /// with.
+    pub fn bit_accumulators(&self) -> &[f64] {
+        &self.bit_acc
     }
 }
 
@@ -138,7 +208,8 @@ pub fn modulate_iq(bits: &[bool], p: &GfskParams, center_offset_hz: f64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bluefi_dsp::phase::discriminate;
+    use bluefi_core::rng::{Rng, SeedableRng, StdRng};
+    use bluefi_dsp::phase::{add_frequency_offset, discriminate};
 
     #[test]
     fn defaults_are_bluetooth_br() {
@@ -285,14 +356,56 @@ mod tests {
 
     #[test]
     fn guard_bits_are_at_carrier_frequency() {
+        // Both guards carry zero frequency, so with the offset removed the
+        // phase is flat there — exactly 0 up to the first shaped sample,
+        // and the final accumulator across the whole trailing guard.
         let p = GfskParams::default();
-        let bits = vec![true; 8];
-        let mut f = Vec::new();
-        GfskScratch::new().frequency_signal_into(&bits, &p, &mut f);
-        // First couple of guard bits are ~zero frequency (the Gaussian tail
-        // of the first data bit bleeds into the last guard bit).
-        for &v in &f[..2 * 20] {
-            assert!(v.abs() < 1e-6, "{v}");
+        let bits: Vec<bool> = (0..8).map(|i| i % 3 == 0).collect();
+        let offset_hz = 2.5e6;
+        let step = 2.0 * PI * (offset_hz / p.sample_rate_hz);
+        let guard = p.guard_bits * 20;
+        let shaped_end = guard + bits.len() * 20;
+        let mut scratch = GfskScratch::new();
+        let mut phase = Vec::new();
+        scratch.modulate_phase_into(&bits, &p, offset_hz, &mut phase);
+        let last_acc = scratch.bit_accumulators()[bits.len()];
+        for (t, &v) in phase.iter().enumerate() {
+            let carrier = step * t as f64;
+            if t <= guard {
+                assert_eq!(v.to_bits(), carrier.to_bits(), "leading guard sample {t}");
+            } else if t >= shaped_end {
+                assert_eq!(v.to_bits(), (last_acc + carrier).to_bits(), "trailing sample {t}");
+            }
+        }
+    }
+
+    /// A deterministic random payload of `len` bits.
+    fn random_bits(rng: &mut StdRng, len: usize) -> Vec<bool> {
+        (0..len).map(|_| rng.gen_bool(0.5)).collect()
+    }
+
+    #[test]
+    fn late_mutation_leaves_the_prefix_bit_identical() {
+        // Flipping bit i leaves every phase sample before
+        // `first_sample_of_bit(i)` bit-identical, and the first sample that
+        // moves is exactly that index — or `guard + 1` for bits 0 and 1,
+        // whose edge-clamped windows reach shape sample 0 first.
+        let p = GfskParams::default();
+        let guard = p.guard_bits * p.sps();
+        let mut rng = StdRng::seed_from_u64(0x6f5c);
+        for (len, offset_hz) in [(40usize, 0.0f64), (376, 4.4e6), (97, -2.5e6)] {
+            let bits = random_bits(&mut rng, len);
+            let base = bit_patterns(&modulate_phase(&bits, &p, offset_hz));
+            let mut flips = vec![0, 1, 2, len / 2, len - 2, len - 1];
+            flips.extend((0..8).map(|_| rng.gen_range(0..len)));
+            for i in flips {
+                let mut mutated = bits.clone();
+                mutated[i] ^= true;
+                let got = bit_patterns(&modulate_phase(&mutated, &p, offset_hz));
+                let first = p.first_sample_of_bit(i);
+                let moved = got.iter().zip(&base).position(|(a, b)| a != b);
+                assert_eq!(moved, Some(first.max(guard + 1)), "len {len} bit {i}");
+            }
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::digest::{compare_words, words_of, Canon, Divergence};
 use crate::trace::{ble_case_pdu, Chip};
 use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
 use bluefi_core::json::Json;
-use bluefi_core::pipeline::{BlueFi, PhaseMode, Synthesis, SynthesisScratch};
+use bluefi_core::pipeline::{BlueFi, Synthesis, SynthesisScratch};
 use bluefi_core::reversal::DecodeStrategy;
 use bluefi_core::telemetry::{self, Level};
 use bluefi_core::template::{CachedEngine, CachedScratch};
@@ -262,15 +262,11 @@ const MUTATION_MASKS: [u8; 3] = [0x01, 0xA5, 0xFF];
 /// The `cached` engine axis: for every (channel, payload-mutation) cell,
 /// the template-cache *patch* of a mutated payload must be bit-identical —
 /// PSDU, flip set, scalar facts, transmitted IQ — to a cold synthesis of
-/// that same payload on the anchored real-time pipeline. The engine is
+/// that same payload on the real-time pipeline. The engine is
 /// primed with the unmutated base payload first, so every mutated request
 /// is guaranteed to exercise the patch path, not the build path.
 fn run_cached_chip(chip: Chip, report: &mut MatrixReport) -> Result<(), String> {
-    let fleet = BlueFi {
-        strategy: DecodeStrategy::Realtime,
-        phase: PhaseMode::Anchored,
-        ..BlueFi::default()
-    };
+    let fleet = BlueFi { strategy: DecodeStrategy::Realtime, ..BlueFi::default() };
     let engine = CachedEngine::new(fleet.clone());
     let mut scratch = CachedScratch::new();
     for (j, job) in matrix_jobs(chip)?.iter().enumerate() {

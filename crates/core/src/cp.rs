@@ -118,11 +118,11 @@ impl CpCompat {
 
     /// The per-block pocket mapping alone: builds θ̂ from an
     /// already-extended θ (whole blocks plus one lookahead sample, as
-    /// produced by [`CpCompat::extend_into`] or an anchored-phase fill),
-    /// from block `first_block` on; earlier blocks of `out` are left as
-    /// they are. Block `b` reads only `ext[b·bl ..= (b+1)·bl]`, so the
-    /// template cache's patch path re-maps just the blocks its mutation
-    /// reaches, with the exact same copy semantics as the cold path.
+    /// produced by [`CpCompat::extend_into`]), from block `first_block`
+    /// on; earlier blocks of `out` are zeroed. Block `b` reads only
+    /// `ext[b·bl ..= (b+1)·bl]`, so the template cache's patch path
+    /// re-maps just the blocks its mutation reaches, with the exact same
+    /// copy semantics as the cold path.
     pub fn pocket_map_into(&self, ext: &[f64], first_block: usize, out: &mut Vec<f64>) {
         let theta = ext;
         let bl = self.block_len();

@@ -313,15 +313,10 @@ mod tests {
 
     #[test]
     fn cached_batch_matches_cold_batch_for_every_worker_count() {
-        use crate::pipeline::PhaseMode;
         use crate::reversal::DecodeStrategy;
         use bluefi_wifi::channels::plan_channel;
 
-        let bf = BlueFi {
-            strategy: DecodeStrategy::Realtime,
-            phase: PhaseMode::Anchored,
-            ..Default::default()
-        };
+        let bf = BlueFi { strategy: DecodeStrategy::Realtime, ..Default::default() };
         let plan = plan_channel(2.426e9).unwrap();
         // A beacon fleet: one payload class, rotating counter byte — so the
         // batch is one miss plus all hits on a shared template.

@@ -7,7 +7,6 @@ use crate::reversal::{
     extract_psdu_into, reverse_fec_with, DecodeStrategy, Reversal, WeightProfile,
 };
 use crate::telemetry::{self, Counter, Gauge, SpanKind};
-use bluefi_bt::anchored::AnchoredModulator;
 use bluefi_bt::gfsk::{GfskParams, GfskScratch};
 use bluefi_coding::ViterbiScratch;
 use bluefi_dsp::Cx;
@@ -16,17 +15,17 @@ use bluefi_wifi::qam::Modulation;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
 use bluefi_wifi::{Interleaver, Mcs};
 
-/// How the GFSK phase signal is computed (see `bluefi_bt::anchored`).
+/// A GFSK phase mode, kept only so existing configurations still build.
+///
+/// There is one GFSK phase: the cumulative frequency accumulation of
+/// [`bluefi_bt::gfsk`], which every golden vector and fixture pins and
+/// which the template cache resumes. Both variants select it; nothing in
+/// the library reads [`BlueFi::phase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseMode {
-    /// Classic frequency accumulation — the default; every golden vector
-    /// and fixture was captured against it.
+    /// The cumulative phase (the default).
     Cumulative,
-    /// Closed-form anchored evaluation: each sample is a float function of
-    /// an integer residue plus its local pulse window, making spans of the
-    /// phase signal patchable bit-exactly. Required by the template cache
-    /// (`core::template`). Falls back to `Cumulative` when the anchored
-    /// decomposition does not apply to the GFSK parameters.
+    /// The same cumulative phase.
     Anchored,
 }
 
@@ -44,7 +43,7 @@ pub struct BlueFi {
     pub cp: CpCompat,
     /// Viterbi weight classes.
     pub weights: WeightProfile,
-    /// GFSK phase evaluation mode.
+    /// Inert: every [`PhaseMode`] selects the one cumulative phase.
     pub phase: PhaseMode,
 }
 
@@ -92,8 +91,8 @@ pub struct Synthesis {
 /// scratch is plain mutable state — one per thread, never shared.
 #[derive(Debug, Clone, Default)]
 pub struct SynthesisScratch {
-    gfsk: GfskScratch,
-    phase: Vec<f64>,
+    pub(crate) gfsk: GfskScratch,
+    pub(crate) phase: Vec<f64>,
     pub(crate) theta_ext: Vec<f64>,
     pub(crate) theta_hat: Vec<f64>,
     // Quantizer cached per (modulation, scale mode): construction runs a
@@ -111,9 +110,6 @@ pub struct SynthesisScratch {
     weights: Vec<u32>,
     pub(crate) vit: ViterbiScratch,
     pub(crate) rev: Reversal,
-    // Anchored-phase evaluator cached per GFSK parameter set (None when the
-    // decomposition does not apply — the cumulative path is used instead).
-    anchored: Option<((u64, u64, u64, u64, usize), Option<AnchoredModulator>)>,
     // The previous result, recycled for its psdu/flips capacity.
     pub(crate) result: Option<Synthesis>,
 }
@@ -122,24 +118,6 @@ impl SynthesisScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> SynthesisScratch {
         SynthesisScratch::default()
-    }
-
-    pub(crate) fn anchored_for(&mut self, p: &GfskParams) -> Option<&AnchoredModulator> {
-        let key = (
-            p.sample_rate_hz.to_bits(),
-            p.symbol_rate_hz.to_bits(),
-            p.deviation_hz.to_bits(),
-            p.bt.to_bits(),
-            p.guard_bits,
-        );
-        match &self.anchored {
-            Some((k, _)) if *k == key => {}
-            _ => self.anchored = Some((key, AnchoredModulator::new(p))),
-        }
-        match &self.anchored {
-            Some((_, am)) => am.as_ref(),
-            None => None,
-        }
     }
 
     fn interleaver_for(&mut self, modulation: Modulation) -> Interleaver {
@@ -238,38 +216,17 @@ impl BlueFi {
         let offset_hz = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ;
 
         // Sec 2.3 + 2.4: GFSK phase, recentered on the WiFi channel, then
-        // the CP- and windowing-compatible mapping. The anchored mode fuses
-        // modulation, offset and block extension into one closed-form fill
-        // (see `bluefi_bt::anchored`); the cumulative mode accumulates
-        // frequency and hands the phase to the phase-generic chain, as the
-        // paper describes.
-        let anchored =
-            self.phase == PhaseMode::Anchored && s.anchored_for(&self.gfsk).is_some();
-        if anchored {
-            {
-                // Scoped so the Gfsk span closes before CpCompat opens —
-                // sibling phases, not nested (the causal trace parents
-                // both directly under the synthesize root).
-                let _sp = telemetry::span(SpanKind::Gfsk);
-                let phase_len =
-                    (bt_bits.len() + 2 * self.gfsk.guard_bits) * self.gfsk.sps();
-                let ext_len = self.cp.n_blocks(phase_len.max(1)) * self.cp.block_len() + 1;
-                // lint: allow(panic) anchored_for returned Some on the line above
-                let am = s.anchored.as_ref().and_then(|(_, m)| m.as_ref()).unwrap();
-                let offset_cps = offset_hz / self.gfsk.sample_rate_hz;
-                am.fill_ext(bt_bits, offset_cps, ext_len, &mut s.theta_ext);
-            }
-            let _sp = telemetry::span(SpanKind::CpCompat);
-            self.cp.pocket_map_into(&s.theta_ext, 0, &mut s.theta_hat);
-        } else {
-            let mut phase = std::mem::take(&mut s.phase);
-            {
-                let _sp = telemetry::span(SpanKind::Gfsk);
-                s.gfsk.modulate_phase_into(bt_bits, &self.gfsk, offset_hz, &mut phase);
-            }
-            self.make_compatible_into(&phase, plan, s);
-            s.phase = phase;
+        // the CP- and windowing-compatible mapping.
+        let mut phase = std::mem::take(&mut s.phase);
+        {
+            // Scoped so the Gfsk span closes before CpCompat opens —
+            // sibling phases, not nested (the causal trace parents both
+            // directly under the synthesize root).
+            let _sp = telemetry::span(SpanKind::Gfsk);
+            s.gfsk.modulate_phase_into(bt_bits, &self.gfsk, offset_hz, &mut phase);
         }
+        self.make_compatible_into(&phase, plan, s);
+        s.phase = phase;
         self.synthesize_theta_hat(plan, seed, s)
     }
 
@@ -530,47 +487,6 @@ mod tests {
         let a = bf.synthesize(&beacon_bits(), 2.426e9, 1).unwrap();
         let b = bf.synthesize(&beacon_bits(), 2.426e9, 2).unwrap();
         assert_ne!(a.psdu, b.psdu, "descrambling must differ by seed");
-    }
-
-    #[test]
-    fn anchored_mode_synthesizes_and_is_deterministic() {
-        // The anchored phase evaluator applies to the default GFSK
-        // parameters (integer sps, rational modulation index) and must
-        // produce a sane, deterministic packet under both strategies.
-        for strategy in [DecodeStrategy::WeightedViterbi, DecodeStrategy::Realtime] {
-            let bf = BlueFi { strategy, phase: PhaseMode::Anchored, ..Default::default() };
-            let a = bf.synthesize(&beacon_bits(), 2.426e9, 71).unwrap();
-            let b = bf.synthesize(&beacon_bits(), 2.426e9, 71).unwrap();
-            assert_eq!(a.psdu, b.psdu, "{strategy:?}");
-            assert_eq!(a.flips, b.flips);
-            assert!(a.n_symbols > 90 && a.n_symbols < 130, "{}", a.n_symbols);
-            let expect = (a.n_symbols * bf.strategy.mcs().data_bits_per_symbol() - 22) / 8;
-            assert_eq!(a.psdu.len(), expect);
-        }
-    }
-
-    #[test]
-    fn anchored_mode_tracks_the_cumulative_waveform() {
-        // Anchored and cumulative phase differ only by residue wrapping and
-        // summation order (~2e-11 rad), physically nothing: the waveforms
-        // quantize to the same in-band error and nearly all PSDU bytes are
-        // identical. (Out-of-band subcarriers carry near-tie constellation
-        // decisions, so a small fraction of bytes may flip and cascade
-        // through the Viterbi traceback — which is exactly why the template
-        // cache compares anchored-vs-anchored, never anchored-vs-cumulative.)
-        let cum = BlueFi::default();
-        let anc = BlueFi { phase: PhaseMode::Anchored, ..Default::default() };
-        let a = cum.synthesize(&beacon_bits(), 2.426e9, 71).unwrap();
-        let b = anc.synthesize(&beacon_bits(), 2.426e9, 71).unwrap();
-        assert_eq!(a.psdu.len(), b.psdu.len());
-        assert_eq!(a.n_symbols, b.n_symbols);
-        let same = a.psdu.iter().zip(&b.psdu).filter(|(x, y)| x == y).count();
-        assert!(
-            same * 100 >= a.psdu.len() * 95,
-            "only {same}/{} bytes agree",
-            a.psdu.len()
-        );
-        assert!((a.mean_quant_error_db - b.mean_quant_error_db).abs() < 0.01);
     }
 
     #[test]

@@ -462,7 +462,7 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// Attaches a kind-specific payload exported as the event's `detail`
-    /// (e.g. dirty symbols requantized, FEC rows replayed).
+    /// (e.g. symbols requantized, FEC rows replayed).
     pub fn set_detail(&mut self, v: u64) {
         self.detail = v;
     }

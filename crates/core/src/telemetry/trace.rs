@@ -77,7 +77,7 @@ pub struct TraceEvent {
     /// Worker attribution: 0 is the main thread, batch workers are 1-based
     /// (see [`worker_scope`]).
     pub worker: u32,
-    /// Kind-specific payload (e.g. dirty symbols requantized, FEC rows
+    /// Kind-specific payload (e.g. symbols requantized, FEC rows
     /// replayed); 0 when the kind carries none.
     pub detail: u64,
     /// Start timestamp, nanoseconds since the recorder epoch.

@@ -11,21 +11,27 @@
 //!
 //! ## Why patching is exact
 //!
-//! Every stage the patch path skips or splices is either *local* or
-//! *GF(2)-linear with bounded memory*:
+//! Every stage the patch path skips or splices is a running sum resumed
+//! from a stored value, *local*, or *GF(2)-linear with bounded memory*:
 //!
-//! * **Phase** — the anchored evaluator ([`bluefi_bt::anchored`]) computes
-//!   each sample as a closed-form function of an integer residue and a
-//!   ±3-symbol pulse window, so an unchanged window reproduces the
-//!   *identical* `f64`. The patch re-evaluates the extended phase from the
-//!   first mutated bit's pulse window on and finds dirty OFDM symbols by
-//!   comparing raw bits of the new and templated phase — a symbol whose
-//!   73-sample window matches is untouched through every later stage, by
-//!   determinism of the shared code path.
-//! * **CP pocket map, FFT, quantization, demap, deinterleave** — all
-//!   per-symbol-local: only the symbols the refill reaches are pocket-mapped
-//!   and only dirty ones are recomputed; clean symbols' coded bits are
-//!   copied from the template.
+//! * **Phase** — the cumulative GFSK phase is a running sum, so phase
+//!   sample `t` depends only on the bits whose pulses reach the frequency
+//!   samples before `t`. Every sample before
+//!   [`GfskParams::first_sample_of_bit`](bluefi_bt::gfsk::GfskParams::first_sample_of_bit)
+//!   of the first mutated bit is the base payload's, to the bit. The
+//!   template keeps the un-offset accumulator at each bit boundary (one
+//!   `f64` per bit), and the patch resumes the one accumulation loop
+//!   ([`GfskScratch::resume_phase_into`](bluefi_bt::gfsk::GfskScratch::resume_phase_into))
+//!   at a boundary before that sample: the same operations in the same
+//!   order as the cold modulation, so every resumed sample is the cold
+//!   path's `f64`.
+//! * **CP extension, pocket map, FFT, quantization, deinterleave** — all
+//!   per-symbol-local. OFDM symbol `b` reads extended phase
+//!   `[b·bl, (b+1)·bl]`, so every symbol before the first one whose window
+//!   reaches the first changed sample keeps the template's coded bits and
+//!   error; that symbol and every later one are pocket-mapped and
+//!   requantized. (Past the mutation the running sum has moved, so no
+//!   later symbol can be assumed clean.)
 //! * **FEC reversal** — the real-time decoder is a replay of a fixed GF(2)
 //!   elimination. [`bluefi_coding::realtime::RealtimePlan::redecode_suffix`]
 //!   replays only the rows sourced at or after the first changed coded bit
@@ -47,11 +53,10 @@
 //!
 //! ## Eligibility
 //!
-//! Patching requires the deterministic closed-form pipeline:
-//! [`DecodeStrategy::Realtime`], [`PhaseMode::Anchored`] (with GFSK
-//! parameters the anchored decomposition accepts), and the paper's
-//! [`PocketMode::PaperSplit`] CP construction. Any other configuration is
-//! counted as a bypass and delegated to the cold engine unchanged.
+//! Patching requires [`DecodeStrategy::Realtime`] (the suffix-replayable
+//! decoder) and the paper's [`PocketMode::PaperSplit`] CP construction.
+//! Any other configuration is counted as a bypass and delegated to the
+//! cold engine unchanged.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -59,7 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cp::PocketMode;
-use crate::pipeline::{BlueFi, PhaseMode, Synthesis, SynthesisScratch};
+use crate::pipeline::{BlueFi, Synthesis, SynthesisScratch};
 use crate::reversal::DecodeStrategy;
 use crate::telemetry::{self, Counter, Gauge, SpanKind};
 use bluefi_coding::lfsr::ScramblerPeriod;
@@ -112,12 +117,13 @@ impl TemplateKey {
 #[derive(Debug)]
 pub struct Template {
     /// The base payload bits (locates the first mutated bit, which bounds
-    /// the phase suffix that needs refilling).
+    /// the phase suffix that needs recomputing).
     bits: Vec<bool>,
-    /// Anchored extended phase of the base payload (dirty detection +
-    /// clean-symbol reuse).
-    theta_ext: Vec<f64>,
-    /// Full base coded stream (clean symbols' bits are copied from here).
+    /// The base payload's un-offset GFSK accumulator at each bit boundary
+    /// (`bits.len() + 1` values): where the patch resumes the phase.
+    bit_acc: Vec<f64>,
+    /// Full base coded stream (the bits of the symbols before the first
+    /// changed one are copied from here).
     coded: Vec<bool>,
     /// Per-symbol in-band quantization error, in pipeline order (the mean
     /// is re-summed with patched entries substituted, preserving the cold
@@ -138,7 +144,7 @@ impl Template {
     pub fn bytes(&self) -> usize {
         std::mem::size_of::<Template>()
             + self.bits.capacity()
-            + self.theta_ext.capacity() * 8
+            + self.bit_acc.capacity() * 8
             + self.coded.capacity()
             + self.errs.capacity() * 8
             + self.ckpt.bytes()
@@ -310,14 +316,13 @@ impl CachedEngine {
         &self.store
     }
 
-    /// Whether requests can be served from templates at all: the
-    /// deterministic closed-form pipeline must be selected. Requests on an
-    /// ineligible engine are counted as bypasses and delegated unchanged.
-    pub fn cache_eligible(&self, scratch: &mut CachedScratch) -> bool {
-        matches!(self.bf.strategy, DecodeStrategy::Realtime)
-            && self.bf.phase == PhaseMode::Anchored
-            && self.bf.cp.pocket == PocketMode::PaperSplit
-            && scratch.inner.anchored_for(&self.bf.gfsk).is_some()
+    /// Whether requests can be served from templates at all: the real-time
+    /// decoder and the paper's CP construction must be selected. Requests
+    /// on an ineligible engine are counted as bypasses and delegated
+    /// unchanged. The scratch is not consulted; the parameter keeps the
+    /// signature callers use.
+    pub fn cache_eligible(&self, _scratch: &mut CachedScratch) -> bool {
+        self.bf.strategy == DecodeStrategy::Realtime && self.bf.cp.pocket == PocketMode::PaperSplit
     }
 
     /// Cached synthesis: bit-exact equal to
@@ -381,7 +386,7 @@ impl CachedEngine {
 
         Arc::new(Template {
             bits: bt_bits.to_vec(),
-            theta_ext: s.theta_ext.clone(),
+            bit_acc: s.gfsk.bit_accumulators().to_vec(),
             coded: s.coded.clone(),
             errs: s.errs.clone(),
             ckpt,
@@ -403,87 +408,69 @@ impl CachedEngine {
         s: &'s mut SynthesisScratch,
     ) -> &'s Synthesis {
         let _sp = telemetry::span(SpanKind::TemplatePatch);
-        let offset_cps =
-            plan.tx_subcarrier * SUBCARRIER_SPACING_HZ / self.bf.gfsk.sample_rate_hz;
+        let gfsk = &self.bf.gfsk;
+        let offset_hz = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ;
 
         // Trace-only sub-stage spans reuse the pipeline-phase kinds so a
         // patched packet's causal trace shows the same five-phase shape as
         // a cold one — without feeding the aggregate phase histograms
         // (patch stages are orders of magnitude cheaper and would distort
         // the per-stage statistics).
-        let sp_splice = telemetry::trace_span(SpanKind::Gfsk);
+        let sp_gfsk = telemetry::trace_span(SpanKind::Gfsk);
 
-        // 1. Splice the extended phase: every sample before the first
-        // mutated bit's pulse window is float-identical to the base fill
-        // (anchored closed form), and only the suffix is re-evaluated.
-        // OFDM symbol b reads extended phase [b·bl, (b+1)·bl] inclusive
-        // (the +1 is the windowing lookahead), so symbols below `b_scan`
-        // read only unchanged samples: they are clean, and nothing below
-        // their end is copied, mapped or compared.
+        // 1. Resume the phase. Every phase sample before the first mutated
+        // bit's first sample is the base payload's. OFDM symbol b reads
+        // extended phase [b·bl, (b+1)·bl] inclusive (the +1 is the
+        // windowing lookahead), so `b_first`, the first symbol whose window
+        // reaches that sample, is the first that can change. The
+        // accumulation resumes at the last bit boundary at or before
+        // b_first·bl (bit 0, guard included, when that is inside the
+        // leading guard), from the template's accumulator there.
         let bl = self.bf.cp.block_len();
-        let ext_len = tpl.theta_ext.len();
-        let first_diff = bt_bits.iter().zip(&tpl.bits).position(|(a, b)| a != b);
-        let mut theta_ext = std::mem::take(&mut s.theta_ext);
-        let filled = match s.anchored_for(&self.bf.gfsk) {
-            Some(am) => {
-                let t_fill = match first_diff {
-                    Some(d) => am.first_sample_of_bit(d).min(ext_len),
-                    None => ext_len, // identical payload: pure copy
-                };
-                let b_scan = t_fill.div_ceil(bl).saturating_sub(1);
-                let t_copy = (b_scan * bl).min(t_fill);
-                bluefi_dsp::contracts::ensure_len(&mut theta_ext, ext_len, 0.0);
-                theta_ext[t_copy..t_fill].copy_from_slice(&tpl.theta_ext[t_copy..t_fill]);
-                am.fill_ext_from(bt_bits, offset_cps, t_fill, &mut theta_ext);
-                Some(b_scan)
-            }
-            None => None,
+        let n_symbols = tpl.base.n_symbols;
+        let b_first = match bt_bits.iter().zip(&tpl.bits).position(|(a, b)| a != b) {
+            Some(d) => gfsk.first_sample_of_bit(d).div_ceil(bl).saturating_sub(1),
+            None => n_symbols, // identical payload: nothing changes
         };
-        s.theta_ext = theta_ext;
-        let Some(b_scan) = filled else {
-            // Unreachable in practice — eligibility pinned the anchored
-            // mode — but degrade to the cold engine rather than panic.
-            drop(sp_splice);
-            telemetry::incr(Counter::TemplateBypass);
-            return self.bf.synthesize_at_with(bt_bits, plan, seed, s);
-        };
+        let sps = gfsk.sps();
+        let first_bit =
+            ((b_first * bl).saturating_sub(gfsk.guard_bits * sps) / sps).min(bt_bits.len());
+        s.gfsk.resume_phase_into(
+            bt_bits,
+            gfsk,
+            offset_hz,
+            first_bit,
+            tpl.bit_acc[first_bit],
+            &mut s.phase,
+        );
+        drop(sp_gfsk);
 
-        drop(sp_splice);
-
-        // 2. Pocket map of the blocks from `b_scan` on (identical code path
-        // as cold; earlier blocks are never read).
+        // 2. Extension and pocket map of the blocks from `b_first` on
+        // (the cold path's code; earlier blocks are never read).
         {
             let _sp_pocket = telemetry::trace_span(SpanKind::CpCompat);
-            self.bf.cp.pocket_map_into(&s.theta_ext, b_scan, &mut s.theta_hat);
+            self.bf.cp.extend_into(&s.phase, offset_hz / gfsk.sample_rate_hz, &mut s.theta_ext);
+            self.bf.cp.pocket_map_into(&s.theta_ext, b_first, &mut s.theta_hat);
         }
         let mut sp_requant = telemetry::trace_span(SpanKind::Quantize);
 
-        // 3. Dirty scan + local requantize: a bit-identical window ⇒
-        // identical symbol. Clean symbols keep the template's coded bits
-        // and errors; dirty ones go through the cold chain's per-symbol
-        // step.
-        let n_symbols = tpl.base.n_symbols;
+        // 3. Symbols before `b_first` keep the template's coded bits and
+        // errors; every later one goes through the cold chain's
+        // per-symbol step.
         let mcs = tpl.base.mcs;
         let ncbps = mcs.coded_bits_per_symbol();
         bluefi_dsp::contracts::ensure_len(&mut s.coded, tpl.coded.len(), false);
-        s.coded.copy_from_slice(&tpl.coded);
+        s.coded[..b_first * ncbps].copy_from_slice(&tpl.coded[..b_first * ncbps]);
         bluefi_dsp::contracts::ensure_len(&mut s.errs, n_symbols, 0.0);
-        s.errs.copy_from_slice(&tpl.errs);
-        let mut first_dirty: Option<usize> = None;
-        let mut dirty_count = 0u64;
-        for b in b_scan..n_symbols {
-            let w_new = &s.theta_ext[b * bl..=(b + 1) * bl];
-            let w_old = &tpl.theta_ext[b * bl..=(b + 1) * bl];
-            if w_new.iter().zip(w_old).any(|(x, y)| x.to_bits() != y.to_bits()) {
-                first_dirty.get_or_insert(b);
-                dirty_count += 1;
-                s.quantize_symbol(&self.bf, plan.tx_subcarrier, b);
-            }
+        s.errs[..b_first].copy_from_slice(&tpl.errs[..b_first]);
+        for b in b_first..n_symbols {
+            s.quantize_symbol(&self.bf, plan.tx_subcarrier, b);
         }
+        let requantized = (n_symbols - b_first) as u64;
         // Re-summed in symbol order with the patched entries substituted,
         // so the mean is the cold chain's to the bit.
         let mean_quant_error_db = s.mean_quant_error_db();
-        sp_requant.set_detail(dirty_count);
+        sp_requant.set_detail(requantized);
         drop(sp_requant);
         let mut sp_fec = telemetry::trace_span(SpanKind::FecReversal);
 
@@ -491,7 +478,7 @@ impl CachedEngine {
         // lacks the prefix structure, so it replays the (still cached) full
         // elimination — slower but identical.
         let n_tx = tpl.coded.len();
-        let t_start = first_dirty.map_or(n_tx, |b| b * ncbps);
+        let t_start = b_first * ncbps;
         let rt_plan = realtime_plan(n_tx, tpl.edge);
         let (mut psdu, mut flips) = match s.result.take() {
             Some(prev) => (prev.psdu, prev.flips),
@@ -566,7 +553,7 @@ impl CachedEngine {
         }
 
         telemetry::incr(Counter::PacketsSynthesized);
-        telemetry::add(Counter::SymbolsProcessed, dirty_count);
+        telemetry::add(Counter::SymbolsProcessed, requantized);
         telemetry::add(Counter::FecFlips, flips.len() as u64);
         telemetry::add(Counter::ForcedBits, forced_bits as u64);
 
@@ -592,11 +579,7 @@ mod tests {
     use bluefi_wifi::channels::plan_channel;
 
     fn fleet_engine() -> CachedEngine {
-        CachedEngine::new(BlueFi {
-            strategy: DecodeStrategy::Realtime,
-            phase: PhaseMode::Anchored,
-            ..Default::default()
-        })
+        CachedEngine::new(BlueFi { strategy: DecodeStrategy::Realtime, ..Default::default() })
     }
 
     fn beacon(counter: u8) -> Vec<bool> {
@@ -611,27 +594,48 @@ mod tests {
         adv_air_bits(&pdu, 38)
     }
 
+    /// Payloads that patch `beacon(0)`'s template at its edges: the first
+    /// bit; bit 1, whose first phase sample falls in OFDM symbol 0, so the
+    /// resume starts at sample 0, before the guard; the last bit; and the
+    /// unchanged payload (no first differing bit).
+    fn edge_payloads() -> Vec<(String, Vec<bool>)> {
+        let symbol_0_window = BlueFi::default().cp.block_len();
+        assert!(bluefi_bt::gfsk::GfskParams::default().first_sample_of_bit(1) <= symbol_0_window);
+        let base = beacon(0);
+        let last = base.len() - 1;
+        let mut v: Vec<(String, Vec<bool>)> = [0, 1, last]
+            .into_iter()
+            .map(|i| {
+                let mut bits = base.clone();
+                bits[i] ^= true;
+                (format!("flip bit {i}"), bits)
+            })
+            .collect();
+        v.push(("identical payload".into(), base));
+        v
+    }
+
     #[test]
     fn patch_equals_cold_for_counter_mutations() {
         let engine = fleet_engine();
         let cold = engine.config().clone();
         let plan = plan_channel(2.426e9).unwrap();
         let mut scratch = CachedScratch::new();
-        for counter in 0..8u8 {
-            let bits = beacon(counter);
+        let counters = (0..8u8).map(|c| (format!("counter {c}"), beacon(c)));
+        for (ctx, bits) in counters.chain(edge_payloads()) {
             let want = cold.synthesize_at(&bits, plan, 71);
             let got = engine.synthesize_at_with(&bits, plan, 71, &mut scratch);
-            assert_eq!(got.psdu, want.psdu, "counter {counter}");
-            assert_eq!(got.flips, want.flips, "counter {counter}");
-            assert_eq!(got.forced_bits, want.forced_bits, "counter {counter}");
+            assert_eq!(got.psdu, want.psdu, "{ctx}");
+            assert_eq!(got.flips, want.flips, "{ctx}");
+            assert_eq!(got.forced_bits, want.forced_bits, "{ctx}");
             assert_eq!(got.n_symbols, want.n_symbols);
-            assert_eq!(got.mean_quant_error_db.to_bits(), want.mean_quant_error_db.to_bits());
+            assert_eq!(
+                got.mean_quant_error_db.to_bits(),
+                want.mean_quant_error_db.to_bits(),
+                "{ctx}"
+            );
         }
-        assert_eq!(telemetry_free_len(&engine), 1, "one template for the whole fleet");
-    }
-
-    fn telemetry_free_len(engine: &CachedEngine) -> usize {
-        engine.store().len()
+        assert_eq!(engine.store().len(), 1, "one template for the whole fleet");
     }
 
     #[test]
@@ -644,19 +648,24 @@ mod tests {
         // Force a genuinely negative subcarrier via a pinned plan.
         let plan = ChannelPlan::pinned(plan.wifi_channel, -3.0);
         let mut scratch = CachedScratch::new();
-        for counter in [0u8, 9, 200] {
-            let bits = beacon(counter);
+        let counters = [0u8, 9, 200].map(|c| (format!("counter {c}"), beacon(c)));
+        for (ctx, bits) in counters.into_iter().chain(edge_payloads()) {
             let want = cold.synthesize_at(&bits, plan, 1);
             let got = engine.synthesize_at_with(&bits, plan, 1, &mut scratch);
-            assert_eq!(got.psdu, want.psdu, "counter {counter}");
-            assert_eq!(got.flips, want.flips, "counter {counter}");
-            assert_eq!(got.forced_bits, want.forced_bits);
+            assert_eq!(got.psdu, want.psdu, "{ctx}");
+            assert_eq!(got.flips, want.flips, "{ctx}");
+            assert_eq!(got.forced_bits, want.forced_bits, "{ctx}");
+            assert_eq!(
+                got.mean_quant_error_db.to_bits(),
+                want.mean_quant_error_db.to_bits(),
+                "{ctx}"
+            );
         }
     }
 
     #[test]
     fn ineligible_configs_bypass_the_cache() {
-        // Default (Viterbi + cumulative) config: every request must bypass.
+        // Default (weighted-Viterbi) config: every request must bypass.
         let engine = CachedEngine::new(BlueFi::default());
         let plan = plan_channel(2.426e9).unwrap();
         let mut scratch = CachedScratch::new();

@@ -7,7 +7,7 @@
 //! that touches them serializes on [`lock`] and restores `Level::Off`.
 
 use bluefi_core::json::ToJson;
-use bluefi_core::pipeline::{BlueFi, PhaseMode, SynthesisScratch};
+use bluefi_core::pipeline::{BlueFi, SynthesisScratch};
 use bluefi_core::reversal::DecodeStrategy;
 use bluefi_core::telemetry::{self, Counter, Histogram, Level, SpanKind};
 use bluefi_core::template::{CachedEngine, CachedScratch};
@@ -184,11 +184,7 @@ fn steady_state_allocs_are_zero_at_every_level() {
 #[test]
 fn cache_hit_steady_state_allocs_are_zero() {
     let _g = lock();
-    let fleet_bf = BlueFi {
-        strategy: DecodeStrategy::Realtime,
-        phase: PhaseMode::Anchored,
-        ..Default::default()
-    };
+    let fleet_bf = BlueFi { strategy: DecodeStrategy::Realtime, ..Default::default() };
     let plan = plan_channel(2.426e9).expect("advertising channel plans");
     let base: Vec<bool> = (0..1992).map(|i| i % 5 == 0 || i % 11 == 3).collect();
     // A beacon fleet: eight counter values in the last payload byte.

@@ -9,7 +9,7 @@
 //! process with other telemetry-sensitive tests.
 
 use bluefi_core::telemetry::{self, Counter, Gauge, Level};
-use bluefi_core::{BlueFi, CachedEngine, CachedScratch, DecodeStrategy, PhaseMode};
+use bluefi_core::{BlueFi, CachedEngine, CachedScratch, DecodeStrategy};
 use bluefi_wifi::channels::plan_channel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,11 +27,7 @@ const THREADS: usize = 4;
 const OPS_PER_THREAD: usize = 24;
 
 fn fleet_bf() -> BlueFi {
-    BlueFi {
-        strategy: DecodeStrategy::Realtime,
-        phase: PhaseMode::Anchored,
-        ..Default::default()
-    }
+    BlueFi { strategy: DecodeStrategy::Realtime, ..Default::default() }
 }
 
 fn churn_bits() -> Vec<bool> {
@@ -52,11 +48,7 @@ fn clock_eviction_survives_concurrent_churn() {
     // a true invariant, not the oversized-admission escape hatch) but two
     // contenders in one shard force a CLOCK eviction.
     let probe = CachedEngine::new(fleet_bf());
-    let mut scratch = CachedScratch::new();
-    // First call on a fresh scratch bypasses (the anchored GFSK table
-    // isn't warm yet) and deposits nothing; the second is the real miss.
-    probe.synthesize_at_with(&bits, plan, 1, &mut scratch);
-    probe.synthesize_at_with(&bits, plan, 1, &mut scratch);
+    probe.synthesize_at_with(&bits, plan, 1, &mut CachedScratch::new());
     let unit = probe.store().bytes_resident();
     assert!(unit > 0, "probe build must deposit a template");
 

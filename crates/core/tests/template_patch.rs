@@ -7,7 +7,6 @@ use bluefi_core::check::{bools, check};
 use bluefi_core::rng::Rng;
 use bluefi_core::{
     prop_assert, prop_assert_eq, BlueFi, CachedEngine, CachedScratch, DecodeStrategy,
-    PhaseMode,
 };
 use bluefi_wifi::channels::{plan_channel, ChannelPlan};
 
@@ -24,11 +23,7 @@ fn bt_channel_freq_hz(ch: u8) -> f64 {
 }
 
 fn fleet_bf() -> BlueFi {
-    BlueFi {
-        strategy: DecodeStrategy::Realtime,
-        phase: PhaseMode::Anchored,
-        ..Default::default()
-    }
+    BlueFi { strategy: DecodeStrategy::Realtime, ..Default::default() }
 }
 
 #[derive(Debug)]

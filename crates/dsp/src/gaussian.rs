@@ -20,8 +20,7 @@ use std::f64::consts::PI;
 pub fn gaussian_taps(bt: f64, sps: usize, span: usize) -> Vec<f64> {
     assert!(bt > 0.0, "BT product must be positive");
     assert!(sps >= 1 && span >= 1);
-    let n = sps * span;
-    let n = if n.is_multiple_of(2) { n + 1 } else { n };
+    let n = tap_count(sps, span);
     let mid = (n / 2) as f64;
     // alpha from the Gaussian LPF: h(t) ∝ exp(-t²·2π²B²/ln2), B = bt/T.
     let b = bt / sps as f64; // cycles per sample
@@ -39,6 +38,17 @@ pub fn gaussian_taps(bt: f64, sps: usize, span: usize) -> Vec<f64> {
     taps
 }
 
+/// Length of [`gaussian_taps`]`(_, sps, span)`: `sps·span`, made odd so
+/// the filter has a center tap.
+pub fn tap_count(sps: usize, span: usize) -> usize {
+    let n = sps * span;
+    if n.is_multiple_of(2) {
+        n + 1
+    } else {
+        n
+    }
+}
+
 /// Shapes a ±1 bit sequence into a frequency pulse train.
 ///
 /// Each bit is held for `sps` samples (NRZ) and the result is convolved with
@@ -50,7 +60,7 @@ pub fn gaussian_taps(bt: f64, sps: usize, span: usize) -> Vec<f64> {
 pub fn shape_bits(bits: &[bool], bt: f64, sps: usize, span: usize) -> Vec<f64> {
     let table = PulseTable::new(&gaussian_taps(bt, sps, span), sps);
     let mut out = vec![0.0; bits.len() * sps];
-    table.shape_into(bits, 1.0, &mut out);
+    table.shape_into(bits, 0, 1.0, &mut out);
     out
 }
 
@@ -118,13 +128,22 @@ impl PulseTable {
         PulseTable { sps, width, lo: lo(0), reach, shift, entries }
     }
 
-    /// Shapes `bits` and writes the `scale`-multiplied samples into `out`,
-    /// which must be exactly `bits.len() * sps` long.
-    pub fn shape_into(&self, bits: &[bool], scale: f64, out: &mut [f64]) {
-        assert_eq!(out.len(), bits.len() * self.sps, "output must hold bits.len()*sps samples");
+    /// Shapes `bits` from bit `first` on and writes the `scale`-multiplied
+    /// samples into `out`, which must be exactly `(bits.len() − first)·sps`
+    /// long. Sample `k` of `out` is sample `first·sps + k` of the whole
+    /// sequence's shaping: the filter windows still read (and edge-clamp
+    /// to) all of `bits`, so a suffix shaped this way is bit-identical to
+    /// the same span of a shaping from bit 0.
+    pub fn shape_into(&self, bits: &[bool], first: usize, scale: f64, out: &mut [f64]) {
+        assert!(first <= bits.len(), "first bit {first} past the end of {} bits", bits.len());
+        assert_eq!(
+            out.len(),
+            (bits.len() - first) * self.sps,
+            "output must hold (bits.len() - first)*sps samples"
+        );
         let last = bits.len() as isize - 1;
         let mask = (1usize << self.width) - 1;
-        for (b, samples) in out.chunks_exact_mut(self.sps).enumerate() {
+        for (b, samples) in (first..).zip(out.chunks_exact_mut(self.sps)) {
             let window = (0..self.reach).fold(0usize, |w, j| {
                 let i = (b as isize + self.lo + j as isize).clamp(0, last);
                 w | (bits[i as usize] as usize) << j
@@ -195,10 +214,18 @@ mod tests {
                     let mut want = vec![0.0; len * sps];
                     let mut got = vec![f64::NAN; len * sps];
                     reference(&bits, &taps, sps, scale, &mut want);
-                    table.shape_into(&bits, scale, &mut got);
+                    table.shape_into(&bits, 0, scale, &mut got);
                     let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
                     let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(got, want, "bt {bt} sps {sps} span {span} len {len}");
+                    // A suffix shaped from any first bit is the same span
+                    // of the whole shaping, to the bit.
+                    for first in [0, len / 3, len.saturating_sub(1), len] {
+                        let mut tail = vec![f64::NAN; (len - first) * sps];
+                        table.shape_into(&bits, first, scale, &mut tail);
+                        let tail: Vec<u64> = tail.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(tail, want[first * sps..], "first {first} of {len}");
+                    }
                 }
             }
         }

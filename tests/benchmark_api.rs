@@ -1,9 +1,10 @@
 //! Signature guard for the library surface that the standalone
 //! `benchmark/` package composes its layered cold pipeline from
-//! (`benchmark/src/cold.rs`). That package is outside the workspace, so a
-//! signature change in `crates/` would otherwise only break its separate
-//! build; coercing each item to a fn pointer here makes the workspace's own
-//! test run fail instead.
+//! (`benchmark/src/cold.rs`) and drives the template cache through
+//! (`benchmark/src/fleet.rs`, `benchmark/src/daemon.rs`). That package is
+//! outside the workspace, so a signature change in `crates/` would
+//! otherwise only break its separate build; coercing each item to a fn
+//! pointer here makes the workspace's own test run fail instead.
 
 use bluefi::bt::gfsk::{GfskParams, GfskScratch};
 use bluefi::coding::ViterbiScratch;
@@ -14,6 +15,7 @@ use bluefi::core::reversal::{
     extract_psdu_into, reverse_fec_with, DecodeStrategy, Reversal, WeightProfile,
 };
 use bluefi::core::telemetry::{self, Counter, Level};
+use bluefi::core::template::{CachedEngine, CachedScratch, TemplateStore};
 use bluefi::dsp::Cx;
 use bluefi::wifi::channels::ChannelPlan;
 use bluefi::wifi::qam::{demap_point_into, Modulation};
@@ -67,4 +69,36 @@ fn layered_pipeline_fields_and_variants_exist() {
         (s.psdu.len(), s.flips.len(), s.n_symbols, s.forced_bits, s.mean_quant_error_db)
     };
     let _ = (Level::Counters, Counter::ViterbiMemoHits);
+}
+
+/// The benchmark's fleet configuration, as `benchmark/src/fleet.rs` spells
+/// it.
+fn benchmark_fleet_config() -> BlueFi {
+    BlueFi { strategy: DecodeStrategy::Realtime, phase: PhaseMode::Anchored, ..Default::default() }
+}
+
+#[test]
+fn template_cache_items_keep_their_signatures() {
+    let _: fn(BlueFi) -> CachedEngine = CachedEngine::new;
+    let _: fn(&CachedEngine, &mut CachedScratch) -> bool = CachedEngine::cache_eligible;
+    let _: for<'s> fn(
+        &CachedEngine,
+        &[bool],
+        ChannelPlan,
+        u8,
+        &'s mut CachedScratch,
+    ) -> &'s Synthesis = CachedEngine::synthesize_at_with;
+    let _: fn(&CachedEngine) -> &BlueFi = CachedEngine::config;
+    let _: fn(&CachedEngine) -> &TemplateStore = CachedEngine::store;
+    let _: fn(&TemplateStore) -> usize = TemplateStore::bytes_resident;
+    let _: fn(&TemplateStore) -> usize = TemplateStore::len;
+    let _: fn() -> CachedScratch = CachedScratch::new;
+}
+
+#[test]
+fn benchmark_fleet_config_is_cache_eligible() {
+    // `fleet_patch` fails its `correct` check when this is false; failing
+    // here instead catches it in the workspace's own test run.
+    let engine = CachedEngine::new(benchmark_fleet_config());
+    assert!(engine.cache_eligible(&mut CachedScratch::new()));
 }
