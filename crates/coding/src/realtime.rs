@@ -18,9 +18,8 @@
 //! incremental Gaussian elimination whose bandwidth is bounded by the
 //! encoder memory, so the runtime is O(T) with a small constant: a
 //! [`RealtimePlan`] replays it as two passes of mask parities. Sec 4.8 of
-//! the paper reports ≈ 50× over a scalar C Viterbi; against this crate's
-//! bit-packed Viterbi engine the FEC stage measures 5.3–8.6× cheaper on a
-//! 92-symbol advert (EXPERIMENTS.md Sec 4.8).
+//! the paper reports ≈ 50× over a scalar C Viterbi; EXPERIMENTS.md Sec 4.8
+//! measures the FEC stage against this crate's bit-packed Viterbi engine.
 //!
 //! ## Mask construction
 //!

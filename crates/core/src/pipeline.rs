@@ -164,11 +164,51 @@ impl SynthesisScratch {
         }
     }
 
-    /// Mean of the recorded per-symbol errors, summed in symbol order
-    /// (impairment I2).
-    pub(crate) fn mean_quant_error_db(&self) -> f64 {
+    /// Sec 2.8 + framing, the one PSDU tail of the cold chain and the
+    /// template patch: counts the chip-owned bits of `rev.scrambled`,
+    /// descrambles and packs the PSDU, copies `rev.flips`, averages `errs`,
+    /// and stores the result, recycling the previous one's buffers.
+    /// `requantized` is the number of OFDM symbols this synthesis ran
+    /// through [`SynthesisScratch::quantize_symbol`].
+    pub(crate) fn finish(
+        &mut self,
+        plan: ChannelPlan,
+        mcs: Mcs,
+        seed: u8,
+        requantized: usize,
+    ) -> &Synthesis {
+        // Impairment I2: the recorded per-symbol errors, summed in symbol
+        // order, so a patch that substitutes some is the cold mean to the bit.
         let sum = self.errs.iter().fold(0.0, |acc, e| acc + e);
-        sum / self.errs.len().max(1) as f64
+        let mean_quant_error_db = sum / self.errs.len().max(1) as f64;
+        let (mut psdu, mut flips) = match self.result.take() {
+            Some(prev) => (prev.psdu, prev.flips),
+            None => (Vec::new(), Vec::new()),
+        };
+        let span_extract = telemetry::span(SpanKind::Extract);
+        let forced_bits = extract_psdu_into(&self.rev.scrambled, seed, &mut psdu);
+        bluefi_dsp::contracts::ensure_len(&mut flips, self.rev.flips.len(), 0);
+        flips.copy_from_slice(&self.rev.flips);
+        drop(span_extract);
+
+        telemetry::incr(Counter::PacketsSynthesized);
+        telemetry::add(Counter::SymbolsProcessed, requantized as u64);
+        telemetry::add(Counter::FecFlips, flips.len() as u64);
+        telemetry::add(Counter::ForcedBits, forced_bits as u64);
+        telemetry::gauge_max(Gauge::ScratchCodedBits, self.coded.capacity() as u64);
+        telemetry::gauge_max(Gauge::ScratchPhaseSamples, self.theta_hat.capacity() as u64);
+        telemetry::gauge_max(Gauge::ScratchPsduBytes, psdu.capacity() as u64);
+
+        self.result.insert(Synthesis {
+            psdu,
+            plan,
+            mcs,
+            seed,
+            n_symbols: self.errs.len(),
+            flips,
+            forced_bits,
+            mean_quant_error_db,
+        })
     }
 }
 
@@ -208,10 +248,24 @@ impl BlueFi {
         seed: u8,
         scratch: &'s mut SynthesisScratch,
     ) -> &'s Synthesis {
-        let s = scratch;
         // Telemetry spans/counters below are static atomics — they add no
         // heap allocations, preserving the zero-alloc steady state.
         let _span_total = telemetry::span(SpanKind::Synthesize);
+        self.reverse_at_with(bt_bits, plan, scratch);
+        scratch.finish(plan, self.strategy.mcs(), seed, scratch.errs.len())
+    }
+
+    /// [`BlueFi::synthesize_at_with`] up to the PSDU tail (Secs 2.3–2.7):
+    /// leaves in `s` the per-bit GFSK accumulators, the coded stream, the
+    /// per-symbol errors and the raw FEC decode — with, for the real-time
+    /// strategy, the decoder's propagated state — which the template cache
+    /// saves before [`SynthesisScratch::finish`].
+    pub(crate) fn reverse_at_with(
+        &self,
+        bt_bits: &[bool],
+        plan: ChannelPlan,
+        s: &mut SynthesisScratch,
+    ) {
         // Synthesize at the (possibly integer-snapped) transmit subcarrier.
         let offset_hz = plan.tx_subcarrier * SUBCARRIER_SPACING_HZ;
 
@@ -227,7 +281,7 @@ impl BlueFi {
         }
         self.make_compatible_into(&phase, plan, s);
         s.phase = phase;
-        self.synthesize_theta_hat(plan, seed, s)
+        self.reverse_theta_hat(plan, s);
     }
 
     /// Synthesizes a PSDU whose transmission emits `phase`: any
@@ -247,7 +301,8 @@ impl BlueFi {
     ) -> &'s Synthesis {
         let _span_total = telemetry::span(SpanKind::Synthesize);
         self.make_compatible_into(phase, plan, scratch);
-        self.synthesize_theta_hat(plan, seed, scratch)
+        self.reverse_theta_hat(plan, scratch);
+        scratch.finish(plan, self.strategy.mcs(), seed, scratch.errs.len())
     }
 
     /// Sec 2.4 on an offset phase: the CP- and windowing-compatible θ̂ into
@@ -258,15 +313,9 @@ impl BlueFi {
         self.cp.make_compatible_into(phase, offset_cps, &mut s.theta_ext, &mut s.theta_hat);
     }
 
-    /// Secs 2.5–2.8 from the scratch's θ̂: the per-symbol step over every
-    /// OFDM symbol, weighted FEC reversal, then forcing, descrambling and
-    /// packing the PSDU.
-    fn synthesize_theta_hat<'s>(
-        &self,
-        plan: ChannelPlan,
-        seed: u8,
-        s: &'s mut SynthesisScratch,
-    ) -> &'s Synthesis {
+    /// Secs 2.5–2.7 from the scratch's θ̂: the per-symbol step over every
+    /// OFDM symbol, then the weighted FEC reversal into `s.rev`.
+    fn reverse_theta_hat(&self, plan: ChannelPlan, s: &mut SynthesisScratch) {
         let mcs = self.strategy.mcs();
         let n_symbols = s.theta_hat.len() / self.cp.block_len();
         let il = s.interleaver_for(mcs.modulation);
@@ -294,53 +343,17 @@ impl BlueFi {
                 }
             }
         }
-        let mean_quant_error_db = s.mean_quant_error_db();
 
         // Sec 2.7 back half: weighted FEC reversal.
-        {
-            let _sp = telemetry::span(SpanKind::FecReversal);
-            reverse_fec_with(
-                &s.coded,
-                &s.weights,
-                self.strategy,
-                plan.tx_subcarrier,
-                &mut s.vit,
-                &mut s.rev,
-            );
-        }
-
-        // Sec 2.8 + framing: force the chip-owned bits, descramble, pack —
-        // recycling the previous result's buffers.
-        let (mut psdu, mut flips) = match s.result.take() {
-            Some(prev) => (prev.psdu, prev.flips),
-            None => (Vec::new(), Vec::new()),
-        };
-        let span_extract = telemetry::span(SpanKind::Extract);
-        let forced_bits = extract_psdu_into(&mut s.rev.scrambled, seed, &mut psdu);
-        bluefi_dsp::contracts::ensure_len(&mut flips, s.rev.flips.len(), 0);
-        flips.copy_from_slice(&s.rev.flips);
-        drop(span_extract);
-
-        telemetry::incr(Counter::PacketsSynthesized);
-        telemetry::add(Counter::SymbolsProcessed, n_symbols as u64);
-        telemetry::add(Counter::FecFlips, flips.len() as u64);
-        telemetry::add(Counter::ForcedBits, forced_bits as u64);
-        telemetry::gauge_max(Gauge::ScratchCodedBits, s.coded.capacity() as u64);
-        telemetry::gauge_max(Gauge::ScratchPhaseSamples, s.theta_hat.capacity() as u64);
-        telemetry::gauge_max(Gauge::ScratchPsduBytes, psdu.capacity() as u64);
-
-        s.result = Some(Synthesis {
-            psdu,
-            plan,
-            mcs,
-            seed,
-            n_symbols,
-            flips,
-            forced_bits,
-            mean_quant_error_db,
-        });
-        // lint: allow(panic) assigned on the line above
-        s.result.as_ref().unwrap()
+        let _sp = telemetry::span(SpanKind::FecReversal);
+        reverse_fec_with(
+            &s.coded,
+            &s.weights,
+            self.strategy,
+            plan.tx_subcarrier,
+            &mut s.vit,
+            &mut s.rev,
+        );
     }
 }
 

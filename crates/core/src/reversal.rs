@@ -105,50 +105,48 @@ pub fn reverse_fec_with(
         }
         DecodeStrategy::Realtime => {
             telemetry::incr(Counter::RealtimeDecodes);
-            // Positive Bluetooth offsets protect the positive half of the
-            // band (flips confined to negative subcarriers) and vice versa.
-            let edge = if bt_subcarrier >= 0.0 {
-                FreeEdge::Front
-            } else {
-                FreeEdge::Back
-            };
-            let plan = realtime_plan(coded.len(), edge);
+            let plan = realtime_plan(coded.len(), free_edge(bt_subcarrier));
             plan.decode_into(coded, vit.realtime_scratch(), &mut out.scrambled, &mut out.flips);
         }
     }
 }
 
-/// Forces the scrambled-bit positions BlueFi does not control — the 16-bit
-/// SERVICE field, the 6 tail bits and trailing pad — to the values the chip
-/// will actually produce, then packs the descrambled PSDU into `psdu`
-/// (resized to the byte count), allocating only when it must grow.
-/// Returns the number of forced bits.
-pub fn extract_psdu_into(scrambled: &mut [bool], seed: u8, psdu: &mut Vec<u8>) -> usize {
+/// The interleaver-cycle edge the real-time decoder sacrifices for a
+/// Bluetooth signal centered at `bt_subcarrier`: positive offsets protect
+/// the positive half of the band (flips confined to negative subcarriers)
+/// and vice versa. The cold pass and the template cache both plan with it,
+/// so the checkpoint a template saves from the cold decode is of the plan
+/// its patches replay.
+pub(crate) fn free_edge(bt_subcarrier: f64) -> FreeEdge {
+    if bt_subcarrier >= 0.0 {
+        FreeEdge::Front
+    } else {
+        FreeEdge::Back
+    }
+}
+
+/// Counts the scrambled-bit positions BlueFi does not control — the
+/// 16-bit SERVICE field, the 6 tail bits and trailing pad — that differ
+/// from what the chip will actually send there, then packs the descrambled
+/// PSDU into `psdu` (resized to the byte count), allocating only when it
+/// must grow. `scrambled` is only read. Returns the number of such forced
+/// bits.
+pub fn extract_psdu_into(scrambled: &[bool], seed: u8, psdu: &mut Vec<u8>) -> usize {
     let total = scrambled.len();
     assert!(total > 22, "need at least SERVICE + tail");
     let psdu_bits = (total - 16 - 6) / 8 * 8;
     let tail_start = 16 + psdu_bits;
 
     // The scrambler sequence, one 127-bit period. SERVICE and pad are
-    // zeros, so their scrambled value IS the sequence; the tail is forced
-    // to zero after scrambling.
+    // zeros, so the chip sends the sequence itself there; the tail is
+    // zeroed after scrambling.
     let seq = ScramblerPeriod::new(seed);
-    let mut forced = 0;
-    let mut force = |s: &mut bool, v: bool| {
-        if *s != v {
-            forced += 1;
-            *s = v;
-        }
+    let off_sequence = |r: std::ops::Range<usize>| {
+        r.filter(|&i| scrambled[i] != seq.bit(i)).count()
     };
-    for (i, s) in scrambled.iter_mut().enumerate().take(16) {
-        force(s, seq.bit(i));
-    }
-    for s in &mut scrambled[tail_start..tail_start + 6] {
-        force(s, false);
-    }
-    for (i, s) in scrambled.iter_mut().enumerate().skip(tail_start + 6) {
-        force(s, seq.bit(i));
-    }
+    let forced = off_sequence(0..16)
+        + scrambled[tail_start..tail_start + 6].iter().filter(|&&b| b).count()
+        + off_sequence(tail_start + 6..total);
 
     // Descramble the PSDU region and pack LSB-first: each byte XORs the
     // 8-bit window of the sequence at its position.
@@ -235,9 +233,9 @@ mod tests {
         // choose-the-largest convention.
         let mcs = Mcs::bluefi_viterbi();
         let psdu: Vec<u8> = (0..62).map(|i| (i * 7 + 1) as u8).collect();
-        let mut scrambled = scrambled_bits(&psdu, 71, mcs);
+        let scrambled = scrambled_bits(&psdu, 71, mcs);
         let mut got = Vec::new();
-        let forced = extract_psdu_into(&mut scrambled, 71, &mut got);
+        let forced = extract_psdu_into(&scrambled, 71, &mut got);
         assert_eq!(forced, 0, "a genuine chip stream needs no forcing");
         assert_eq!(&got[..psdu.len()], &psdu[..]);
     }
@@ -252,8 +250,10 @@ mod tests {
         scrambled[3] = !scrambled[3];
         let tail_start = 16 + 496;
         scrambled[tail_start + 2] = !scrambled[tail_start + 2];
-        let forced = extract_psdu_into(&mut scrambled, 71, &mut Vec::new());
-        assert_eq!(forced, 3);
+        assert_eq!(extract_psdu_into(&scrambled, 71, &mut Vec::new()), 3);
+        // And one of the 2 pad bits (518–519 of the 520-bit frame).
+        scrambled[tail_start + 6] = !scrambled[tail_start + 6];
+        assert_eq!(extract_psdu_into(&scrambled, 71, &mut Vec::new()), 4);
     }
 
     #[test]

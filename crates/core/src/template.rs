@@ -37,10 +37,11 @@
 //!   replays only the rows sourced at or after the first changed coded bit
 //!   against a saved checkpoint, returning the first information bit that
 //!   can differ; everything below it is copied.
-//! * **Descramble/pack** — the scrambler is a fixed LFSR stream with period
-//!   127 (one period is rebuilt from the seed per patch), so untouched PSDU
-//!   bytes are copied and the suffix is re-XORed; the forced-bit census is
-//!   recounted in ~30 operations.
+//! * **Descramble/pack** — a function of the decoded bits and the seed
+//!   alone, so the patch ends in the cold chain's own PSDU tail: the
+//!   forced-bit census and
+//!   [`extract_psdu_into`](crate::reversal::extract_psdu_into) over the
+//!   whole decode.
 //!
 //! ## Store
 //!
@@ -65,9 +66,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::cp::PocketMode;
 use crate::pipeline::{BlueFi, Synthesis, SynthesisScratch};
-use crate::reversal::DecodeStrategy;
+use crate::reversal::{free_edge, DecodeStrategy};
 use crate::telemetry::{self, Counter, Gauge, SpanKind};
-use bluefi_coding::lfsr::ScramblerPeriod;
 use bluefi_coding::realtime::{realtime_plan, FreeEdge, RealtimeCheckpoint};
 use bluefi_wifi::channels::ChannelPlan;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
@@ -113,7 +113,7 @@ impl TemplateKey {
 }
 
 /// One cached base synthesis: the stage outputs the patch path splices
-/// from, plus the base result itself.
+/// from.
 #[derive(Debug)]
 pub struct Template {
     /// The base payload bits (locates the first mutated bit, which bounds
@@ -129,14 +129,11 @@ pub struct Template {
     /// is re-summed with patched entries substituted, preserving the cold
     /// path's addition order exactly).
     errs: Vec<f64>,
-    /// Saved real-time decode state of `coded` (pre-forcing).
+    /// Saved real-time decode state of `coded`, under the plan
+    /// [`free_edge`] picks for the key's subcarrier.
     ckpt: RealtimeCheckpoint,
-    /// Which interleaver-cycle edge the decode sacrifices (from the plan's
-    /// subcarrier sign; Back-edge templates use an assisted full replay).
-    edge: FreeEdge,
-    /// The base synthesis (metadata, PSDU prefix source, and the flip list
-    /// the suffix re-encode splices after).
-    base: Synthesis,
+    /// The base decode's flip list (the suffix re-encode splices after it).
+    flips: Vec<usize>,
 }
 
 impl Template {
@@ -148,8 +145,7 @@ impl Template {
             + self.coded.capacity()
             + self.errs.capacity() * 8
             + self.ckpt.bytes()
-            + self.base.psdu.capacity()
-            + self.base.flips.capacity() * 8
+            + self.flips.capacity() * 8
     }
 }
 
@@ -268,21 +264,12 @@ impl Default for TemplateStore {
     }
 }
 
-/// Per-worker buffers for [`CachedEngine`]: wraps a [`SynthesisScratch`]
-/// (the miss path runs the cold pipeline through it; the hit path reuses
-/// its buffers for the patch). One per thread, never shared; after warmup
-/// a cache-hit packet performs zero heap allocations.
-#[derive(Debug, Default)]
-pub struct CachedScratch {
-    inner: SynthesisScratch,
-}
-
-impl CachedScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> CachedScratch {
-        CachedScratch::default()
-    }
-}
+/// Per-worker buffers for [`CachedEngine`]: the cold pipeline's
+/// [`SynthesisScratch`] (the miss path runs the cold pipeline through it;
+/// the hit path reuses its buffers for the patch), under the name engine
+/// callers spell. One per thread, never shared; after warmup a cache-hit
+/// packet performs zero heap allocations.
+pub type CachedScratch = SynthesisScratch;
 
 /// The caching front end over [`BlueFi::synthesize_at_with`]: first
 /// synthesis of a [`TemplateKey`] runs the cold pipeline and captures a
@@ -337,62 +324,56 @@ impl CachedEngine {
     ) -> &'s Synthesis {
         if !self.cache_eligible(scratch) {
             telemetry::incr(Counter::TemplateBypass);
-            return self.bf.synthesize_at_with(bt_bits, plan, seed, &mut scratch.inner);
+            return self.bf.synthesize_at_with(bt_bits, plan, seed, scratch);
         }
         let key = TemplateKey::new(&plan, seed, bt_bits.len());
         if let Some(tpl) = self.store.get(&key) {
             telemetry::incr(Counter::TemplateHit);
-            return self.patch(&tpl, bt_bits, plan, seed, &mut scratch.inner);
+            return self.patch(&tpl, bt_bits, plan, seed, scratch);
         }
         telemetry::incr(Counter::TemplateMiss);
         // Build outside any shard lock: concurrent first-users of one key
         // may race to build, but insert is idempotent (last write wins) and
         // every build is bit-identical.
-        let tpl = self.build(bt_bits, plan, seed, &mut scratch.inner);
-        self.store.insert(key, tpl);
-        // lint: allow(panic) build ran the cold pipeline, which always stores a result
-        scratch.inner.result.as_ref().unwrap()
+        self.build(key, bt_bits, plan, seed, scratch)
     }
 
-    /// Miss path: run the cold pipeline, then capture everything the patch
-    /// path will splice from. The cold pass already recorded the coded
-    /// stream and the per-symbol errors; the one extra piece of work is a
-    /// re-decode for the pre-forcing checkpoint — paid once per key.
-    fn build(
+    /// Miss path: run the cold pipeline and, between its FEC reversal and
+    /// its PSDU tail, capture everything the patch path will splice from.
+    /// The cold pass already recorded the bit-boundary accumulators, the
+    /// coded stream, the per-symbol errors and the flips, and it leaves the
+    /// raw real-time decode with the decoder's propagated state in the
+    /// scratch, which is the checkpoint — nothing is decoded twice.
+    fn build<'s>(
         &self,
+        key: TemplateKey,
         bt_bits: &[bool],
         plan: ChannelPlan,
         seed: u8,
-        s: &mut SynthesisScratch,
-    ) -> Arc<Template> {
+        s: &'s mut SynthesisScratch,
+    ) -> &'s Synthesis {
         // The build span encloses the cold synthesis, so a miss packet's
         // causal trace roots at `template_build` with the five pipeline
         // phases (under `synthesize`) as descendants.
         let _sp = telemetry::span(SpanKind::TemplateBuild);
-        self.bf.synthesize_at_with(bt_bits, plan, seed, s);
-        // lint: allow(panic) the cold pipeline always stores a result
-        let base = s.result.as_ref().unwrap().clone();
-        let edge =
-            if plan.tx_subcarrier >= 0.0 { FreeEdge::Front } else { FreeEdge::Back };
-
-        // Re-decode the coded stream to capture the PRE-forcing information
-        // bits (extract_psdu_into forced SERVICE/tail/pad in-place in
-        // s.rev.scrambled, so that buffer is no longer the raw decode).
-        let rt_plan = realtime_plan(s.coded.len(), edge);
-        let decoded = &mut s.rev.scrambled;
-        rt_plan.decode_into(&s.coded, s.vit.realtime_scratch(), decoded, &mut s.rev.flips);
+        let _span_total = telemetry::span(SpanKind::Synthesize);
+        self.bf.reverse_at_with(bt_bits, plan, s);
         let mut ckpt = RealtimeCheckpoint::new();
-        rt_plan.save_checkpoint(s.vit.realtime_scratch(), decoded, &mut ckpt);
-
-        Arc::new(Template {
+        realtime_plan(s.coded.len(), free_edge(plan.tx_subcarrier)).save_checkpoint(
+            s.vit.realtime_scratch(),
+            &s.rev.scrambled,
+            &mut ckpt,
+        );
+        let tpl = Template {
             bits: bt_bits.to_vec(),
             bit_acc: s.gfsk.bit_accumulators().to_vec(),
             coded: s.coded.clone(),
             errs: s.errs.clone(),
             ckpt,
-            edge,
-            base,
-        })
+            flips: s.rev.flips.clone(),
+        };
+        self.store.insert(key, Arc::new(tpl));
+        s.finish(plan, self.bf.strategy.mcs(), seed, s.errs.len())
     }
 
     /// Hit path: recompute only what the payload mutation touched. Each
@@ -415,7 +396,9 @@ impl CachedEngine {
         // patched packet's causal trace shows the same five-phase shape as
         // a cold one — without feeding the aggregate phase histograms
         // (patch stages are orders of magnitude cheaper and would distort
-        // the per-stage statistics).
+        // the per-stage statistics). The fifth, the PSDU tail, is the cold
+        // chain's own code on a full-length decode, so it runs under the
+        // cold `descramble_extract` span and feeds its histogram.
         let sp_gfsk = telemetry::trace_span(SpanKind::Gfsk);
 
         // 1. Resume the phase. Every phase sample before the first mutated
@@ -427,7 +410,7 @@ impl CachedEngine {
         // b_first·bl (bit 0, guard included, when that is inside the
         // leading guard), from the template's accumulator there.
         let bl = self.bf.cp.block_len();
-        let n_symbols = tpl.base.n_symbols;
+        let n_symbols = tpl.errs.len();
         let b_first = match bt_bits.iter().zip(&tpl.bits).position(|(a, b)| a != b) {
             Some(d) => gfsk.first_sample_of_bit(d).div_ceil(bl).saturating_sub(1),
             None => n_symbols, // identical payload: nothing changes
@@ -457,7 +440,7 @@ impl CachedEngine {
         // 3. Symbols before `b_first` keep the template's coded bits and
         // errors; every later one goes through the cold chain's
         // per-symbol step.
-        let mcs = tpl.base.mcs;
+        let mcs = self.bf.strategy.mcs();
         let ncbps = mcs.coded_bits_per_symbol();
         bluefi_dsp::contracts::ensure_len(&mut s.coded, tpl.coded.len(), false);
         s.coded[..b_first * ncbps].copy_from_slice(&tpl.coded[..b_first * ncbps]);
@@ -466,25 +449,18 @@ impl CachedEngine {
         for b in b_first..n_symbols {
             s.quantize_symbol(&self.bf, plan.tx_subcarrier, b);
         }
-        let requantized = (n_symbols - b_first) as u64;
-        // Re-summed in symbol order with the patched entries substituted,
-        // so the mean is the cold chain's to the bit.
-        let mean_quant_error_db = s.mean_quant_error_db();
-        sp_requant.set_detail(requantized);
+        let requantized = n_symbols - b_first;
+        sp_requant.set_detail(requantized as u64);
         drop(sp_requant);
         let mut sp_fec = telemetry::trace_span(SpanKind::FecReversal);
 
         // 4. FEC reversal: suffix-incremental for Front-edge plans; Back
         // lacks the prefix structure, so it replays the (still cached) full
         // elimination — slower but identical.
-        let n_tx = tpl.coded.len();
         let t_start = b_first * ncbps;
-        let rt_plan = realtime_plan(n_tx, tpl.edge);
-        let (mut psdu, mut flips) = match s.result.take() {
-            Some(prev) => (prev.psdu, prev.flips),
-            None => (Vec::new(), Vec::new()),
-        };
-        let byte_lo = match tpl.edge {
+        let edge = free_edge(plan.tx_subcarrier);
+        let rt_plan = realtime_plan(tpl.coded.len(), edge);
+        let replayed_from = match edge {
             FreeEdge::Front => {
                 let b_bound = rt_plan.redecode_suffix(
                     &s.coded,
@@ -498,77 +474,27 @@ impl CachedEngine {
                     &s.coded,
                     b_bound,
                     t_start,
-                    &tpl.base.flips,
+                    &tpl.flips,
                     s.vit.realtime_scratch(),
-                    &mut flips,
+                    &mut s.rev.flips,
                 );
-                ((b_bound.max(16) - 16) / 8).min(tpl.base.psdu.len())
+                t_start
             }
             FreeEdge::Back => {
                 rt_plan.decode_into(
                     &s.coded,
                     s.vit.realtime_scratch(),
                     &mut s.rev.scrambled,
-                    &mut flips,
+                    &mut s.rev.flips,
                 );
                 0
             }
         };
-        sp_fec.set_detail(rt_plan.replayed_rows_from(match tpl.edge {
-            FreeEdge::Front => t_start,
-            FreeEdge::Back => 0,
-        }) as u64);
+        sp_fec.set_detail(rt_plan.replayed_rows_from(replayed_from) as u64);
         drop(sp_fec);
-        let _sp_extract = telemetry::trace_span(SpanKind::Extract);
 
-        // 5. PSDU bytes: prefix copied from the base, suffix re-descrambled
-        // against one period of the seed's sequence. The PSDU region is
-        // never forced, so the raw decode XOR the sequence IS the
-        // extract_psdu_into output.
-        let decoded = &s.rev.scrambled;
-        let seq = ScramblerPeriod::new(seed);
-        bluefi_dsp::contracts::ensure_len(&mut psdu, tpl.base.psdu.len(), 0u8);
-        psdu[..byte_lo].copy_from_slice(&tpl.base.psdu[..byte_lo]);
-        for (byte_i, slot) in psdu.iter_mut().enumerate().skip(byte_lo) {
-            let at = 16 + byte_i * 8;
-            let bits = &decoded[at..at + 8];
-            let packed = bits.iter().enumerate().fold(0u8, |acc, (j, &b)| acc | (u8::from(b) << j));
-            *slot = packed ^ seq.byte(at);
-        }
-
-        // 6. Forced-bit census over the chip-owned regions (≤ 30 positions;
-        // same mismatch predicate as extract_psdu_into, order-independent).
-        let n_in = decoded.len();
-        let psdu_bits = (n_in - 16 - 6) / 8 * 8;
-        let tail_start = 16 + psdu_bits;
-        let mut forced_bits = 0;
-        for i in 0..16 {
-            forced_bits += usize::from(decoded[i] != seq.bit(i));
-        }
-        for i in tail_start..tail_start + 6 {
-            forced_bits += usize::from(decoded[i]);
-        }
-        for i in tail_start + 6..n_in {
-            forced_bits += usize::from(decoded[i] != seq.bit(i));
-        }
-
-        telemetry::incr(Counter::PacketsSynthesized);
-        telemetry::add(Counter::SymbolsProcessed, requantized);
-        telemetry::add(Counter::FecFlips, flips.len() as u64);
-        telemetry::add(Counter::ForcedBits, forced_bits as u64);
-
-        s.result = Some(Synthesis {
-            psdu,
-            plan,
-            mcs,
-            seed,
-            n_symbols,
-            flips,
-            forced_bits,
-            mean_quant_error_db,
-        });
-        // lint: allow(panic) assigned on the line above
-        s.result.as_ref().unwrap()
+        // 5. The cold chain's PSDU tail.
+        s.finish(plan, mcs, seed, requantized)
     }
 }
 

@@ -118,9 +118,9 @@ fn extract_psdu_inverts_chip_framing() {
             let n_sym = (16 + psdu_len * 8 + 6).div_ceil(ndbps);
             let max_len = (n_sym * ndbps - 22) / 8;
             let psdu: Vec<u8> = (0..max_len).map(|i| (i * 37 + seed as usize) as u8).collect();
-            let mut scrambled = scrambled_bits(&psdu, seed, mcs);
+            let scrambled = scrambled_bits(&psdu, seed, mcs);
             let mut got = Vec::new();
-            let forced = extract_psdu_into(&mut scrambled, seed, &mut got);
+            let forced = extract_psdu_into(&scrambled, seed, &mut got);
             prop_assert_eq!(forced, 0);
             prop_assert_eq!(&got[..psdu.len()], &psdu[..]);
             Ok(())

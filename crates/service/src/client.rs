@@ -106,29 +106,23 @@ impl ServiceClient {
 
     /// Reads one complete response frame and parses it.
     pub fn read_response(&mut self) -> Result<Json, ClientError> {
-        loop {
-            match self.reader.poll(&mut self.stream)? {
-                FrameEvent::Frame(payload) => {
-                    let text = std::str::from_utf8(&payload)
-                        .map_err(|e| ClientError::Protocol(format!("non-UTF-8 frame: {e}")))?;
-                    return Json::parse(text)
-                        .map_err(|e| ClientError::Protocol(format!("bad response JSON: {e:?}")));
-                }
-                FrameEvent::Eof | FrameEvent::TruncatedEof => {
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )));
-                }
-                FrameEvent::WouldBlock => {
-                    return Err(ClientError::Io(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "timed out waiting for the response",
-                    )));
-                }
-                FrameEvent::TooLarge(n) => {
-                    return Err(ClientError::Protocol(format!("oversized response frame ({n} B)")));
-                }
+        match self.reader.poll(&mut self.stream)? {
+            FrameEvent::Frame(payload) => {
+                let text = std::str::from_utf8(&payload)
+                    .map_err(|e| ClientError::Protocol(format!("non-UTF-8 frame: {e}")))?;
+                Json::parse(text)
+                    .map_err(|e| ClientError::Protocol(format!("bad response JSON: {e:?}")))
+            }
+            FrameEvent::Eof | FrameEvent::TruncatedEof => Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ))),
+            FrameEvent::WouldBlock => Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "timed out waiting for the response",
+            ))),
+            FrameEvent::TooLarge(n) => {
+                Err(ClientError::Protocol(format!("oversized response frame ({n} B)")))
             }
         }
     }

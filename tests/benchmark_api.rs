@@ -47,7 +47,12 @@ fn layered_pipeline_items_keep_their_signatures() {
     let _: fn() -> Reversal = Reversal::default;
     let _: fn(&[bool], &[u32], DecodeStrategy, f64, &mut ViterbiScratch, &mut Reversal) =
         reverse_fec_with;
-    let _: fn(&mut [bool], u8, &mut Vec<u8>) -> usize = extract_psdu_into;
+    let _: fn(&[bool], u8, &mut Vec<u8>) -> usize = extract_psdu_into;
+    // `benchmark/src/cold.rs` passes its decode buffer as `&mut`, which
+    // must keep coercing to the read-only slice.
+    #[allow(clippy::unnecessary_mut_passed)]
+    let _: fn(&mut Reversal, u8, &mut Vec<u8>) -> usize =
+        |rev, seed, psdu| extract_psdu_into(&mut rev.scrambled, seed, psdu);
     let _: fn() -> SynthesisScratch = SynthesisScratch::new;
     let _: for<'s> fn(&BlueFi, &[bool], ChannelPlan, u8, &'s mut SynthesisScratch) -> &'s Synthesis =
         BlueFi::synthesize_at_with;
