@@ -14,6 +14,8 @@
 //! * **tails (p90/p99)** — fail above `baseline × 2.0 + 50 µs` (tails are
 //!   noisier than means)
 //! * **allocations/packet** — any growth fails (the claim is exactly zero)
+//! * **deterministic counts** (lower is better, e.g. template bytes) —
+//!   any growth fails: the same inputs always give the same count
 //! * **throughput** (higher is better) — fail below `baseline × 0.6`
 //!
 //! Ratios of two gated means (such as the cache-hit patch speedup over
@@ -41,6 +43,8 @@ enum Class {
     TailUs,
     /// Allocations per packet: must not grow at all.
     Alloc,
+    /// A deterministic count where lower is better: must not grow at all.
+    Count,
     /// Rate where higher is better (packets/s).
     HigherBetter,
 }
@@ -51,6 +55,7 @@ impl Class {
             Class::MeanUs => "mean",
             Class::TailUs => "tail",
             Class::Alloc => "alloc",
+            Class::Count => "count",
             Class::HigherBetter => "rate",
         }
     }
@@ -61,7 +66,7 @@ impl Class {
         match self {
             Class::MeanUs => base * 1.6 + 25.0,
             Class::TailUs => base * 2.0 + 50.0,
-            Class::Alloc => base,
+            Class::Alloc | Class::Count => base,
             Class::HigherBetter => base * 0.6,
         }
     }
@@ -86,10 +91,13 @@ const METRICS: &[(&str, Class)] = &[
     ("per_stage.fec_reversal.mean_us", Class::MeanUs),
     ("per_stage.descramble_extract.mean_us", Class::MeanUs),
     ("realtime.single_packet.mean_us", Class::MeanUs),
+    ("realtime.per_stage.gfsk_modulate.mean_us", Class::MeanUs),
     ("realtime.per_stage.qam_quantize_demap.mean_us", Class::MeanUs),
     ("realtime.per_stage.fec_reversal.mean_us", Class::MeanUs),
+    ("realtime.per_stage.descramble_extract.mean_us", Class::MeanUs),
     ("beacon_fleet.patch_mean_us", Class::MeanUs),
     ("beacon_fleet.patch_p99_us", Class::TailUs),
+    ("beacon_fleet.template_counters.template_bytes_resident", Class::Count),
     ("batch.threads[workers=1].packets_per_s", Class::HigherBetter),
     ("allocs_per_packet.steady_state", Class::Alloc),
     ("telemetry.allocs_per_packet_enabled", Class::Alloc),

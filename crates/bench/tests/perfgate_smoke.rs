@@ -89,6 +89,12 @@ fn gate_fails_on_synthetic_regression_and_names_the_metric() {
     // both times, made the real-time quantize/demap stage about 1.6×
     // slower; doubling it clears the mean bound.
     scale_num(&mut doc, &["realtime", "per_stage", "qam_quantize_demap", "mean_us"], 2.0);
+    // The anchored GFSK phase the template cache once ran cost about 6×
+    // the cumulative one.
+    scale_num(&mut doc, &["realtime", "per_stage", "gfsk_modulate", "mean_us"], 6.0);
+    // `bool` and `usize` streams made a template about 7× larger.
+    let template_bytes = ["beacon_fleet", "template_counters", "template_bytes_resident"];
+    scale_num(&mut doc, &template_bytes, 7.0);
     let regressed = std::env::temp_dir().join("bluefi_perfgate_regressed.json");
     std::fs::write(&regressed, doc.render()).expect("write regressed report");
     let gate = run_gate(&baseline, &regressed);
@@ -101,6 +107,8 @@ fn gate_fails_on_synthetic_regression_and_names_the_metric() {
         "per_stage.gfsk_modulate.mean_us",
         "realtime.per_stage.fec_reversal.mean_us",
         "realtime.per_stage.qam_quantize_demap.mean_us",
+        "realtime.per_stage.gfsk_modulate.mean_us",
+        "beacon_fleet.template_counters.template_bytes_resident",
     ] {
         assert!(
             gate.stdout.contains(&format!("{metric}:")),

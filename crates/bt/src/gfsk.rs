@@ -110,7 +110,8 @@ impl GfskScratch {
     ///
     /// `out` is sized to the packet (guard bits on both ends included) and
     /// written from sample `guard + first_bit·sps` on — from sample 0 when
-    /// `first_bit` is 0; earlier samples are zeroed. Sample `t` is
+    /// `first_bit` is 0; earlier samples are left as they were, for a
+    /// caller that keeps them from the payload it resumes. Sample `t` is
     /// `acc_t + 2π·off·t`, where `acc_t` is the sum of `2π·f` over the
     /// frequency samples before `t` (zero in the guards) and `off` is
     /// `center_offset_hz` in cycles/sample: the paper's Sec 2.3 frequency
@@ -147,12 +148,12 @@ impl GfskScratch {
                 &mut slot.insert((key, PulseTable::new(&taps, sps))).1
             }
         };
-        bluefi_dsp::contracts::ensure_len(&mut self.freq, (n - first_bit) * sps, 0.0);
+        bluefi_dsp::contracts::ensure_len_keeping(&mut self.freq, (n - first_bit) * sps, 0.0);
         table.shape_into(bits, first_bit, p.deviation_hz / p.sample_rate_hz, &mut self.freq);
         bluefi_dsp::contracts::ensure_len(&mut self.bit_acc, n + 1, 0.0);
 
         let guard = p.guard_bits * sps;
-        bluefi_dsp::contracts::ensure_len(out, guard + n * sps + guard, 0.0);
+        bluefi_dsp::contracts::ensure_len_keeping(out, guard + n * sps + guard, 0.0);
         let step = 2.0 * PI * (center_offset_hz / p.sample_rate_hz);
         let shaped_from = guard + first_bit * sps;
         let (head, shaped) = out.split_at_mut(shaped_from);

@@ -73,9 +73,13 @@ mod anchored {
                     let limit = p.first_sample_of_bit(d);
                     let anchors = (0..=len).filter(|&k| k == 0 || resume_start(&p, k) < limit);
                     for k in anchors {
+                        // The resume must leave the samples before its start
+                        // as they were.
+                        out.clear();
+                        out.resize(base.len(), f64::NAN);
                         resume.resume_phase_into(&mutated, &p, offset_hz, k, accs[k], &mut out);
                         let from = resume_start(&p, k);
-                        assert!(out[..from].iter().all(|&v| v.to_bits() == 0));
+                        assert!(out[..from].iter().all(|v| v.is_nan()), "prefix written");
                         let mut spliced = base[..from].to_vec();
                         spliced.extend_from_slice(&out[from..]);
                         let ctx = format!("len {len} flip {d} resume {k}");
@@ -132,10 +136,11 @@ mod anchored {
             let full = bit_patterns(&out);
             let last = scratch.bit_accumulators()[bits.len()];
             let n = bits.len();
-            scratch.resume_phase_into(&bits, &p, offset_hz, n, last, &mut out);
             let shaped_end = resume_start(&p, n);
+            out[..shaped_end].fill(f64::NAN);
+            scratch.resume_phase_into(&bits, &p, offset_hz, n, last, &mut out);
             assert_eq!(out.len(), shaped_end + guard);
-            assert!(out[..shaped_end].iter().all(|&v| v.to_bits() == 0));
+            assert!(out[..shaped_end].iter().all(|v| v.is_nan()), "prefix written");
             assert_eq!(bit_patterns(&out[shaped_end..]), full[shaped_end..]);
             for (t, &v) in out.iter().enumerate().skip(shaped_end) {
                 let ramp = last + step * t as f64;

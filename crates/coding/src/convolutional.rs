@@ -11,6 +11,7 @@
 //! word as an XOR of shifted input words.
 
 use crate::puncture::CodeRate;
+use bluefi_dsp::bits::BitVec;
 
 /// Generator polynomial g₀ = 133₈ (taps on `d[i]`, `d[i-2]`, `d[i-3]`, `d[i-5]`, `d[i-6]`).
 pub const G0: u8 = 0o133;
@@ -97,35 +98,6 @@ pub fn encode_r12(bits: &[bool]) -> Vec<bool> {
     ConvEncoder::new().encode(bits)
 }
 
-/// Packs `bits` LSB-first into `words` (resized to `⌈len/64⌉`): bit `i`
-/// lands at bit `i mod 64` of word `i / 64`, and the last word's unused
-/// high bits are zero. Allocates only when `words` must grow.
-fn pack_into(bits: &[bool], words: &mut Vec<u64>) {
-    bluefi_dsp::contracts::ensure_len(words, bits.len().div_ceil(64), 0);
-    for (w, chunk) in words.iter_mut().zip(bits.chunks(64)) {
-        let mut bytes = chunk.chunks_exact(8);
-        let mut v = 0;
-        for (i, eight) in bytes.by_ref().enumerate() {
-            v |= u64::from(pack8(eight)) << (8 * i);
-        }
-        let done = chunk.len() / 8 * 8;
-        for (j, &bit) in bytes.remainder().iter().enumerate() {
-            v |= u64::from(bit) << (done + j);
-        }
-        *w = v;
-    }
-}
-
-/// Packs 8 bools LSB-first into a byte with one multiply: read as the
-/// bytes of a little-endian `u64`, bool `j` sits at bit `8j`, and the
-/// constant's taps `2^(56−7j)` move it to bit `56 + j` — every partial
-/// product lands on a distinct bit, so nothing carries.
-#[inline]
-fn pack8(eight: &[bool]) -> u8 {
-    let x = u64::from_le_bytes(std::array::from_fn(|j| u8::from(eight[j])));
-    (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
-}
-
 /// Word form of [`encode_r12`]: `input` packs the information bits
 /// LSB-first (bit `i` at bit `i mod 64` of word `i / 64`; the encoder
 /// starts at the zero state), and `a`/`b`
@@ -155,18 +127,18 @@ pub fn encode_words_into(input: &[u64], a: &mut Vec<u64>, b: &mut Vec<u64>) {
 
 /// Reusable buffers for re-encoding a decoded stream and listing where the
 /// re-encoding differs from its target ("bit-flips" in the paper's
-/// language), on packed words: pack, [`encode_words_into`],
-/// [`crate::puncture::puncture_words_into`], then XOR against the packed
-/// target and walk the set bits with `trailing_zeros`. Serves both FEC
-/// reversal strategies. One per worker thread, never shared; allocation-free
-/// once the buffers have grown.
+/// language), on packed words: [`encode_words_into`],
+/// [`crate::puncture::puncture_words_into`], then XOR each transmitted word
+/// against the target's word at the same position and walk the set bits
+/// with `trailing_zeros`. Serves both FEC reversal strategies. One per
+/// worker thread, never shared; allocation-free once the buffers have
+/// grown.
 #[derive(Debug, Clone, Default)]
 pub struct Reencoder {
     input: Vec<u64>,
     a: Vec<u64>,
     b: Vec<u64>,
     tx: Vec<u64>,
-    target: Vec<u64>,
 }
 
 impl Reencoder {
@@ -179,13 +151,13 @@ impl Reencoder {
     /// `flips`, in ascending order, every transmitted position `t ≥ t_from`
     /// where the punctured re-encoding differs from `target`. `target` must
     /// be exactly as long as that re-encoding. Only the suffix that can
-    /// reach `t_from` is packed and encoded: from the puncturing period
-    /// holding `t_from`, plus the encoder memory before it.
+    /// reach `t_from` is encoded: from the puncturing period holding
+    /// `t_from`, plus the encoder memory before it.
     pub fn push_flips_from(
         &mut self,
         rate: CodeRate,
-        decoded: &[bool],
-        target: &[bool],
+        decoded: &BitVec,
+        target: &BitVec,
         t_from: usize,
         flips: &mut Vec<usize>,
     ) {
@@ -206,18 +178,15 @@ impl Reencoder {
         let i_from = t_from / q * p;
         let lo = i_from.saturating_sub(MEMORY) / p * p;
         let t_lo = lo / p * q;
-        pack_into(&decoded[lo..], &mut self.input);
+        let n_in = decoded.len() - lo;
+        bluefi_dsp::contracts::ensure_len_keeping(&mut self.input, n_in.div_ceil(64), 0);
+        for (w, slot) in self.input.iter_mut().enumerate() {
+            *slot = decoded.load(lo + 64 * w);
+        }
         encode_words_into(&self.input, &mut self.a, &mut self.b);
-        crate::puncture::puncture_words_into(
-            rate,
-            &self.a,
-            &self.b,
-            decoded.len() - lo,
-            &mut self.tx,
-        );
-        pack_into(&target[t_lo..], &mut self.target);
-        for (w, (&got, &want)) in self.tx.iter().zip(&self.target).enumerate() {
-            let mut diff = got ^ want;
+        crate::puncture::puncture_words_into(rate, &self.a, &self.b, n_in, &mut self.tx);
+        for (w, &got) in self.tx.iter().enumerate() {
+            let mut diff = got ^ target.load(t_lo + 64 * w);
             while diff != 0 {
                 let t = t_lo + 64 * w + diff.trailing_zeros() as usize;
                 if t >= t_from {
@@ -265,7 +234,7 @@ mod tests {
 
     #[test]
     fn zero_input_keeps_zero_output() {
-        let out = encode_r12(&vec![false; 20]);
+        let out = encode_r12(&[false; 20]);
         assert!(out.iter().all(|&b| !b));
     }
 

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
 
     fn pattern(n: usize, k: usize) -> Vec<bool> {
-        (0..n).map(|i| (i * k + 1) % 3 == 0).collect()
+        (0..n).map(|i| (i * k + 1).is_multiple_of(3)).collect()
     }
 
     #[test]

@@ -72,41 +72,47 @@ impl Lfsr7 {
 }
 
 /// One 127-bit period of a seed's scrambler sequence — the m-sequence
-/// repeats every 127 bits — held as the 8-bit window starting at each
-/// phase, so descrambling a byte is one lookup and one XOR instead of
-/// eight register steps.
+/// repeats every 127 bits — held packed, so the 64 sequence bits at any
+/// position are one unaligned word read and descrambling 64 bits is one
+/// XOR instead of 64 register steps.
 #[derive(Debug, Clone)]
 pub struct ScramblerPeriod {
-    /// `window[ph]`: sequence bits `ph..ph + 8` (mod 127), LSB first.
-    window: [u8; 127],
+    /// Sequence bits `0..127 + 64`, LSB-first: one period plus the 64-bit
+    /// window that starts at its last phase.
+    bits: [u64; 3],
 }
 
 impl ScramblerPeriod {
     /// The period of the sequence [`Lfsr7::new`]`(seed)` emits.
     pub fn new(seed: u8) -> ScramblerPeriod {
         let mut lfsr = Lfsr7::new(seed);
-        let mut bits = [false; 127 + 7];
-        for b in bits.iter_mut() {
-            *b = lfsr.next_bit();
+        let mut bits = [0u64; 3];
+        for i in 0..127 + 64 {
+            bits[i / 64] |= u64::from(lfsr.next_bit()) << (i % 64);
         }
-        let mut window = [0u8; 127];
-        for (ph, w) in window.iter_mut().enumerate() {
-            *w = bits[ph..ph + 8]
-                .iter()
-                .enumerate()
-                .fold(0, |acc, (j, &b)| acc | (u8::from(b) << j));
-        }
-        ScramblerPeriod { window }
+        ScramblerPeriod { bits }
     }
 
-    /// Sequence bit `i` (counting from the seed, as the register emits).
+    /// Sequence bits `i..i + 64`, LSB first (counting from the seed, as
+    /// the register emits).
+    pub fn word(&self, i: usize) -> u64 {
+        let ph = i % 127;
+        let (w, s) = (ph / 64, ph % 64);
+        if s == 0 {
+            self.bits[w]
+        } else {
+            self.bits[w] >> s | self.bits[w + 1] << (64 - s)
+        }
+    }
+
+    /// Sequence bit `i`.
     pub fn bit(&self, i: usize) -> bool {
-        self.window[i % 127] & 1 == 1
+        self.word(i) & 1 == 1
     }
 
     /// Sequence bits `i..i + 8`, LSB first.
     pub fn byte(&self, i: usize) -> u8 {
-        self.window[i % 127]
+        self.word(i) as u8
     }
 }
 
@@ -254,6 +260,10 @@ mod tests {
                 assert_eq!(period.bit(i), seq[i], "seed {seed} bit {i}");
                 let byte = (0..8).fold(0u8, |acc, j| acc | (u8::from(seq[i + j]) << j));
                 assert_eq!(period.byte(i), byte, "seed {seed} byte at {i}");
+                if i + 64 <= seq.len() {
+                    let word = (0..64).fold(0u64, |acc, j| acc | (u64::from(seq[i + j]) << j));
+                    assert_eq!(period.word(i), word, "seed {seed} word at {i}");
+                }
             }
         }
     }

@@ -115,7 +115,7 @@ pub fn puncture_into(rate: CodeRate, mother: &[bool], out: &mut Vec<bool>) {
         // periods, the output length must agree with the rate arithmetic
         // the rest of the pipeline budgets with.
         let pairs = mother.len() / 2;
-        if pairs % rate.period_inputs() == 0 {
+        if pairs.is_multiple_of(rate.period_inputs()) {
             bluefi_dsp::contract!(
                 out.len() == rate.n_transmitted(pairs),
                 "puncture: rate {rate:?} emitted {} bits for {pairs} input bits, expected {}",
@@ -213,7 +213,7 @@ pub fn puncture_words_into(rate: CodeRate, a: &[u64], b: &[u64], n_in: usize, ou
         out.push(acc as u64);
     }
     out.truncate(n_tx.div_ceil(64));
-    if n_tx % 64 != 0 {
+    if !n_tx.is_multiple_of(64) {
         if let Some(last) = out.last_mut() {
             *last &= (1u64 << (n_tx % 64)) - 1;
         }

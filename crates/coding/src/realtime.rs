@@ -37,6 +37,7 @@
 
 use crate::convolutional::{Reencoder, G0, G1, MEMORY};
 use crate::puncture::CodeRate;
+use bluefi_dsp::bits::BitVec;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -181,12 +182,17 @@ pub fn protected_mask(n_tx: usize, edge: FreeEdge) -> Vec<bool> {
 /// The elimination is banded, so the plan stores it as bit masks over a
 /// sliding window rather than index lists. Each row, in processing order
 /// (ascending transmit position for Front, descending for Back), keeps its
-/// source position `t`, its pivot, and a `u64` mask of the earlier rows
+/// source position `t` and a `u64` mask of the earlier rows
 /// whose right-hand sides it XORs (bit `k` = the row `k + 1` places
 /// before it). Each substitution coordinate keeps a `u8` mask of its
-/// pivot row's other unknowns (bit `k` = coordinate `k + 1` below it).
-/// A decode is two shift-register passes, each step one parity of
-/// `window & mask`; a row that does not fit its window fails the build.
+/// pivot row's other unknowns (bit `k` = coordinate `k + 1` below it) and
+/// the index of that row. A decode is two shift-register passes, each step
+/// one parity of `window & mask`; a row that does not fit its window fails
+/// the build.
+///
+/// Right-hand sides are packed by row, in processing order, so the first
+/// pass writes them as whole words; the second pass reads each
+/// coordinate's through its row index.
 #[derive(Debug, Clone)]
 pub struct RealtimePlan {
     n_tx: usize,
@@ -199,11 +205,16 @@ pub struct RealtimePlan {
     t: Vec<u32>,
     /// Per row: the earlier rows whose right-hand sides it XORs.
     deps: Vec<u64>,
-    /// Per row: the substitution coordinate it solves for.
-    pivot: Vec<u32>,
+    /// The largest `r − pivot` over the rows: rows from `r` on pivot at
+    /// coordinates from `r − lag` on.
+    lag: usize,
     /// Per substitution coordinate: the other unknowns of the row pivoting
     /// there (0 for free inputs, which decode to 0).
     sub: Vec<u8>,
+    /// Per substitution coordinate: the row pivoting there, or the row
+    /// count for a free input — the right-hand-side slot past the last
+    /// row, which is always 0.
+    row_of: Vec<u32>,
 }
 
 impl RealtimePlan {
@@ -220,10 +231,10 @@ impl RealtimePlan {
         let n_in = n_tx / 3 * 2;
         let asc = edge == FreeEdge::Front;
         let n_rows = mask.iter().filter(|&&m| m).count();
-        let (mut t_of, mut deps, mut pivot) =
-            (Vec::with_capacity(n_rows), Vec::with_capacity(n_rows), Vec::with_capacity(n_rows));
+        let (mut t_of, mut deps) = (Vec::with_capacity(n_rows), Vec::with_capacity(n_rows));
+        let mut lag = 0;
         let mut sub = vec![0u8; n_in];
-        // Build-time only: the row pivoting at each coordinate.
+        // The row pivoting at each coordinate.
         let mut row_of = vec![u32::MAX; n_in];
         for i in 0..n_tx {
             let t = if asc { i } else { n_tx - 1 - i };
@@ -253,9 +264,12 @@ impl RealtimePlan {
             row_of[p] = r as u32;
             t_of.push(t as u32);
             deps.push(dep);
-            pivot.push(p as u32);
+            lag = r.saturating_sub(p).max(lag);
         }
-        RealtimePlan { n_tx, n_in, mask, asc, t: t_of, deps, pivot, sub }
+        for r in row_of.iter_mut().filter(|r| **r == u32::MAX) {
+            *r = n_rows as u32;
+        }
+        RealtimePlan { n_tx, n_in, mask, asc, t: t_of, deps, lag, sub, row_of }
     }
 
     /// The protected-position mask this plan realizes.
@@ -268,73 +282,105 @@ impl RealtimePlan {
         self.mask.capacity()
             + self.t.capacity() * 4
             + self.deps.capacity() * 8
-            + self.pivot.capacity() * 4
             + self.sub.capacity()
+            + self.row_of.capacity() * 4
+    }
+
+    /// Elimination rows: the right-hand sides a decode propagates.
+    fn n_rows(&self) -> usize {
+        self.t.len()
     }
 
     /// Phase 1 of a replay from row `r0`: propagates right-hand sides in
-    /// processing order, `win` holding the earlier rows' values (bit `k` =
-    /// row `r0 − 1 − k`), and scatters each to its pivot's coordinate.
-    fn propagate(&self, target: &[bool], r0: usize, win: u64, rhs: &mut [bool]) {
+    /// processing order into `rhs` (bit `r` = row `r`), `win` holding the
+    /// earlier rows' values (bit `k` = row `r0 − 1 − k`). The values gather
+    /// in a register and are stored a word at a time, so the loop-carried
+    /// path never goes through memory.
+    fn propagate(&self, target: &BitVec, r0: usize, win: u64, rhs: &mut BitVec) {
         // The two newest values are kept out of the window so that the
         // parity over the older rows — the long part of each step — does
         // not wait for the rows just solved: per row, only an AND and an
         // XOR with the newest value sit on the loop-carried path.
         let (mut older, mut n2, mut n1) = (win >> 2, win >> 1 & 1, win & 1);
-        let rows = self.t[r0..].iter().zip(&self.deps[r0..]).zip(&self.pivot[r0..]);
-        for ((&t, &dep), &p) in rows {
-            let from_older = u64::from((older << 2 & dep).count_ones() & 1);
-            let early = u64::from(target[t as usize]) ^ from_older ^ (n2 & dep >> 1);
-            let v = (early ^ (n1 & dep)) & 1;
-            older = (older << 1) | n2;
-            (n2, n1) = (n1, v);
-            rhs[p as usize] = v == 1;
+        let words = target.words();
+        let rows = self.t[r0..].chunks(64).zip(self.deps[r0..].chunks(64));
+        for (at, (ts, deps)) in (r0..).step_by(64).zip(rows) {
+            // Values shift in at the bottom (constant shifts only); the word
+            // is bit-reversed once when it is stored.
+            let mut acc = 0u64;
+            for (&t, &dep) in ts.iter().zip(deps) {
+                let bit = words[t as usize / 64] >> (t % 64) & 1;
+                let from_older = u64::from((older << 2 & dep).count_ones() & 1);
+                let early = bit ^ from_older ^ (n2 & dep >> 1);
+                let v = (early ^ (n1 & dep)) & 1;
+                older = (older << 1) | n2;
+                (n2, n1) = (n1, v);
+                acc = acc << 1 | v;
+            }
+            rhs.store(at, acc.reverse_bits() >> (64 - ts.len()), ts.len());
         }
     }
 
     /// Phase 2 of a replay from coordinate `c0`: back-substitutes in
-    /// coordinate order, `win` holding the preceding coordinates' values
-    /// (bit `k` = coordinate `c0 − 1 − k`).
-    fn substitute(&self, rhs: &[bool], c0: usize, win: u8, decoded: &mut [bool]) {
+    /// coordinate order, reading each pivot's right-hand side from `rhs`
+    /// by row, `win` holding the preceding coordinates' values (bit `k` =
+    /// coordinate `c0 − 1 − k`). Like [`RealtimePlan::propagate`], it
+    /// gathers its values in a register and stores them a word at a time.
+    fn substitute(&self, rhs: &BitVec, c0: usize, win: u8, decoded: &mut BitVec) {
         // As in `propagate`, the newest value stays out of the window so
         // only an AND and an XOR with it are on the loop-carried path.
         let (mut older, mut newest) = (u32::from(win >> 1), u32::from(win & 1));
-        let mut step = |slot: &mut bool, (&r, &m): (&bool, &u8)| {
-            let m = u32::from(m);
-            let early = u32::from(r) ^ ((older << 1 & m).count_ones() & 1);
-            let v = (early ^ (newest & m)) & 1;
-            older = (older << 1) | newest;
-            newest = v;
-            *slot = v == 1;
-        };
-        let coords = rhs[c0..].iter().zip(&self.sub[c0..]);
-        if self.asc {
-            decoded[c0..].iter_mut().zip(coords).for_each(|(s, c)| step(s, c));
-        } else {
-            let n = self.n_in - c0;
-            decoded[..n].iter_mut().rev().zip(coords).for_each(|(s, c)| step(s, c));
+        let words = rhs.words();
+        let coords = self.row_of[c0..].chunks(64).zip(self.sub[c0..].chunks(64));
+        for (at, (rows, subs)) in (c0..).step_by(64).zip(coords) {
+            let mut acc = 0u64;
+            for (&row, &m) in rows.iter().zip(subs) {
+                let m = u32::from(m);
+                let r = (words[row as usize / 64] >> (row % 64)) as u32 & 1;
+                let early = r ^ ((older << 1 & m).count_ones() & 1);
+                let v = (early ^ (newest & m)) & 1;
+                older = (older << 1) | newest;
+                newest = v;
+                acc = acc << 1 | u64::from(v);
+            }
+            self.store_inputs(decoded, at, acc, rows.len());
         }
     }
 
-    /// Decodes a target coded stream (length must equal the plan's): replays
-    /// the recorded elimination against `target`, writing the recovered
-    /// information bits into `decoded` (resized to `2·n_tx/3`) and the
-    /// mismatching transmitted positions into `flips` (cleared first).
-    /// Allocation-free at steady state: only buffer growth allocates.
+    /// Stores the values of coordinates `c..c + n`, `1 ≤ n ≤ 64`, shifted
+    /// into `acc` in order (coordinate `c + n − 1` in bit 0), at their
+    /// inputs: the same positions for Front plans, so the word is
+    /// bit-reversed; mirrored (`n_in − 1 − c`) for Back, where the shift
+    /// order already is ascending input order.
+    fn store_inputs(&self, decoded: &mut BitVec, c: usize, acc: u64, n: usize) {
+        if self.asc {
+            decoded.store(c, acc.reverse_bits() >> (64 - n), n);
+        } else {
+            decoded.store(self.n_in - c - n, acc, n);
+        }
+    }
+
+    /// Decodes a packed target coded stream (length must equal the plan's):
+    /// replays the recorded elimination against `target`, writing the
+    /// recovered information bits into `decoded` (resized to `2·n_tx/3`)
+    /// and the mismatching transmitted positions into `flips` (cleared
+    /// first). Allocation-free at steady state: only buffer growth
+    /// allocates.
     pub fn decode_into(
         &self,
-        target: &[bool],
+        target: &BitVec,
         scratch: &mut RealtimeScratch,
-        decoded: &mut Vec<bool>,
+        decoded: &mut BitVec,
         flips: &mut Vec<usize>,
     ) {
         assert_eq!(target.len(), self.n_tx, "target length must match the plan");
-        // Phase 1 fills every pivot's right-hand side; free inputs keep 0.
-        bluefi_dsp::contracts::ensure_len(&mut scratch.rhs, self.n_in, false);
-        scratch.rhs.fill(false);
+        // Phase 1 fills every row's right-hand side; the slot past the last
+        // row stands for the free inputs and holds 0.
+        scratch.rhs.resize(self.n_rows() + 1);
         self.propagate(target, 0, 0, &mut scratch.rhs);
+        scratch.rhs.set(self.n_rows(), false);
         // Phase 2: substitution; free unknowns come out 0.
-        bluefi_dsp::contracts::ensure_len(decoded, self.n_in, false);
+        decoded.resize(self.n_in);
         self.substitute(&scratch.rhs, 0, 0, decoded);
         // Verify and collect flips through the packed re-encoder.
         let cap = flips.capacity();
@@ -355,14 +401,15 @@ impl RealtimePlan {
     pub fn save_checkpoint(
         &self,
         scratch: &RealtimeScratch,
-        decoded: &[bool],
+        decoded: &BitVec,
         ckpt: &mut RealtimeCheckpoint,
     ) {
         debug_assert_eq!(decoded.len(), self.n_in);
-        bluefi_dsp::contracts::ensure_len(&mut ckpt.rhs, self.n_in, false);
-        ckpt.rhs.copy_from_slice(&scratch.rhs[..self.n_in]);
-        bluefi_dsp::contracts::ensure_len(&mut ckpt.decoded, self.n_in, false);
-        ckpt.decoded.copy_from_slice(decoded);
+        let n_rhs = self.n_rows() + 1;
+        ckpt.rhs.resize(n_rhs);
+        ckpt.rhs.copy_prefix_from(&scratch.rhs, n_rhs);
+        ckpt.decoded.resize(self.n_in);
+        ckpt.decoded.copy_prefix_from(decoded, self.n_in);
     }
 
     /// Index of the first elimination row sourced at or past transmit
@@ -395,40 +442,40 @@ impl RealtimePlan {
     /// [`RealtimePlan::reencode_flips_suffix`].
     pub fn redecode_suffix(
         &self,
-        target: &[bool],
+        target: &BitVec,
         t_start: usize,
         ckpt: &RealtimeCheckpoint,
         scratch: &mut RealtimeScratch,
-        decoded: &mut Vec<bool>,
+        decoded: &mut BitVec,
     ) -> usize {
         debug_assert!(self.asc, "suffix redecode requires a Front-edge plan");
         debug_assert_eq!(target.len(), self.n_tx);
-        debug_assert_eq!(ckpt.rhs.len(), self.n_in);
+        debug_assert_eq!(ckpt.rhs.len(), self.n_rows() + 1);
         debug_assert_eq!(ckpt.decoded.len(), self.n_in);
         // Rows are in ascending-t order: the first row sourced at or past
         // the mutation is found by binary search. Inputs below the smallest
-        // pivot any replayed row solves are untouched by the replay.
+        // pivot any replayed row solves are untouched by the replay: that
+        // pivot is the first coordinate from `r_start − lag` on whose row is
+        // replayed (a free input found first only lowers the bound).
         let r_start = self.first_replayed_row(t_start);
-        let b_bound = self.pivot[r_start..].iter().min().map_or(self.n_in, |&p| p as usize);
+        let b_bound = (r_start.saturating_sub(self.lag)..self.n_in)
+            .find(|&c| self.row_of[c] as usize >= r_start)
+            .unwrap_or(self.n_in);
         // Phase 1 (suffix): rows < r_start read unchanged targets and
         // unchanged dependencies, so their right-hand sides come from the
         // checkpoint — both as the replay's starting window and for the
         // substitution below; rows ≥ r_start are recomputed.
-        bluefi_dsp::contracts::ensure_len(&mut scratch.rhs, self.n_in, false);
-        scratch.rhs[b_bound..].copy_from_slice(&ckpt.rhs[b_bound..]);
-        let win = self.pivot[r_start.saturating_sub(64)..r_start]
-            .iter()
-            .fold(0u64, |w, &p| (w << 1) | u64::from(ckpt.rhs[p as usize]));
-        self.propagate(target, r_start, win, &mut scratch.rhs);
+        scratch.rhs.resize(self.n_rows() + 1);
+        scratch.rhs.copy_prefix_from(&ckpt.rhs, r_start);
+        self.propagate(target, r_start, window_before(&ckpt.rhs, r_start, 64), &mut scratch.rhs);
+        scratch.rhs.set(self.n_rows(), false);
         // Phase 2: inputs below b_bound are solved by rows < r_start whose
         // unknowns are all < b_bound (Front pivots are row maxima), so they
         // keep their checkpointed values; every coordinate ≥ b_bound is
         // re-substituted in ascending order.
-        bluefi_dsp::contracts::ensure_len(decoded, self.n_in, false);
-        decoded.copy_from_slice(&ckpt.decoded);
-        let win = ckpt.decoded[b_bound.saturating_sub(8)..b_bound]
-            .iter()
-            .fold(0u8, |w, &d| (w << 1) | u8::from(d));
+        decoded.resize(self.n_in);
+        decoded.copy_prefix_from(&ckpt.decoded, b_bound);
+        let win = window_before(&ckpt.decoded, b_bound, 8) as u8;
         self.substitute(&scratch.rhs, b_bound, win, decoded);
         b_bound
     }
@@ -437,21 +484,23 @@ impl RealtimePlan {
     /// re-encodes only the transmitted suffix that can differ from the
     /// checkpointed base — positions whose parity window reaches an input
     /// ≥ `b_bound` or whose target bit changed (≥ `t_start`) — and splices
-    /// it after the base decode's flips. `base_flips` must be the flip list
-    /// of the checkpointed decode against the checkpointed target.
+    /// it after the base decode's flips. `base_flips` must be the flip
+    /// bitmap (bit `t` set where transmitted position `t` flipped) of the
+    /// checkpointed decode against the checkpointed target.
     #[allow(clippy::too_many_arguments)]
     pub fn reencode_flips_suffix(
         &self,
-        decoded: &[bool],
-        target: &[bool],
+        decoded: &BitVec,
+        target: &BitVec,
         b_bound: usize,
         t_start: usize,
-        base_flips: &[usize],
+        base_flips: &BitVec,
         scratch: &mut RealtimeScratch,
         flips: &mut Vec<usize>,
     ) {
         debug_assert_eq!(decoded.len(), self.n_in);
         debug_assert_eq!(target.len(), self.n_tx);
+        debug_assert_eq!(base_flips.len(), self.n_tx);
         // First transmitted position whose newest tapped input is ≥
         // b_bound: positions t with latest(t) < b_bound re-encode
         // identically because every tapped input is unchanged.
@@ -459,8 +508,7 @@ impl RealtimePlan {
         let t_flip = t_start.min(t_re);
         let cap = flips.capacity();
         flips.clear();
-        let keep = base_flips.partition_point(|&f| f < t_flip);
-        flips.extend_from_slice(&base_flips[..keep]);
+        flips.extend(base_flips.ones().take_while(|&f| f < t_flip));
         scratch.reenc.push_flips_from(CodeRate::R23, decoded, target, t_flip, flips);
         debug_assert!(flips.iter().all(|&t| !self.mask[t]), "a protected bit flipped");
         if flips.capacity() > cap {
@@ -469,15 +517,25 @@ impl RealtimePlan {
     }
 }
 
+/// Bits `end − n..end` of `v` (fewer when `end < n`), reversed: bit `k` of
+/// the result is bit `end − 1 − k` — a replay's starting window.
+fn window_before(v: &BitVec, end: usize, n: usize) -> u64 {
+    let n = n.min(end);
+    if n == 0 {
+        return 0;
+    }
+    (v.load(end - n) & u64::MAX >> (64 - n)).reverse_bits() >> (64 - n)
+}
+
 /// A saved decode state for one `(plan, target)` pair: the propagated
-/// right-hand sides (by substitution coordinate) and the recovered
-/// information bits. Captured by [`RealtimePlan::save_checkpoint`],
+/// right-hand sides (packed by elimination row) and the recovered
+/// information bits (packed by input). Captured by [`RealtimePlan::save_checkpoint`],
 /// consumed by [`RealtimePlan::redecode_suffix`] to patch in a mutated
 /// target without replaying the untouched prefix of the elimination.
 #[derive(Debug, Clone, Default)]
 pub struct RealtimeCheckpoint {
-    rhs: Vec<bool>,
-    decoded: Vec<bool>,
+    rhs: BitVec,
+    decoded: BitVec,
 }
 
 impl RealtimeCheckpoint {
@@ -489,18 +547,18 @@ impl RealtimeCheckpoint {
     /// Heap footprint of the checkpoint, in bytes (capacity accounting for
     /// the template cache's byte budget).
     pub fn bytes(&self) -> usize {
-        self.rhs.capacity() + self.decoded.capacity()
+        self.rhs.bytes() + self.decoded.bytes()
     }
 }
 
-/// Reusable buffers for [`RealtimePlan::decode_into`]: the right-hand-side
-/// vector and the packed re-encoder of the verify step (which
+/// Reusable buffers for [`RealtimePlan::decode_into`]: the packed
+/// right-hand sides and the packed re-encoder of the verify step (which
 /// [`crate::ViterbiScratch::reencode_flips_into`] shares). One per worker
 /// thread, never shared; buffers grow to the largest plan replayed and are
 /// then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct RealtimeScratch {
-    rhs: Vec<bool>,
+    rhs: BitVec,
     pub(crate) reenc: Reencoder,
 }
 
@@ -549,17 +607,27 @@ mod tests {
     /// returning `(decoded, flips)`.
     fn decode(target: &[bool], edge: FreeEdge) -> (Vec<bool>, Vec<usize>) {
         let plan = RealtimePlan::new(target.len(), edge);
-        let (mut decoded, mut flips) = (Vec::new(), Vec::new());
-        plan.decode_into(target, &mut RealtimeScratch::new(), &mut decoded, &mut flips);
-        (decoded, flips)
+        let (mut decoded, mut flips) = (BitVec::new(), Vec::new());
+        let target = BitVec::from_bools(target);
+        plan.decode_into(&target, &mut RealtimeScratch::new(), &mut decoded, &mut flips);
+        (decoded.to_bools(), flips)
+    }
+
+    /// A flip list as the bitmap over `n` transmitted positions.
+    fn bitmap(flips: &[usize], n: usize) -> BitVec {
+        let mut map = BitVec::zeros(n);
+        for &f in flips {
+            map.set(f, true);
+        }
+        map
     }
 
     #[test]
     fn plan_reuse_is_consistent() {
         let plan = RealtimePlan::new(39 * 8, FreeEdge::Front);
-        let target = pattern(39 * 8, 5);
+        let target = BitVec::from_bools(&pattern(39 * 8, 5));
         let mut scratch = RealtimeScratch::new();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut a, mut b) = (BitVec::new(), BitVec::new());
         let mut flips = Vec::new();
         plan.decode_into(&target, &mut scratch, &mut a, &mut flips);
         plan.decode_into(&target, &mut scratch, &mut b, &mut flips);
@@ -774,26 +842,27 @@ mod tests {
         let plan = RealtimePlan::new(n, FreeEdge::Front);
         let base = pattern(n, 13);
         let mut scratch = RealtimeScratch::new();
-        let (mut decoded, mut flips) = (Vec::new(), Vec::new());
-        plan.decode_into(&base, &mut scratch, &mut decoded, &mut flips);
+        let (mut decoded, mut flips) = (BitVec::new(), Vec::new());
+        plan.decode_into(&BitVec::from_bools(&base), &mut scratch, &mut decoded, &mut flips);
         let mut ckpt = RealtimeCheckpoint::new();
         plan.save_checkpoint(&scratch, &decoded, &mut ckpt);
-        let base_flips = flips.clone();
+        let base_flips = bitmap(&flips, n);
 
         for (t_start, k) in [(0usize, 5u64), (39, 7), (n / 2, 11), (n - 39, 17), (n - 1, 19), (n, 23)] {
             let mut target = base.clone();
             let tail = pattern(n, k);
             target[t_start..].copy_from_slice(&tail[t_start..]);
+            let target = BitVec::from_bools(&target);
 
-            let (mut want_dec, mut want_flips) = (Vec::new(), Vec::new());
+            let (mut want_dec, mut want_flips) = (BitVec::new(), Vec::new());
             let mut full_scratch = RealtimeScratch::new();
             plan.decode_into(&target, &mut full_scratch, &mut want_dec, &mut want_flips);
 
-            let mut got_dec = Vec::new();
+            let mut got_dec = BitVec::new();
             let b = plan.redecode_suffix(&target, t_start, &ckpt, &mut scratch, &mut got_dec);
             assert_eq!(got_dec, want_dec, "t_start={t_start}");
             // The bound is sound: everything below it matches the base.
-            assert_eq!(got_dec[..b], ckpt.decoded[..b]);
+            assert_eq!(got_dec.to_bools()[..b], ckpt.decoded.to_bools()[..b]);
 
             let mut got_flips = Vec::new();
             plan.reencode_flips_suffix(
@@ -813,18 +882,19 @@ mod tests {
     fn suffix_redecode_of_the_unchanged_target_is_identity() {
         let n = 39 * 8;
         let plan = RealtimePlan::new(n, FreeEdge::Front);
-        let base = pattern(n, 3);
+        let base = BitVec::from_bools(&pattern(n, 3));
         let mut scratch = RealtimeScratch::new();
-        let (mut decoded, mut flips) = (Vec::new(), Vec::new());
+        let (mut decoded, mut flips) = (BitVec::new(), Vec::new());
         plan.decode_into(&base, &mut scratch, &mut decoded, &mut flips);
         let mut ckpt = RealtimeCheckpoint::new();
         plan.save_checkpoint(&scratch, &decoded, &mut ckpt);
-        let mut got = Vec::new();
+        let mut got = BitVec::new();
         let b = plan.redecode_suffix(&base, n, &ckpt, &mut scratch, &mut got);
         assert_eq!(b, n / 3 * 2);
         assert_eq!(got, decoded);
         let mut got_flips = Vec::new();
-        plan.reencode_flips_suffix(&got, &base, b, n, &flips, &mut scratch, &mut got_flips);
+        let base_flips = bitmap(&flips, n);
+        plan.reencode_flips_suffix(&got, &base, b, n, &base_flips, &mut scratch, &mut got_flips);
         assert_eq!(got_flips, flips);
     }
 

@@ -61,6 +61,7 @@
 
 use crate::convolutional::{G0, G1, NUM_STATES};
 use crate::puncture::CodeRate;
+use bluefi_dsp::bits::BitVec;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -253,8 +254,8 @@ impl TrellisPlan {
         self.steps
     }
 
-    /// Decodes the punctured `target` stream into `out` (resized to one
-    /// bit per trellis step), with optional per-transmitted-bit mismatch
+    /// Decodes the packed punctured `target` stream into `out` (resized
+    /// to one bit per trellis step), with optional per-transmitted-bit mismatch
     /// weights (missing weights default to 1) — bit-identical to the
     /// reference decoder. When `terminate` is true the survivor must end
     /// in state 0.
@@ -274,11 +275,11 @@ impl TrellisPlan {
     /// allocates.
     pub fn decode_into(
         &self,
-        target: &[bool],
+        target: &BitVec,
         weights: Option<&[u32]>,
         terminate: bool,
         scratch: &mut PackedScratch,
-        out: &mut Vec<bool>,
+        out: &mut BitVec,
     ) {
         assert_eq!(target.len(), self.n_tx, "target length must match the plan");
         if let Some(w) = weights {
@@ -289,7 +290,7 @@ impl TrellisPlan {
                 "weight {w_max} exceeds trellis::MAX_WEIGHT ({MAX_WEIGHT})"
             );
         }
-        bluefi_dsp::contracts::ensure_len(out, self.steps, false);
+        out.resize(self.steps);
         if self.steps == 0 {
             return;
         }
@@ -303,9 +304,16 @@ impl TrellisPlan {
         // Walk the packed survivor history backward, emitting one decoded
         // bit per step. The decision bit of a destination state *is* the
         // low bit of its predecessor: `prev = ((state & 31) << 1) | bit`.
+        // Decoded bits shift into a word from the top, which is written
+        // whole when the walk reaches its first step.
         let mut state = start;
+        let mut acc = 0u64;
         for (t, &word) in survivors.iter().enumerate().rev() {
-            out[t] = state >> 5 == 1;
+            acc = acc << 1 | (state >> 5) as u64;
+            if t % 64 == 0 {
+                out.store(t, acc, (self.steps - t).min(64));
+                acc = 0;
+            }
             let bit = (word >> state) & 1;
             state = ((state & 31) << 1) | bit as usize;
         }
@@ -339,7 +347,7 @@ impl TrellisPlan {
     /// (see [`MAX_WEIGHT`]).
     fn acs(
         &self,
-        target: &[bool],
+        target: &BitVec,
         weight_of: impl Fn(usize) -> u16,
         cur: &mut Box<[u16; NUM_STATES]>,
         nxt: &mut Box<[u16; NUM_STATES]>,
@@ -416,19 +424,19 @@ impl TrellisPlan {
             survivors[t] = match (keep_a, keep_b) {
                 (true, true) => {
                     let wa = weight_of(off);
-                    let ta = if target[off] { u16::MAX } else { 0 };
+                    let ta = if target.get(off) { u16::MAX } else { 0 };
                     let wb = weight_of(off + 1);
-                    let tb = if target[off + 1] { u16::MAX } else { 0 };
+                    let tb = if target.get(off + 1) { u16::MAX } else { 0 };
                     step(c, n, wa + wb, |j| (wa & (AMASK[j] ^ ta)) + (wb & (BMASK[j] ^ tb)))
                 }
                 (true, false) => {
                     let wa = weight_of(off);
-                    let ta = if target[off] { u16::MAX } else { 0 };
+                    let ta = if target.get(off) { u16::MAX } else { 0 };
                     step(c, n, wa, |j| wa & (AMASK[j] ^ ta))
                 }
                 (false, true) => {
                     let wb = weight_of(off);
-                    let tb = if target[off] { u16::MAX } else { 0 };
+                    let tb = if target.get(off) { u16::MAX } else { 0 };
                     step(c, n, wb, |j| wb & (BMASK[j] ^ tb))
                 }
                 (false, false) => step(c, n, 0, |_| 0),
@@ -501,7 +509,7 @@ mod tests {
         for ns in 0..NUM_STATES {
             let input = ns >> 5 == 1;
             let even = (ns & 31) << 1;
-            for (side, pred) in [(0, even), (1, even | 1)] {
+            for (side, (codes, pred)) in CODES.iter().zip([even, even | 1]).enumerate() {
                 assert_eq!(
                     transition_next(pred as u8, input) as usize,
                     ns,
@@ -509,7 +517,7 @@ mod tests {
                 );
                 let (a, b) = transition_output(pred as u8, input);
                 let code = ((a as u8) << 1) | b as u8;
-                assert_eq!(CODES[side][ns], code, "ns {ns} side {side}");
+                assert_eq!(codes[ns], code, "ns {ns} side {side}");
             }
         }
     }
@@ -521,8 +529,8 @@ mod tests {
         // The ACS kernel derives all four butterfly branch costs from this.
         for j in 0..NUM_STATES / 2 {
             assert_eq!(CODES[1][j], CODES[0][j] ^ 3, "odd predecessor, j {j}");
-            for k in 0..2 {
-                assert_eq!(CODES[k][j + 32], CODES[k][j] ^ 3, "input flip, j {j} side {k}");
+            for (k, codes) in CODES.iter().enumerate() {
+                assert_eq!(codes[j + 32], codes[j] ^ 3, "input flip, j {j} side {k}");
             }
         }
         // And the const masks are exactly the even-predecessor code bits.
@@ -553,8 +561,8 @@ mod tests {
     fn empty_plan_decodes_to_empty() {
         let plan = TrellisPlan::new(CodeRate::R12, 0);
         let mut scratch = PackedScratch::new();
-        let mut out = vec![true; 3];
-        plan.decode_into(&[], None, false, &mut scratch, &mut out);
+        let mut out = BitVec::from_bools(&[true; 3]);
+        plan.decode_into(&BitVec::new(), None, false, &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 
@@ -566,7 +574,7 @@ mod tests {
         let plan = TrellisPlan::new(rate, n_tx);
         let mut weights = vec![MAX_WEIGHT; n_tx];
         weights[n_tx / 2] = MAX_WEIGHT + 1;
-        let (target, mut out) = (vec![false; n_tx], Vec::new());
+        let (target, mut out) = (BitVec::zeros(n_tx), BitVec::new());
         plan.decode_into(&target, Some(&weights), false, &mut PackedScratch::new(), &mut out);
     }
 }

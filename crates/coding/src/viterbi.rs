@@ -22,6 +22,7 @@
 //! algorithm, alongside the conformance golden vectors.
 
 use crate::trellis::{trellis_plan, PackedScratch};
+use bluefi_dsp::bits::BitVec;
 
 /// Reusable decoder state: the packed engine's metric columns and
 /// survivor words, and the real-time decoder's replay buffers (whose
@@ -55,18 +56,19 @@ impl ViterbiScratch {
         &mut self.realtime
     }
 
-    /// Scratch variant of [`decode_punctured`]: decodes the punctured
-    /// stream through the bit-packed engine ([`crate::trellis`]).
+    /// Scratch variant of [`decode_punctured`] on packed streams: decodes
+    /// the punctured stream through the bit-packed engine
+    /// ([`crate::trellis`]).
     ///
     /// Fetches the interned trellis plan and runs the branchless kernel.
     /// Allocation-free at steady state.
     pub fn decode_punctured_into(
         &mut self,
         rate: crate::puncture::CodeRate,
-        punctured: &[bool],
+        punctured: &BitVec,
         weights: Option<&[u32]>,
         terminate: bool,
-        out: &mut Vec<bool>,
+        out: &mut BitVec,
     ) {
         let plan = trellis_plan(rate, punctured.len());
         plan.decode_into(punctured, weights, terminate, &mut self.packed, out);
@@ -80,8 +82,8 @@ impl ViterbiScratch {
     pub fn reencode_flips_into(
         &mut self,
         rate: crate::puncture::CodeRate,
-        decoded: &[bool],
-        target_punctured: &[bool],
+        decoded: &BitVec,
+        target_punctured: &BitVec,
         flips: &mut Vec<usize>,
     ) {
         let cap = flips.capacity();
@@ -93,19 +95,20 @@ impl ViterbiScratch {
     }
 }
 
-/// Convenience wrapper: decode a punctured stream at `rate` with optional
-/// per-transmitted-bit weights, through the bit-packed engine. Thin shim
-/// over [`ViterbiScratch::decode_punctured_into`]; hot paths should hold a
-/// scratch.
+/// Convenience wrapper: decode a punctured `bool` stream at `rate` with
+/// optional per-transmitted-bit weights, through the bit-packed engine.
+/// Thin shim that packs, calls [`ViterbiScratch::decode_punctured_into`]
+/// and unpacks; hot paths should hold a scratch and packed streams.
 pub fn decode_punctured(
     rate: crate::puncture::CodeRate,
     punctured: &[bool],
     weights: Option<&[u32]>,
     terminate: bool,
 ) -> Vec<bool> {
-    let mut out = Vec::new();
-    ViterbiScratch::new().decode_punctured_into(rate, punctured, weights, terminate, &mut out);
-    out
+    let mut out = BitVec::new();
+    let target = BitVec::from_bools(punctured);
+    ViterbiScratch::new().decode_punctured_into(rate, &target, weights, terminate, &mut out);
+    out.to_bools()
 }
 
 #[cfg(test)]
@@ -113,6 +116,12 @@ mod tests {
     use super::*;
     use crate::convolutional::encode_r12;
     use crate::puncture::{puncture, CodeRate};
+
+    /// The flips of `dec` against `target`, through the packed re-encoder.
+    fn flips_of(rate: CodeRate, dec: &[bool], target: &[bool], flips: &mut Vec<usize>) {
+        let (dec, target) = (BitVec::from_bools(dec), BitVec::from_bools(target));
+        ViterbiScratch::new().reencode_flips_into(rate, &dec, &target, flips);
+    }
 
     fn pattern_bits(n: usize, k: u64) -> Vec<bool> {
         (0..n).map(|i| (i as u64 * k + k / 3) % 7 < 3).collect()
@@ -168,7 +177,7 @@ mod tests {
         let weights: Vec<u32> = (0..n).map(|i| if protected(i) { 1000 } else { 1 }).collect();
         let dec = decode_punctured(rate, target, Some(&weights), false);
         let mut flips = Vec::new();
-        ViterbiScratch::new().reencode_flips_into(rate, &dec, target, &mut flips);
+        flips_of(rate, &dec, target, &mut flips);
         assert!(
             !flips.is_empty(),
             "a random target should not be exactly encodable at rate 5/6"
@@ -195,7 +204,7 @@ mod tests {
         let weights: Vec<u32> = (0..n).map(weight_of).collect();
         let dec = decode_punctured(rate, target, Some(&weights), false);
         let mut flips = Vec::new();
-        ViterbiScratch::new().reencode_flips_into(rate, &dec, target, &mut flips);
+        flips_of(rate, &dec, target, &mut flips);
         assert!(!flips.is_empty());
         let cost: u64 = flips.iter().map(|&f| weight_of(f) as u64).sum();
         // Never pay a 1000-weight flip, and the total cost should be
@@ -221,7 +230,7 @@ mod tests {
         }
         let dec = decode_punctured(rate, &tx, None, true);
         let mut flips = Vec::new();
-        ViterbiScratch::new().reencode_flips_into(rate, &dec, &tx, &mut flips);
+        flips_of(rate, &dec, &tx, &mut flips);
         assert!(flips.len() <= 6, "got {} flips", flips.len());
     }
 
@@ -235,7 +244,7 @@ mod tests {
         // One scratch across streams of different lengths, rates, and
         // weightings must reproduce the one-shot decoder bit for bit.
         let mut scratch = ViterbiScratch::new();
-        let mut out = Vec::new();
+        let mut out = BitVec::new();
         for (len, k) in [(120usize, 5u64), (40, 3), (200, 11)] {
             let mut data = pattern_bits(len, k);
             data.extend([false; 6]);
@@ -243,9 +252,10 @@ mod tests {
                 let n = data.len() - data.len() % rate.period_inputs();
                 let tx = puncture(rate, &encode_r12(&data[..n]));
                 let weights: Vec<u32> = (0..tx.len() as u32).map(|i| 1 + i % 7).collect();
-                scratch.decode_punctured_into(rate, &tx, Some(&weights), false, &mut out);
+                let packed = BitVec::from_bools(&tx);
+                scratch.decode_punctured_into(rate, &packed, Some(&weights), false, &mut out);
                 let fresh = decode_punctured(rate, &tx, Some(&weights), false);
-                assert_eq!(out, fresh, "len {len} rate {rate:?}");
+                assert_eq!(out.to_bools(), fresh, "len {len} rate {rate:?}");
             }
         }
     }

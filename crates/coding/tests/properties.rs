@@ -17,6 +17,7 @@ use bluefi_coding::trellis::MAX_WEIGHT;
 use bluefi_coding::viterbi::decode_punctured;
 use bluefi_coding::{FreeEdge, ViterbiScratch};
 use bluefi_core::check::{bools, check, check_n};
+use bluefi_dsp::bits::BitVec;
 use bluefi_core::rng::{Rng, SeedableRng, StdRng};
 use bluefi_core::{prop_assert, prop_assert_eq};
 
@@ -38,7 +39,7 @@ fn scrambler_seed_recovery() {
         "scrambler_seed_recovery",
         |rng| rng.gen_range(1u8..128),
         |&seed| {
-            let scrambled = scramble(seed, &vec![false; 16]);
+            let scrambled = scramble(seed, &[false; 16]);
             prop_assert_eq!(recover_seed(&scrambled), Some(seed));
             Ok(())
         },
@@ -97,8 +98,9 @@ fn realtime_plan_never_flips_protected() {
         |(target, front)| {
             let edge = if *front { FreeEdge::Front } else { FreeEdge::Back };
             let plan = RealtimePlan::new(target.len(), edge);
-            let (mut decoded, mut flips) = (Vec::new(), Vec::new());
-            plan.decode_into(target, &mut RealtimeScratch::new(), &mut decoded, &mut flips);
+            let (mut decoded, mut flips) = (BitVec::new(), Vec::new());
+            let packed = BitVec::from_bools(target);
+            plan.decode_into(&packed, &mut RealtimeScratch::new(), &mut decoded, &mut flips);
             let mask = protected_mask(target.len(), edge);
             for &f in &flips {
                 prop_assert!(!mask[f], "protected bit {} flipped", f);
@@ -262,14 +264,15 @@ mod vec_row_oracle {
 fn assert_plan_matches_oracle(symbols: impl Iterator<Item = usize>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut scratch = RealtimeScratch::new();
-    let (mut decoded, mut flips) = (Vec::new(), Vec::new());
+    let (mut decoded, mut flips) = (BitVec::new(), Vec::new());
     for symbols in symbols {
         let target: Vec<bool> = (0..symbols * 312).map(|_| rng.gen::<bool>()).collect();
+        let packed = BitVec::from_bools(&target);
         for edge in [FreeEdge::Front, FreeEdge::Back] {
             let plan = RealtimePlan::new(target.len(), edge);
             let (want_dec, want_flips) = vec_row_oracle::decode(&target, plan.mask(), edge);
-            plan.decode_into(&target, &mut scratch, &mut decoded, &mut flips);
-            assert!(decoded == want_dec, "{symbols} symbols, {edge:?}: decoded bits differ");
+            plan.decode_into(&packed, &mut scratch, &mut decoded, &mut flips);
+            assert!(decoded.to_bools() == want_dec, "{symbols} symbols, {edge:?}: decoded bits differ");
             assert_eq!(flips, want_flips, "{symbols} symbols, {edge:?}: flips");
         }
     }
@@ -315,16 +318,21 @@ fn suffix_redecode_equals_full_decode_at_random_points() {
             let n = base.len();
             let plan = RealtimePlan::new(n, FreeEdge::Front);
             let mut scratch = RealtimeScratch::new();
-            let (mut decoded, mut base_flips) = (Vec::new(), Vec::new());
-            plan.decode_into(base, &mut scratch, &mut decoded, &mut base_flips);
+            let (mut decoded, mut flips) = (BitVec::new(), Vec::new());
+            plan.decode_into(&BitVec::from_bools(base), &mut scratch, &mut decoded, &mut flips);
             let mut ckpt = RealtimeCheckpoint::new();
             plan.save_checkpoint(&scratch, &decoded, &mut ckpt);
+            let mut base_flips = BitVec::zeros(n);
+            for &f in &flips {
+                base_flips.set(f, true);
+            }
             let mut target = base.clone();
             target[*t_start..].copy_from_slice(&tail[*t_start..]);
+            let target = BitVec::from_bools(&target);
 
-            let (mut want_dec, mut want_flips) = (Vec::new(), Vec::new());
+            let (mut want_dec, mut want_flips) = (BitVec::new(), Vec::new());
             plan.decode_into(&target, &mut RealtimeScratch::new(), &mut want_dec, &mut want_flips);
-            let mut got_dec = Vec::new();
+            let mut got_dec = BitVec::new();
             let b = plan.redecode_suffix(&target, *t_start, &ckpt, &mut scratch, &mut got_dec);
             prop_assert_eq!(&got_dec, &want_dec);
             let mut got_flips = Vec::new();
@@ -366,7 +374,7 @@ fn packed_encoder_matches_puncture_of_encode_r12() {
             for (t, &bit) in want.iter().enumerate() {
                 assert_eq!(words[t / 64] >> (t % 64) & 1 == 1, bit, "{rate:?} n={n}: bit {t}");
             }
-            if want.len() % 64 != 0 {
+            if !want.len().is_multiple_of(64) {
                 assert_eq!(words.last().unwrap() >> (want.len() % 64), 0, "{rate:?} n={n}: tail");
             }
             let mut target = want.clone();
@@ -377,6 +385,7 @@ fn packed_encoder_matches_puncture_of_encode_r12() {
             }
             for t_from in [0, target.len() / 3, target.len().saturating_sub(7), target.len()] {
                 flips.clear();
+                let (data, target) = (BitVec::from_bools(&data), BitVec::from_bools(&target));
                 reenc.push_flips_from(rate, &data, &target, t_from, &mut flips);
                 let want_flips: Vec<usize> =
                     corrupt.iter().copied().filter(|&t| t >= t_from).collect();
@@ -532,8 +541,9 @@ fn weighted_viterbi_respects_infinite_weight_stripes() {
             let n = data.len() * 6 / 5 - (data.len() * 6 / 5) % rate.period_outputs();
             let target: Vec<bool> = (0..n).map(|i| data[i % data.len()] ^ (i % 7 == 3)).collect();
             let weights: Vec<u32> = (0..n).map(|i| if i % 13 >= 6 { 1000 } else { 1 }).collect();
-            let dec = decode_punctured(rate, &target, Some(&weights), false);
+            let dec = BitVec::from_bools(&decode_punctured(rate, &target, Some(&weights), false));
             let mut flips = Vec::new();
+            let target = BitVec::from_bools(&target);
             ViterbiScratch::new().reencode_flips_into(rate, &dec, &target, &mut flips);
             for f in flips {
                 prop_assert!(f % 13 < 6, "protected stripe bit {} flipped", f);

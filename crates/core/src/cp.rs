@@ -112,14 +112,14 @@ impl CpCompat {
     ) {
         // One extra lookahead sample: the last block's CP tail references
         // θ[N+64+L], the sample just past the block.
-        self.extend_into(theta, extend_freq_cps, ext);
+        self.extend_into(theta, extend_freq_cps, 0, ext);
         self.pocket_map_into(ext, 0, out);
     }
 
     /// The per-block pocket mapping alone: builds θ̂ from an
     /// already-extended θ (whole blocks plus one lookahead sample, as
     /// produced by [`CpCompat::extend_into`]), from block `first_block`
-    /// on; earlier blocks of `out` are zeroed. Block `b` reads only
+    /// on; earlier blocks of `out` are left as they were. Block `b` reads only
     /// `ext[b·bl ..= (b+1)·bl]`, so the template cache's patch path
     /// re-maps just the blocks its mutation reaches, with the exact same
     /// copy semantics as the cold path.
@@ -127,7 +127,7 @@ impl CpCompat {
         let theta = ext;
         let bl = self.block_len();
         debug_assert_eq!((theta.len() - 1) % bl, 0);
-        bluefi_dsp::contracts::ensure_len(out, theta.len() - 1, 0.0);
+        bluefi_dsp::contracts::ensure_len_keeping(out, theta.len() - 1, 0.0);
         for block in first_block..out.len() / bl {
             let base = block * bl;
             for n in 0..bl {
@@ -178,13 +178,16 @@ impl CpCompat {
     /// Extends θ into `out`: a whole number of blocks *plus one lookahead
     /// sample*, continuing at a constant frequency `extend_freq_cps`
     /// (cycles/sample — normally the Bluetooth channel's offset, so the
-    /// carrier just keeps spinning). `out` is resized in place, allocating
-    /// only when it must grow.
-    pub fn extend_into(&self, theta: &[f64], extend_freq_cps: f64, out: &mut Vec<f64>) {
+    /// carrier just keeps spinning). Writes θ from sample `from` on and the
+    /// extension past θ's end, and leaves earlier samples as they were, for
+    /// a caller that reads only the suffix. `out` is resized in
+    /// place, allocating only when it must grow.
+    pub fn extend_into(&self, theta: &[f64], extend_freq_cps: f64, from: usize, out: &mut Vec<f64>) {
         let bl = self.block_len();
         let target = self.n_blocks(theta.len().max(1)) * bl + 1;
-        bluefi_dsp::contracts::ensure_len(out, target, 0.0);
-        out[..theta.len()].copy_from_slice(theta);
+        bluefi_dsp::contracts::ensure_len_keeping(out, target, 0.0);
+        let from = from.min(theta.len());
+        out[from..theta.len()].copy_from_slice(&theta[from..]);
         let mut last = theta.last().copied().unwrap_or(0.0);
         for slot in out[theta.len()..].iter_mut() {
             last += 2.0 * std::f64::consts::PI * extend_freq_cps;
@@ -291,21 +294,14 @@ mod tests {
         let c = CpCompat::sgi();
         let theta: Vec<f64> = (0..144).map(|i| i as f64).collect();
         let th = c.make_compatible(&theta, 0.0);
-        for n in 0..=4usize {
-            assert_eq!(th[n], n as f64); // θ[N+n]
-        }
-        for n in 5..=8usize {
-            assert_eq!(th[n], (n + 64) as f64); // θ[N+n+64]
-        }
-        for n in 9..64usize {
-            assert_eq!(th[n], n as f64);
-        }
-        for n in 64..=68usize {
-            assert_eq!(th[n], (n - 64) as f64); // copies of the CP head
-        }
-        for n in 69..72usize {
-            assert_eq!(th[n], n as f64); // θ̂[n] = θ̂[n-64] = θ[n]
-        }
+        let want: Vec<f64> = (0..72usize)
+            .map(|n| match n {
+                5..=8 => n + 64,  // θ[N+n+64]
+                64..=68 => n - 64, // copies of the CP head
+                _ => n,           // θ[N+n]; past 68, θ̂[n] = θ̂[n-64] = θ[n]
+            } as f64)
+            .collect();
+        assert_eq!(th[..72], want[..]);
     }
 
     #[test]
@@ -314,13 +310,33 @@ mod tests {
         let f = 0.05;
         let theta = ramp(100, f); // not a multiple of 72
         let mut ext = vec![f64::NAN; 3]; // stale contents must be overwritten
-        c.extend_into(&theta, f, &mut ext);
+        c.extend_into(&theta, f, 0, &mut ext);
         assert_eq!(ext.len(), 145); // two blocks + one lookahead sample
         assert_eq!(ext[..100], theta[..]);
         // The continuation keeps the same slope.
-        for i in 100..145 {
+        for (i, &v) in ext.iter().enumerate().skip(100) {
             let expect = 2.0 * std::f64::consts::PI * f * i as f64;
-            assert!((ext[i] - expect).abs() < 1e-9, "sample {i}");
+            assert!((v - expect).abs() < 1e-9, "sample {i}");
+        }
+    }
+
+    #[test]
+    fn suffix_extension_writes_only_from_its_start() {
+        // From a sample inside θ or past its end, the extension writes the
+        // full extension's samples from there on (from θ's end at the
+        // latest) and nothing before.
+        let c = CpCompat::sgi();
+        let f = 0.05;
+        let theta = ramp(100, f);
+        let mut full = Vec::new();
+        c.extend_into(&theta, f, 0, &mut full);
+        for from in [72, 100, 130] {
+            let mut ext = vec![f64::NAN; 145];
+            c.extend_into(&theta, f, from, &mut ext);
+            let start = from.min(theta.len());
+            assert!(ext[..start].iter().all(|v| v.is_nan()), "from {from}: prefix written");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ext[start..]), bits(&full[start..]), "from {from}");
         }
     }
 

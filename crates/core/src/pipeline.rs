@@ -3,17 +3,20 @@
 
 use crate::cp::CpCompat;
 use crate::qam::{QuantizedSymbol, Quantizer, ScaleMode, DEFAULT_SCALE};
-use crate::reversal::{
-    extract_psdu_into, reverse_fec_with, DecodeStrategy, Reversal, WeightProfile,
-};
+use crate::reversal::{extract_psdu_packed, reverse_fec_packed, DecodeStrategy, WeightProfile};
 use crate::telemetry::{self, Counter, Gauge, SpanKind};
 use bluefi_bt::gfsk::{GfskParams, GfskScratch};
 use bluefi_coding::ViterbiScratch;
+use bluefi_dsp::bits::BitVec;
 use bluefi_dsp::Cx;
 use bluefi_wifi::channels::{plan_channel, ChannelPlan};
 use bluefi_wifi::qam::Modulation;
-use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
+use bluefi_wifi::subcarriers::{N_DATA, SUBCARRIER_SPACING_HZ};
 use bluefi_wifi::{Interleaver, Mcs};
+
+/// Coded bits per OFDM symbol at the densest modulation (1024-QAM): the
+/// size of [`SynthesisScratch::quantize_symbol`]'s staging array.
+const MAX_NCBPS: usize = 10 * N_DATA;
 
 /// A GFSK phase mode, kept only so existing configurations still build.
 ///
@@ -106,10 +109,13 @@ pub struct SynthesisScratch {
     // Per-symbol in-band quantization errors, in symbol order.
     pub(crate) errs: Vec<f64>,
     w_of: Vec<u32>,
-    pub(crate) coded: Vec<bool>,
+    // The coded stream, packed: `N_CBPS` bits per OFDM symbol.
+    pub(crate) coded: BitVec,
     weights: Vec<u32>,
     pub(crate) vit: ViterbiScratch,
-    pub(crate) rev: Reversal,
+    // The raw FEC decode: scrambled data bits and flipped coded positions.
+    pub(crate) scrambled: BitVec,
+    pub(crate) flips: Vec<usize>,
     // The previous result, recycled for its psdu/flips capacity.
     pub(crate) result: Option<Synthesis>,
 }
@@ -133,10 +139,14 @@ impl SynthesisScratch {
 
     /// The one per-symbol step of Secs 2.5 + 2.7, shared by the cold chain
     /// and the template patch: FFT-quantizes OFDM symbol `b` of `theta_hat`,
-    /// records its in-band error in `errs[b]`, and writes each point's Gray
+    /// records its in-band error in `errs[b]`, and writes the points' Gray
     /// bits — recorded by the quantizer from the same per-axis rounding, so
-    /// nothing is quantized twice — straight to their deinterleaved places
-    /// in `coded[b·N_CBPS..]` (the interleaver's table). `errs` and `coded`
+    /// nothing is quantized twice — deinterleaved into
+    /// `coded[b·N_CBPS..(b+1)·N_CBPS]`. The bits go through the
+    /// interleaver's table into a per-symbol staging array (plain stores,
+    /// no read-modify-write of a shared word), which is then packed and
+    /// stored a whole word at a time at the `N_CBPS`-bit stride, leaving
+    /// the neighbouring symbols' bits as they were. `errs` and `coded`
     /// must already span the packet.
     pub(crate) fn quantize_symbol(&mut self, bf: &BlueFi, tx_subcarrier: f64, b: usize) {
         let modulation = bf.strategy.mcs().modulation;
@@ -154,19 +164,23 @@ impl SynthesisScratch {
         // In-band error: what the Bluetooth receiver's filter sees.
         self.errs[b] = self.sym.in_band_error_db(tx_subcarrier, bf.weights.band);
         let ncbps = il.block_len();
-        let bps = modulation.bits_per_symbol();
-        let coded = &mut self.coded[b * ncbps..(b + 1) * ncbps];
-        let table = il.coded_index_table();
-        for (&word, ks) in self.sym.bits.iter().zip(table.chunks_exact(bps)) {
-            for (j, &k) in ks.iter().enumerate() {
-                coded[usize::from(k)] = (word >> (bps - 1 - j)) & 1 == 1;
-            }
+        let mut staged = [false; MAX_NCBPS];
+        let staged = &mut staged[..ncbps];
+        let (words, table) = (&self.sym.bits, il.coded_index_table());
+        match modulation {
+            Modulation::Bpsk => scatter_gray_bits::<1>(words, table, staged),
+            Modulation::Qpsk => scatter_gray_bits::<2>(words, table, staged),
+            Modulation::Qam16 => scatter_gray_bits::<4>(words, table, staged),
+            Modulation::Qam64 => scatter_gray_bits::<6>(words, table, staged),
+            Modulation::Qam256 => scatter_gray_bits::<8>(words, table, staged),
+            Modulation::Qam1024 => scatter_gray_bits::<10>(words, table, staged),
         }
+        self.coded.store_bools(b * ncbps, staged);
     }
 
     /// Sec 2.8 + framing, the one PSDU tail of the cold chain and the
-    /// template patch: counts the chip-owned bits of `rev.scrambled`,
-    /// descrambles and packs the PSDU, copies `rev.flips`, averages `errs`,
+    /// template patch: counts the chip-owned bits of `scrambled`,
+    /// descrambles and packs the PSDU, copies `flips`, averages `errs`,
     /// and stores the result, recycling the previous one's buffers.
     /// `requantized` is the number of OFDM symbols this synthesis ran
     /// through [`SynthesisScratch::quantize_symbol`].
@@ -186,16 +200,16 @@ impl SynthesisScratch {
             None => (Vec::new(), Vec::new()),
         };
         let span_extract = telemetry::span(SpanKind::Extract);
-        let forced_bits = extract_psdu_into(&self.rev.scrambled, seed, &mut psdu);
-        bluefi_dsp::contracts::ensure_len(&mut flips, self.rev.flips.len(), 0);
-        flips.copy_from_slice(&self.rev.flips);
+        let forced_bits = extract_psdu_packed(&self.scrambled, seed, &mut psdu);
+        bluefi_dsp::contracts::ensure_len_keeping(&mut flips, self.flips.len(), 0);
+        flips.copy_from_slice(&self.flips);
         drop(span_extract);
 
         telemetry::incr(Counter::PacketsSynthesized);
         telemetry::add(Counter::SymbolsProcessed, requantized as u64);
         telemetry::add(Counter::FecFlips, flips.len() as u64);
         telemetry::add(Counter::ForcedBits, forced_bits as u64);
-        telemetry::gauge_max(Gauge::ScratchCodedBits, self.coded.capacity() as u64);
+        telemetry::gauge_max(Gauge::ScratchCodedBits, 8 * self.coded.bytes() as u64);
         telemetry::gauge_max(Gauge::ScratchPhaseSamples, self.theta_hat.capacity() as u64);
         telemetry::gauge_max(Gauge::ScratchPsduBytes, psdu.capacity() as u64);
 
@@ -209,6 +223,19 @@ impl SynthesisScratch {
             forced_bits,
             mean_quant_error_db,
         })
+    }
+}
+
+/// Scatters each point's `BPS` Gray bits (`b0` the most significant, as
+/// [`QuantizedSymbol::bits`] holds them) to their deinterleaved places
+/// `table[d·BPS + j]` of `staged`. Generic over the bits per point, so
+/// every shift is a constant.
+fn scatter_gray_bits<const BPS: usize>(words: &[u16], table: &[u16], staged: &mut [bool]) {
+    debug_assert_eq!(table.len(), words.len() * BPS, "one table entry per Gray bit");
+    for (&word, ks) in words.iter().zip(table.chunks_exact(BPS)) {
+        for (j, &k) in ks.iter().enumerate() {
+            staged[usize::from(k)] = (word >> (BPS - 1 - j)) & 1 == 1;
+        }
     }
 }
 
@@ -314,7 +341,8 @@ impl BlueFi {
     }
 
     /// Secs 2.5–2.7 from the scratch's θ̂: the per-symbol step over every
-    /// OFDM symbol, then the weighted FEC reversal into `s.rev`.
+    /// OFDM symbol, then the weighted FEC reversal into `s.scrambled` and
+    /// `s.flips`.
     fn reverse_theta_hat(&self, plan: ChannelPlan, s: &mut SynthesisScratch) {
         let mcs = self.strategy.mcs();
         let n_symbols = s.theta_hat.len() / self.cp.block_len();
@@ -332,8 +360,9 @@ impl BlueFi {
         } else {
             s.weights.clear();
         }
-        bluefi_dsp::contracts::ensure_len(&mut s.coded, n_symbols * ncbps, false);
-        bluefi_dsp::contracts::ensure_len(&mut s.errs, n_symbols, 0.0);
+        // Every coded bit and error is written below.
+        s.coded.resize(n_symbols * ncbps);
+        bluefi_dsp::contracts::ensure_len_keeping(&mut s.errs, n_symbols, 0.0);
         {
             let _sp = telemetry::span(SpanKind::Quantize);
             for b in 0..n_symbols {
@@ -346,13 +375,14 @@ impl BlueFi {
 
         // Sec 2.7 back half: weighted FEC reversal.
         let _sp = telemetry::span(SpanKind::FecReversal);
-        reverse_fec_with(
+        reverse_fec_packed(
             &s.coded,
             &s.weights,
             self.strategy,
             plan.tx_subcarrier,
             &mut s.vit,
-            &mut s.rev,
+            &mut s.scrambled,
+            &mut s.flips,
         );
     }
 }

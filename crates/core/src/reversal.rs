@@ -6,6 +6,7 @@ use crate::telemetry::{self, Counter};
 use bluefi_coding::lfsr::{Lfsr7, ScramblerPeriod};
 use bluefi_coding::realtime::realtime_plan;
 use bluefi_coding::{CodeRate, FreeEdge, ViterbiScratch};
+use bluefi_dsp::bits::BitVec;
 use bluefi_wifi::Mcs;
 
 /// Weight classes for the modified Viterbi (paper Table 1).
@@ -70,7 +71,8 @@ impl DecodeStrategy {
     }
 }
 
-/// Result of the FEC reversal.
+/// Result of the FEC reversal, unpacked: the form
+/// [`reverse_fec_with`] returns.
 #[derive(Debug, Clone, Default)]
 pub struct Reversal {
     /// The scrambled data bits that the chip must be fed (before
@@ -82,11 +84,42 @@ pub struct Reversal {
 }
 
 /// Reverses the encoder: finds data bits whose encoding approximates the
-/// target coded stream, avoiding flips on high-weight bits. Decodes
-/// through `vit` and writes the result into `out`. Both strategies are allocation-free at
-/// steady state: the weighted-Viterbi path runs the bit-packed engine, and
-/// the real-time path replays the interned elimination plan through the
-/// scratch's embedded buffers.
+/// packed target coded stream, avoiding flips on high-weight bits. Decodes
+/// through `vit` into `scrambled` (the data bits the chip must be fed,
+/// before descrambling) and lists in `flips` the transmitted positions
+/// where their re-encoding differs from `coded`. Both strategies are
+/// allocation-free at steady state: the weighted-Viterbi path runs the
+/// bit-packed engine, and the real-time path replays the interned
+/// elimination plan through the scratch's embedded buffers.
+pub fn reverse_fec_packed(
+    coded: &BitVec,
+    weights: &[u32],
+    strategy: DecodeStrategy,
+    bt_subcarrier: f64,
+    vit: &mut ViterbiScratch,
+    scrambled: &mut BitVec,
+    flips: &mut Vec<usize>,
+) {
+    match strategy {
+        DecodeStrategy::WeightedViterbi => {
+            telemetry::incr(Counter::ViterbiDecodes);
+            telemetry::add(Counter::ViterbiCodedBits, coded.len() as u64);
+            let rate = CodeRate::R56;
+            vit.decode_punctured_into(rate, coded, Some(weights), false, scrambled);
+            vit.reencode_flips_into(rate, scrambled, coded, flips);
+        }
+        DecodeStrategy::Realtime => {
+            telemetry::incr(Counter::RealtimeDecodes);
+            let plan = realtime_plan(coded.len(), free_edge(bt_subcarrier));
+            plan.decode_into(coded, vit.realtime_scratch(), scrambled, flips);
+        }
+    }
+}
+
+/// [`reverse_fec_packed`] on a `bool` stream: packs `coded`, delegates,
+/// and unpacks the decode into `out`. Kept for the layered cold pipeline
+/// of the standalone benchmark until it moves to the packed entry points
+/// (ROADMAP item 9).
 pub fn reverse_fec_with(
     coded: &[bool],
     weights: &[u32],
@@ -95,20 +128,10 @@ pub fn reverse_fec_with(
     vit: &mut ViterbiScratch,
     out: &mut Reversal,
 ) {
-    match strategy {
-        DecodeStrategy::WeightedViterbi => {
-            telemetry::incr(Counter::ViterbiDecodes);
-            telemetry::add(Counter::ViterbiCodedBits, coded.len() as u64);
-            let rate = CodeRate::R56;
-            vit.decode_punctured_into(rate, coded, Some(weights), false, &mut out.scrambled);
-            vit.reencode_flips_into(rate, &out.scrambled, coded, &mut out.flips);
-        }
-        DecodeStrategy::Realtime => {
-            telemetry::incr(Counter::RealtimeDecodes);
-            let plan = realtime_plan(coded.len(), free_edge(bt_subcarrier));
-            plan.decode_into(coded, vit.realtime_scratch(), &mut out.scrambled, &mut out.flips);
-        }
-    }
+    let mut scrambled = BitVec::new();
+    let coded = BitVec::from_bools(coded);
+    reverse_fec_packed(&coded, weights, strategy, bt_subcarrier, vit, &mut scrambled, &mut out.flips);
+    scrambled.unpack_into(&mut out.scrambled);
 }
 
 /// The interleaver-cycle edge the real-time decoder sacrifices for a
@@ -129,9 +152,10 @@ pub(crate) fn free_edge(bt_subcarrier: f64) -> FreeEdge {
 /// 16-bit SERVICE field, the 6 tail bits and trailing pad — that differ
 /// from what the chip will actually send there, then packs the descrambled
 /// PSDU into `psdu` (resized to the byte count), allocating only when it
-/// must grow. `scrambled` is only read. Returns the number of such forced
-/// bits.
-pub fn extract_psdu_into(scrambled: &[bool], seed: u8, psdu: &mut Vec<u8>) -> usize {
+/// must grow. Works on packed words throughout: each 64-bit load of
+/// `scrambled` XORs the 64 bits of the 127-bit scrambler period at the
+/// same position. Returns the number of such forced bits.
+pub fn extract_psdu_packed(scrambled: &BitVec, seed: u8, psdu: &mut Vec<u8>) -> usize {
     let total = scrambled.len();
     assert!(total > 22, "need at least SERVICE + tail");
     let psdu_bits = (total - 16 - 6) / 8 * 8;
@@ -139,24 +163,27 @@ pub fn extract_psdu_into(scrambled: &[bool], seed: u8, psdu: &mut Vec<u8>) -> us
 
     // The scrambler sequence, one 127-bit period. SERVICE and pad are
     // zeros, so the chip sends the sequence itself there; the tail is
-    // zeroed after scrambling.
+    // zeroed after scrambling. The pad is under 8 bits.
     let seq = ScramblerPeriod::new(seed);
-    let off_sequence = |r: std::ops::Range<usize>| {
-        r.filter(|&i| scrambled[i] != seq.bit(i)).count()
+    let off_sequence = |at: usize, n: usize| {
+        ((scrambled.load(at) ^ seq.word(at)) & ((1 << n) - 1)).count_ones() as usize
     };
-    let forced = off_sequence(0..16)
-        + scrambled[tail_start..tail_start + 6].iter().filter(|&&b| b).count()
-        + off_sequence(tail_start + 6..total);
+    let pad = total - tail_start - 6;
+    let forced = off_sequence(0, 16)
+        + (scrambled.load(tail_start) & 0x3F).count_ones() as usize
+        + off_sequence(tail_start + 6, pad);
 
-    // Descramble the PSDU region and pack LSB-first: each byte XORs the
-    // 8-bit window of the sequence at its position.
-    bluefi_dsp::contracts::ensure_len(psdu, psdu_bits / 8, 0u8);
-    for (byte_i, (slot, bits)) in psdu.iter_mut().zip(scrambled[16..].chunks_exact(8)).enumerate() {
-        let packed = bits.iter().enumerate().fold(0u8, |acc, (j, &b)| acc | (u8::from(b) << j));
-        *slot = packed ^ seq.byte(16 + 8 * byte_i);
+    // Pack the PSDU region LSB-first, then descramble it a word at a time.
+    bluefi_dsp::contracts::ensure_len_keeping(psdu, psdu_bits / 8, 0u8);
+    scrambled.bytes_into(16, psdu);
+    for (k, chunk) in psdu.chunks_mut(8).enumerate() {
+        let seq = seq.word(16 + 64 * k).to_le_bytes();
+        for (byte, s) in chunk.iter_mut().zip(seq) {
+            *byte ^= s;
+        }
     }
     if bluefi_dsp::contracts::enabled() && psdu_bits >= 8 {
-        // Stage contract: the streaming pack must agree with a re-derivation
+        // Stage contract: the word-wise pack must agree with a re-derivation
         // of the first byte (stack-only — the probe must stay quiet here).
         let mut lfsr = Lfsr7::new(seed);
         for _ in 0..16 {
@@ -164,16 +191,23 @@ pub fn extract_psdu_into(scrambled: &[bool], seed: u8, psdu: &mut Vec<u8>) -> us
         }
         let mut reference = 0u8;
         for bit in 0..8 {
-            if scrambled[16 + bit] ^ lfsr.next_bit() {
+            if scrambled.get(16 + bit) ^ lfsr.next_bit() {
                 reference |= 1 << bit;
             }
         }
         bluefi_dsp::contract!(
             psdu[0] == reference,
-            "extract_psdu_into: streaming pack disagrees with reference"
+            "extract_psdu_packed: word-wise pack disagrees with reference"
         );
     }
     forced
+}
+
+/// [`extract_psdu_packed`] on a `bool` stream, which is only read: packs
+/// it and delegates. Kept for the layered cold pipeline of the standalone
+/// benchmark until it moves to the packed entry points (ROADMAP item 9).
+pub fn extract_psdu_into(scrambled: &[bool], seed: u8, psdu: &mut Vec<u8>) -> usize {
+    extract_psdu_packed(&BitVec::from_bools(scrambled), seed, psdu)
 }
 
 #[cfg(test)]
@@ -299,7 +333,8 @@ mod tests {
         let ncbps = mcs.coded_bits_per_symbol();
         for b in [0, n_symbols / 2, n_symbols - 1] {
             s.quantize_symbol(&bf, plan.tx_subcarrier, b);
-            let spec = symbol_spectrum(&s.coded[b * ncbps..(b + 1) * ncbps], mcs, b);
+            let coded = s.coded.to_bools();
+            let spec = symbol_spectrum(&coded[b * ncbps..(b + 1) * ncbps], mcs, b);
             let points: Vec<_> = bluefi_wifi::subcarriers::data_subcarriers()
                 .iter()
                 .map(|&sc| spec[bluefi_dsp::fft::bin_of_subcarrier(sc, 64)])

@@ -108,7 +108,7 @@ pub fn waveform_at_stage(
     let theta_hat = bf.cp.make_compatible(&phase, offset_cps);
     // Stage contract: θ̂ spans whole OFDM symbols (CP + 64 body samples).
     bluefi_dsp::contract!(
-        theta_hat.len() % bf.cp.block_len() == 0,
+        theta_hat.len().is_multiple_of(bf.cp.block_len()),
         "waveform_at_stage: θ̂ length {} is not a multiple of the {}-sample symbol",
         theta_hat.len(),
         bf.cp.block_len()
@@ -164,11 +164,11 @@ pub fn waveform_at_stage(
         // The FEC-realizable coded stream: the demapped target with the
         // reversal's flips toggled — exactly what the encoder emits for
         // the decoded bits — re-mapped.
+        let mut coded = s.coded.to_bools();
         for &f in &syn.flips {
-            s.coded[f] = !s.coded[f];
+            coded[f] = !coded[f];
         }
-        let spectra: Vec<Vec<Cx>> = s
-            .coded
+        let spectra: Vec<Vec<Cx>> = coded
             .chunks_exact(mcs.coded_bits_per_symbol())
             .enumerate()
             .map(|(n, chunk)| symbol_spectrum(chunk, mcs, n))
@@ -358,8 +358,8 @@ mod tests {
             let wave = waveform_at_stage(&bf, &bits(), plan, 71, stage);
             let base = waveform_at_stage(&bf, &bits(), plan, 71, Stage::Baseline);
             let n = wave.len().min(base.len());
-            let fw = rx.demodulate(&wave[..n].to_vec());
-            let fb = rx.demodulate(&base[..n].to_vec());
+            let fw = rx.demodulate(&wave[..n]);
+            let fb = rx.demodulate(&base[..n]);
             let e: f64 = fw
                 .filtered
                 .iter()

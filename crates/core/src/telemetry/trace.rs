@@ -412,7 +412,7 @@ pub fn snapshot() -> TraceSnapshot {
         }
     }
     out.events.sort_by_key(|e| (e.start_ns, e.trace_id, e.span_id));
-    out.exemplars.sort_by(|a, b| b.root_dur_ns.cmp(&a.root_dur_ns));
+    out.exemplars.sort_by_key(|e| std::cmp::Reverse(e.root_dur_ns));
     out
 }
 

@@ -40,7 +40,7 @@
 //! * **Descramble/pack** — a function of the decoded bits and the seed
 //!   alone, so the patch ends in the cold chain's own PSDU tail: the
 //!   forced-bit census and
-//!   [`extract_psdu_into`](crate::reversal::extract_psdu_into) over the
+//!   [`extract_psdu_packed`](crate::reversal::extract_psdu_packed) over the
 //!   whole decode.
 //!
 //! ## Store
@@ -69,6 +69,7 @@ use crate::pipeline::{BlueFi, Synthesis, SynthesisScratch};
 use crate::reversal::{free_edge, DecodeStrategy};
 use crate::telemetry::{self, Counter, Gauge, SpanKind};
 use bluefi_coding::realtime::{realtime_plan, FreeEdge, RealtimeCheckpoint};
+use bluefi_dsp::bits::BitVec;
 use bluefi_wifi::channels::ChannelPlan;
 use bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
 
@@ -113,7 +114,9 @@ impl TemplateKey {
 }
 
 /// One cached base synthesis: the stage outputs the patch path splices
-/// from.
+/// from. Its bit streams are packed ([`BitVec`]), so a 31-byte advert's
+/// template holds about 18 KB, most of it the coded stream, the
+/// checkpoint and the flip bitmap at one bit per coded or information bit.
 #[derive(Debug)]
 pub struct Template {
     /// The base payload bits (locates the first mutated bit, which bounds
@@ -124,7 +127,7 @@ pub struct Template {
     bit_acc: Vec<f64>,
     /// Full base coded stream (the bits of the symbols before the first
     /// changed one are copied from here).
-    coded: Vec<bool>,
+    coded: BitVec,
     /// Per-symbol in-band quantization error, in pipeline order (the mean
     /// is re-summed with patched entries substituted, preserving the cold
     /// path's addition order exactly).
@@ -132,8 +135,9 @@ pub struct Template {
     /// Saved real-time decode state of `coded`, under the plan
     /// [`free_edge`] picks for the key's subcarrier.
     ckpt: RealtimeCheckpoint,
-    /// The base decode's flip list (the suffix re-encode splices after it).
-    flips: Vec<usize>,
+    /// The base decode's flips as a bitmap over the coded positions (the
+    /// suffix re-encode splices after the ones below its start).
+    flips: BitVec,
 }
 
 impl Template {
@@ -142,10 +146,10 @@ impl Template {
         std::mem::size_of::<Template>()
             + self.bits.capacity()
             + self.bit_acc.capacity() * 8
-            + self.coded.capacity()
+            + self.coded.bytes()
             + self.errs.capacity() * 8
             + self.ckpt.bytes()
-            + self.flips.capacity() * 8
+            + self.flips.bytes()
     }
 }
 
@@ -361,16 +365,20 @@ impl CachedEngine {
         let mut ckpt = RealtimeCheckpoint::new();
         realtime_plan(s.coded.len(), free_edge(plan.tx_subcarrier)).save_checkpoint(
             s.vit.realtime_scratch(),
-            &s.rev.scrambled,
+            &s.scrambled,
             &mut ckpt,
         );
+        let mut flips = BitVec::zeros(s.coded.len());
+        for &f in &s.flips {
+            flips.set(f, true);
+        }
         let tpl = Template {
             bits: bt_bits.to_vec(),
             bit_acc: s.gfsk.bit_accumulators().to_vec(),
             coded: s.coded.clone(),
             errs: s.errs.clone(),
             ckpt,
-            flips: s.rev.flips.clone(),
+            flips,
         };
         self.store.insert(key, Arc::new(tpl));
         s.finish(plan, self.bf.strategy.mcs(), seed, s.errs.len())
@@ -429,10 +437,12 @@ impl CachedEngine {
         drop(sp_gfsk);
 
         // 2. Extension and pocket map of the blocks from `b_first` on
-        // (the cold path's code; earlier blocks are never read).
+        // (the cold path's code; earlier blocks are never read, so neither
+        // step writes them).
         {
             let _sp_pocket = telemetry::trace_span(SpanKind::CpCompat);
-            self.bf.cp.extend_into(&s.phase, offset_hz / gfsk.sample_rate_hz, &mut s.theta_ext);
+            let freq = offset_hz / gfsk.sample_rate_hz;
+            self.bf.cp.extend_into(&s.phase, freq, b_first * bl, &mut s.theta_ext);
             self.bf.cp.pocket_map_into(&s.theta_ext, b_first, &mut s.theta_hat);
         }
         let mut sp_requant = telemetry::trace_span(SpanKind::Quantize);
@@ -442,9 +452,9 @@ impl CachedEngine {
         // per-symbol step.
         let mcs = self.bf.strategy.mcs();
         let ncbps = mcs.coded_bits_per_symbol();
-        bluefi_dsp::contracts::ensure_len(&mut s.coded, tpl.coded.len(), false);
-        s.coded[..b_first * ncbps].copy_from_slice(&tpl.coded[..b_first * ncbps]);
-        bluefi_dsp::contracts::ensure_len(&mut s.errs, n_symbols, 0.0);
+        s.coded.resize(tpl.coded.len());
+        s.coded.copy_prefix_from(&tpl.coded, b_first * ncbps);
+        bluefi_dsp::contracts::ensure_len_keeping(&mut s.errs, n_symbols, 0.0);
         s.errs[..b_first].copy_from_slice(&tpl.errs[..b_first]);
         for b in b_first..n_symbols {
             s.quantize_symbol(&self.bf, plan.tx_subcarrier, b);
@@ -467,16 +477,16 @@ impl CachedEngine {
                     t_start,
                     &tpl.ckpt,
                     s.vit.realtime_scratch(),
-                    &mut s.rev.scrambled,
+                    &mut s.scrambled,
                 );
                 rt_plan.reencode_flips_suffix(
-                    &s.rev.scrambled,
+                    &s.scrambled,
                     &s.coded,
                     b_bound,
                     t_start,
                     &tpl.flips,
                     s.vit.realtime_scratch(),
-                    &mut s.rev.flips,
+                    &mut s.flips,
                 );
                 t_start
             }
@@ -484,8 +494,8 @@ impl CachedEngine {
                 rt_plan.decode_into(
                     &s.coded,
                     s.vit.realtime_scratch(),
-                    &mut s.rev.scrambled,
-                    &mut s.rev.flips,
+                    &mut s.scrambled,
+                    &mut s.flips,
                 );
                 0
             }
@@ -587,6 +597,67 @@ mod tests {
                 "{ctx}"
             );
         }
+    }
+
+    /// A 31-byte-AdvData advert, the largest legacy advertisement.
+    fn long_beacon(counter: u8) -> Vec<bool> {
+        let mut data: Vec<u8> = (100..131).collect();
+        data[15] = counter;
+        let pdu = AdvPdu {
+            pdu_type: AdvPduType::AdvNonconnInd,
+            adv_address: [1, 2, 3, 4, 5, 6],
+            adv_data: data,
+            tx_add: false,
+        };
+        adv_air_bits(&pdu, 38)
+    }
+
+    #[test]
+    fn patch_through_a_dirty_scratch_equals_cold() {
+        // The patch writes only the buffer suffixes it reads. Leave every
+        // scratch buffer dirty from a longer, then a shorter, packet before
+        // each patch: the result must still be the cold synthesis in every
+        // field, on both decoder edges.
+        let engine = fleet_engine();
+        let cold = engine.config().clone();
+        let short: Vec<bool> = beacon(0)[..200].to_vec();
+        let mut scratch = CachedScratch::new();
+        for plan in [plan_channel(2.426e9).unwrap(), ChannelPlan::pinned(6, -3.0)] {
+            engine.synthesize_at_with(&beacon(0), plan, 71, &mut scratch);
+            for (i, dirt) in [long_beacon(7), short.clone()].iter().enumerate() {
+                cold.synthesize_at_with(dirt, plan, 9, &mut scratch);
+                let bits = beacon(40 + i as u8);
+                let want = cold.synthesize_at(&bits, plan, 71);
+                let got = engine.synthesize_at_with(&bits, plan, 71, &mut scratch);
+                let ctx = format!("{} after dirt {i}", plan.tx_subcarrier);
+                assert_eq!(got.psdu, want.psdu, "{ctx}");
+                assert_eq!(got.plan, want.plan, "{ctx}");
+                assert_eq!(got.mcs, want.mcs, "{ctx}");
+                assert_eq!(got.seed, want.seed, "{ctx}");
+                assert_eq!(got.n_symbols, want.n_symbols, "{ctx}");
+                assert_eq!(got.flips, want.flips, "{ctx}");
+                assert_eq!(got.forced_bits, want.forced_bits, "{ctx}");
+                assert_eq!(
+                    got.mean_quant_error_db.to_bits(),
+                    want.mean_quant_error_db.to_bits(),
+                    "{ctx}"
+                );
+            }
+        }
+        assert_eq!(engine.store().len(), 2, "every request after the first patched");
+    }
+
+    #[test]
+    fn advert_template_stays_packed() {
+        // A 31-byte advert's template: packed streams keep it near 18 KB
+        // (126,880 B when they were `bool` and `usize` vectors).
+        let engine = fleet_engine();
+        let plan = plan_channel(2.426e9).unwrap();
+        let bits = long_beacon(0);
+        engine.synthesize_at_with(&bits, plan, 71, &mut CachedScratch::new());
+        let tpl = engine.store().get(&TemplateKey::new(&plan, 71, bits.len())).unwrap();
+        assert!(tpl.bytes() <= 32 * 1024, "template holds {} bytes", tpl.bytes());
+        assert_eq!(engine.store().bytes_resident(), tpl.bytes());
     }
 
     #[test]

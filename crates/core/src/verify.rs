@@ -63,7 +63,7 @@ mod tests {
         AdvPdu {
             pdu_type: AdvPduType::AdvNonconnInd,
             adv_address: [0x11, 0x22, 0x33, 0x44, 0x55, variant],
-            adv_data: (0..12).map(|i| i * 7 ^ variant).collect(),
+            adv_data: (0..12).map(|i| (i * 7) ^ variant).collect(),
             tx_add: false,
         }
     }

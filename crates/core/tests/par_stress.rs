@@ -50,7 +50,7 @@ fn digest(scratch: &mut Vec<u64>, idx: usize, job: &Job) -> u64 {
 #[test]
 fn output_is_bit_identical_across_worker_counts() {
     let _guard = EXCLUSIVE.lock().unwrap_or_else(|p| p.into_inner());
-    let items = jobs(64, 0xB10E_F1);
+    let items = jobs(64, 0x00B1_0EF1);
     let run = |n_workers: usize| -> Vec<u64> {
         bluefi_core::par::par_map_scratch_n(
             &items,

@@ -293,7 +293,7 @@ mod tests {
         let loose = shape_bits(&one_bit, 0.3, 20, 5);
         // At the neighboring bit center, the low-BT pulse leaks more energy
         // upward (closer to +1 than the BT=0.5 pulse).
-        let c = 1 * 20 + 10;
+        let c = 20 + 10; // bit 1's center, at 20 samples per bit
         assert!(loose[c] > tight[c]);
     }
 }
