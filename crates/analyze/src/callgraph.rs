@@ -116,7 +116,7 @@ struct Graph<'a> {
     chains: HashMap<FnId, Vec<String>>,
 }
 
-fn fn_at<'a>(files: &'a [AnalyzedFile], id: FnId) -> &'a FnItem {
+fn fn_at(files: &[AnalyzedFile], id: FnId) -> &FnItem {
     &files[id.0].index.fns[id.1]
 }
 

@@ -190,12 +190,10 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
                     depth -= 1;
                     boundary = i + 1;
                 }
-                ";" => {
-                    // Cancels a bodiless header (trait fn decl, `mod x;`).
-                    if paren == 0 {
-                        pending = None;
-                        boundary = i + 1;
-                    }
+                // Cancels a bodiless header (trait fn decl, `mod x;`).
+                ";" if paren == 0 => {
+                    pending = None;
+                    boundary = i + 1;
                 }
                 "]" => {
                     // Attribute close: the item prefix continues past it.

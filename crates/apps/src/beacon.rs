@@ -370,8 +370,7 @@ mod tests {
 
     #[test]
     fn build_beacon_skips_uncoverable_channels() {
-        let mut cfg = BeaconConfig::default();
-        cfg.channels = vec![37, 38, 39];
+        let cfg = BeaconConfig { channels: vec![37, 38, 39], ..Default::default() };
         let packets = build_beacon(&cfg, &BlueFi::default(), 71).unwrap();
         let chans: Vec<u8> = packets.per_channel.iter().map(|(c, _)| *c).collect();
         // 37 (2402 MHz) cannot be planned; 38 and 39 can.
@@ -380,8 +379,7 @@ mod tests {
 
     #[test]
     fn build_beacon_rejects_out_of_range_channels() {
-        let mut cfg = BeaconConfig::default();
-        cfg.channels = vec![38, 40];
+        let cfg = BeaconConfig { channels: vec![38, 40], ..Default::default() };
         let err = build_beacon(&cfg, &BlueFi::default(), 71).unwrap_err();
         assert_eq!(err, bluefi_bt::ble::AdvChannelError(40));
     }

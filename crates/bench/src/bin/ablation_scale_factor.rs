@@ -17,7 +17,8 @@ fn main() {
     let phase = modulate_phase(&bits, &gfsk, offset_hz);
     let cp = CpCompat::sgi();
     let theta = cp.make_compatible(&phase, offset_hz / gfsk.sample_rate_hz);
-    let bodies = cp.strip_cp(&theta);
+    let bodies: Vec<&[f64]> =
+        theta.chunks_exact(cp.block_len()).map(|block| &block[cp.cp_len..]).collect();
     let mut rows = Vec::new();
     for (name, mode) in [
         ("fixed A=0.2", ScaleMode::Fixed(DEFAULT_SCALE)),

@@ -104,9 +104,10 @@ pub fn summarize(series: &[f64]) -> String {
     )
 }
 
-/// Parses `--key value` style CLI overrides (tiny, no clap dependency).
+/// Parses `--key value` style CLI overrides (tiny, no clap dependency). A
+/// missing or malformed value prints the flag and value and exits 2.
 pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    arg_parsed(name, |v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Integer variant of [`arg_f64`].
@@ -115,12 +116,12 @@ pub fn arg_f64(name: &str, default: f64) -> f64 {
 /// values above 2^53 survive exactly); scientific notation like `1e3` is
 /// accepted when it denotes an integer that fits without loss.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name).and_then(|v| parse_usize(&v)).unwrap_or(default)
+    arg_parsed(name, parse_usize).unwrap_or(default)
 }
 
 /// String variant of [`arg_f64`].
 pub fn arg_str(name: &str, default: &str) -> String {
-    arg_value(name).unwrap_or_else(|| default.to_string())
+    arg_parsed(name, |v| Some(v.to_string())).unwrap_or_else(|| default.to_string())
 }
 
 /// True when the process was invoked with the bare flag `name`
@@ -129,9 +130,22 @@ pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-fn arg_value(name: &str) -> Option<String> {
+fn arg_parsed<T>(name: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+    flag(&args, name, parse).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// `--name value` in `args`: `Ok(None)` when absent, an error naming the
+/// flag and the value when the value is missing or does not parse.
+fn flag<T>(args: &[String], name: &str, parse: fn(&str) -> Option<T>) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    parse(value).map(Some).ok_or_else(|| format!("{name}: invalid value {value:?}"))
 }
 
 fn parse_usize(text: &str) -> Option<usize> {
@@ -169,6 +183,19 @@ mod tests {
         let s = summarize(&[1.0, 2.0, 3.0]);
         assert!(s.contains("n=3"));
         assert_eq!(summarize(&[]), "(no data)");
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_bad_input() {
+        let args: Vec<String> =
+            ["prog", "--trials", "abc", "--duration", "1e1", "--out"].map(String::from).into();
+        let f64_of = |v: &str| v.parse::<f64>().ok();
+        assert_eq!(flag(&args, "--duration", f64_of), Ok(Some(10.0)));
+        assert_eq!(flag(&args, "--seed", f64_of), Ok(None));
+        let bad = flag(&args, "--trials", parse_usize).unwrap_err();
+        assert!(bad.contains("--trials") && bad.contains("abc"), "{bad}");
+        let missing = flag(&args, "--out", |v| Some(v.to_string())).unwrap_err();
+        assert!(missing.contains("--out"), "{missing}");
     }
 
     #[test]

@@ -275,3 +275,21 @@ fn runtime_profile_with_telemetry_off_reports_zero_telemetry_allocs() {
     let allocs = report.get("allocs_per_packet").expect("allocs section");
     assert_eq!(allocs.get("steady_state").and_then(Json::as_f64), Some(0.0));
 }
+
+/// A malformed flag value is an error, not a silent fallback to the
+/// default: the run exits 2 before doing any work, names the flag, and
+/// writes no report.
+#[test]
+fn runtime_profile_rejects_a_malformed_trials_value() {
+    let out_path = std::env::temp_dir().join("bluefi_rt_bad_trials.json");
+    let _ = std::fs::remove_file(&out_path);
+    let out = Command::new(env!("CARGO_BIN_EXE_runtime_profile"))
+        .args(["--trials", "abc", "--out"])
+        .arg(&out_path)
+        .output()
+        .expect("runtime_profile must launch");
+    assert_eq!(out.status.code(), Some(2), "exit status {}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--trials") && stderr.contains("abc"), "stderr: {stderr}");
+    assert!(!out_path.exists(), "no report may be written");
+}

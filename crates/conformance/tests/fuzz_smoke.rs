@@ -11,7 +11,7 @@ fn budgeted_soak_finds_no_violations() {
     // weighted u16/u32) while crossing the
     // scratch-diff (every 4th) and receiver (every 8th) cadences dozens
     // of times — and still finishes in seconds under the debug profile.
-    let report = run_fuzz(0xB10E_F1, 500);
+    let report = run_fuzz(0x00B1_0EF1, 500);
     assert_eq!(report.iters, 500);
     assert!(report.is_clean(), "{}", report.render());
 }

@@ -195,17 +195,6 @@ impl CpCompat {
         }
     }
 
-    /// Extracts the 64-sample symbol bodies (CP stripped) — the waveform the
-    /// IFFT must produce per symbol.
-    pub fn strip_cp(&self, theta_hat: &[f64]) -> Vec<Vec<f64>> {
-        let bl = self.block_len();
-        assert_eq!(theta_hat.len() % bl, 0, "θ̂ must be whole blocks");
-        theta_hat
-            .chunks_exact(bl)
-            .map(|b| b[self.cp_len..].to_vec())
-            .collect()
-    }
-
     /// Which sample indices of a block may differ from the true phase — the
     /// glitch positions (for diagnostics/tests).
     ///
@@ -349,19 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_cp_returns_bodies() {
-        let c = CpCompat::sgi();
-        let theta: Vec<f64> = (0..72 * 3).map(|i| i as f64 * 0.01).collect();
-        let th = c.make_compatible(&theta, 0.0);
-        let bodies = c.strip_cp(&th);
-        assert_eq!(bodies.len(), 3);
-        for (m, b) in bodies.iter().enumerate() {
-            assert_eq!(b.len(), 64);
-            assert_eq!(b[0], th[m * 72 + 8]);
-        }
-    }
-
-    #[test]
     fn round_trip_through_cp_insertion_is_exact() {
         // Simulate what the chip does: IFFT bodies, prepend CP (copy of
         // tail), stitch with windowing — the result's phase must equal θ̂
@@ -373,11 +349,10 @@ mod tests {
             .map(|i| 0.8 * (i as f64 * 0.09).sin() + 0.02 * i as f64)
             .collect();
         let th = c.make_compatible(&theta, 0.02 / (2.0 * std::f64::consts::PI));
-        let bodies = c.strip_cp(&th);
         // Reconstruct each symbol the hardware way: body -> CP+body.
         let mut rebuilt: Vec<Vec<Cx>> = Vec::new();
-        for b in &bodies {
-            let body_iq: Vec<Cx> = b.iter().map(|&p| Cx::expj(p)).collect();
+        for block in th.chunks_exact(c.block_len()) {
+            let body_iq: Vec<Cx> = block[c.cp_len..].iter().map(|&p| Cx::expj(p)).collect();
             let mut sym = body_iq[64 - 8..].to_vec();
             sym.extend(body_iq);
             rebuilt.push(sym);

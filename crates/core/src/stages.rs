@@ -1,31 +1,31 @@
 //! Cumulative impairment staging (paper Sec 4.6, Fig 8).
 //!
-//! The paper isolates each WiFi-hardware impairment by generating waveforms
-//! with the pipeline truncated at successive stages and transmitting them
-//! from a USRP (which, unlike a COTS chip, can emit arbitrary IQ):
+//! The paper isolates each WiFi-hardware impairment by transmitting, from a
+//! USRP (which, unlike a COTS chip, can emit arbitrary IQ), waveforms with
+//! the impairments applied cumulatively. Every stage here is a view of one
+//! product synthesis, so it differs from the product only in what it skips:
 //!
 //! 1. **Baseline** — the ideal GFSK waveform.
 //! 2. **+CP** — the CP/windowing-compatible phase θ̂ (impairment I1).
 //! 3. **+QAM** — θ̂ quantized per-subcarrier to the 64-QAM grid, with every
 //!    subcarrier still free (impairment I2).
-//! 4. **+Pilot/Null** — pilots and nulls overwritten with the standard's
-//!    values (impairment I3).
-//! 5. **+FEC** — the coded-bit stream re-encoded through the convolutional
-//!    code, flipping the bits the encoder cannot realize (impairment I4).
+//! 4. **+Pilot/Null** — the demapped coded stream, with the standard's
+//!    pilots and nulls (impairment I3).
+//! 5. **+FEC** — that stream with the reversal's flips toggled, as the
+//!    convolutional encoder emits it (impairment I4).
 //! 6. **+Header** — the complete PSDU through the full chip TX, preamble
 //!    included.
 
 use crate::pipeline::{BlueFi, SynthesisScratch};
-use crate::qam::Quantizer;
+use crate::qam::{ScaleMode, DEFAULT_SCALE};
 use crate::telemetry::{self, Counter, SpanKind};
-use bluefi_bt::gfsk::{modulate_iq, modulate_phase};
-use bluefi_dsp::fft::{bin_of_subcarrier, fft_plan};
+use bluefi_dsp::fft::fft_plan;
 use bluefi_dsp::Cx;
 use bluefi_wifi::channels::ChannelPlan;
-use bluefi_wifi::ofdm::GuardInterval;
-use bluefi_wifi::pilots::ht_pilot_values;
-use bluefi_wifi::subcarriers::{data_subcarriers, FFT_SIZE, PILOT_SUBCARRIERS};
-use bluefi_wifi::tx::{symbol_spectrum, waveform_from_spectra};
+use bluefi_wifi::ofdm::{modulate_symbol, stitch_symbols, GuardInterval};
+use bluefi_wifi::qam::quantize_point;
+use bluefi_wifi::subcarriers::FFT_SIZE;
+use bluefi_wifi::tx::{waveform_from_coded, TxConfig};
 use bluefi_wifi::ChipModel;
 
 /// The cumulative impairment stages of Fig 8.
@@ -95,122 +95,60 @@ pub fn waveform_at_stage(
 ) -> Vec<Cx> {
     let _sp = telemetry::span(stage.span_kind());
     telemetry::incr(Counter::StageWaveforms);
-    let offset_hz = plan.tx_subcarrier * bluefi_wifi::subcarriers::SUBCARRIER_SPACING_HZ;
-    let offset_cps = offset_hz / bf.gfsk.sample_rate_hz;
-    let mcs = bf.strategy.mcs();
-
-    if stage == Stage::Baseline {
-        return modulate_iq(bt_bits, &bf.gfsk, offset_hz);
-    }
-
-    // Stage >= Cp: build θ̂ and the per-symbol bodies.
-    let phase = modulate_phase(bt_bits, &bf.gfsk, offset_hz);
-    let theta_hat = bf.cp.make_compatible(&phase, offset_cps);
-    // Stage contract: θ̂ spans whole OFDM symbols (CP + 64 body samples).
-    bluefi_dsp::contract!(
-        theta_hat.len().is_multiple_of(bf.cp.block_len()),
-        "waveform_at_stage: θ̂ length {} is not a multiple of the {}-sample symbol",
-        theta_hat.len(),
-        bf.cp.block_len()
-    );
-    if stage == Stage::Cp {
-        return theta_hat.iter().map(|&p| Cx::expj(p)).collect();
-    }
-
-    let bodies = bf.cp.strip_cp(&theta_hat);
-    // Stage contract: CP stripping yields one 64-sample body per symbol.
-    bluefi_dsp::contract!(
-        bodies.len() == theta_hat.len() / bf.cp.block_len()
-            && bodies.iter().all(|b| b.len() == FFT_SIZE),
-        "waveform_at_stage: expected {} bodies of {FFT_SIZE} samples",
-        theta_hat.len() / bf.cp.block_len()
-    );
-    if stage == Stage::Qam {
-        let plan64 = fft_plan(FFT_SIZE);
-        // Quantize EVERY bin to the grid (no pilots/nulls yet).
-        let spectra: Vec<Vec<Cx>> = bodies
-            .iter()
-            .map(|b| {
-                let mut buf: Vec<Cx> = b
-                    .iter()
-                    .map(|&p| Cx::expj(p) * default_scale(&bf.scale))
-                    .collect();
-                plan64.forward(&mut buf);
-                buf.iter()
-                    .map(|&x| bluefi_wifi::qam::quantize_point(x, mcs.modulation))
-                    .collect()
-            })
-            .collect();
-        return waveform_from_spectra(&spectra, GuardInterval::Short, true);
-    }
-
-    // Stage >= PilotNull: quantize data subcarriers, standard pilots/nulls.
-    if stage == Stage::PilotNull {
-        let quantizer = Quantizer::new(mcs.modulation, bf.scale);
-        let spectra: Vec<Vec<Cx>> = bodies
-            .iter()
-            .enumerate()
-            .map(|(n, b)| {
-                spectrum_with_pilots(&quantizer.quantize_body(b).points, mcs.modulation, n)
-            })
-            .collect();
-        return waveform_from_spectra(&spectra, GuardInterval::Short, true);
-    }
-
-    // Stage >= Fec: the full synthesis chain.
     let mut s = SynthesisScratch::new();
     let syn = bf.synthesize_at_with(bt_bits, plan, seed, &mut s).clone();
-    if stage == Stage::Fec {
-        // The FEC-realizable coded stream: the demapped target with the
-        // reversal's flips toggled — exactly what the encoder emits for
-        // the decoded bits — re-mapped.
-        let mut coded = s.coded.to_bools();
-        for &f in &syn.flips {
-            coded[f] = !coded[f];
+    let (bl, mcs) = (bf.cp.block_len(), bf.strategy.mcs());
+    // Stage contract: θ̂ spans whole OFDM symbols (CP + 64 body samples), so
+    // +QAM's `chunks_exact` drops no partial block.
+    bluefi_dsp::contract!(
+        s.theta_hat.len().is_multiple_of(bl),
+        "waveform_at_stage: θ̂ length {} is not a multiple of the {bl}-sample symbol",
+        s.theta_hat.len()
+    );
+    match stage {
+        Stage::Baseline => s.phase.iter().map(|&p| Cx::expj(p)).collect(),
+        Stage::Cp => s.theta_hat.iter().map(|&p| Cx::expj(p)).collect(),
+        Stage::Qam => {
+            // Quantize EVERY bin to the grid (no pilots/nulls yet).
+            let scale = match bf.scale {
+                ScaleMode::Fixed(a) => a,
+                ScaleMode::Dynamic => DEFAULT_SCALE,
+            };
+            let plan64 = fft_plan(FFT_SIZE);
+            let symbols: Vec<Vec<Cx>> = s
+                .theta_hat
+                .chunks_exact(bl)
+                .map(|block| {
+                    let mut buf: Vec<Cx> =
+                        block[bf.cp.cp_len..].iter().map(|&p| Cx::expj(p) * scale).collect();
+                    plan64.forward(&mut buf);
+                    buf.iter_mut().for_each(|x| *x = quantize_point(*x, mcs.modulation));
+                    modulate_symbol(&plan64, &buf, GuardInterval::Short)
+                })
+                .collect();
+            stitch_symbols(&symbols, GuardInterval::Short, true)
         }
-        let spectra: Vec<Vec<Cx>> = coded
-            .chunks_exact(mcs.coded_bits_per_symbol())
-            .enumerate()
-            .map(|(n, chunk)| symbol_spectrum(chunk, mcs, n))
-            .collect();
-        return waveform_from_spectra(&spectra, GuardInterval::Short, true);
+        Stage::PilotNull | Stage::Fec => {
+            let mut coded = s.coded.to_bools();
+            if stage == Stage::Fec {
+                syn.flips.iter().for_each(|&f| coded[f] = !coded[f]);
+            }
+            let cfg = TxConfig { mcs, gi: GuardInterval::Short, scrambler_seed: seed, windowing: true };
+            waveform_from_coded(&coded, &cfg)
+        }
+        // The complete system through the USRP chip model. Besides the
+        // framing and preamble it differs from +FEC in windowing, which
+        // `ChipModel::usrp` leaves off and the stages above apply.
+        Stage::Header => {
+            ChipModel::usrp(seed).transmit_with_seed(&syn.psdu, syn.mcs, 0.0, seed).iq
+        }
     }
-
-    // Stage::Header — the complete system through a (windowless) SDR chip
-    // model so only the framing/preamble differs from +FEC.
-    let chip = ChipModel::usrp(seed);
-    // Return in waveform units comparable to the other stages: transmit at
-    // the reference power and hand back the raw IQ.
-    chip.transmit_with_seed(&syn.psdu, syn.mcs, 0.0, seed).iq
-}
-
-fn default_scale(mode: &crate::qam::ScaleMode) -> f64 {
-    match mode {
-        crate::qam::ScaleMode::Fixed(s) => *s,
-        crate::qam::ScaleMode::Dynamic => crate::qam::DEFAULT_SCALE,
-    }
-}
-
-fn spectrum_with_pilots(
-    points: &[Cx],
-    modulation: bluefi_wifi::Modulation,
-    symbol_index: usize,
-) -> Vec<Cx> {
-    let mut spec = vec![Cx::ZERO; FFT_SIZE];
-    for (d, &sc) in data_subcarriers().iter().enumerate() {
-        spec[bin_of_subcarrier(sc, FFT_SIZE)] = points[d];
-    }
-    let pilot_scale = 1.0 / modulation.kmod();
-    for (m, &sc) in PILOT_SUBCARRIERS.iter().enumerate() {
-        spec[bin_of_subcarrier(sc, FFT_SIZE)] =
-            Cx::from_re(ht_pilot_values(symbol_index)[m] * pilot_scale);
-    }
-    spec
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cp::CpCompat;
     use crate::reversal::DecodeStrategy;
     use bluefi_bt::ble::{adv_air_bits, AdvPdu, AdvPduType};
     use bluefi_bt::receiver::{GfskReceiver, ReceiverConfig};
@@ -298,18 +236,25 @@ mod tests {
     fn stage_waveforms_are_pinned() {
         // Every stage's waveform, bit for bit, for one fixed input under
         // each strategy — the Viterbi case on a positive subcarrier, the
-        // real-time case on a negative one. +FEC toggles the flips on the
-        // demapped coded stream, which must equal re-encoding the
-        // reversal's decoded bits exactly.
+        // real-time case on a negative one — plus the long-GI construction
+        // `ablation_80211g` runs and the dynamic scale, where +QAM falls
+        // back to `DEFAULT_SCALE` while +Pilot/Null quantizes dynamically.
+        // +FEC toggles the flips on the demapped coded stream, which must
+        // equal re-encoding the reversal's decoded bits exactly.
+        let viterbi = BlueFi::default();
+        let realtime = BlueFi { strategy: DecodeStrategy::Realtime, ..Default::default() };
+        let lgi = BlueFi { cp: CpCompat::lgi(), ..Default::default() };
+        let dynamic = BlueFi { scale: ScaleMode::Dynamic, ..Default::default() };
         let cases = [
-            (DecodeStrategy::WeightedViterbi, plan_channel(2.426e9).unwrap(), PINNED_VITERBI),
-            (DecodeStrategy::Realtime, ChannelPlan::pinned(6, -3.0), PINNED_REALTIME),
+            ("viterbi", viterbi, plan_channel(2.426e9).unwrap(), PINNED_VITERBI),
+            ("realtime", realtime, ChannelPlan::pinned(6, -3.0), PINNED_REALTIME),
+            ("lgi", lgi, plan_channel(2.426e9).unwrap(), PINNED_LGI),
+            ("dynamic", dynamic, ChannelPlan::pinned(6, -3.0), PINNED_DYNAMIC),
         ];
-        for (strategy, plan, want) in cases {
-            let bf = BlueFi { strategy, ..Default::default() };
+        for (name, bf, plan, want) in cases {
             let got = Stage::all()
                 .map(|stage| digest(&waveform_at_stage(&bf, &bits(), plan, 71, stage)));
-            assert_eq!(got, want, "{strategy:?}: {got:#018x?}");
+            assert_eq!(got, want, "{name}: {got:#018x?}");
         }
     }
 
@@ -328,6 +273,23 @@ mod tests {
         0x19bc2d7e6d7678aa,
         0x0d7c7bcae738299b,
         0x1e0b0414080453a4,
+    ];
+
+    const PINNED_LGI: [u64; 6] = [
+        0x1ddcb0c81b3d3e41,
+        0x45a3a53a99ae9c00,
+        0xc01a3895711cbca0,
+        0x328e1a02f5bc0725,
+        0x2d4d13843ef134b4,
+        0x151dcce9ebb4c77c,
+    ];
+    const PINNED_DYNAMIC: [u64; 6] = [
+        0xaa5a5aaf854dfd63,
+        0x4a54dc8e0166b0b3,
+        0xbbd13b4ca37f507f,
+        0x6eb4d222cda36c0d,
+        0x01bde41de53c13ac,
+        0x655f09ba8ed5fd73,
     ];
 
     #[test]

@@ -152,7 +152,7 @@ mod tests {
 
     fn job(seed: u8) -> BatchJob {
         BatchJob {
-            bits: (0..64).map(|i| (i * 7 + seed as usize) % 3 == 0).collect(),
+            bits: (0..64).map(|i| (i * 7 + seed as usize).is_multiple_of(3)).collect(),
             plan: ChannelPlan::pinned(1, 10.0),
             seed,
         }

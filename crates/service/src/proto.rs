@@ -312,7 +312,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 
 /// Decodes lowercase/uppercase hex; `None` on odd length or bad digits.
 pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
     let digits = s.as_bytes();

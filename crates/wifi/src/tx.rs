@@ -3,12 +3,11 @@
 //! CP insertion → windowing.
 //!
 //! Every stage is exposed individually so `bluefi-core` can reverse them
-//! block-by-block and so the Sec 4.6 impairment study can tap intermediate
-//! signals.
+//! block-by-block.
 
 use crate::interleaver::Interleaver;
 use crate::mcs::Mcs;
-use crate::ofdm::{append_symbol, modulate_symbol, modulate_symbol_into, stitch_symbols, GuardInterval};
+use crate::ofdm::{append_symbol, modulate_symbol_into, GuardInterval};
 use crate::pilots::ht_pilot_values;
 use crate::qam::{map_bits, Modulation};
 use crate::subcarriers::{subcarrier_of_data_index, FFT_SIZE, N_DATA, PILOT_SUBCARRIERS};
@@ -181,25 +180,6 @@ pub fn waveform_from_coded(coded: &[bool], cfg: &TxConfig) -> Vec<Cx> {
     out
 }
 
-/// Data-field waveform from explicit per-symbol spectra (used by the
-/// impairment study to bypass earlier stages).
-pub fn waveform_from_spectra(spectra: &[Vec<Cx>], gi: GuardInterval, windowing: bool) -> Vec<Cx> {
-    let plan = fft_plan(FFT_SIZE);
-    let symbols: Vec<Vec<Cx>> =
-        spectra.iter().map(|s| modulate_symbol(&plan, s, gi)).collect();
-    let wave = stitch_symbols(&symbols, gi, windowing);
-    // Stage contract: stitching neither drops nor duplicates samples — the
-    // waveform is exactly one symbol-length per spectrum (72 for SGI).
-    bluefi_dsp::contract!(
-        wave.len() == spectra.len() * gi.symbol_len(),
-        "waveform_from_spectra: {} samples from {} spectra, expected {}",
-        wave.len(),
-        spectra.len(),
-        spectra.len() * gi.symbol_len()
-    );
-    wave
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,8 +197,8 @@ mod tests {
         // 16 + 240 + 6 = 262 -> padded to 2 symbols of 260.
         assert_eq!(s.len(), 520);
         // Tail bits (positions 256..262) are zero.
-        for i in 256..262 {
-            assert!(!s[i], "tail bit {i}");
+        for (i, &bit) in s.iter().enumerate().take(262).skip(256) {
+            assert!(!bit, "tail bit {i}");
         }
         // The seed is recoverable from the scrambled SERVICE field.
         assert_eq!(recover_seed(&s[..7]), Some(71));
@@ -242,8 +222,8 @@ mod tests {
         // DC null.
         assert_eq!(spec[0], Cx::ZERO);
         // Guard nulls.
-        for k in 29..=35 {
-            assert_eq!(spec[k], Cx::ZERO, "bin {k}");
+        for (k, &v) in spec.iter().enumerate().take(36).skip(29) {
+            assert_eq!(v, Cx::ZERO, "bin {k}");
         }
         // Pilot magnitude = sqrt(42).
         let p = spec[7].abs();

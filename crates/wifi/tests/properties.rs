@@ -86,8 +86,8 @@ fn scrambled_stream_keeps_tail_zero() {
             let s = scrambled_bits(psdu, *seed, mcs);
             prop_assert_eq!(s.len() % mcs.data_bits_per_symbol(), 0);
             let tail_start = 16 + psdu.len() * 8;
-            for i in tail_start..tail_start + 6 {
-                prop_assert!(!s[i], "tail bit {} nonzero", i);
+            for (i, &bit) in s.iter().enumerate().skip(tail_start).take(6) {
+                prop_assert!(!bit, "tail bit {} nonzero", i);
             }
             Ok(())
         },
@@ -120,8 +120,8 @@ fn every_symbol_spectrum_respects_nulls_and_pilots() {
             let spec = symbol_spectrum(coded, Mcs::from_index(7), *sym);
             // DC and guards are zero.
             prop_assert_eq!(spec[0], bluefi_dsp::Cx::ZERO);
-            for k in 29..=35usize {
-                prop_assert_eq!(spec[k], bluefi_dsp::Cx::ZERO);
+            for &v in &spec[29..=35] {
+                prop_assert_eq!(v, bluefi_dsp::Cx::ZERO);
             }
             // Pilots are ±sqrt(42), purely real.
             for bin in [7usize, 57, 21, 43] {

@@ -35,7 +35,7 @@ fn ibeacon_survives_the_full_stack_loopback() {
             let out = loopback_ble(syn, &ChipModel::ar9331(), *ch);
             assert!(out.rssi_dbm.is_some(), "channel {ch}: no sync");
             let air = adv_air_bits(&cfg.format.to_pdu(cfg.adv_address), *ch);
-            let (e, n) = loopback_ble_bit_errors(&syn, &ChipModel::ar9331(), &air)
+            let (e, n) = loopback_ble_bit_errors(syn, &ChipModel::ar9331(), &air)
                 .expect("synchronized");
             errs += e;
             bits += n;
