@@ -117,7 +117,7 @@ impl GfskScratch {
     /// `center_offset_hz` in cycles/sample: the paper's Sec 2.3 frequency
     /// accumulation followed by its offset "modulating operation", in the
     /// same operations and order as
-    /// [`bluefi_dsp::phase::accumulate_frequency_into`] followed by
+    /// [`bluefi_dsp::phase::accumulate_frequency`] followed by
     /// [`bluefi_dsp::phase::add_frequency_offset`].
     ///
     /// The loop records `acc_t` at every bit boundary `t = guard + k·sps`,

@@ -73,23 +73,14 @@ impl ConvEncoder {
     }
 
     /// Encodes a bit slice into the interleaved output stream
-    /// `[A0, B0, A1, B1, ...]`. Thin shim over [`ConvEncoder::encode_into`].
+    /// `[A0, B0, A1, B1, ...]`.
     pub fn encode(&mut self, bits: &[bool]) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.encode_into(bits, &mut out);
-        out
-    }
-
-    /// Scratch-buffer variant of [`ConvEncoder::encode`]: writes the
-    /// interleaved stream into `out` (resized to `2 * bits.len()`),
-    /// allocating only when `out` must grow.
-    pub fn encode_into(&mut self, bits: &[bool], out: &mut Vec<bool>) {
-        bluefi_dsp::contracts::ensure_len(out, bits.len() * 2, false);
-        for (i, &b) in bits.iter().enumerate() {
+        let mut out = Vec::with_capacity(bits.len() * 2);
+        for &b in bits {
             let (a, bb) = self.push(b);
-            out[2 * i] = a;
-            out[2 * i + 1] = bb;
+            out.extend([a, bb]);
         }
+        out
     }
 }
 

@@ -85,22 +85,13 @@ impl CodeRate {
 }
 
 /// Punctures an interleaved mother-code stream `[A0, B0, A1, B1, ...]`.
-/// Thin shim over [`puncture_into`].
 pub fn puncture(rate: CodeRate, mother: &[bool]) -> Vec<bool> {
-    let mut out = Vec::new();
-    puncture_into(rate, mother, &mut out);
-    out
-}
-
-/// Scratch-buffer variant of [`puncture`]: writes the surviving bits into
-/// `out` (cleared first), allocating only when `out`'s capacity must grow.
-pub fn puncture_into(rate: CodeRate, mother: &[bool], out: &mut Vec<bool>) {
     assert_eq!(mother.len() % 2, 0);
     let (ka, kb) = rate.pattern();
     let p = ka.len();
     // The mother length bounds the output; reserving it once keeps every
     // subsequent push allocation-free.
-    bluefi_dsp::contracts::ensure_capacity(out, mother.len());
+    let mut out = Vec::with_capacity(mother.len());
     for (i, pair) in mother.chunks_exact(2).enumerate() {
         let ph = i % p;
         if ka[ph] {
@@ -124,6 +115,7 @@ pub fn puncture_into(rate: CodeRate, mother: &[bool], out: &mut Vec<bool>) {
             );
         }
     }
+    out
 }
 
 /// Spreading tables that puncture packed words a byte of inputs at a time.
@@ -174,7 +166,7 @@ static WORD_PUNCTURE: [WordPuncture; 4] = [
     word_puncture(CodeRate::R56),
 ];
 
-/// Word form of [`puncture_into`]: `a` and `b` hold the mother code's A
+/// Word form of [`puncture`]: `a` and `b` hold the mother code's A
 /// and B outputs for `n_in` inputs, packed LSB-first (bit `i` at bit
 /// `i mod 64` of word `i / 64`, as
 /// [`crate::convolutional::encode_words_into`] writes them). Writes the

@@ -2,8 +2,7 @@
 //!
 //! Both standards involved here are LSB-first on the air (802.11 serializes
 //! each octet least-significant bit first; Bluetooth likewise transmits LSB
-//! first), so the canonical conversion in this workspace is LSB-first. The
-//! MSB-first variants exist for sync words and CRC presentation order.
+//! first), so the conversions here are LSB-first.
 //!
 //! [`BitVec`] carries the long bit streams of the synthesis chain — the
 //! coded stream from the quantizer, the FEC decode and its checkpoint —
@@ -235,28 +234,6 @@ pub fn bits_to_bytes_lsb(bits: &[bool]) -> Vec<u8> {
     out
 }
 
-/// Unpacks bytes into bits, most-significant bit first.
-pub fn bytes_to_bits_msb(bytes: &[u8]) -> Vec<bool> {
-    let mut out = Vec::with_capacity(bytes.len() * 8);
-    for &b in bytes {
-        for i in (0..8).rev() {
-            out.push((b >> i) & 1 == 1);
-        }
-    }
-    out
-}
-
-/// Packs bits into bytes, MSB-first.
-pub fn bits_to_bytes_msb(bits: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 8] |= 1 << (7 - i % 8);
-        }
-    }
-    out
-}
-
 /// Extracts `width` bits of `value` as a bit vector, LSB first.
 pub fn u64_to_bits_lsb(value: u64, width: usize) -> Vec<bool> {
     assert!(width <= 64);
@@ -294,19 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn msb_roundtrip() {
-        let bytes = [0x0Fu8, 0xA5, 0x00, 0xFF, 0x3C];
-        assert_eq!(bits_to_bytes_msb(&bytes_to_bits_msb(&bytes)), bytes);
-    }
-
-    #[test]
     fn lsb_order_is_lsb_first() {
         let bits = bytes_to_bits_lsb(&[0b0000_0001]);
         assert!(bits[0]);
         assert!(!bits[7]);
-        let bits = bytes_to_bits_msb(&[0b0000_0001]);
-        assert!(!bits[0]);
-        assert!(bits[7]);
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl Cx {
     /// The imaginary unit `j`.
     pub const J: Cx = Cx { re: 0.0, im: 1.0 };
 
-    /// Creates a complex number from a real value (imaginary part zero).
-    #[inline]
-    pub fn from_re(re: f64) -> Cx {
-        Cx { re, im: 0.0 }
-    }
-
     /// `e^{jθ}` — the unit phasor at angle `theta` (radians).
     #[inline]
     pub fn expj(theta: f64) -> Cx {

@@ -58,19 +58,9 @@ impl Fir {
 
     /// Filters a real signal; output has the same length as the input and is
     /// advanced by the group delay so filtered samples line up with the
-    /// originals (edges are zero-padded). Thin shim over
-    /// [`Fir::filter_real_into`].
+    /// originals (edges are zero-padded).
     pub fn filter_real(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.filter_real_into(x, &mut out);
-        out
-    }
-
-    /// Scratch-buffer variant of [`Fir::filter_real`]: writes the filtered
-    /// signal into `out` (resized to `x.len()`), allocating only when `out`
-    /// must grow.
-    pub fn filter_real_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        crate::contracts::ensure_len(out, x.len(), 0.0);
+        let mut out = vec![0.0; x.len()];
         let d = self.group_delay() as isize;
         for n in 0..x.len() as isize {
             let mut acc = 0.0;
@@ -82,22 +72,13 @@ impl Fir {
             }
             out[n as usize] = acc;
         }
-    }
-
-    /// Filters a complex signal (each component through the same taps),
-    /// compensated for group delay like [`Fir::filter_real`]. Thin shim
-    /// over [`Fir::filter_cx_into`].
-    pub fn filter_cx(&self, x: &[Cx]) -> Vec<Cx> {
-        let mut out = Vec::new();
-        self.filter_cx_into(x, &mut out);
         out
     }
 
-    /// Scratch-buffer variant of [`Fir::filter_cx`]: writes the filtered
-    /// signal into `out` (resized to `x.len()`), allocating only when `out`
-    /// must grow.
-    pub fn filter_cx_into(&self, x: &[Cx], out: &mut Vec<Cx>) {
-        crate::contracts::ensure_len(out, x.len(), Cx::ZERO);
+    /// Filters a complex signal (each component through the same taps),
+    /// compensated for group delay like [`Fir::filter_real`].
+    pub fn filter_cx(&self, x: &[Cx]) -> Vec<Cx> {
+        let mut out = vec![Cx::ZERO; x.len()];
         let d = self.group_delay() as isize;
         for n in 0..x.len() as isize {
             let mut acc = Cx::ZERO;
@@ -109,6 +90,7 @@ impl Fir {
             }
             out[n as usize] = acc;
         }
+        out
     }
 
     /// Magnitude response at a normalized frequency `f` (cycles/sample).

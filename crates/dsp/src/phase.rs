@@ -11,20 +11,15 @@ use std::f64::consts::PI;
 /// signal (radians). `phase[n] = phase0 + 2π·Σ_{k<n} f[k]` — the phase at
 /// sample `n` reflects frequency applied over samples `0..n`.
 pub fn accumulate_frequency(freq_cps: &[f64], phase0: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    accumulate_frequency_into(freq_cps, phase0, &mut out);
-    out
-}
-
-/// Scratch-buffer variant of [`accumulate_frequency`]: integrates into `out`
-/// (resized to the input length), allocating only when `out` must grow.
-pub fn accumulate_frequency_into(freq_cps: &[f64], phase0: f64, out: &mut Vec<f64>) {
-    crate::contracts::ensure_len(out, freq_cps.len(), 0.0);
     let mut acc = phase0;
-    for (slot, &f) in out.iter_mut().zip(freq_cps) {
-        *slot = acc;
-        acc += 2.0 * PI * f;
-    }
+    freq_cps
+        .iter()
+        .map(|&f| {
+            let p = acc;
+            acc += 2.0 * PI * f;
+            p
+        })
+        .collect()
 }
 
 /// Adds a linearly-increasing phase (a frequency shift of `offset_cps`

@@ -29,4 +29,4 @@ pub use interleaver::Interleaver;
 pub use mcs::Mcs;
 pub use ofdm::GuardInterval;
 pub use qam::Modulation;
-pub use tx::{TxConfig, TxScratch};
+pub use tx::TxConfig;

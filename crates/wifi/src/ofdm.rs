@@ -47,18 +47,10 @@ impl GuardInterval {
 /// subcarrier values given on centered indices −32..31.
 pub fn spectrum_from_subcarriers(values: &[(i32, Cx)]) -> Vec<Cx> {
     let mut spec = vec![Cx::ZERO; FFT_SIZE];
-    spectrum_from_subcarriers_into(values, &mut spec);
-    spec
-}
-
-/// In-place variant of [`spectrum_from_subcarriers`]: zeroes `spec` (which
-/// must already be 64 bins long) and writes the given subcarrier values.
-pub fn spectrum_from_subcarriers_into(values: &[(i32, Cx)], spec: &mut [Cx]) {
-    assert_eq!(spec.len(), FFT_SIZE);
-    spec.fill(Cx::ZERO);
     for &(k, v) in values {
         spec[bin_of_subcarrier(k, FFT_SIZE)] = v;
     }
+    spec
 }
 
 /// One OFDM symbol in the time domain: IFFT of `spectrum` (64 bins, FFT

@@ -9,7 +9,7 @@ use crate::interleaver::Interleaver;
 use crate::mcs::Mcs;
 use crate::ofdm::{append_symbol, modulate_symbol_into, GuardInterval};
 use crate::pilots::ht_pilot_values;
-use crate::qam::{map_bits, Modulation};
+use crate::qam::map_bits;
 use crate::subcarriers::{subcarrier_of_data_index, FFT_SIZE, N_DATA, PILOT_SUBCARRIERS};
 use bluefi_coding::lfsr::scramble;
 use bluefi_coding::puncture::puncture;
@@ -71,95 +71,37 @@ pub fn coded_bits(scrambled: &[bool], mcs: Mcs) -> Vec<bool> {
 
 /// Stage 3 — one OFDM symbol's frequency-domain samples (64 bins, FFT
 /// order, unnormalized constellation units) from one symbol's worth of
-/// coded bits. `symbol_index` selects the pilot polarity. Thin shim over
-/// [`TxScratch::symbol_spectrum_into`].
+/// coded bits. `symbol_index` selects the pilot polarity.
 pub fn symbol_spectrum(coded: &[bool], mcs: Mcs, symbol_index: usize) -> Vec<Cx> {
+    let il = Interleaver::new(mcs.modulation);
     let mut out = Vec::new();
-    TxScratch::new().symbol_spectrum_into(coded, mcs, symbol_index, &mut out);
+    spectrum_into(&il, coded, mcs, symbol_index, &mut Vec::new(), &mut out);
     out
 }
 
-/// Reusable transmit-chain scratch: the (contract-checked) interleaver,
-/// cached per modulation, plus the intermediate buffers of per-symbol
-/// assembly. One scratch per worker thread; after warm-up, driving the TX
-/// chain through it allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct TxScratch {
-    il: Option<(Modulation, Interleaver)>,
-    interleaved: Vec<bool>,
-    spectrum: Vec<Cx>,
-    symbol: Vec<Cx>,
-}
-
-impl TxScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> TxScratch {
-        TxScratch::default()
+/// Assembles [`symbol_spectrum`] into `out` through `il` (built for
+/// `mcs.modulation`), with `interleaved` as the interleaver's buffer.
+fn spectrum_into(
+    il: &Interleaver,
+    coded: &[bool],
+    mcs: Mcs,
+    symbol_index: usize,
+    interleaved: &mut Vec<bool>,
+    out: &mut Vec<Cx>,
+) {
+    assert_eq!(coded.len(), il.block_len(), "one symbol of coded bits");
+    il.interleave_into(coded, interleaved);
+    let nbpsc = mcs.modulation.bits_per_symbol();
+    bluefi_dsp::contracts::ensure_len(out, FFT_SIZE, Cx::ZERO);
+    for d in 0..N_DATA {
+        let point = map_bits(mcs.modulation, &interleaved[d * nbpsc..(d + 1) * nbpsc]);
+        out[bin_of_subcarrier(subcarrier_of_data_index(d), FFT_SIZE)] = point;
     }
-
-    fn interleaver_for(&mut self, modulation: Modulation) -> Interleaver {
-        match self.il {
-            Some((m, il)) if m == modulation => il,
-            _ => {
-                // Interleaver::new re-runs the bijectivity contract in
-                // debug builds, so hoist it out of the per-symbol loop.
-                let il = Interleaver::new(modulation);
-                self.il = Some((modulation, il));
-                il
-            }
-        }
-    }
-
-    /// Scratch-buffer variant of [`symbol_spectrum`]: assembles the 64-bin
-    /// spectrum into `out`, allocating only when buffers must grow.
-    pub fn symbol_spectrum_into(
-        &mut self,
-        coded: &[bool],
-        mcs: Mcs,
-        symbol_index: usize,
-        out: &mut Vec<Cx>,
-    ) {
-        let il = self.interleaver_for(mcs.modulation);
-        assert_eq!(coded.len(), il.block_len(), "one symbol of coded bits");
-        let mut interleaved = std::mem::take(&mut self.interleaved);
-        il.interleave_into(coded, &mut interleaved);
-        let nbpsc = mcs.modulation.bits_per_symbol();
-        bluefi_dsp::contracts::ensure_len(out, FFT_SIZE, Cx::ZERO);
-        out.fill(Cx::ZERO);
-        for d in 0..N_DATA {
-            let point = map_bits(mcs.modulation, &interleaved[d * nbpsc..(d + 1) * nbpsc]);
-            out[bin_of_subcarrier(subcarrier_of_data_index(d), FFT_SIZE)] = point;
-        }
-        // Pilots: ±1 in normalized units = ±1/K_MOD in constellation units.
-        let pilot_scale = 1.0 / mcs.modulation.kmod();
-        for (m, &sc) in PILOT_SUBCARRIERS.iter().enumerate() {
-            let v = ht_pilot_values(symbol_index)[m] * pilot_scale;
-            out[bin_of_subcarrier(sc, FFT_SIZE)] = cx(v, 0.0);
-        }
-        self.interleaved = interleaved;
-    }
-
-    /// Scratch-buffer variant of [`waveform_from_coded`]: assembles the
-    /// data-field waveform into `out` symbol by symbol through the cached
-    /// FFT plan and this scratch's buffers.
-    pub fn waveform_from_coded_into(&mut self, coded: &[bool], cfg: &TxConfig, out: &mut Vec<Cx>) {
-        let ncbps = cfg.mcs.coded_bits_per_symbol();
-        assert_eq!(coded.len() % ncbps, 0, "coded bits must fill whole symbols");
-        let n_sym = coded.len() / ncbps;
-        let plan = fft_plan(FFT_SIZE);
-        bluefi_dsp::contracts::ensure_capacity(out, n_sym * cfg.gi.symbol_len());
-        let mut spectrum = std::mem::take(&mut self.spectrum);
-        let mut symbol = std::mem::take(&mut self.symbol);
-        let mut prev_ext: Option<Cx> = None;
-        for (n, chunk) in coded.chunks_exact(ncbps).enumerate() {
-            // lint: allow(r10) interleaver comes from the one-entry cache; Interleaver::new runs only on modulation change
-            self.symbol_spectrum_into(chunk, cfg.mcs, n, &mut spectrum);
-            modulate_symbol_into(&plan, &spectrum, cfg.gi, &mut symbol);
-            append_symbol(out, &symbol, cfg.gi, cfg.windowing, prev_ext);
-            prev_ext = Some(symbol[cfg.gi.len()]);
-        }
-        self.spectrum = spectrum;
-        self.symbol = symbol;
+    // Pilots: ±1 in normalized units = ±1/K_MOD in constellation units.
+    let pilot_scale = 1.0 / mcs.modulation.kmod();
+    for (m, &sc) in PILOT_SUBCARRIERS.iter().enumerate() {
+        let v = ht_pilot_values(symbol_index)[m] * pilot_scale;
+        out[bin_of_subcarrier(sc, FFT_SIZE)] = cx(v, 0.0);
     }
 }
 
@@ -173,10 +115,25 @@ pub fn data_field(psdu: &[u8], cfg: &TxConfig) -> Vec<Cx> {
 }
 
 /// Lower-level entry: data-field waveform from already-coded bits (must be
-/// a multiple of N_CBPS).
+/// a multiple of N_CBPS), assembled symbol by symbol through the cached FFT
+/// plan and buffers reused across symbols.
 pub fn waveform_from_coded(coded: &[bool], cfg: &TxConfig) -> Vec<Cx> {
-    let mut out = Vec::new();
-    TxScratch::new().waveform_from_coded_into(coded, cfg, &mut out);
+    let ncbps = cfg.mcs.coded_bits_per_symbol();
+    assert_eq!(coded.len() % ncbps, 0, "coded bits must fill whole symbols");
+    let n_sym = coded.len() / ncbps;
+    let plan = fft_plan(FFT_SIZE);
+    // Interleaver::new runs its bijectivity contract in debug builds, so
+    // it is built once, outside the symbol loop.
+    let il = Interleaver::new(cfg.mcs.modulation);
+    let mut out = Vec::with_capacity(n_sym * cfg.gi.symbol_len());
+    let (mut interleaved, mut spectrum, mut symbol) = (Vec::new(), Vec::new(), Vec::new());
+    let mut prev_ext: Option<Cx> = None;
+    for (n, chunk) in coded.chunks_exact(ncbps).enumerate() {
+        spectrum_into(&il, chunk, cfg.mcs, n, &mut interleaved, &mut spectrum);
+        modulate_symbol_into(&plan, &spectrum, cfg.gi, &mut symbol);
+        append_symbol(&mut out, &symbol, cfg.gi, cfg.windowing, prev_ext);
+        prev_ext = Some(symbol[cfg.gi.len()]);
+    }
     out
 }
 

@@ -5,10 +5,13 @@ use bluefi_core::check::{bools, bytes, check};
 use bluefi_core::rng::Rng;
 use bluefi_core::{prop_assert, prop_assert_eq};
 use bluefi_dsp::cx;
+use bluefi_dsp::fft::fft_plan;
 use bluefi_wifi::channels::{plan_channel, MAX_SNAP_SUBCARRIERS};
+use bluefi_wifi::ofdm::{modulate_symbol, stitch_symbols};
 use bluefi_wifi::qam::{demap_point_into, map_bits, quantize_point, Modulation};
-use bluefi_wifi::tx::{coded_bits, scrambled_bits, symbol_spectrum};
-use bluefi_wifi::{Interleaver, Mcs};
+use bluefi_wifi::subcarriers::FFT_SIZE;
+use bluefi_wifi::tx::{coded_bits, scrambled_bits, symbol_spectrum, waveform_from_coded, TxConfig};
+use bluefi_wifi::{GuardInterval, Interleaver, Mcs};
 
 #[test]
 fn interleaver_roundtrip() {
@@ -128,6 +131,37 @@ fn every_symbol_spectrum_respects_nulls_and_pilots() {
                 prop_assert!((spec[bin].abs() - 42f64.sqrt()).abs() < 1e-9);
                 prop_assert!(spec[bin].im.abs() < 1e-12);
             }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn streamed_waveform_equals_composed_symbols() {
+    // `waveform_from_coded` reuses its buffers from symbol to symbol; a
+    // stale buffer would make it drift from the per-symbol composition.
+    check(
+        "streamed_waveform_equals_composed_symbols",
+        |rng| {
+            let n_sym = rng.gen_range(1usize..13);
+            let cfg = TxConfig {
+                mcs: Mcs::from_index([5, 7][rng.gen_range(0usize..2)]),
+                gi: [GuardInterval::Short, GuardInterval::Long][rng.gen_range(0usize..2)],
+                scrambler_seed: 1,
+                windowing: rng.gen(),
+            };
+            let ncbps = cfg.mcs.coded_bits_per_symbol();
+            (bools(rng, n_sym * ncbps..n_sym * ncbps + 1), cfg)
+        },
+        |(coded, cfg)| {
+            let plan = fft_plan(FFT_SIZE);
+            let symbols: Vec<_> = coded
+                .chunks_exact(cfg.mcs.coded_bits_per_symbol())
+                .enumerate()
+                .map(|(n, c)| modulate_symbol(&plan, &symbol_spectrum(c, cfg.mcs, n), cfg.gi))
+                .collect();
+            let composed = stitch_symbols(&symbols, cfg.gi, cfg.windowing);
+            prop_assert!(waveform_from_coded(coded, cfg) == composed, "streamed waveform differs");
             Ok(())
         },
     );

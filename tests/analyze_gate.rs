@@ -81,7 +81,7 @@ fn hatch_counts_are_pinned_per_rule() {
         ("R7", 0),
         ("R8", 0),
         ("R9", 0),
-        ("R10", 1), // allow(r10): the TX path's one-entry interleaver cache
+        ("R10", 0),
     ];
     for (id, n) in expect {
         let got = hatched.iter().find(|(i, _)| i == id).map(|(_, n)| *n);
