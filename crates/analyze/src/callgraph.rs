@@ -1,5 +1,5 @@
 //! Pass 3 — workspace symbol table, conservative call graph, and the
-//! transitive hot-loop allocation rule (R10).
+//! hot-loop allocation rule (R10), direct and transitive.
 //!
 //! ## Over-approximation policy
 //!
@@ -16,11 +16,11 @@
 //!   name, across crates only through an explicit path
 //!   (`bluefi_dsp::fft::fft_into(...)`) or a recorded `use` import.
 //! * **What the graph may miss** (under-approximation, the safe direction
-//!   because every *direct* allocation is still caught by R6 at its own
-//!   site): calls through function pointers / closures passed as values,
-//!   trait-object dispatch where the method is only named at the trait
-//!   definition, turbofish forms (`f::<T>(..)`), and macro-generated
-//!   calls. Allocations *inside* std (e.g. `Iterator::collect`) are not
+//!   because every *direct* allocation is still caught by R10's needle
+//!   scan at its own site): calls through function pointers / closures
+//!   passed as values, trait-object dispatch where the method is only
+//!   named at the trait definition, turbofish forms (`f::<T>(..)`), and
+//!   macro-generated calls. Allocations *inside* std (e.g. `Iterator::collect`) are not
 //!   modeled as calls at all — they are needles
 //!   ([`ALLOC_NEEDLES`]) matched textually in whatever workspace function
 //!   contains them.
@@ -63,10 +63,13 @@ pub fn layer_of(krate: &str) -> Option<u8> {
     LAYERS.iter().find(|(k, _)| *k == krate).map(|(_, l)| *l)
 }
 
-/// Textual allocation needles: a function whose body (outside test code)
-/// matches one of these is the terminal of an R10 chain. Supersets the R6
-/// needle list with the std allocators a call graph cannot see into.
-pub const ALLOC_NEEDLES: [&str; 10] = [
+/// Textual allocation needles: a hot-loop line matching one of these is an
+/// R10 finding on its own, and a function whose body (outside test code)
+/// matches one is the terminal of an R10 chain. Covers the std allocators a
+/// call graph cannot see into, plus `FftPlan::new(` so a plan built per
+/// iteration is flagged even where its definition is not in view.
+pub const ALLOC_NEEDLES: [&str; 11] = [
+    "FftPlan::new(",
     "Vec::new(",
     "Vec::with_capacity(",
     "vec![",
@@ -341,19 +344,22 @@ impl<'a> Graph<'a> {
     }
 }
 
-/// R10 — transitive hot-loop allocation.
+/// R10 — hot-loop allocation, direct and transitive.
 ///
-/// R6 catches an allocation written *textually* inside a `for`/`while`
-/// body; R10 propagates the same policy through the call graph: a hot-loop
-/// call site whose callee allocates — directly or through further calls —
-/// is flagged with the full chain down to the needle. Scope is the R6
-/// hot-path crate set; the escape hatch is `// lint: allow(r10) <reason>`.
+/// An allocation inside a `for`/`while` body repeats every iteration. R10
+/// flags it two ways: an [`ALLOC_NEEDLES`] hit written on the loop line
+/// itself (a chain of length 0), and a hot-loop call site whose callee
+/// allocates — directly or through further calls — with the full chain
+/// down to the needle. Loop headers (evaluated once for `for`) and test
+/// code are exempt. Scope is the hot-path crate set (`dsp`/`wifi`/
+/// `coding`); the escape hatch is `// lint: allow(r10) <reason>`.
 pub fn r10_transitive_alloc(files: &[AnalyzedFile], out: &mut Findings) {
     let graph = Graph::build(files);
     for (fi, file) in files.iter().enumerate() {
         if !crate::scope_for(&file.index.rel_path).hot_loop_alloc {
             continue;
         }
+        direct_hot_loop_alloc(file, out);
         let caller_crate = match file.index.krate.as_deref() {
             Some(k) => k,
             None => continue,
@@ -413,6 +419,31 @@ pub fn r10_transitive_alloc(files: &[AnalyzedFile], out: &mut Findings) {
     }
 }
 
+/// The length-0 half of R10: one finding per hot-loop line that itself
+/// matches an [`ALLOC_NEEDLES`] entry.
+fn direct_hot_loop_alloc(file: &AnalyzedFile, out: &mut Findings) {
+    for (i, line) in file.source.lines.iter().enumerate() {
+        if !file.index.in_loop.get(i).copied().unwrap_or(false) || line.in_test {
+            continue;
+        }
+        let Some(found) = ALLOC_NEEDLES.iter().find_map(|n| find_needle(&line.code, n)) else {
+            continue;
+        };
+        out.emit(
+            line.allows.iter().any(|a| a == ALLOW_TRANSITIVE),
+            Diagnostic::new(
+                Rule::TransitiveAlloc,
+                &file.index.rel_path,
+                i + 1,
+                format!(
+                    "`{found}` allocates every loop iteration — hoist it, use the plan \
+                     cache / a reused scratch buffer, or add `// lint: allow(r10) <reason>`"
+                ),
+            ),
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +467,46 @@ mod tests {
         assert!(layer_of("service") < layer_of("bench"));
         assert!(layer_of("service") < layer_of("conformance"));
         assert_eq!(layer_of("nonsuch"), None);
+    }
+
+    fn direct_findings(src: &str) -> Findings {
+        let mut out = Findings::default();
+        r10_transitive_alloc(&[analyzed("crates/dsp/src/x.rs", src)], &mut out);
+        assert!(out.fired.iter().chain(&out.hatched).all(|d| d.chain.is_empty()));
+        out
+    }
+
+    #[test]
+    fn r10_direct_flags_allocations_inside_loops_only() {
+        // Allocation before the loop: fine. Same calls inside: flagged.
+        let src = "let mut buf = Vec::with_capacity(n);\n\
+                   for x in items {\n    let v = vec![0.0; 64];\n    \
+                   let p = FftPlan::new(64);\n}\n\
+                   let after = Vec::with_capacity(2);";
+        let d = direct_findings(src).fired;
+        assert_eq!(d.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 4], "{d:#?}");
+    }
+
+    #[test]
+    fn r10_direct_header_while_and_hatch() {
+        // A `for` header evaluates once — exempt; nested while bodies are
+        // tracked; the hatch silences a deliberate per-iteration alloc.
+        let src = "for x in vec![1, 2] {\n    while y {\n        \
+                   let a = vec![0; 8]; // lint: allow(r10) tiny, cold path\n        \
+                   let b = vec![0; 8];\n    }\n}";
+        let out = direct_findings(src);
+        assert_eq!(out.fired.len(), 1, "{:#?}", out.fired);
+        assert_eq!(out.fired[0].line, 4);
+        assert_eq!(out.hatched.len(), 1);
+        assert_eq!(out.hatched[0].line, 3);
+    }
+
+    #[test]
+    fn r10_direct_loop_exit_stops_flagging() {
+        let src = "for x in items {\n    f(x);\n}\nlet v = vec![0; 8];\n\
+                   fn formless() { let w = vec![1]; }";
+        let out = direct_findings(src);
+        assert!(out.fired.is_empty(), "{:#?}", out.fired);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct FileIndex {
     /// `use`-imports mapping local names to workspace crates.
     pub uses: Vec<UseImport>,
     /// Per-line flag: true when the line starts inside a `for`/`while`
-    /// body (the R6/R10 hot-loop region).
+    /// body (the R10 hot-loop region).
     pub in_loop: Vec<bool>,
 }
 
@@ -374,9 +374,9 @@ fn collect_use_imports(toks: &[Tok], own_crate: &str, out: &mut Vec<UseImport>) 
 }
 
 /// Per-line hot-loop flags: `true` when the line *starts* inside a
-/// `for`/`while` body. This is the exact region model R6 has always used
-/// (headers exempt, test-code loops not tracked, rustfmt-style braces), now
-/// shared with R10's call-site check.
+/// `for`/`while` body (headers exempt, test-code loops not tracked,
+/// rustfmt-style braces). R10 checks both its direct needles and its call
+/// sites against this one region model.
 pub fn loop_lines(file: &SourceFile) -> Vec<bool> {
     let mut out = Vec::with_capacity(file.lines.len());
     let mut depth = 0i64;

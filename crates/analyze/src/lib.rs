@@ -17,27 +17,27 @@
 //! 4. [`callgraph`] — a workspace symbol table and conservative call
 //!    graph for the cross-file rule R10.
 //!
+//! What rustc already checks is left to rustc: the root `Cargo.toml` sets
+//! `unsafe_code = "forbid"` and `missing_docs = "deny"` under
+//! `[workspace.lints.rust]`, and R3 checks that every member opts in.
+//! Rule codes are stable, so the retired R2 (no-unsafe), R4 (doc
+//! comments) and R6 (direct hot-loop allocation, now part of R10) leave
+//! gaps in the numbering.
+//!
 //! Rules:
 //!
 //! * **R1 no-panic** — no `.unwrap()` / `.expect(` / `panic!` /
 //!   `unimplemented!` / `todo!` in library code outside `#[cfg(test)]`;
 //!   escape hatch `// lint: allow(panic) <reason>`.
-//! * **R2 no-unsafe** — no `unsafe` outside [`rules::UNSAFE_ALLOWLIST`];
-//!   every crate carries `#![forbid(unsafe_code)]`.
 //! * **R3 hermetic-manifests** — no non-`bluefi` dependencies in any
 //!   `Cargo.toml` (absorbed from the former `tests/hermetic.rs`), no
-//!   ignored `default-features` on workspace-inherited dependencies, and
-//!   no `default-members` that drops a workspace member.
-//! * **R4 doc-comments** — every *fully public* `pub fn` in
-//!   `dsp`/`wifi`/`core`/`analyze` carries a doc comment;
-//!   `pub(crate)`/`pub(super)` are internal API and exempt.
+//!   ignored `default-features` on workspace-inherited dependencies, no
+//!   `default-members` that drops a workspace member, and no member that
+//!   skips the workspace lints (`[lints] workspace = true`) or a workspace
+//!   root that stops setting them.
 //! * **R5 no-float-eq** — no `==`/`!=` against float operands in signal
-//!   code (`dsp`/`wifi`/`bt`/`core`); escape hatch
+//!   code (`dsp`/`wifi`/`bt`/`core`/`service`); escape hatch
 //!   `// lint: allow(float-eq) <reason>`.
-//! * **R6 no-hot-loop-alloc** — no `FftPlan::new` / `Vec::with_capacity` /
-//!   `vec![` inside `for`/`while` bodies in the hot-path crates
-//!   (`dsp`/`wifi`/`coding`) — use a plan cache or a reused scratch buffer;
-//!   escape hatch `// lint: allow(r6) <reason>`.
 //! * **R7 no-adhoc-print** — no `println!` / `eprintln!` / `print!` /
 //!   `eprint!` in library crates — route output through the telemetry
 //!   recorder or a `core::telemetry::Table`; escape hatch
@@ -51,16 +51,15 @@
 //!   `// lint: allow(atomic-ordering) <reason>`, and a `.load(..)` followed
 //!   within three statements by a `.store(..)` on the same atomic is
 //!   flagged as a lost-update race.
-//! * **R10 no-transitive-hot-loop-alloc** — R6 propagated through the call
-//!   graph: a hot loop calling a function that allocates directly or
-//!   transitively is flagged at the call site with the allocation chain;
-//!   escape hatch `// lint: allow(r10) <reason>`.
+//! * **R10 no-transitive-hot-loop-alloc** — no allocation inside a
+//!   `for`/`while` body in the hot-path crates (`dsp`/`wifi`/`coding`),
+//!   whether written on the loop line itself (a chain of length 0) or
+//!   reached through the call graph (flagged at the call site with the
+//!   allocation chain) — hoist it, use a plan cache or a reused scratch
+//!   buffer; escape hatch `// lint: allow(r10) <reason>`.
 //!
 //! Hatched (suppressed) findings are reported separately so the gate can
 //! pin exact hatch counts — a new hatch is a visible diff, never silent.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod callgraph;
 pub mod items;
@@ -79,17 +78,11 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// R1 — no panic-family calls in library code.
     NoPanics,
-    /// R2 — no `unsafe` outside the allowlist.
-    NoUnsafe,
-    /// R3 — hermetic manifests (workspace-internal dependencies only).
+    /// R3 — hermetic manifests (workspace-internal dependencies only, and
+    /// every member opted in to the workspace lints).
     HermeticManifests,
-    /// R4 — doc comments on every fully public function in
-    /// `dsp`/`wifi`/`core`/`analyze`.
-    DocComments,
     /// R5 — no floating-point equality in signal code.
     NoFloatEq,
-    /// R6 — no per-iteration allocation in hot-path loops.
-    HotLoopAlloc,
     /// R7 — no ad-hoc `println!`-family output in library crates.
     AdhocPrint,
     /// R8 — crate-layering: no upward or sibling `bluefi_*` references.
@@ -97,20 +90,17 @@ pub enum Rule {
     /// R9 — atomic-ordering audit: strong orderings need a reason, and
     /// load→store windows on one atomic are lost-update races.
     AtomicOrdering,
-    /// R10 — no transitive allocation under hot loops (R6 through the
-    /// call graph).
+    /// R10 — no allocation under hot loops, written directly on the loop
+    /// line or reached through the call graph.
     TransitiveAlloc,
 }
 
 impl Rule {
     /// All rules in reporting order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 7] = [
         Rule::NoPanics,
-        Rule::NoUnsafe,
         Rule::HermeticManifests,
-        Rule::DocComments,
         Rule::NoFloatEq,
-        Rule::HotLoopAlloc,
         Rule::AdhocPrint,
         Rule::CrateLayering,
         Rule::AtomicOrdering,
@@ -118,15 +108,12 @@ impl Rule {
     ];
 
     /// Short code, `R1`..`R10`. Stable: the JSON schema and the gate key
-    /// on these.
+    /// on these, so retired rules leave gaps rather than renumbering.
     pub fn code(self) -> &'static str {
         match self {
             Rule::NoPanics => "R1",
-            Rule::NoUnsafe => "R2",
             Rule::HermeticManifests => "R3",
-            Rule::DocComments => "R4",
             Rule::NoFloatEq => "R5",
-            Rule::HotLoopAlloc => "R6",
             Rule::AdhocPrint => "R7",
             Rule::CrateLayering => "R8",
             Rule::AtomicOrdering => "R9",
@@ -138,11 +125,8 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoPanics => "no-panic",
-            Rule::NoUnsafe => "no-unsafe",
             Rule::HermeticManifests => "hermetic-manifests",
-            Rule::DocComments => "doc-comments",
             Rule::NoFloatEq => "no-float-eq",
-            Rule::HotLoopAlloc => "no-hot-loop-alloc",
             Rule::AdhocPrint => "no-adhoc-print",
             Rule::CrateLayering => "crate-layering",
             Rule::AtomicOrdering => "atomic-ordering",
@@ -164,7 +148,7 @@ pub struct Diagnostic {
     pub message: String,
     /// Supporting call chain (R10): qualified function names from the
     /// call site's callee down to the allocating function. Empty for
-    /// single-site rules.
+    /// single-site rules and for an allocation written on the loop line.
     pub chain: Vec<String>,
 }
 
@@ -234,13 +218,9 @@ impl Findings {
 pub struct Scope {
     /// R1 applies (library code: `crates/*/src`, excluding binary targets).
     pub no_panics: bool,
-    /// R2 applies (all in-crate sources).
-    pub no_unsafe: bool,
-    /// R4 applies (`dsp`/`wifi`/`core`/`analyze` public API).
-    pub doc_comments: bool,
-    /// R5 applies (signal crates: `dsp`/`wifi`/`bt`/`core`).
+    /// R5 applies (signal crates: `dsp`/`wifi`/`bt`/`core`/`service`).
     pub no_float_eq: bool,
-    /// R6 applies (hot-path kernel crates: `dsp`/`wifi`/`coding`).
+    /// R10 applies (hot-path kernel crates: `dsp`/`wifi`/`coding`).
     pub hot_loop_alloc: bool,
     /// R7 applies (library crates whose output belongs in telemetry;
     /// binaries exempt).
@@ -268,8 +248,6 @@ pub fn scope_for(rel_path: &str) -> Scope {
     let is_binary = rest.first() == Some(&"bin") || rest == ["main.rs"];
     Scope {
         no_panics: !is_binary,
-        no_unsafe: true,
-        doc_comments: !is_binary && matches!(krate, "dsp" | "wifi" | "core" | "analyze" | "service"),
         no_float_eq: !is_binary && matches!(krate, "dsp" | "wifi" | "bt" | "core" | "service"),
         hot_loop_alloc: !is_binary && matches!(krate, "dsp" | "wifi" | "coding"),
         adhoc_print: !is_binary
@@ -293,17 +271,8 @@ pub fn scan_source_full(rel_path: &str, text: &str) -> Findings {
     if scope.no_panics {
         rules::r1_no_panics(&file, &mut out);
     }
-    if scope.no_unsafe {
-        rules::r2_no_unsafe(&file, &mut out);
-    }
-    if scope.doc_comments {
-        rules::r4_doc_comments(&file, &index, &mut out);
-    }
     if scope.no_float_eq {
         rules::r5_no_float_eq(&file, &mut out);
-    }
-    if scope.hot_loop_alloc {
-        rules::r6_no_hot_loop_alloc(&file, &mut out);
     }
     if scope.adhoc_print {
         rules::r7_no_adhoc_print(&file, &mut out);
@@ -315,12 +284,6 @@ pub fn scan_source_full(rel_path: &str, text: &str) -> Findings {
         rules::r9_atomic_ordering(&file, &index, &mut out);
     }
     out
-}
-
-/// Back-compat shim: the fired findings of [`scan_source_full`]. The
-/// per-rule fixture tests and older callers key on this shape.
-pub fn scan_source(rel_path: &str, text: &str) -> Vec<Diagnostic> {
-    scan_source_full(rel_path, text).fired
 }
 
 /// The result of a full workspace pass.
@@ -344,17 +307,17 @@ impl Report {
     }
 
     /// Fired findings per rule, in [`Rule::ALL`] order.
-    pub fn counts(&self) -> [usize; 10] {
+    pub fn counts(&self) -> [usize; Rule::ALL.len()] {
         Self::count_by_rule(&self.diagnostics)
     }
 
     /// Hatched findings per rule, in [`Rule::ALL`] order.
-    pub fn hatch_counts(&self) -> [usize; 10] {
+    pub fn hatch_counts(&self) -> [usize; Rule::ALL.len()] {
         Self::count_by_rule(&self.hatched)
     }
 
-    fn count_by_rule(diags: &[Diagnostic]) -> [usize; 10] {
-        let mut counts = [0usize; 10];
+    fn count_by_rule(diags: &[Diagnostic]) -> [usize; Rule::ALL.len()] {
+        let mut counts = [0usize; Rule::ALL.len()];
         for d in diags {
             let idx = Rule::ALL.iter().position(|r| *r == d.rule).unwrap_or(0);
             counts[idx] += 1;
@@ -363,7 +326,7 @@ impl Report {
     }
 
     /// One-line machine-readable summary, e.g.
-    /// `R1=0 .. R10=0 total=0 hatched=16 files=58 manifests=10 status=clean`.
+    /// `R1=0 R3=0 .. R10=0 total=0 hatched=8 files=58 manifests=12 status=clean`.
     pub fn summary(&self) -> String {
         let counts = self.counts();
         let per_rule: Vec<String> = Rule::ALL
@@ -425,8 +388,8 @@ impl Report {
     /// }
     /// ```
     ///
-    /// Rule ids and names are stable; `rules` always lists all ten in
-    /// order, so consumers may index as well as key by id.
+    /// Rule ids and names are stable; `rules` always lists every rule in
+    /// [`Rule::ALL`] order, so consumers may index as well as key by id.
     pub fn to_json(&self) -> Json {
         let counts = self.counts();
         let hatch_counts = self.hatch_counts();
@@ -481,7 +444,7 @@ impl Report {
     }
 }
 
-/// Runs the full multi-pass pipeline — per-file rules R1–R9 plus the
+/// Runs the full multi-pass pipeline — the per-file rules plus the
 /// cross-file call-graph rule R10 — over in-memory `(rel_path, text)`
 /// pairs. This is the core of [`analyze_workspace`] and the entry point
 /// the R10 fixtures use.
@@ -525,8 +488,8 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
     report.diagnostics = findings.fired;
     report.hatched = findings.hatched;
 
-    // Manifests: workspace root + one per crate. R3 (hermetic deps) plus
-    // the R8 manifest-level layering check.
+    // Manifests: workspace root + one per crate. R3 (hermetic deps and the
+    // workspace-lints opt-in) plus the R8 manifest-level layering check.
     let mut manifest_paths = vec![root.join("Cargo.toml")];
     for crate_dir in sorted_dirs(&crates_dir)? {
         let m = crate_dir.join("Cargo.toml");
@@ -539,6 +502,7 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
         let text = std::fs::read_to_string(&m)
             .map_err(|e| format!("cannot read {}: {e}", m.display()))?;
         report.diagnostics.extend(manifests::scan_manifest(&rel, &text));
+        report.diagnostics.extend(manifests::scan_lint_opt_in(&rel, &text));
         report.diagnostics.extend(manifests::scan_manifest_layering(&rel, &text));
         report.manifests_scanned += 1;
     }
@@ -597,17 +561,17 @@ mod tests {
     #[test]
     fn scope_rules() {
         let s = scope_for("crates/dsp/src/fft.rs");
-        assert!(s.no_panics && s.no_unsafe && s.doc_comments && s.no_float_eq);
+        assert!(s.no_panics && s.no_float_eq);
         assert!(s.hot_loop_alloc && s.layering && s.atomics);
         let s = scope_for("crates/coding/src/viterbi.rs");
-        assert!(s.hot_loop_alloc && !s.doc_comments && s.atomics);
+        assert!(s.hot_loop_alloc && !s.no_float_eq && s.atomics);
         let s = scope_for("crates/core/src/pipeline.rs");
         assert!(!s.hot_loop_alloc && s.no_float_eq && s.atomics);
         let s = scope_for("crates/sim/src/mac.rs");
-        assert!(s.no_panics && s.no_unsafe && !s.doc_comments && !s.no_float_eq);
+        assert!(s.no_panics && !s.no_float_eq);
         assert!(!s.hot_loop_alloc && s.adhoc_print && s.layering && !s.atomics);
         let s = scope_for("crates/bench/src/bin/fig5_distance.rs");
-        assert!(!s.no_panics && s.no_unsafe && !s.doc_comments && !s.hot_loop_alloc);
+        assert!(!s.no_panics && !s.hot_loop_alloc);
         assert!(!s.adhoc_print, "binaries may print");
         assert!(s.layering, "binaries still respect the layer DAG");
         let s = scope_for("crates/bench/src/lib.rs");
@@ -615,13 +579,13 @@ mod tests {
         let s = scope_for("crates/apps/src/audio.rs");
         assert!(s.adhoc_print);
         let s = scope_for("crates/analyze/src/rules.rs");
-        assert!(s.doc_comments && s.adhoc_print, "the analyzer lints itself");
+        assert!(s.no_panics && s.adhoc_print, "the analyzer lints itself");
         let s = scope_for("crates/service/src/server.rs");
-        assert!(s.no_panics && s.doc_comments && s.no_float_eq && s.adhoc_print && s.atomics);
+        assert!(s.no_panics && s.no_float_eq && s.adhoc_print && s.atomics);
         let s = scope_for("crates/service/src/bin/bluefi-serviced.rs");
         assert!(!s.no_panics && !s.adhoc_print, "the daemon binary may print");
         let s = scope_for("tests/e2e_audio.rs");
-        assert!(!s.no_panics && !s.no_unsafe && !s.layering);
+        assert!(!s.no_panics && !s.layering);
     }
 
     #[test]
@@ -629,7 +593,7 @@ mod tests {
         let mut r = Report { files_scanned: 3, manifests_scanned: 2, ..Default::default() };
         assert_eq!(
             r.summary(),
-            "R1=0 R2=0 R3=0 R4=0 R5=0 R6=0 R7=0 R8=0 R9=0 R10=0 \
+            "R1=0 R3=0 R5=0 R7=0 R8=0 R9=0 R10=0 \
              total=0 hatched=0 files=3 manifests=2 status=clean"
         );
         r.diagnostics.push(Diagnostic::new(Rule::NoPanics, "x.rs", 1, "m".into()));
@@ -653,9 +617,9 @@ mod tests {
         assert_eq!(j.get("status").and_then(Json::as_str), Some("dirty"));
         assert_eq!(j.get("total").and_then(Json::as_f64), Some(1.0));
         let rules = j.get("rules").and_then(Json::as_arr).expect("rules array");
-        assert_eq!(rules.len(), 10);
-        assert_eq!(rules[9].get("id").and_then(Json::as_str), Some("R10"));
-        assert_eq!(rules[9].get("findings").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(rules.len(), Rule::ALL.len());
+        assert_eq!(rules[6].get("id").and_then(Json::as_str), Some("R10"));
+        assert_eq!(rules[6].get("findings").and_then(Json::as_f64), Some(1.0));
         let diags = j.get("diagnostics").and_then(Json::as_arr).expect("diagnostics");
         let chain = diags[0].get("chain").and_then(Json::as_arr).expect("chain");
         assert_eq!(chain.len(), 2);

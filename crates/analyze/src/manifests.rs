@@ -12,7 +12,10 @@
 //!   it there and warns), and
 //! * a `[workspace]` whose `default-members` omits a `members` entry, or
 //!   omits `"."` when the manifest is also a package — the tier-1
-//!   `cargo test` then silently skips crates.
+//!   `cargo test` then silently skips crates; and
+//! * a `[package]` that does not opt in to the workspace lints, or a
+//!   `[workspace]` that stops setting them ([`scan_lint_opt_in`]) — rustc
+//!   enforces `unsafe_code` and `missing_docs` only where they are set.
 
 use crate::{Diagnostic, Rule};
 
@@ -186,6 +189,70 @@ fn scan_default_members(rel_path: &str, text: &str, out: &mut Vec<Diagnostic>) {
             ),
         ));
     }
+}
+
+/// Lints the workspace root must set under `[workspace.lints.rust]`, and
+/// their levels. `unsafe_code` is `forbid` because a `deny` could be
+/// lifted again by an `#[allow]` in any file.
+const WORKSPACE_LINTS: [(&str, &str); 2] = [("unsafe_code", "forbid"), ("missing_docs", "deny")];
+
+/// R3's lint clauses: a manifest with a `[package]` must carry `[lints]`
+/// with `workspace = true`, and one with a `[workspace]` must set
+/// `unsafe_code = "forbid"` and `missing_docs = "deny"` as plain level
+/// strings under `[workspace.lints.rust]`. A member without the opt-in
+/// silently builds without `forbid(unsafe_code)`; a root without the
+/// levels gives the opt-in nothing to inherit.
+pub fn scan_lint_opt_in(rel_path: &str, text: &str) -> Vec<Diagnostic> {
+    let mut table = "";
+    let mut package = None;
+    let mut workspace = None;
+    let mut opted_in = false;
+    let mut set_lints: Vec<String> = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let trimmed = line.split('#').next().unwrap_or("").trim();
+        if trimmed.starts_with('[') {
+            table = trimmed.trim_matches(|c| c == '[' || c == ']');
+            match table {
+                "package" => package = Some(lineno),
+                "workspace" => workspace = Some(lineno),
+                _ => {}
+            }
+            continue;
+        }
+        let compact: String = trimmed.chars().filter(|c| !c.is_whitespace()).collect();
+        match table {
+            "lints" => opted_in |= compact == "workspace=true",
+            "workspace.lints.rust" => set_lints.push(compact),
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    if let Some(line) = package.filter(|_| !opted_in) {
+        out.push(Diagnostic::new(
+            Rule::HermeticManifests,
+            rel_path,
+            line + 1,
+            "`[package]` does not opt in to the workspace lints — add `[lints]` with \
+             `workspace = true`, or the crate builds without `unsafe_code = \"forbid\"` \
+             and `missing_docs = \"deny\"`"
+                .to_string(),
+        ));
+    }
+    let Some(line) = workspace else { return out };
+    for (lint, level) in WORKSPACE_LINTS {
+        if !set_lints.contains(&format!("{lint}=\"{level}\"")) {
+            out.push(Diagnostic::new(
+                Rule::HermeticManifests,
+                rel_path,
+                line + 1,
+                format!(
+                    "`[workspace.lints.rust]` does not set `{lint} = \"{level}\"` — every \
+                     member inherits its lint levels from there"
+                ),
+            ));
+        }
+    }
+    out
 }
 
 /// R8 at the manifest level: in `crates/<k>/Cargo.toml`, every `bluefi-*`

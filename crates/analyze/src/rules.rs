@@ -1,4 +1,4 @@
-//! The per-file lint rules (R1, R2, R4–R9).
+//! The per-file lint rules (R1, R5, R7–R9).
 //!
 //! Each rule walks the [`SourceFile`] line model — and, for the semantic
 //! rules, the [`FileIndex`] token/item model — and emits `file:line`
@@ -17,22 +17,14 @@ use crate::{Diagnostic, Findings, Rule};
 
 /// Escape-hatch names accepted by each rule.
 pub const ALLOW_PANIC: &str = "panic";
-/// Hatch name for R2.
-pub const ALLOW_UNSAFE: &str = "unsafe";
 /// Hatch name for R5.
 pub const ALLOW_FLOAT_EQ: &str = "float-eq";
-/// Hatch name for R6.
-pub const ALLOW_HOT_LOOP_ALLOC: &str = "r6";
 /// Hatch name for R7.
 pub const ALLOW_PRINT: &str = "print";
 /// Hatch name for R8.
 pub const ALLOW_LAYERING: &str = "layering";
 /// Hatch name for R9.
 pub const ALLOW_ATOMIC_ORDERING: &str = "atomic-ordering";
-
-/// Files allowed to contain `unsafe` (R2 allowlist). Empty: the workspace
-/// is `unsafe`-free and every crate carries `#![forbid(unsafe_code)]`.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 fn allowed(line: &Line, hatch: &str) -> bool {
     line.allows.iter().any(|a| a == hatch)
@@ -90,76 +82,6 @@ pub(crate) fn find_needle(code: &str, needle: &str) -> Option<String> {
         from = at + needle.len();
     }
     None
-}
-
-/// R2 — `unsafe` outside the allowlist.
-pub fn r2_no_unsafe(file: &SourceFile, out: &mut Findings) {
-    if UNSAFE_ALLOWLIST.contains(&file.rel_path.as_str()) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        let hit = line
-            .code
-            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-            .any(|w| w == "unsafe");
-        if hit {
-            out.emit(
-                allowed(line, ALLOW_UNSAFE),
-                Diagnostic::new(
-                    Rule::NoUnsafe,
-                    &file.rel_path,
-                    i + 1,
-                    "`unsafe` outside the allowlist — remove it or extend \
-                     UNSAFE_ALLOWLIST / add `// lint: allow(unsafe) <reason>`"
-                        .to_string(),
-                ),
-            );
-        }
-    }
-}
-
-/// R4 — every *fully public* `pub fn` needs a doc comment.
-///
-/// Driven by the item index: a [`Vis::Public`](crate::items::Vis) function
-/// must be directly preceded by a `///` doc comment or `#[doc = ...]`,
-/// with only attribute lines in between. Restricted-visibility functions
-/// (`pub(crate)`, `pub(super)`, `pub(in ...)`) are internal API and exempt,
-/// as is test code.
-pub fn r4_doc_comments(file: &SourceFile, index: &FileIndex, out: &mut Findings) {
-    use crate::items::Vis;
-    for f in &index.fns {
-        if f.is_test || f.vis != Vis::Public {
-            continue;
-        }
-        if !has_doc_above(file, f.line - 1) {
-            out.emit(
-                false,
-                Diagnostic::new(
-                    Rule::DocComments,
-                    &file.rel_path,
-                    f.line,
-                    format!("public function `{}` has no doc comment", f.name),
-                ),
-            );
-        }
-    }
-}
-
-fn has_doc_above(file: &SourceFile, mut i: usize) -> bool {
-    while i > 0 {
-        i -= 1;
-        let raw = file.lines[i].raw.trim_start();
-        if raw.starts_with("///") || raw.starts_with("#[doc") || raw.starts_with("/**") {
-            return true;
-        }
-        // Skip attributes (and continuation lines of multi-line attributes,
-        // which end with `]` or `)]`).
-        if raw.starts_with("#[") || raw.ends_with(")]") {
-            continue;
-        }
-        return false;
-    }
-    false
 }
 
 /// R5 — floating-point `==` / `!=` in signal code.
@@ -257,47 +179,6 @@ fn is_float_token(tok: &str) -> bool {
     // An integer literal (`52`, `1_000`) only becomes float-like with a
     // decimal point, an exponent, or an explicit f32/f64 suffix.
     numeric && (t.contains('.') || t.contains('e') || t.contains('E') || suffixed)
-}
-
-/// R6 — per-iteration allocation in hot-path loops.
-///
-/// Flags `FftPlan::new(`, `Vec::with_capacity(`, `vec![`, `Box::new(` and
-/// `.to_vec()` on lines inside a `for`/`while` body (tracked by brace depth
-/// from the loop header) — those allocations repeat every iteration; hoist
-/// them, use a size-keyed plan cache (`fft_plan`, `trellis_plan`), or reuse
-/// a scratch buffer via `contracts::ensure_len`. The boxed-slice needles
-/// exist for the trellis/traceback modules, whose scratch state lives in
-/// `Box<[T; N]>` arrays that must be built once per scratch, never per
-/// decode step. Loop *headers* are exempt (they evaluate once for `for`),
-/// as is test code; the escape hatch is `// lint: allow(r6) <reason>`.
-/// Transitive allocation through callees is R10's job
-/// ([`crate::callgraph::r10_transitive_alloc`]).
-pub fn r6_no_hot_loop_alloc(file: &SourceFile, out: &mut Findings) {
-    const NEEDLES: [&str; 5] =
-        ["FftPlan::new(", "Vec::with_capacity(", "vec![", "Box::new(", ".to_vec()"];
-    let in_loop = crate::items::loop_lines(file);
-    for (i, line) in file.lines.iter().enumerate() {
-        if !in_loop[i] || line.in_test {
-            continue;
-        }
-        for needle in NEEDLES {
-            if let Some(found) = find_needle(&line.code, needle) {
-                out.emit(
-                    allowed(line, ALLOW_HOT_LOOP_ALLOC),
-                    Diagnostic::new(
-                        Rule::HotLoopAlloc,
-                        &file.rel_path,
-                        i + 1,
-                        format!(
-                            "`{found}` allocates every loop iteration — hoist it, use \
-                             the plan cache / a reused scratch buffer, or add \
-                             `// lint: allow(r6) <reason>`"
-                        ),
-                    ),
-                );
-            }
-        }
-    }
 }
 
 /// R7 — ad-hoc `println!`-family output in library crates.
@@ -715,49 +596,18 @@ mod tests {
     }
 
     #[test]
-    fn r6_flags_allocations_inside_loops_only() {
-        // Allocation before the loop: fine. Same calls inside: flagged.
-        let src = "let mut buf = Vec::with_capacity(n);\n\
-                   for x in items {\n    let v = vec![0.0; 64];\n    \
-                   let p = FftPlan::new(64);\n}\n\
-                   let after = Vec::with_capacity(2);";
-        let d = scan(r6_no_hot_loop_alloc, src);
-        assert_eq!(d.len(), 2, "{d:#?}");
-        assert_eq!(d[0].line, 3);
-        assert_eq!(d[1].line, 4);
-    }
-
-    #[test]
-    fn r6_header_while_and_hatch() {
-        // A `for` header evaluates once — exempt; nested while bodies are
-        // tracked; the hatch silences a deliberate per-iteration alloc.
-        let src = "for x in vec![1, 2] {\n    while y {\n        \
-                   let a = vec![0; 8]; // lint: allow(r6) tiny, cold path\n        \
-                   let b = vec![0; 8];\n    }\n}";
-        let d = scan(r6_no_hot_loop_alloc, src);
-        assert_eq!(d.len(), 1, "{d:#?}");
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
     fn impl_for_headers_and_hrtbs_are_not_loops() {
         // `impl Trait for Type {` must not open a loop region — the old
         // keyword scan flagged `Default::default()` bodies as hot loops.
         let src = "impl Default for Scratch {\n    fn default() -> Scratch {\n        \
                    let v = vec![0u8; 8];\n        Scratch { v }\n    }\n}";
-        assert!(scan(r6_no_hot_loop_alloc, src).is_empty());
+        let file = SourceFile::parse("crates/dsp/src/x.rs", src);
+        assert!(!crate::items::loop_lines(&file).contains(&true));
         assert_eq!(loop_keyword_pos("impl Default for Scratch {"), None);
         assert_eq!(loop_keyword_pos("fn f<F: for<'a> Fn(&'a u8)>(f: F) {"), None);
         assert_eq!(loop_keyword_pos("for x in items {"), Some(0));
         assert_eq!(loop_keyword_pos("while x < 4 {"), Some(0));
         assert_eq!(loop_keyword_pos("for (i, v) in xs.iter().enumerate() {"), Some(0));
-    }
-
-    #[test]
-    fn r6_loop_exit_stops_flagging() {
-        let src = "for x in items {\n    f(x);\n}\nlet v = vec![0; 8];\n\
-                   fn formless() { let w = vec![1]; }";
-        assert!(scan(r6_no_hot_loop_alloc, src).is_empty());
     }
 
     #[test]
@@ -777,27 +627,6 @@ mod tests {
         let src = "println!(\"boot\"); // lint: allow(print) startup banner\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { println!(\"dbg\"); }\n}";
         assert!(scan(r7_no_adhoc_print, src).is_empty());
-    }
-
-    #[test]
-    fn r4_requires_docs_on_fully_public_fns_only() {
-        let src = "/// Doc.\npub fn documented() {}\npub fn bare() {}\n\
-                   /// Doc.\n#[inline]\npub fn attributed() {}\npub(crate) fn internal() {}\n\
-                   pub(super) fn upward() {}\npub(in crate::x) fn scoped() {}\nfn private() {}";
-        let out = scan_indexed(r4_doc_comments, "crates/dsp/src/x.rs", src);
-        assert_eq!(out.fired.len(), 1, "{:#?}", out.fired);
-        assert!(out.fired[0].message.contains("`bare`"));
-        assert_eq!(out.fired[0].line, 3);
-    }
-
-    #[test]
-    fn r4_covers_impl_methods() {
-        let src = "pub struct S;\nimpl S {\n    pub fn bare(&self) {}\n    \
-                   /// Doc.\n    pub fn documented(&self) {}\n    \
-                   pub(crate) fn internal(&self) {}\n}";
-        let out = scan_indexed(r4_doc_comments, "crates/dsp/src/x.rs", src);
-        assert_eq!(out.fired.len(), 1, "{:#?}", out.fired);
-        assert_eq!(out.fired[0].line, 3);
     }
 
     #[test]

@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn brace_char_literals_do_not_leak_braces() {
         // `'{'` / `'}'` are char literals, not lifetimes; their braces must
-        // be blanked or brace-depth tracking (cfg-test regions, R6 loop
+        // be blanked or brace-depth tracking (cfg-test regions, R10 loop
         // bodies) drifts for the rest of the file. Regression: an old
         // lifetime heuristic exempted `'{'` specifically.
         let f = SourceFile::parse("x.rs", "match c { '{' => a(), '}' => b(), _ => c() }");
@@ -438,12 +438,12 @@ mod tests {
     #[test]
     fn hatches_on_stacked_comment_lines_all_cover_the_next_code_line() {
         let src = "// lint: allow(panic) checked by caller\n\
-                   // lint: allow(r6) buffer is 8 bytes, cold path\n\
+                   // lint: allow(r10) buffer is 8 bytes, cold path\n\
                    let x = risky();\nlet y = 1;";
         let f = SourceFile::parse("x.rs", src);
         let mut allows = f.lines[2].allows.clone();
         allows.sort();
-        assert_eq!(allows, vec!["panic".to_string(), "r6".to_string()]);
+        assert_eq!(allows, vec!["panic".to_string(), "r10".to_string()]);
         assert!(f.lines[3].allows.is_empty(), "coverage stops at the code line");
     }
 

@@ -1,4 +1,4 @@
-// R6 fixture: per-iteration allocations in hot loops. Never compiled.
+// R10 fixture: allocations written directly in hot loops. Never compiled.
 
 fn hoisted_is_fine(items: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(items.len());
@@ -14,7 +14,7 @@ fn hoisted_is_fine(items: &[f64]) -> Vec<f64> {
 
 fn while_loops_count(mut n: usize) {
     while n > 0 {
-        // lint: allow(r6) warm-up path, runs at most once per packet
+        // lint: allow(r10) warm-up path, runs at most once per packet
         let hatched = vec![0u8; n];
         let unhatched = vec![1u8; n]; // FLAGGED (line 19)
         drop((hatched, unhatched));

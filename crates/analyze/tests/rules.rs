@@ -6,7 +6,7 @@
 //! `crates/dsp/src/...`) so the scope rules treat them as signal-crate
 //! library code; the files themselves are never compiled.
 
-use bluefi_analyze::{analyze_files, manifests, scan_source, scan_source_full, Rule};
+use bluefi_analyze::{analyze_files, manifests, scan_source_full, Rule};
 
 fn lines_of(diags: &[bluefi_analyze::Diagnostic], rule: Rule) -> Vec<usize> {
     diags.iter().filter(|d| d.rule == rule).map(|d| d.line).collect()
@@ -15,7 +15,7 @@ fn lines_of(diags: &[bluefi_analyze::Diagnostic], rule: Rule) -> Vec<usize> {
 #[test]
 fn r1_fires_on_every_panic_family_member() {
     let src = include_str!("fixtures/r1_panics.rs");
-    let diags = scan_source("crates/dsp/src/r1_panics.rs", src);
+    let diags = scan_source_full("crates/dsp/src/r1_panics.rs", src).fired;
     // unwrap, expect, panic!, unimplemented!, todo! — and nothing else:
     // the hatched call and the #[cfg(test)] module stay silent.
     assert_eq!(diags.len(), 5, "{diags:#?}");
@@ -26,16 +26,6 @@ fn r1_fires_on_every_panic_family_member() {
         "crates/dsp/src/r1_panics.rs:6: [R1 no-panic] `.unwrap` in library code — \
          return Result/Option or add `// lint: allow(panic) <reason>`"
     );
-}
-
-#[test]
-fn r2_fires_on_unallowlisted_unsafe() {
-    let src = include_str!("fixtures/r2_unsafe.rs");
-    let diags = scan_source("crates/dsp/src/r2_unsafe.rs", src);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, Rule::NoUnsafe);
-    assert_eq!(diags[0].line, 5);
-    assert!(diags[0].to_string().starts_with("crates/dsp/src/r2_unsafe.rs:5: [R2 no-unsafe]"));
 }
 
 #[test]
@@ -53,25 +43,43 @@ fn r3_fires_on_external_and_banned_dependencies() {
 }
 
 #[test]
-fn r4_fires_on_undocumented_fully_public_fns_only() {
-    let src = include_str!("fixtures/r4_docs.rs");
-    let diags = scan_source("crates/dsp/src/r4_docs.rs", src);
-    // `bare` and the bare impl method; every restricted-visibility fn
-    // (pub(crate), pub(super), pub(in ...)) is internal API and exempt.
-    assert_eq!(diags.len(), 2, "{diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == Rule::DocComments));
-    assert_eq!(lines_of(&diags, Rule::DocComments), vec![7, 25]);
-    assert_eq!(
-        diags[0].to_string(),
-        "crates/dsp/src/r4_docs.rs:7: [R4 doc-comments] public function `bare` has no doc comment"
-    );
-    assert!(diags[1].to_string().contains("`method_bare`"));
+fn r3_fires_on_a_missing_workspace_lints_opt_in() {
+    // A member manifest without `[lints] workspace = true`: flagged at its
+    // `[package]` header.
+    let member = include_str!("fixtures/r3_manifest.toml");
+    let diags = manifests::scan_lint_opt_in("crates/fixture/NotCargo.toml", member);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].rule, Rule::HermeticManifests);
+    assert_eq!(diags[0].line, 5);
+    assert!(diags[0].message.contains("workspace = true"));
+
+    // The workspace root as written sets both lints and opts in: clean.
+    let root = include_str!("fixtures/r3_workspace_root.toml");
+    assert!(manifests::scan_lint_opt_in("NotCargo.toml", root).is_empty());
+    assert!(manifests::scan_manifest("NotCargo.toml", root).is_empty());
+    // Each lint missing (or `unsafe_code` weakened to a `deny` that an
+    // `#[allow]` could lift) fires at the `[workspace]` header.
+    for (from, to, lint) in [
+        ("unsafe_code = \"forbid\"\n", "", "unsafe_code"),
+        ("unsafe_code = \"forbid\"", "unsafe_code = \"deny\"", "unsafe_code"),
+        ("missing_docs = \"deny\"\n", "", "missing_docs"),
+    ] {
+        let text = root.replace(from, to);
+        let diags = manifests::scan_lint_opt_in("NotCargo.toml", &text);
+        assert_eq!(diags.len(), 1, "{to:?}: {diags:#?}");
+        assert_eq!(diags[0].line, 6);
+        assert!(diags[0].message.contains(lint), "{diags:#?}");
+    }
+    // The root's own package must opt in as well.
+    let text = root.replace("[lints]\nworkspace = true\n", "");
+    let diags = manifests::scan_lint_opt_in("NotCargo.toml", &text);
+    assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), vec![14], "{diags:#?}");
 }
 
 #[test]
 fn r5_fires_on_float_equality() {
     let src = include_str!("fixtures/r5_float_eq.rs");
-    let diags = scan_source("crates/dsp/src/r5_float_eq.rs", src);
+    let diags = scan_source_full("crates/dsp/src/r5_float_eq.rs", src).fired;
     // Literal 0.0 and f64::INFINITY; the integer ==, the <=, and the
     // hatched sentinel all pass.
     assert_eq!(diags.len(), 2, "{diags:#?}");
@@ -81,34 +89,9 @@ fn r5_fires_on_float_equality() {
 }
 
 #[test]
-fn r6_fires_on_hot_loop_allocations() {
-    let src = include_str!("fixtures/r6_hot_loop.rs");
-    let diags = scan_source("crates/dsp/src/r6_hot_loop.rs", src);
-    let r6: Vec<usize> = lines_of(&diags, Rule::HotLoopAlloc);
-    // vec!, FftPlan::new, Vec::with_capacity inside the for body; the
-    // unhatched vec! in the while body; Box::new and .to_vec() in the
-    // trellis-style loop. Hoisted/hatched/header/test-code allocations
-    // stay silent.
-    assert_eq!(r6, vec![7, 8, 9, 19, 37, 38], "{diags:#?}");
-    assert!(diags
-        .iter()
-        .find(|d| d.rule == Rule::HotLoopAlloc)
-        .unwrap()
-        .to_string()
-        .starts_with("crates/dsp/src/r6_hot_loop.rs:7: [R6 no-hot-loop-alloc]"));
-    // The coding crate (home of the trellis/traceback modules) is in
-    // scope: the same fixture fires identically there.
-    let diags = scan_source("crates/coding/src/trellis.rs", src);
-    assert_eq!(lines_of(&diags, Rule::HotLoopAlloc), vec![7, 8, 9, 19, 37, 38]);
-    // Out of scope in `core` (the pipeline intentionally clones results).
-    let diags = scan_source("crates/core/src/r6_hot_loop.rs", src);
-    assert!(lines_of(&diags, Rule::HotLoopAlloc).is_empty());
-}
-
-#[test]
 fn r7_fires_on_adhoc_prints_in_library_code() {
     let src = include_str!("fixtures/r7_print.rs");
-    let diags = scan_source("crates/core/src/r7_print.rs", src);
+    let diags = scan_source_full("crates/core/src/r7_print.rs", src).fired;
     let r7 = lines_of(&diags, Rule::AdhocPrint);
     // println!, eprintln!, print!, eprint! in `noisy`; the hatched banner,
     // the string literal, the writeln! into a buffer, and the #[cfg(test)]
@@ -122,9 +105,9 @@ fn r7_fires_on_adhoc_prints_in_library_code() {
         .starts_with("crates/core/src/r7_print.rs:6: [R7 no-adhoc-print]"));
     // Binaries render the tables — out of scope there, and in bench's lib
     // (the Reporter prints by design).
-    let diags = scan_source("crates/bench/src/bin/r7_print.rs", src);
+    let diags = scan_source_full("crates/bench/src/bin/r7_print.rs", src).fired;
     assert!(lines_of(&diags, Rule::AdhocPrint).is_empty());
-    let diags = scan_source("crates/bench/src/r7_print.rs", src);
+    let diags = scan_source_full("crates/bench/src/r7_print.rs", src).fired;
     assert!(lines_of(&diags, Rule::AdhocPrint).is_empty());
 }
 
@@ -209,14 +192,40 @@ fn r10_fires_on_transitive_hot_loop_allocation() {
 }
 
 #[test]
+fn r10_fires_on_direct_hot_loop_allocations() {
+    let src = include_str!("fixtures/r10_hot_loop.rs");
+    let r10 = |rel: &str| {
+        let out = analyze_files(&[(rel.to_string(), src.to_string())]);
+        (lines_of(&out.fired, Rule::TransitiveAlloc), out)
+    };
+    let (lines, out) = r10("crates/dsp/src/r10_hot_loop.rs");
+    // vec!, FftPlan::new, Vec::with_capacity inside the for body; the
+    // unhatched vec! in the while body; Box::new and .to_vec() in the
+    // trellis-style loop. Hoisted/hatched/header/test-code allocations
+    // stay silent.
+    assert_eq!(lines, vec![7, 8, 9, 19, 37, 38], "{:#?}", out.fired);
+    assert_eq!(lines_of(&out.hatched, Rule::TransitiveAlloc), vec![18]);
+    // Written on the loop line itself: a chain of length 0.
+    assert!(out.fired.iter().all(|d| d.chain.is_empty()), "{:#?}", out.fired);
+    assert!(out.fired[0]
+        .to_string()
+        .starts_with("crates/dsp/src/r10_hot_loop.rs:7: [R10 no-transitive-hot-loop-alloc]"));
+    // The coding crate (home of the trellis/traceback modules) is in
+    // scope: the same fixture fires identically there.
+    assert_eq!(r10("crates/coding/src/trellis.rs").0, vec![7, 8, 9, 19, 37, 38]);
+    // Out of scope in `core` (the pipeline intentionally clones results).
+    assert!(r10("crates/core/src/r10_hot_loop.rs").0.is_empty());
+}
+
+#[test]
 fn scope_disables_rules_outside_signal_crates() {
     // The same R5 fixture scanned as a sim-crate file: R5 is out of scope
     // there, so only rules that apply everywhere could fire (none do).
     let src = include_str!("fixtures/r5_float_eq.rs");
-    let diags = scan_source("crates/sim/src/r5_float_eq.rs", src);
+    let diags = scan_source_full("crates/sim/src/r5_float_eq.rs", src).fired;
     assert!(diags.is_empty(), "{diags:#?}");
     // And a binary target is exempt from R1 entirely.
     let src = include_str!("fixtures/r1_panics.rs");
-    let diags = scan_source("crates/bench/src/bin/r1_panics.rs", src);
+    let diags = scan_source_full("crates/bench/src/bin/r1_panics.rs", src).fired;
     assert!(diags.is_empty(), "{diags:#?}");
 }

@@ -9,9 +9,6 @@
 //!   (Sec 4.7), plus the FTS4BT-style sniffer classification behind
 //!   Figs 9 and 10.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod audio;
 pub mod beacon;
 pub mod l2cap;

@@ -6,9 +6,6 @@
 //! Every binary prints the rows/series the paper reports; EXPERIMENTS.md
 //! records paper-vs-measured.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use bluefi_core::json::{Json, ToJson};
 use bluefi_core::telemetry::{self, Level, Table};
 use bluefi_dsp::power::{mean, percentile_sorted};

@@ -1,6 +1,6 @@
 //! Smoke test: the runtime profile binary runs, emits schema-valid JSON —
-//! including the per-stage telemetry breakdown — and, since tests build
-//! with debug assertions, proves the
+//! including the per-stage telemetry breakdown — and, in builds with debug
+//! assertions (where the allocation probe is live), proves the
 //! zero-allocation steady state (telemetry recording on *and* off) and
 //! the parallel/sequential bit-exactness on a tiny workload.
 
@@ -85,17 +85,20 @@ fn runtime_profile_emits_valid_report() {
         "latency loop must cycle distinct payloads"
     );
 
-    // This test binary is a debug build, so the probe must be
-    // live and the steady state must be allocation-free.
-    assert_eq!(report.get("contracts_enabled").and_then(Json::as_bool), Some(true));
+    // The profiler is built like this test: with debug assertions the
+    // probe is live, the warm-up allocates and the steady state must not;
+    // a release build reports the probe as off.
+    let live = cfg!(debug_assertions);
+    assert_eq!(report.get("contracts_enabled").and_then(Json::as_bool), Some(live));
     let allocs = report.get("allocs_per_packet").expect("allocs section");
-    assert_eq!(allocs.get("measured").and_then(Json::as_bool), Some(true));
+    assert_eq!(allocs.get("measured").and_then(Json::as_bool), Some(live));
     assert_eq!(
         allocs.get("steady_state").and_then(Json::as_f64),
         Some(0.0),
         "hot path must not allocate after warm-up"
     );
-    assert!(allocs.get("warmup").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
+    let warmup = allocs.get("warmup").and_then(Json::as_f64).unwrap_or(0.0);
+    assert_eq!(warmup > 0.0, live, "warm-up allocations counted: {warmup}");
 
     // Batch section: every thread config reports a finite throughput, the
     // ladder carries no duplicate rungs (clamping is recorded, not

@@ -6,9 +6,6 @@
 //! hopping with AFH. This crate is both the *target* BlueFi synthesizes
 //! toward and the *judge* the evaluation decodes with.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ble;
 pub mod br;
 pub mod edr;

@@ -18,9 +18,6 @@
 //! * [`hamming`] — Bluetooth rate-2/3 (15,10) FEC and rate-1/3 repetition.
 //! * [`bch`] — the (64,30) sync-word code with the GIAC golden vector.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bch;
 pub mod convolutional;
 pub mod crc;

@@ -21,9 +21,6 @@
 //!
 //! The digest machinery shared by all three lives in [`digest`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod diff;
 pub mod digest;
 pub mod fuzz;

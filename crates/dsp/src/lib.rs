@@ -8,9 +8,6 @@
 //! state, no threads, no IO — the sans-IO style the rest of the workspace
 //! follows.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bits;
 pub mod complex;
 pub mod contracts;

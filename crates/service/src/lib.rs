@@ -20,9 +20,6 @@
 //! counters, session and queue-depth gauges, a per-request span feeding
 //! the causal trace layer) plus per-server [`server::ServiceStats`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod backend;
 pub mod client;
 pub mod proto;

@@ -7,9 +7,6 @@
 //! airtime simulator for the throughput study, and the beacon-session
 //! harness the figure generators drive.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod channel;
 pub mod devices;
 pub mod experiments;

@@ -9,9 +9,6 @@
 //! channelization with BlueFi's frequency planning, and models of the
 //! actual chips the paper used (AR9331, RTL8811AU, USRP).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod channels;
 pub mod chip;
 pub mod interleaver;

@@ -1,5 +1,4 @@
 //! Facade crate re-exporting the whole BlueFi workspace.
-#![forbid(unsafe_code)]
 pub use bluefi_apps as apps;
 pub use bluefi_bt as bt;
 pub use bluefi_coding as coding;

@@ -1,6 +1,6 @@
 //! The workspace lint gate: `cargo test -q` fails if any `bluefi-analyze`
 //! rule fires anywhere in the tree. This is the enforcement point for the
-//! ten lint policies R1–R10 (the human-readable report is
+//! seven lint policies R1, R3, R5 and R7–R10 (the human-readable report is
 //! `cargo run -p bluefi-analyze`; the machine-readable one is
 //! `cargo run -p bluefi-analyze -- --json`).
 //!
@@ -11,7 +11,9 @@
 //! silent erosion of coverage.
 //!
 //! Supersedes the old `tests/hermetic.rs`, whose manifest checks now live
-//! in `bluefi_analyze::manifests` as rule R3.
+//! in `bluefi_analyze::manifests` as rule R3. `unsafe` code and missing
+//! docs are not analyzer rules: rustc rejects them through the workspace
+//! lints, and R3 checks that every manifest opts in to those.
 
 use bluefi_core::json::Json;
 use std::path::Path;
@@ -38,11 +40,12 @@ fn workspace_is_lint_clean_per_json_report() {
     let diags = j.get("diagnostics").and_then(Json::as_arr).expect("diagnostics array");
     assert!(diags.is_empty(), "clean report must carry no diagnostics");
 
-    // Schema: all ten rules present, in order, each with zero findings.
+    // Schema: all seven rules present, in order, each with zero findings.
+    // Codes are stable, so the retired R2, R4 and R6 leave gaps.
     let rules = j.get("rules").and_then(Json::as_arr).expect("rules array");
     let ids: Vec<&str> =
         rules.iter().filter_map(|r| r.get("id").and_then(Json::as_str)).collect();
-    assert_eq!(ids, vec!["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10"]);
+    assert_eq!(ids, vec!["R1", "R3", "R5", "R7", "R8", "R9", "R10"]);
     for r in rules {
         assert_eq!(
             r.get("findings").and_then(Json::as_f64),
@@ -73,11 +76,8 @@ fn hatch_counts_are_pinned_per_rule() {
         .collect();
     let expect = [
         ("R1", 6usize), // allow(panic): contracts/plan-cache/template invariants
-        ("R2", 0),
         ("R3", 0),
-        ("R4", 0),
         ("R5", 2), // allow(float-eq): exact sentinel comparisons in dsp/bt
-        ("R6", 0),
         ("R7", 0),
         ("R8", 0),
         ("R9", 0),
@@ -113,8 +113,8 @@ fn gate_actually_scanned_the_tree() {
 
 #[test]
 fn analyzer_passes_its_own_rules() {
-    // Self-lint: the analyzer's own sources are in scope (R1/R2/R4/R7/R8
-    // all apply to `crates/analyze/src`) and must be clean. The workspace
+    // Self-lint: the analyzer's own sources are in scope (R1/R7/R8 all
+    // apply to `crates/analyze/src`) and must be clean. The workspace
     // pass covers them; this pins that they were actually scanned rather
     // than skipped by a scope hole.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -127,16 +127,17 @@ fn analyzer_passes_its_own_rules() {
     assert!(own.is_empty(), "the analyzer fails its own rules:\n{own:#?}");
     let scope = bluefi_analyze::scope_for("crates/analyze/src/rules.rs");
     assert!(
-        scope.no_panics && scope.no_unsafe && scope.doc_comments && scope.adhoc_print,
+        scope.no_panics && scope.adhoc_print && scope.layering,
         "the analyze crate must stay in scope of its own gate"
     );
 }
 
 #[test]
 fn gate_enforces_the_transitive_hot_loop_rule() {
-    // R6 and R10 must be wired into the full pipeline (not just
-    // unit-tested): a known-bad pair of virtual files must fire both, and
-    // the summary line must carry their buckets.
+    // Both halves of R10 must be wired into the full pipeline (not just
+    // unit-tested): a known-bad pair of virtual files must fire a direct
+    // (chain of length 0) and a transitive finding, and the summary line
+    // must carry the R10 bucket.
     let files = vec![
         (
             "crates/dsp/src/gate_probe_leaf.rs".to_string(),
@@ -151,18 +152,11 @@ fn gate_enforces_the_transitive_hot_loop_rule() {
         ),
     ];
     let out = bluefi_analyze::analyze_files(&files);
-    assert!(
-        out.fired.iter().any(|d| d.rule == bluefi_analyze::Rule::HotLoopAlloc),
-        "{:#?}",
-        out.fired
-    );
-    let r10 = out
-        .fired
-        .iter()
-        .find(|d| d.rule == bluefi_analyze::Rule::TransitiveAlloc)
-        .expect("R10 must fire through the call graph");
-    assert!(!r10.chain.is_empty(), "R10 diagnostics carry the allocation chain");
+    let r10: Vec<&bluefi_analyze::Diagnostic> =
+        out.fired.iter().filter(|d| d.rule == bluefi_analyze::Rule::TransitiveAlloc).collect();
+    assert_eq!(r10.len(), 2, "{:#?}", out.fired);
+    assert!(r10[0].chain.is_empty(), "the loop line's own vec! is a direct finding");
+    assert!(!r10[1].chain.is_empty(), "R10 diagnostics carry the allocation chain");
     let report = bluefi_analyze::Report::default();
-    assert!(report.summary().contains("R6=0"), "{}", report.summary());
     assert!(report.summary().contains("R10=0"), "{}", report.summary());
 }
