@@ -264,22 +264,6 @@ pub fn r8_crate_layering(file: &SourceFile, index: &FileIndex, out: &mut Finding
     }
 }
 
-/// Atomic read-modify-write method names (never part of a lost-update
-/// report — they are the fix).
-const ATOMIC_RMW: [&str; 11] = [
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_min",
-    "fetch_max",
-    "fetch_update",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
 /// R9 — atomic-ordering audit.
 ///
 /// Two checks over the token stream of the atomics-bearing crates:
@@ -407,7 +391,6 @@ pub fn r9_atomic_ordering(file: &SourceFile, index: &FileIndex, out: &mut Findin
                 ),
             );
         }
-        let _ = ATOMIC_RMW; // documented fix set; kept for the message/test surface
     }
 }
 

@@ -1,11 +1,11 @@
 //! Bit-packed, branchless trellis engine for the weighted Viterbi
-//! (paper Sec 2.7; the `fec_reversal` hot spot of ROADMAP open item 1).
+//! (paper Sec 2.7; the `fec_reversal` hot spot of ROADMAP open item 2).
 //!
 //! A textbook weighted Viterbi — the reference decoder, kept as the test
 //! oracle `reference` in the crate's `tests/properties.rs` — re-derives
 //! the puncturing phase and branches per transition and per state: for a
 //! BlueFi packet that is ~3.5 million data-dependent branches. This
-//! engine replaces that inner loop with three structural changes, none
+//! engine replaces that inner loop with four structural changes, none
 //! of which alters a single output bit:
 //!
 //! * **Interned trellis plans** — the per-`(rate, length)` walk structure
@@ -14,19 +14,29 @@
 //!   in a process-wide intern table, the same idiom as the FFT plan cache
 //!   (`dsp::fft::fft_plan`). The decode kernel indexes the punctured
 //!   stream in place, with no per-step pattern arithmetic.
-//! * **Branchless add–compare–select** — path metrics live in two flat
-//!   `[u16; 64]` columns swept as 32 butterflies per step (destination
-//!   states `j` and `j + 32` share the same two predecessors, so each
-//!   metric word is loaded once). The branch metric collapses to a
-//!   4-entry table indexed by the 2-bit transition output code
-//!   `(A << 1) | B`, so the kernel contains no data-dependent branches:
-//!   compare, select, accumulate.
-//! * **Bit-packed survivors** — one decision bit per destination state
-//!   packs a whole trellis column into a single `u64`: 8 bytes per step
-//!   instead of a textbook decoder's 64-byte `[u8; 64]` column, an 8×
-//!   cut in survivor-memory traffic (a BlueFi packet's survivor history
-//!   drops from ~1.7 MB to ~210 KB). Traceback walks the packed words
-//!   directly: the decision bit *is* the predecessor's low state bit.
+//! * **Bit-reversed metric order** — path metrics live in two flat
+//!   `[u16; 64]` columns in which state `s` sits at *position*
+//!   `rev6(s)`, its 6-bit reversal (the permuted layout of Karn's libfec
+//!   SSE2 decoders and Spiral's generated decoders). State `s`'s
+//!   successors are `(s >> 1) | input << 5`, so in position space
+//!   destinations `2q` (input 0) and `2q + 1` (input 1) share the
+//!   predecessors at positions `q` (even state) and `q + 32` (odd state):
+//!   each step reads the two halves of the column as contiguous vectors
+//!   and writes its results interleaved — full-width loads, unpack
+//!   stores, no gathers.
+//! * **Branchless add–compare–select** — 32 butterflies per step, each
+//!   loading its two predecessor metrics once. The branch metric
+//!   collapses to a per-butterfly constant mask and its complement (see
+//!   `TrellisPlan::acs`), so the kernel contains no data-dependent
+//!   branches: compare, select, accumulate.
+//! * **Bit-packed survivors** — one decision bit per destination packs a
+//!   whole trellis column into a single `u64`: 8 bytes per step instead
+//!   of a textbook decoder's 64-byte `[u8; 64]` column, an 8× cut in
+//!   survivor-memory traffic (a BlueFi packet's survivor history drops
+//!   from ~1.7 MB to ~210 KB). The step's byte masks fold into the word
+//!   as four 8-byte rows per half (`fold_decisions`). Traceback walks
+//!   the packed words in position space: a position's low bit is the
+//!   decoded input bit, and its decision bit picks the predecessor half.
 //!
 //! ## Bit-exactness proof obligations
 //!
@@ -41,7 +51,10 @@
 //!    packed select uses `m_odd < m_even` for the same effect.
 //! 2. **The final-state argmin selects the lowest state index.** The
 //!    reference `min_by_key` returns the first minimum; the packed scan
-//!    ascends with a strict compare.
+//!    visits *states* in ascending order, each at its bit-reversed
+//!    position, with a strict compare. (The layout is a relabeling of
+//!    the states, so every other metric, decision and tie is the
+//!    state-order kernel's.)
 //! 3. **Sentinel-rooted metrics never win.** The reference decoder skips
 //!    unreachable states; the packed sweep instead lets sentinel-rooted
 //!    metrics participate, which is safe because state 0 reaches every
@@ -102,19 +115,26 @@ pub const MAX_WEIGHT: u32 = 1_165;
 /// [`MAX_WEIGHT`].
 const RENORM_INTERVAL: usize = 8;
 
+/// `v` with its low `n` bits reversed (const-evaluable): `rev(s, 6)` is
+/// the metric position of state `s`, and `rev(q, 5)` the state low bits
+/// of butterfly `q` (see [`TrellisPlan::acs`]).
+const fn rev(v: usize, n: u32) -> usize {
+    v.reverse_bits() >> (usize::BITS - n)
+}
+
 /// All-ones/all-zeros lane masks of one output bit (`bit` = 2 for A,
-/// 1 for B) of the edge arriving at each destination `j < 32` from its
-/// **even** predecessor — the one branch cost the symmetry-folded kernel
-/// computes per butterfly (every other branch cost is its complement;
-/// see [`TrellisPlan::acs`]). As masks, the branch cost becomes pure mask
-/// arithmetic (`weight & (MASK ^ target)`) instead of a lane select —
-/// constant vectors after vectorization.
+/// 1 for B) of the edge into butterfly `q`'s input-0 destination (state
+/// `rev(q, 5)`) from its **even** predecessor — the one branch cost the
+/// symmetry-folded kernel computes per butterfly (every other branch cost
+/// is its complement; see [`TrellisPlan::acs`]). As masks, the branch
+/// cost becomes pure mask arithmetic (`weight & (MASK ^ target)`) instead
+/// of a lane select — constant vectors after vectorization.
 const fn even_code_masks(bit: u8) -> [u16; NUM_STATES / 2] {
     let mut m = [0u16; NUM_STATES / 2];
-    let mut j = 0;
-    while j < NUM_STATES / 2 {
-        m[j] = if CODES[0][j] & bit != 0 { u16::MAX } else { 0 };
-        j += 1;
+    let mut q = 0;
+    while q < NUM_STATES / 2 {
+        m[q] = if CODES[0][rev(q, 5)] & bit != 0 { u16::MAX } else { 0 };
+        q += 1;
     }
     m
 }
@@ -124,18 +144,29 @@ const AMASK: [u16; NUM_STATES / 2] = even_code_masks(2);
 /// Output-B masks; see [`even_code_masks`].
 const BMASK: [u16; NUM_STATES / 2] = even_code_masks(1);
 
-/// `LANE_BIT[j] = 1 << j`: the survivor-word bit a butterfly's decision
-/// occupies, as a constant table so the take-bit packing is a lane-masked
-/// OR reduction the vectorizer folds, not 64 serial shift-or pairs.
-const LANE_BIT: [u32; NUM_STATES / 2] = {
-    let mut t = [0u32; NUM_STATES / 2];
-    let mut j = 0;
-    while j < NUM_STATES / 2 {
-        t[j] = 1 << j;
-        j += 1;
+/// Packs one step's decision masks (`0` or `u8::MAX`; `lo[q]` for
+/// destination position `2q`, `hi[q]` for `2q + 1`) into the survivor
+/// word: byte `i` bit `k` is `lo[8k + i]`, bit `4 + k` is `hi[8k + i]`.
+/// Each 8-mask row is one `u64`, so the fold is eight constant-mask
+/// AND/ORs of whole rows — byte masks narrow from the `u16` compares in
+/// one pack, and the rows stay in vector registers.
+#[inline(always)]
+fn fold_decisions(lo: &[u8; NUM_STATES / 2], hi: &[u8; NUM_STATES / 2]) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let (lo_rows, hi_rows) = (lo.as_chunks::<8>().0, hi.as_chunks::<8>().0);
+    let mut word = 0;
+    for (k, (l, h)) in lo_rows.iter().zip(hi_rows).enumerate() {
+        word |= u64::from_le_bytes(*l) & ONES << k | u64::from_le_bytes(*h) & ONES << (4 + k);
     }
-    t
-};
+    word
+}
+
+/// The survivor-word bit that [`fold_decisions`] gives destination
+/// position `p = 2q + input`: byte `q % 8`, bit `q / 8 + 4 · input`.
+const fn survivor_bit(p: usize) -> usize {
+    let q = p >> 1;
+    8 * (q & 7) + (q >> 3) + 4 * (p & 1)
+}
 
 /// Parity of the set bits of `v` (const-evaluable).
 const fn parity_bit(v: u8) -> u8 {
@@ -172,13 +203,14 @@ const CODES: [[u8; NUM_STATES]; 2] = {
 /// allocation-free.
 #[derive(Debug, Clone)]
 pub struct PackedScratch {
-    /// Current-step path metrics, one renormalized `u16` per state — see
-    /// [`MAX_WEIGHT`].
+    /// Current-step path metrics, one renormalized `u16` per state in
+    /// bit-reversed order (state `s` at `rev6(s)`) — see [`MAX_WEIGHT`].
     cur: Box<[u16; NUM_STATES]>,
     /// Next-step path metrics (ping-pongs with `cur` by pointer swap).
     nxt: Box<[u16; NUM_STATES]>,
-    /// `survivors[t]` bit `s` = the ACS decision at step `t` for
-    /// destination state `s`: 0 selects the even predecessor, 1 the odd.
+    /// `survivors[t]` bit [`survivor_bit`]`(p)` = the ACS decision at step
+    /// `t` for destination position `p`: 0 selects the even predecessor,
+    /// 1 the odd.
     survivors: Vec<u64>,
 }
 
@@ -301,31 +333,39 @@ impl TrellisPlan {
             Some(w) => self.acs(target, |i| w[i] as u16, cur, nxt, survivors, terminate),
             None => self.acs(target, |_| 1, cur, nxt, survivors, terminate),
         };
-        // Walk the packed survivor history backward, emitting one decoded
-        // bit per step. The decision bit of a destination state *is* the
-        // low bit of its predecessor: `prev = ((state & 31) << 1) | bit`.
-        // Decoded bits shift into a word from the top, which is written
-        // whole when the walk reaches its first step.
-        let mut state = start;
+        // Walk the packed survivor history backward in position space,
+        // emitting one decoded bit per step. Position `p`'s low bit is its
+        // state's input bit, and its predecessors sit at `p >> 1` (even)
+        // and `(p >> 1) + 32` (odd), so the decision bit is the
+        // predecessor's top position bit. `p` is held as `low = p & 31`
+        // and `top = p >> 5`, with `survivor_bit(p) = survivor_bit(low) +
+        // 2 · top`: `low` depends only on older decisions, so the serial
+        // chain per step is one add, one shift and one mask. Decoded bits
+        // shift into a word from the top, which is written whole when the
+        // walk reaches its first step.
+        let (mut low, mut top) = (start & 31, start >> 5);
         let mut acc = 0u64;
         for (t, &word) in survivors.iter().enumerate().rev() {
-            acc = acc << 1 | (state >> 5) as u64;
+            acc = acc << 1 | (low & 1) as u64;
             if t % 64 == 0 {
                 out.store(t, acc, (self.steps - t).min(64));
                 acc = 0;
             }
-            let bit = (word >> state) & 1;
-            state = ((state & 31) << 1) | bit as usize;
+            let bit = (word >> (survivor_bit(low) + 2 * top)) & 1;
+            low = low >> 1 | top << 4;
+            top = bit as usize;
         }
     }
 
-    /// The forward add–compare–select sweep; returns the traceback's
-    /// start state.
+    /// The forward add–compare–select sweep over the bit-reversed metric
+    /// columns; returns the traceback's start position.
     ///
-    /// The kernel leans on a symmetry of the (133,171) generators: both
-    /// polynomials tap the current input (window bit 6) *and* the oldest
-    /// state bit (window bit 0), so toggling either the input bit or the
-    /// predecessor parity flips **both** output bits —
+    /// Butterfly `q` joins states `2j` and `2j + 1` (positions `q` and
+    /// `q + 32`) to states `j` and `j + 32` (positions `2q` and `2q + 1`),
+    /// with `j = rev5(q)`. The kernel leans on a symmetry of the (133,171)
+    /// generators: both polynomials tap the current input (window bit 6)
+    /// *and* the oldest state bit (window bit 0), so toggling either the
+    /// input bit or the predecessor parity flips **both** output bits —
     /// `CODES[1][j] = CODES[0][j] ^ 3` and `CODES[k][j + 32] = CODES[k][j] ^ 3`
     /// (pinned by a unit test below). With per-step emission costs
     /// `ca0/ca1` (for output A = 0/1) and `cb0/cb1`, the four branch
@@ -339,9 +379,9 @@ impl TrellisPlan {
     /// Tie-breaks use `odd < even`, so ties select the even predecessor —
     /// matching the reference decoder, which visits predecessors ascending
     /// and replaces only on strictly smaller metric. The final-state argmin
-    /// scans ascending with a strict compare (first minimum), mirroring the
-    /// reference `min_by_key`. Unreachable states decay from the
-    /// [`INF16`] sentinel within `MEMORY` steps (state 0 reaches every
+    /// scans states ascending with a strict compare (first minimum),
+    /// mirroring the reference `min_by_key`. Unreachable states decay from
+    /// the [`INF16`] sentinel within `MEMORY` steps (state 0 reaches every
     /// state in 6 transitions), so no clamp is needed: sentinel-rooted
     /// metrics stay strictly above every reachable metric while they exist
     /// (see [`MAX_WEIGHT`]).
@@ -354,14 +394,22 @@ impl TrellisPlan {
         survivors: &mut [u64],
         terminate: bool,
     ) -> usize {
-        /// One trellis step: 32 butterflies (destinations `j` for input 0
-        /// and `j + 32` for input 1 share predecessors `2j` and `2j + 1`,
-        /// loaded once), with the even-predecessor branch cost supplied by
-        /// `x_of` so rate-punctured steps that transmit a single bit (4 of
-        /// every 5 at R5/6, the BlueFi hot path) pay for one mask chain
-        /// instead of two. Everything inside is constant-mask arithmetic,
-        /// a compare, and a select — branchless, cross-iteration-independent,
-        /// lane-parallel. Returns the packed survivor word.
+        /// One trellis step: 32 butterflies. Butterfly `q` reads its two
+        /// predecessors at positions `q` (even) and `q + 32` (odd) — the two
+        /// contiguous halves of the column — and writes destinations `2q`
+        /// (input 0) and `2q + 1` (input 1), with the even-predecessor
+        /// branch cost supplied by `x_of` so rate-punctured steps that
+        /// transmit a single bit (4 of every 5 at R5/6, the BlueFi hot path)
+        /// pay for one mask chain instead of two. Everything inside is
+        /// constant-mask arithmetic, a compare, and a select — branchless,
+        /// cross-iteration-independent, lane-parallel. Returns the packed
+        /// survivor word.
+        ///
+        /// The metrics go to separate `lo`/`hi` arrays that a second loop
+        /// interleaves, and the decisions are byte masks. Measured on the
+        /// SSE2 baseline, storing `n[2q]`/`n[2q + 1]` inside the butterfly
+        /// loop decodes about 1.5× slower, and `u16` masks (whose fold
+        /// compiles to a shift chain) about 1.25× slower.
         #[inline(always)]
         fn step<F: Fn(usize) -> u16>(
             c: &[u16; NUM_STATES],
@@ -369,44 +417,33 @@ impl TrellisPlan {
             tot: u16,
             x_of: F,
         ) -> u64 {
-            // Decision masks land in `u32` cells: survivor-word lane
-            // width, and — measured — the vector factor this pins is the
-            // fastest configuration (wider factors push the stride-2
-            // metric loads into scalar gathers that cost more than the
-            // extra lanes recover).
-            let mut take_lo = [0u32; NUM_STATES / 2];
-            let mut take_hi = [0u32; NUM_STATES / 2];
-            for j in 0..NUM_STATES / 2 {
-                let x = x_of(j);
+            const H: usize = NUM_STATES / 2;
+            let (mut lo, mut hi) = ([0u16; H], [0u16; H]);
+            let (mut ml, mut mh) = ([0u8; H], [0u8; H]);
+            for q in 0..H {
+                let x = x_of(q);
                 let y = tot - x;
-                let m0 = c[2 * j];
-                let m1 = c[2 * j + 1];
+                let m0 = c[q];
+                let m1 = c[H + q];
                 let lo0 = m0 + x;
                 let lo1 = m1 + y;
                 // Every metric stays below the signed midpoint (see
                 // `MAX_WEIGHT`), so the signed compare is the unsigned
                 // one — minus the SIMD sign-bias fixups.
                 let tl = (lo1 as i16) < (lo0 as i16); // tie -> even
-                n[j] = if tl { lo1 } else { lo0 };
+                lo[q] = if tl { lo1 } else { lo0 };
                 let hi0 = m0 + y;
                 let hi1 = m1 + x;
                 let th = (hi1 as i16) < (hi0 as i16);
-                n[NUM_STATES / 2 + j] = if th { hi1 } else { hi0 };
-                take_lo[j] = if tl { u32::MAX } else { 0 };
-                take_hi[j] = if th { u32::MAX } else { 0 };
+                hi[q] = if th { hi1 } else { hi0 };
+                ml[q] = if tl { u8::MAX } else { 0 };
+                mh[q] = if th { u8::MAX } else { 0 };
             }
-            // Fold the decision masks into the survivor word: two pure OR
-            // reductions over constant lane bits, which the vectorizer
-            // keeps in SIMD accumulators.
-            let mut lo_word = 0u32;
-            for j in 0..NUM_STATES / 2 {
-                lo_word |= take_lo[j] & LANE_BIT[j];
+            for q in 0..H {
+                n[2 * q] = lo[q];
+                n[2 * q + 1] = hi[q];
             }
-            let mut hi_word = 0u32;
-            for j in 0..NUM_STATES / 2 {
-                hi_word |= take_hi[j] & LANE_BIT[j];
-            }
-            lo_word as u64 | (hi_word as u64) << (NUM_STATES / 2)
+            fold_decisions(&ml, &mh)
         }
 
         cur.fill(INF16);
@@ -427,17 +464,17 @@ impl TrellisPlan {
                     let ta = if target.get(off) { u16::MAX } else { 0 };
                     let wb = weight_of(off + 1);
                     let tb = if target.get(off + 1) { u16::MAX } else { 0 };
-                    step(c, n, wa + wb, |j| (wa & (AMASK[j] ^ ta)) + (wb & (BMASK[j] ^ tb)))
+                    step(c, n, wa + wb, |q| (wa & (AMASK[q] ^ ta)) + (wb & (BMASK[q] ^ tb)))
                 }
                 (true, false) => {
                     let wa = weight_of(off);
                     let ta = if target.get(off) { u16::MAX } else { 0 };
-                    step(c, n, wa, |j| wa & (AMASK[j] ^ ta))
+                    step(c, n, wa, |q| wa & (AMASK[q] ^ ta))
                 }
                 (false, true) => {
                     let wb = weight_of(off);
                     let tb = if target.get(off) { u16::MAX } else { 0 };
-                    step(c, n, wb, |j| wb & (BMASK[j] ^ tb))
+                    step(c, n, wb, |q| wb & (BMASK[q] ^ tb))
                 }
                 (false, false) => step(c, n, 0, |_| 0),
             };
@@ -456,16 +493,18 @@ impl TrellisPlan {
         if terminate {
             0
         } else {
-            // First minimal metric, ascending — the reference argmin.
+            // First minimal metric in ascending *state* order — the
+            // reference argmin — returned as a position.
             let mut best = cur[0];
-            let mut state = 0usize;
-            for (i, &m) in cur.iter().enumerate() {
-                if m < best {
-                    best = m;
-                    state = i;
+            let mut pos = 0;
+            for s in 0..NUM_STATES {
+                let p = rev(s, 6);
+                if cur[p] < best {
+                    best = cur[p];
+                    pos = p;
                 }
             }
-            state
+            pos
         }
     }
 }
@@ -533,11 +572,52 @@ mod tests {
                 assert_eq!(codes[j + 32], codes[j] ^ 3, "input flip, j {j} side {k}");
             }
         }
-        // And the const masks are exactly the even-predecessor code bits.
-        for j in 0..NUM_STATES / 2 {
-            assert_eq!(AMASK[j] == u16::MAX, CODES[0][j] & 2 != 0);
-            assert_eq!(BMASK[j] == u16::MAX, CODES[0][j] & 1 != 0);
+        // And the const masks of butterfly `q` are exactly the code bits of
+        // the edge from its even predecessor into state `rev5(q)`.
+        for q in 0..NUM_STATES / 2 {
+            let j = rev(q, 5);
+            assert_eq!(AMASK[q] == u16::MAX, CODES[0][j] & 2 != 0, "A, q {q}");
+            assert_eq!(BMASK[q] == u16::MAX, CODES[0][j] & 1 != 0, "B, q {q}");
         }
+    }
+
+    #[test]
+    fn position_arithmetic_walks_the_encoder_trellis() {
+        // Every (state, input) edge, in bit-reversed position space: the
+        // ACS reads destination `p`'s predecessors at `p >> 1` (even) and
+        // `(p >> 1) + 32` (odd), the decoded bit is `p & 1`, and the
+        // traceback's split of the survivor bit holds.
+        for s in 0..NUM_STATES {
+            for input in [false, true] {
+                let ns = transition_next(s as u8, input) as usize;
+                let (p, pred) = (rev(ns, 6), rev(s, 6));
+                assert_eq!(p & 1 == 1, input, "decoded bit, state {s}");
+                assert_eq!(p >> 1 | (s & 1) << 5, pred, "predecessor, state {s}");
+                assert_eq!(survivor_bit(p), survivor_bit(p & 31) + 2 * (p >> 5));
+            }
+        }
+        // Butterfly `q`'s even predecessor is state `2 · rev5(q)`, and its
+        // input-0 destination is state `rev5(q)`.
+        for q in 0..NUM_STATES / 2 {
+            assert_eq!(rev(2 * rev(q, 5), 6), q);
+            assert_eq!(rev(rev(q, 5), 6), 2 * q);
+        }
+    }
+
+    #[test]
+    fn fold_places_each_decision_at_its_survivor_bit() {
+        // One decision at a time: destination `2q` sets `lo[q]`, `2q + 1`
+        // sets `hi[q]`, and the fold must land it on `survivor_bit`,
+        // which is therefore a permutation of the 64 word bits.
+        let mut seen = 0u64;
+        for p in 0..NUM_STATES {
+            let (mut lo, mut hi) = ([0u8; NUM_STATES / 2], [0u8; NUM_STATES / 2]);
+            [&mut lo, &mut hi][p & 1][p >> 1] = u8::MAX;
+            let word = fold_decisions(&lo, &hi);
+            assert_eq!(word, 1 << survivor_bit(p), "position {p}");
+            seen |= word;
+        }
+        assert_eq!(seen, u64::MAX);
     }
 
     #[test]

@@ -448,12 +448,16 @@ fn reference(rate: CodeRate, tx: &[bool], weights: Option<&[u32]>, terminate: bo
 fn packed_engine_matches_scalar_reference() {
     // The bit-packed trellis engine must agree with the reference decoder
     // on every rate, termination mode, corruption pattern, and weight the
-    // engine accepts: unweighted, or any weight up to `MAX_WEIGHT`.
+    // engine accepts: unweighted, or any weight up to `MAX_WEIGHT`. Streams
+    // run up to 600 steps, so they cross the renormalization interval and
+    // the traceback's 64-step output words many times over.
     check(
         "packed_engine_matches_scalar_reference",
         |rng| {
-            // 30 = lcm of the puncturing periods, so every rate divides.
-            let data = bools(rng, 30..31);
+            // Multiples of 30 = lcm of the puncturing periods, so every
+            // rate divides.
+            let n = 30 * rng.gen_range(1usize..21);
+            let data = bools(rng, n..n + 1);
             let rate_idx = rng.gen_range(0usize..4);
             let weighted = rng.gen::<bool>();
             let terminate = rng.gen::<bool>();

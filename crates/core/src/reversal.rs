@@ -119,7 +119,7 @@ pub fn reverse_fec_packed(
 /// [`reverse_fec_packed`] on a `bool` stream: packs `coded`, delegates,
 /// and unpacks the decode into `out`. Kept for the layered cold pipeline
 /// of the standalone benchmark until it moves to the packed entry points
-/// (ROADMAP item 9).
+/// (ROADMAP item 11).
 pub fn reverse_fec_with(
     coded: &[bool],
     weights: &[u32],
@@ -205,7 +205,7 @@ pub fn extract_psdu_packed(scrambled: &BitVec, seed: u8, psdu: &mut Vec<u8>) -> 
 
 /// [`extract_psdu_packed`] on a `bool` stream, which is only read: packs
 /// it and delegates. Kept for the layered cold pipeline of the standalone
-/// benchmark until it moves to the packed entry points (ROADMAP item 9).
+/// benchmark until it moves to the packed entry points (ROADMAP item 11).
 pub fn extract_psdu_into(scrambled: &[bool], seed: u8, psdu: &mut Vec<u8>) -> usize {
     extract_psdu_packed(&BitVec::from_bools(scrambled), seed, psdu)
 }
