@@ -3,6 +3,8 @@
 //! Walks the [`tokenize`] output once and records
 //! every `fn` item with its visibility, enclosing `mod`/`impl` context,
 //! crate-qualified path, body span (token and line ranges) and test-ness,
+//! the other named items (`const`, `static`, `struct`, `enum`, `trait`,
+//! `type`) with their visibility and test-ness,
 //! plus the file's `use`-imports (local name → originating workspace
 //! crate). This is what the cross-file rules resolve against; it is *not* a
 //! Rust parser — the recognizer is a linear scan with brace/paren depth
@@ -47,6 +49,22 @@ pub struct FnItem {
     pub is_test: bool,
 }
 
+/// One indexed non-`fn` item: a `const`, `static`, `struct`, `enum`,
+/// `trait` or `type`.
+#[derive(Debug, Clone)]
+pub struct Item {
+    /// The item keyword (`const`, `struct`, ...).
+    pub kind: &'static str,
+    /// Item name.
+    pub name: String,
+    /// Visibility of the item.
+    pub vis: Vis,
+    /// 1-based line of the item keyword.
+    pub line: usize,
+    /// True when the item sits inside a `#[cfg(test)]` region.
+    pub is_test: bool,
+}
+
 /// Where a `use`-imported name comes from.
 #[derive(Debug, Clone)]
 pub struct UseImport {
@@ -71,6 +89,8 @@ pub struct FileIndex {
     pub toks: Vec<Tok>,
     /// Every indexed function, in source order.
     pub fns: Vec<FnItem>,
+    /// Every indexed non-`fn` item, in source order.
+    pub items: Vec<Item>,
     /// `use`-imports mapping local names to workspace crates.
     pub uses: Vec<UseImport>,
     /// Per-line flag: true when the line starts inside a `for`/`while`
@@ -111,6 +131,9 @@ fn module_of(rel_path: &str, krate: &str) -> String {
     module
 }
 
+/// The non-`fn` item keywords the index records as [`Item`]s.
+const ITEM_KINDS: [&str; 6] = ["const", "static", "struct", "enum", "trait", "type"];
+
 #[derive(Debug, Clone, PartialEq)]
 enum Pending {
     Fn(usize), // index into fns being built
@@ -133,6 +156,7 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
     let module =
         krate.as_deref().map(|k| module_of(&file.rel_path, k)).unwrap_or_default();
     let mut fns: Vec<FnItem> = Vec::new();
+    let mut items: Vec<Item> = Vec::new();
     let mut uses: Vec<UseImport> = Vec::new();
     let own_crate = krate.clone().unwrap_or_default();
 
@@ -265,8 +289,26 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
                             .unwrap_or(toks.len());
                         collect_use_imports(&toks[i + 1..end], &own_crate, &mut uses);
                         i = end;
+                        boundary = end + 1;
                     }
-                    _ => {}
+                    word => {
+                        // `const fn` is a function, `const _` has no name.
+                        let kind = ITEM_KINDS.iter().find(|k| **k == word);
+                        let name_tok = toks
+                            .get(i + 1)
+                            .filter(|n| n.kind == TokKind::Ident)
+                            .filter(|n| !matches!(n.text.as_str(), "fn" | "unsafe" | "_"));
+                        if let (Some(&kind), Some(name_tok)) = (kind, name_tok) {
+                            items.push(Item {
+                                kind,
+                                name: name_tok.text.clone(),
+                                vis: visibility_of(&toks[boundary..i]),
+                                line: t.line,
+                                is_test: in_test_line(t.line),
+                            });
+                            i += 1;
+                        }
+                    }
                 }
             }
             _ => {}
@@ -275,10 +317,10 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
     }
 
     let in_loop = loop_lines(file);
-    FileIndex { rel_path: file.rel_path.clone(), krate, module, toks, fns, uses, in_loop }
+    FileIndex { rel_path: file.rel_path.clone(), krate, module, toks, fns, items, uses, in_loop }
 }
 
-/// Visibility from the modifier tokens preceding a `fn` keyword.
+/// Visibility from the modifier tokens preceding an item keyword.
 fn visibility_of(prefix: &[Tok]) -> Vis {
     for (i, t) in prefix.iter().enumerate() {
         if t.is_ident("pub") {
@@ -438,6 +480,37 @@ mod tests {
     }
 
     #[test]
+    fn named_items_carry_kind_and_visibility() {
+        let src = "pub const A: u8 = 1;\npub(crate) static B: u8 = 2;\nstruct C;\n\
+                   pub enum D { X }\npub trait E {}\npub type F = u8;\n\
+                   pub const fn g() {}\nconst _: () = ();\n\
+                   impl C {\n    pub const H: u8 = 3;\n}\n\
+                   #[cfg(test)]\nmod tests {\n    pub struct T;\n}\n";
+        let idx = index(src);
+        let got: Vec<(&str, &str, Vis, bool)> = idx
+            .items
+            .iter()
+            .map(|it| (it.kind, it.name.as_str(), it.vis, it.is_test))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("const", "A", Vis::Public, false),
+                ("static", "B", Vis::Restricted, false),
+                ("struct", "C", Vis::Private, false),
+                ("enum", "D", Vis::Public, false),
+                ("trait", "E", Vis::Public, false),
+                ("type", "F", Vis::Public, false),
+                ("const", "H", Vis::Public, false),
+                ("struct", "T", Vis::Public, true),
+            ]
+        );
+        // `const fn` stays a function.
+        assert_eq!(idx.fns[0].name, "g");
+        assert_eq!(idx.fns[0].vis, Vis::Public);
+    }
+
+    #[test]
     fn impl_and_mod_context_qualify_names() {
         let src = "impl Plan {\n    pub fn new() -> Plan { Plan }\n}\n\
                    impl Iterator for Plan {\n    fn next(&mut self) -> Option<u8> { None }\n}\n\
@@ -474,7 +547,7 @@ mod tests {
     fn use_imports_map_to_workspace_crates() {
         let src = "use bluefi_dsp::fft::{fft_into, FftPlan};\n\
                    use bluefi_coding::viterbi::decode_punctured as vdecode;\n\
-                   use std::collections::HashMap;\nuse crate::bits::pack;\n";
+                   use std::collections::HashMap;\npub use crate::bits::pack;\nfn after() {}\n";
         let idx = index_file(&SourceFile::parse("crates/wifi/src/x.rs", src));
         let got: Vec<(&str, &str)> =
             idx.uses.iter().map(|u| (u.name.as_str(), u.krate.as_str())).collect();
@@ -487,6 +560,8 @@ mod tests {
                 ("pack", "wifi")
             ]
         );
+        // A `pub use` ends the item prefix: the fn after it is private.
+        assert_eq!(idx.fns[0].vis, Vis::Private);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! 4. [`callgraph`] — a workspace symbol table and conservative call
 //!    graph for the cross-file rule R10.
 //!
+//! The linted sources are `crates/*/src`. The cross-file rule R11 also
+//! reads every other workspace `.rs` file (integration tests, examples,
+//! the root facade, `benchmark/src`) for its identifier tokens; those
+//! files are not linted.
+//!
 //! What rustc already checks is left to rustc: the root `Cargo.toml` sets
 //! `unsafe_code = "forbid"` and `missing_docs = "deny"` under
 //! `[workspace.lints.rust]`, and R3 checks that every member opts in.
@@ -42,10 +47,13 @@
 //!   `eprint!` in library crates — route output through the telemetry
 //!   recorder or a `core::telemetry::Table`; escape hatch
 //!   `// lint: allow(print) <reason>`.
-//! * **R8 crate-layering** — no `bluefi_<x>` reference from a crate on the
-//!   same layer or below `<x>` in the dependency DAG
-//!   ([`callgraph::LAYERS`]); manifest `[dependencies]` are checked too;
-//!   escape hatch `// lint: allow(layering) <reason>`.
+//! * **R8 crate-layering** — every shipped `bluefi-<x>` dependency of a
+//!   crate (`[dependencies]`, `[dependencies.<x>]`, target and
+//!   `[build-dependencies]` tables) sits strictly below it in the layer
+//!   DAG ([`callgraph::LAYERS`]). Manifest-only: rustc rejects a
+//!   `bluefi_<x>` path in non-test code unless `<x>` is such a dependency,
+//!   so a downward-only dependency graph already keeps the references
+//!   downward.
 //! * **R9 atomic-ordering** — every `Ordering::SeqCst`/`AcqRel` in the
 //!   atomics-bearing crates (`core`/`coding`/`dsp`) needs
 //!   `// lint: allow(atomic-ordering) <reason>`, and a `.load(..)` followed
@@ -57,6 +65,12 @@
 //!   reached through the call graph (flagged at the call site with the
 //!   allocation chain) — hoist it, use a plan cache or a reused scratch
 //!   buffer; escape hatch `// lint: allow(r10) <reason>`.
+//! * **R11 unused-public** — no plain-`pub` item in `crates/*/src` whose
+//!   name occurs only in its own declaration, its own file's
+//!   `#[cfg(test)]` code and `use` lines (rustc's `dead_code` lint cannot
+//!   see unused `pub` items of a library). Name-based, so it can miss a
+//!   dead item but never flags a used one; escape hatch
+//!   `// lint: allow(r11) <reason>`.
 //!
 //! Hatched (suppressed) findings are reported separately so the gate can
 //! pin exact hatch counts — a new hatch is a visible diff, never silent.
@@ -85,7 +99,8 @@ pub enum Rule {
     NoFloatEq,
     /// R7 — no ad-hoc `println!`-family output in library crates.
     AdhocPrint,
-    /// R8 — crate-layering: no upward or sibling `bluefi_*` references.
+    /// R8 — crate-layering: no upward or sibling shipped `bluefi-*`
+    /// dependency in a crate manifest.
     CrateLayering,
     /// R9 — atomic-ordering audit: strong orderings need a reason, and
     /// load→store windows on one atomic are lost-update races.
@@ -93,11 +108,13 @@ pub enum Rule {
     /// R10 — no allocation under hot loops, written directly on the loop
     /// line or reached through the call graph.
     TransitiveAlloc,
+    /// R11 — no public item that nothing outside its own tests names.
+    UnusedPublic,
 }
 
 impl Rule {
     /// All rules in reporting order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NoPanics,
         Rule::HermeticManifests,
         Rule::NoFloatEq,
@@ -105,9 +122,10 @@ impl Rule {
         Rule::CrateLayering,
         Rule::AtomicOrdering,
         Rule::TransitiveAlloc,
+        Rule::UnusedPublic,
     ];
 
-    /// Short code, `R1`..`R10`. Stable: the JSON schema and the gate key
+    /// Short code, `R1`..`R11`. Stable: the JSON schema and the gate key
     /// on these, so retired rules leave gaps rather than renumbering.
     pub fn code(self) -> &'static str {
         match self {
@@ -118,6 +136,7 @@ impl Rule {
             Rule::CrateLayering => "R8",
             Rule::AtomicOrdering => "R9",
             Rule::TransitiveAlloc => "R10",
+            Rule::UnusedPublic => "R11",
         }
     }
 
@@ -131,6 +150,7 @@ impl Rule {
             Rule::CrateLayering => "crate-layering",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::TransitiveAlloc => "no-transitive-hot-loop-alloc",
+            Rule::UnusedPublic => "unused-public",
         }
     }
 }
@@ -225,9 +245,6 @@ pub struct Scope {
     /// R7 applies (library crates whose output belongs in telemetry;
     /// binaries exempt).
     pub adhoc_print: bool,
-    /// R8 applies (every in-crate source; the layer table decides which
-    /// references are upward).
-    pub layering: bool,
     /// R9 applies (atomics-bearing crates: `core`/`coding`/`dsp`).
     pub atomics: bool,
 }
@@ -255,35 +272,39 @@ pub fn scope_for(rel_path: &str) -> Scope {
                 krate,
                 "dsp" | "coding" | "wifi" | "bt" | "core" | "sim" | "apps" | "analyze" | "service"
             ),
-        layering: true,
         atomics: !is_binary && matches!(krate, "core" | "coding" | "dsp" | "service"),
     }
 }
 
 /// Runs every applicable per-file rule over one file's text and returns
-/// both fired and hatched findings. The cross-file rule R10 needs the
-/// whole workspace — use [`analyze_files`] for that.
+/// both fired and hatched findings. The cross-file rules R10 and R11 need
+/// the whole workspace — use [`analyze_files`] for those.
 pub fn scan_source_full(rel_path: &str, text: &str) -> Findings {
-    let scope = scope_for(rel_path);
-    let file = SourceFile::parse(rel_path, text);
-    let index = items::index_file(&file);
     let mut out = Findings::default();
+    per_file_rules(&analyzed(rel_path, text), &mut out);
+    out
+}
+
+fn analyzed(rel_path: &str, text: &str) -> callgraph::AnalyzedFile {
+    let source = SourceFile::parse(rel_path, text);
+    let index = items::index_file(&source);
+    callgraph::AnalyzedFile { source, index }
+}
+
+fn per_file_rules(file: &callgraph::AnalyzedFile, out: &mut Findings) {
+    let scope = scope_for(&file.source.rel_path);
     if scope.no_panics {
-        rules::r1_no_panics(&file, &mut out);
+        rules::r1_no_panics(&file.source, out);
     }
     if scope.no_float_eq {
-        rules::r5_no_float_eq(&file, &mut out);
+        rules::r5_no_float_eq(&file.source, out);
     }
     if scope.adhoc_print {
-        rules::r7_no_adhoc_print(&file, &mut out);
-    }
-    if scope.layering {
-        rules::r8_crate_layering(&file, &index, &mut out);
+        rules::r7_no_adhoc_print(&file.source, out);
     }
     if scope.atomics {
-        rules::r9_atomic_ordering(&file, &index, &mut out);
+        rules::r9_atomic_ordering(&file.source, &file.index, out);
     }
-    out
 }
 
 /// The result of a full workspace pass.
@@ -326,7 +347,7 @@ impl Report {
     }
 
     /// One-line machine-readable summary, e.g.
-    /// `R1=0 R3=0 .. R10=0 total=0 hatched=8 files=58 manifests=12 status=clean`.
+    /// `R1=0 R3=0 .. R11=0 total=0 hatched=8 files=58 manifests=12 status=clean`.
     pub fn summary(&self) -> String {
         let counts = self.counts();
         let per_rule: Vec<String> = Rule::ALL
@@ -445,53 +466,60 @@ impl Report {
 }
 
 /// Runs the full multi-pass pipeline — the per-file rules plus the
-/// cross-file call-graph rule R10 — over in-memory `(rel_path, text)`
-/// pairs. This is the core of [`analyze_workspace`] and the entry point
-/// the R10 fixtures use.
+/// cross-file rules R10 and R11 — over in-memory `(rel_path, text)`
+/// pairs. Files outside `crates/*/src` are in no rule's scope; R11 reads
+/// them for callers only. This is the core of [`analyze_workspace`] and
+/// the entry point the R10 and R11 fixtures use.
 pub fn analyze_files(files: &[(String, String)]) -> Findings {
     let mut out = Findings::default();
-    let mut analyzed = Vec::with_capacity(files.len());
-    for (rel, text) in files {
-        out.extend(scan_source_full(rel, text));
-        let source = SourceFile::parse(rel, text);
-        let index = items::index_file(&source);
-        analyzed.push(callgraph::AnalyzedFile { source, index });
+    let files: Vec<callgraph::AnalyzedFile> =
+        files.iter().map(|(rel, text)| analyzed(rel, text)).collect();
+    for file in &files {
+        per_file_rules(file, &mut out);
     }
-    callgraph::r10_transitive_alloc(&analyzed, &mut out);
+    callgraph::r10_transitive_alloc(&files, &mut out);
+    rules::r11_unused_public(&files, &mut out);
     out
 }
 
 /// Scans the whole workspace rooted at `root` (the directory holding the
 /// top-level `Cargo.toml`): all `crates/*/src/**/*.rs` sources plus every
-/// manifest. Fails with a message when the tree cannot be read.
+/// manifest, with the rest of the workspace's `.rs` files read for R11's
+/// callers. Fails with a message when the tree cannot be read.
 pub fn analyze_workspace(root: &Path) -> Result<Report, String> {
     let mut report = Report::default();
 
     // Sources: load the whole tree, then run the multi-pass pipeline so
-    // R10 sees every crate at once.
+    // R10 and R11 see every crate at once. The linted sources come first,
+    // then the caller-only directories (the analyzer's own fixtures are
+    // never compiled and name nothing).
     let crates_dir = root.join("crates");
+    let crate_dirs = sorted_dirs(&crates_dir)?;
+    let fixtures = root.join("crates/analyze/tests/fixtures");
+    let mut dirs: Vec<PathBuf> = crate_dirs.iter().map(|c| c.join("src")).collect();
+    dirs.extend(crate_dirs.iter().map(|c| c.join("tests")));
+    dirs.extend(["tests", "examples", "src", "benchmark/src"].map(|d| root.join(d)));
     let mut sources: Vec<(String, String)> = Vec::new();
-    for crate_dir in sorted_dirs(&crates_dir)? {
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
+    for dir in &dirs {
+        if !dir.is_dir() {
             continue;
         }
-        for file in rust_files(&src)? {
+        for file in rust_files(dir)?.into_iter().filter(|f| !f.starts_with(&fixtures)) {
             let rel = relative_to(&file, root);
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
             sources.push((rel, text));
         }
     }
-    report.files_scanned = sources.len();
+    report.files_scanned = sources.iter().filter(|(rel, _)| items::crate_of(rel).is_some()).count();
     let findings = analyze_files(&sources);
     report.diagnostics = findings.fired;
     report.hatched = findings.hatched;
 
     // Manifests: workspace root + one per crate. R3 (hermetic deps and the
-    // workspace-lints opt-in) plus the R8 manifest-level layering check.
+    // workspace-lints opt-in) plus R8 (downward-only shipped dependencies).
     let mut manifest_paths = vec![root.join("Cargo.toml")];
-    for crate_dir in sorted_dirs(&crates_dir)? {
+    for crate_dir in crate_dirs {
         let m = crate_dir.join("Cargo.toml");
         if m.is_file() {
             manifest_paths.push(m);
@@ -562,18 +590,17 @@ mod tests {
     fn scope_rules() {
         let s = scope_for("crates/dsp/src/fft.rs");
         assert!(s.no_panics && s.no_float_eq);
-        assert!(s.hot_loop_alloc && s.layering && s.atomics);
+        assert!(s.hot_loop_alloc && s.atomics);
         let s = scope_for("crates/coding/src/viterbi.rs");
         assert!(s.hot_loop_alloc && !s.no_float_eq && s.atomics);
         let s = scope_for("crates/core/src/pipeline.rs");
         assert!(!s.hot_loop_alloc && s.no_float_eq && s.atomics);
         let s = scope_for("crates/sim/src/mac.rs");
         assert!(s.no_panics && !s.no_float_eq);
-        assert!(!s.hot_loop_alloc && s.adhoc_print && s.layering && !s.atomics);
+        assert!(!s.hot_loop_alloc && s.adhoc_print && !s.atomics);
         let s = scope_for("crates/bench/src/bin/fig5_distance.rs");
         assert!(!s.no_panics && !s.hot_loop_alloc);
         assert!(!s.adhoc_print, "binaries may print");
-        assert!(s.layering, "binaries still respect the layer DAG");
         let s = scope_for("crates/bench/src/lib.rs");
         assert!(!s.adhoc_print, "the bench reporter prints by design");
         let s = scope_for("crates/apps/src/audio.rs");
@@ -585,7 +612,7 @@ mod tests {
         let s = scope_for("crates/service/src/bin/bluefi-serviced.rs");
         assert!(!s.no_panics && !s.adhoc_print, "the daemon binary may print");
         let s = scope_for("tests/e2e_audio.rs");
-        assert!(!s.no_panics && !s.layering);
+        assert!(!s.no_panics && !s.adhoc_print);
     }
 
     #[test]
@@ -593,7 +620,7 @@ mod tests {
         let mut r = Report { files_scanned: 3, manifests_scanned: 2, ..Default::default() };
         assert_eq!(
             r.summary(),
-            "R1=0 R3=0 R5=0 R7=0 R8=0 R9=0 R10=0 \
+            "R1=0 R3=0 R5=0 R7=0 R8=0 R9=0 R10=0 R11=0 \
              total=0 hatched=0 files=3 manifests=2 status=clean"
         );
         r.diagnostics.push(Diagnostic::new(Rule::NoPanics, "x.rs", 1, "m".into()));

@@ -19,27 +19,34 @@
 
 use crate::{Diagnostic, Rule};
 
-/// Section headers whose entries must all be `bluefi*` crates.
-const DEP_SECTIONS: [&str; 5] = [
-    "dependencies",
-    "dev-dependencies",
-    "build-dependencies",
-    "workspace.dependencies",
-    "target", // any `[target.'cfg(..)'.dependencies]` style table
-];
-
 /// Registry crates that must never reappear in any manifest (the in-tree
 /// replacements live in `bluefi-core`).
 const BANNED_NAMES: [&str; 7] =
     ["rand", "proptest", "criterion", "crossbeam", "parking_lot", "serde", "bytes"];
 
-/// True if the `[section]` header opens a dependency table.
-fn is_dep_section(header: &str) -> bool {
-    DEP_SECTIONS.iter().any(|s| {
-        header == *s
-            || header.ends_with(&format!(".{s}"))
-            || (*s == "target" && header.starts_with("target.") && header.contains("dependencies"))
-    })
+/// Classifies a `[section]` header that opens a dependency table:
+/// `[dependencies]`, `[dev-dependencies]` or `[build-dependencies]` (the
+/// returned kind), each optionally under `workspace.` or `target.<cfg>.`,
+/// and each optionally naming the one dependency it declares
+/// (`[dependencies.<name>]`). Anything else is `None`.
+fn dep_table(header: &str) -> Option<(&'static str, Option<&str>)> {
+    let prefix_ok =
+        |p: &str| p.is_empty() || p == "workspace." || (p.starts_with("target.") && p.ends_with('.'));
+    for kind in ["dependencies", "dev-dependencies", "build-dependencies"] {
+        for (at, _) in header.match_indices(kind) {
+            let tail = &header[at + kind.len()..];
+            if !prefix_ok(&header[..at]) {
+                continue;
+            }
+            if tail.is_empty() {
+                return Some((kind, None));
+            }
+            if let Some(name) = tail.strip_prefix('.') {
+                return Some((kind, Some(name.trim_matches('"'))));
+            }
+        }
+    }
+    None
 }
 
 /// Extracts the dependency name from a line inside a dependency table.
@@ -59,41 +66,67 @@ fn dep_name(line: &str) -> Option<&str> {
     }
 }
 
+/// One dependency entry of a manifest.
+struct DepEntry<'a> {
+    /// 0-based line index: the entry's line, or the header of a
+    /// `[dependencies.<name>]` table.
+    line: usize,
+    /// Dependency name.
+    name: &'a str,
+    /// The trimmed entry line.
+    text: &'a str,
+    /// The table kind it sits under (`dependencies`, ...).
+    kind: &'static str,
+}
+
+/// Every dependency entry of a manifest, in file order.
+fn dep_entries(text: &str) -> Vec<DepEntry<'_>> {
+    let mut out = Vec::new();
+    let mut table = None;
+    for (line, raw) in text.lines().enumerate() {
+        let trimmed = raw.trim();
+        if trimmed.starts_with('[') {
+            table = dep_table(trimmed.trim_matches(|c| c == '[' || c == ']'));
+            if let Some((kind, Some(name))) = table {
+                out.push(DepEntry { line, name, text: trimmed, kind });
+            }
+        } else if let Some((kind, None)) = table {
+            if let Some(name) = dep_name(trimmed) {
+                out.push(DepEntry { line, name, text: trimmed, kind });
+            }
+        }
+    }
+    out
+}
+
 /// Scans one manifest's text; `rel_path` is used in diagnostics.
 pub fn scan_manifest(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut in_dep_section = false;
-    for (lineno, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.starts_with('[') {
-            let header = trimmed.trim_matches(|c| c == '[' || c == ']');
-            in_dep_section = is_dep_section(header);
-        } else if in_dep_section {
-            if let Some(name) = dep_name(trimmed) {
-                if !name.starts_with("bluefi") {
-                    out.push(Diagnostic::new(
-                        Rule::HermeticManifests,
-                        rel_path,
-                        lineno + 1,
-                        format!("external dependency `{name}` breaks the offline build"),
-                    ));
-                }
-                if inherits_workspace(trimmed) && trimmed.contains("default-features") {
-                    out.push(Diagnostic::new(
-                        Rule::HermeticManifests,
-                        rel_path,
-                        lineno + 1,
-                        format!(
-                            "`default-features` on workspace-inherited `{name}` is \
-                             ignored by cargo; set it in [workspace.dependencies]"
-                        ),
-                    ));
-                }
-            }
+    for DepEntry { line, name, text, .. } in dep_entries(text) {
+        if !name.starts_with("bluefi") {
+            out.push(Diagnostic::new(
+                Rule::HermeticManifests,
+                rel_path,
+                line + 1,
+                format!("external dependency `{name}` breaks the offline build"),
+            ));
         }
-        // Belt-and-braces: banned crate names anywhere, even commented out
-        // or outside dependency tables (whole-word match, so a crate named
-        // `bluefi-random` would not false-positive).
+        if inherits_workspace(text) && text.contains("default-features") {
+            out.push(Diagnostic::new(
+                Rule::HermeticManifests,
+                rel_path,
+                line + 1,
+                format!(
+                    "`default-features` on workspace-inherited `{name}` is \
+                     ignored by cargo; set it in [workspace.dependencies]"
+                ),
+            ));
+        }
+    }
+    // Belt-and-braces: banned crate names anywhere, even commented out
+    // or outside dependency tables (whole-word match, so a crate named
+    // `bluefi-random` would not false-positive).
+    for (lineno, line) in text.lines().enumerate() {
         for banned in BANNED_NAMES {
             let hit = line
                 .split(|c: char| !(c.is_alphanumeric() || c == '_'))
@@ -108,6 +141,7 @@ pub fn scan_manifest(rel_path: &str, text: &str) -> Vec<Diagnostic> {
             }
         }
     }
+    out.sort_by_key(|d| d.line);
     scan_default_members(rel_path, text, &mut out);
     out
 }
@@ -255,12 +289,18 @@ pub fn scan_lint_opt_in(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// R8 at the manifest level: in `crates/<k>/Cargo.toml`, every `bluefi-*`
-/// entry under `[dependencies]` must sit strictly *below* `<k>` in the
-/// layer DAG ([`crate::callgraph::LAYERS`]). `[dev-dependencies]` are
-/// exempt — test-only upward edges (e.g. `dsp` testing against
-/// `bluefi-core`) do not constrain the shipped dependency graph. The
-/// workspace-root manifest only aggregates and is skipped.
+/// R8 — crate layering: in `crates/<k>/Cargo.toml`, every `bluefi-*`
+/// entry of a shipped dependency table (`[dependencies]`,
+/// `[dependencies.<name>]`, `[target.<cfg>.dependencies]`,
+/// `[build-dependencies]`) must sit strictly *below* `<k>` in the layer
+/// DAG ([`crate::callgraph::LAYERS`]). `[dev-dependencies]` are exempt —
+/// test-only upward edges (e.g. `dsp` testing against `bluefi-core`) do
+/// not constrain the shipped dependency graph. The workspace-root
+/// manifest only aggregates and is skipped.
+///
+/// The manifest is the whole check: rustc rejects a `bluefi_<x>` path in
+/// non-test code unless `<x>` is one of the crate's shipped dependencies,
+/// so downward-only dependencies imply downward-only references.
 pub fn scan_manifest_layering(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     use crate::callgraph::layer_of;
     let norm = rel_path.replace('\\', "/");
@@ -271,30 +311,23 @@ pub fn scan_manifest_layering(rel_path: &str, text: &str) -> Vec<Diagnostic> {
     };
     let Some(crate_layer) = layer_of(krate) else { return Vec::new() };
     let mut out = Vec::new();
-    let mut in_plain_deps = false;
-    for (lineno, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.starts_with('[') {
-            let header = trimmed.trim_matches(|c| c == '[' || c == ']');
-            in_plain_deps = header == "dependencies";
+    for DepEntry { line, name, kind, .. } in dep_entries(text) {
+        if kind == "dev-dependencies" {
             continue;
         }
-        if !in_plain_deps {
+        let Some(target_layer) = name.strip_prefix("bluefi-").and_then(layer_of) else {
             continue;
-        }
-        let Some(name) = dep_name(trimmed) else { continue };
-        let Some(target) = name.strip_prefix("bluefi-") else { continue };
-        let Some(target_layer) = layer_of(target) else { continue };
+        };
         if target_layer >= crate_layer {
             let relation =
                 if target_layer == crate_layer { "a sibling on the same layer" } else { "above" };
             out.push(Diagnostic::new(
                 Rule::CrateLayering,
                 rel_path,
-                lineno + 1,
+                line + 1,
                 format!(
                     "`{name}` is {relation} `{krate}` in the layer DAG — shipped \
-                     `[dependencies]` must point strictly downward \
+                     `[{kind}]` must point strictly downward \
                      (dev-dependencies are exempt)"
                 ),
             ));

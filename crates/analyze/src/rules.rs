@@ -1,4 +1,5 @@
-//! The per-file lint rules (R1, R5, R7–R9).
+//! The source lint rules: the per-file R1, R5, R7 and R9, and the
+//! cross-file R11.
 //!
 //! Each rule walks the [`SourceFile`] line model — and, for the semantic
 //! rules, the [`FileIndex`] token/item model — and emits `file:line`
@@ -9,11 +10,12 @@
 //! only look at content. The cross-file rule R10 lives in
 //! [`crate::callgraph`].
 
-use crate::callgraph::layer_of;
-use crate::items::FileIndex;
+use crate::callgraph::AnalyzedFile;
+use crate::items::{crate_of, FileIndex, Vis};
 use crate::source::{Line, SourceFile};
 use crate::tokens::TokKind;
 use crate::{Diagnostic, Findings, Rule};
+use std::collections::{HashMap, HashSet};
 
 /// Escape-hatch names accepted by each rule.
 pub const ALLOW_PANIC: &str = "panic";
@@ -21,10 +23,10 @@ pub const ALLOW_PANIC: &str = "panic";
 pub const ALLOW_FLOAT_EQ: &str = "float-eq";
 /// Hatch name for R7.
 pub const ALLOW_PRINT: &str = "print";
-/// Hatch name for R8.
-pub const ALLOW_LAYERING: &str = "layering";
 /// Hatch name for R9.
 pub const ALLOW_ATOMIC_ORDERING: &str = "atomic-ordering";
+/// Hatch name for R11.
+pub const ALLOW_UNUSED_PUBLIC: &str = "r11";
 
 fn allowed(line: &Line, hatch: &str) -> bool {
     line.allows.iter().any(|a| a == hatch)
@@ -213,54 +215,6 @@ pub fn r7_no_adhoc_print(file: &SourceFile, out: &mut Findings) {
                 );
             }
         }
-    }
-}
-
-/// R8 — crate-layering enforcement at the `use`/path level.
-///
-/// The workspace dependency DAG (as built; see
-/// [`crate::callgraph::LAYERS`] and DESIGN.md §13) is
-/// `dsp → coding → {wifi, bt} → core → sim → apps → {bench, conformance}`.
-/// Any `bluefi_<x>` path in the source of crate `k` where `x` sits on the
-/// same layer (a sibling) or above is an upward reference and is flagged.
-/// `#[cfg(test)]` code is exempt — dev-dependencies may legitimately reach
-/// upward (e.g. `dsp`'s tests use `bluefi_core`). The escape hatch is
-/// `// lint: allow(layering) <reason>`; the manifest-level complement is
-/// [`crate::manifests::scan_manifest_layering`].
-pub fn r8_crate_layering(file: &SourceFile, index: &FileIndex, out: &mut Findings) {
-    let Some(caller) = index.krate.as_deref() else { return };
-    let Some(caller_layer) = layer_of(caller) else { return };
-    for t in &index.toks {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let Some(target) = t.text.strip_prefix("bluefi_") else { continue };
-        if target == caller {
-            continue;
-        }
-        let Some(target_layer) = layer_of(target) else { continue };
-        if target_layer < caller_layer {
-            continue;
-        }
-        let Some(line) = file.lines.get(t.line - 1) else { continue };
-        if line.in_test {
-            continue;
-        }
-        let relation = if target_layer == caller_layer { "sibling" } else { "upward" };
-        out.emit(
-            allowed(line, ALLOW_LAYERING),
-            Diagnostic::new(
-                Rule::CrateLayering,
-                &file.rel_path,
-                t.line,
-                format!(
-                    "`bluefi_{target}` is a {relation} reference from `{caller}` — the \
-                     layer DAG is dsp -> coding -> {{wifi, bt}} -> core -> sim -> apps -> \
-                     {{bench, conformance}}; move the shared code down a layer or add \
-                     `// lint: allow(layering) <reason>`"
-                ),
-            ),
-        );
     }
 }
 
@@ -474,6 +428,89 @@ fn receiver_before(
     Some(parts.concat())
 }
 
+/// R11 — public items with no caller.
+///
+/// rustc's `dead_code` lint cannot see an unused `pub` item of a library,
+/// so this rule does. A plain-`pub` `fn` (free or inherent method),
+/// `const`, `static`, `struct`, `enum`, `trait` or `type` in
+/// `crates/*/src`, outside `#[cfg(test)]`, fires when its name occurs as
+/// an identifier token nowhere but its own declaration, its own file's
+/// `#[cfg(test)]` regions and `use` declarations — a `pub use` re-export
+/// is not a caller. Every file in `files` is searched for callers,
+/// including the ones outside `crates/*/src` that are read for their
+/// tokens only (integration tests, examples, the benchmark).
+///
+/// The match is by name only: a same-named token anywhere (another
+/// type's method, a field, a local) keeps the item quiet, so the rule can
+/// miss a dead item but never flags a used one. Act on a finding by
+/// deleting the item, moving it into the test code that uses it, or — with
+/// a reason — `// lint: allow(r11) <reason>`.
+pub fn r11_unused_public(files: &[AnalyzedFile], out: &mut Findings) {
+    let names: Vec<(HashSet<&str>, HashMap<&str, usize>)> =
+        files.iter().map(names_outside_use).collect();
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for (anywhere, _) in &names {
+        for name in anywhere {
+            *files_naming.entry(name).or_default() += 1;
+        }
+    }
+    for (file, (_, live)) in files.iter().zip(&names) {
+        if crate_of(&file.index.rel_path).is_none() {
+            continue;
+        }
+        let fns = file.index.fns.iter().map(|f| (f.line, "fn", &f.name, f.vis, f.is_test));
+        let items =
+            file.index.items.iter().map(|it| (it.line, it.kind, &it.name, it.vis, it.is_test));
+        let mut public: Vec<_> =
+            fns.chain(items).filter(|&(.., vis, is_test)| vis == Vis::Public && !is_test).collect();
+        public.sort_by_key(|&(line, ..)| line);
+        for (line, kind, name, ..) in public {
+            // The declaration is one occurrence in its own file, outside
+            // its tests; any other file or any second such token is a caller.
+            let named_elsewhere = files_naming.get(name.as_str()).is_some_and(|&n| n > 1);
+            if named_elsewhere || live.get(name.as_str()).is_some_and(|&n| n > 1) {
+                continue;
+            }
+            let Some(l) = file.source.lines.get(line - 1) else { continue };
+            out.emit(
+                allowed(l, ALLOW_UNUSED_PUBLIC),
+                Diagnostic::new(
+                    Rule::UnusedPublic,
+                    &file.index.rel_path,
+                    line,
+                    format!(
+                        "`pub {kind} {name}` has no caller outside its own tests and `use` \
+                         lines — delete it, move it into the test code that uses it, or add \
+                         `// lint: allow(r11) <reason>`"
+                    ),
+                ),
+            );
+        }
+    }
+}
+
+/// The identifiers of one file outside `use` declarations: every name,
+/// and how often each occurs outside the file's `#[cfg(test)]` regions.
+fn names_outside_use(file: &AnalyzedFile) -> (HashSet<&str>, HashMap<&str, usize>) {
+    let mut anywhere = HashSet::new();
+    let mut live: HashMap<&str, usize> = HashMap::new();
+    let in_test = |line: usize| file.source.lines.get(line - 1).is_some_and(|l| l.in_test);
+    let mut in_use = false;
+    for t in &file.index.toks {
+        if t.is_ident("use") {
+            in_use = true;
+        } else if in_use {
+            in_use = !t.is_punct(";");
+        } else if t.kind == TokKind::Ident {
+            anywhere.insert(t.text.as_str());
+            if !in_test(t.line) {
+                *live.entry(t.text.as_str()).or_default() += 1;
+            }
+        }
+    }
+    (anywhere, live)
+}
+
 /// Position of a standalone `for` / `while` loop keyword, if any.
 ///
 /// `for` only counts when a standalone `in` follows before any `{` on the
@@ -610,30 +647,6 @@ mod tests {
         let src = "println!(\"boot\"); // lint: allow(print) startup banner\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { println!(\"dbg\"); }\n}";
         assert!(scan(r7_no_adhoc_print, src).is_empty());
-    }
-
-    #[test]
-    fn r8_flags_upward_and_sibling_references() {
-        let src = "use bluefi_core::telemetry::Counter;\n\
-                   use bluefi_bt::gfsk::modulate;\n\
-                   use bluefi_dsp::fft::fft_into;\n\
-                   fn f() { let x = bluefi_sim::mac::Slot::new(); }\n";
-        let out = scan_indexed(r8_crate_layering, "crates/wifi/src/x.rs", src);
-        let lines: Vec<usize> = out.fired.iter().map(|d| d.line).collect();
-        // core above wifi (1), bt sibling (2), sim above (4); dsp below: fine.
-        assert_eq!(lines, vec![1, 2, 4], "{:#?}", out.fired);
-        assert!(out.fired[0].message.contains("upward"));
-        assert!(out.fired[1].message.contains("sibling"));
-    }
-
-    #[test]
-    fn r8_exempts_tests_self_and_hatched_lines() {
-        let src = "use bluefi_wifi::tx::Synth; // lint: allow(layering) doc example only\n\
-                   #[cfg(test)]\nmod tests {\n    use bluefi_core::json::Json;\n}\n";
-        let out = scan_indexed(r8_crate_layering, "crates/wifi/src/x.rs", src);
-        assert!(out.fired.is_empty(), "{:#?}", out.fired);
-        // Only the sibling/upward hatch is recorded; self-reference is free.
-        assert!(out.hatched.is_empty(), "self-reference needs no hatch");
     }
 
     #[test]

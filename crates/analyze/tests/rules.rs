@@ -113,23 +113,28 @@ fn r7_fires_on_adhoc_prints_in_library_code() {
 
 #[test]
 fn r8_fires_on_upward_and_sibling_references() {
-    let src = include_str!("fixtures/r8_layering.rs");
-    let out = scan_source_full("crates/wifi/src/r8_layering.rs", src);
-    let r8 = lines_of(&out.fired, Rule::CrateLayering);
-    // core (upward use), bt (sibling use), apps (upward path expression);
-    // the dsp use is downward, the hatched sim use and the #[cfg(test)]
-    // core use stay silent.
-    assert_eq!(r8, vec![5, 6, 12], "{:#?}", out.fired);
-    assert_eq!(lines_of(&out.hatched, Rule::CrateLayering), vec![9]);
-    assert!(out.fired[0]
-        .to_string()
-        .starts_with("crates/wifi/src/r8_layering.rs:5: [R8 crate-layering]"));
-    assert!(out.fired[0].message.contains("upward"));
-    assert!(out.fired[1].message.contains("sibling"));
-    // The same file inside `apps` (top of the tree): only the sim use
-    // (hatched) and nothing else is upward... core/bt/dsp are all below.
-    let out = scan_source_full("crates/apps/src/r8_layering.rs", src);
-    assert!(lines_of(&out.fired, Rule::CrateLayering).is_empty(), "{:#?}", out.fired);
+    let text = include_str!("fixtures/r8_manifest.toml");
+    let diags = manifests::scan_manifest_layering("crates/wifi/Cargo.toml", text);
+    // core under [dependencies], sim as a [dependencies.<name>] table
+    // (flagged at its header), bt (a sibling) under a target table, apps
+    // under [build-dependencies]; dsp is downward and the dev-dependency
+    // is exempt.
+    assert_eq!(lines_of(&diags, Rule::CrateLayering), vec![11, 13, 17, 20], "{diags:#?}");
+    assert_eq!(diags.len(), 4);
+    assert!(diags[0].to_string().starts_with(
+        "crates/wifi/Cargo.toml:11: [R8 crate-layering] `bluefi-core` is above `wifi`"
+    ));
+    assert!(diags[1].message.contains("`bluefi-sim`"), "{diags:#?}");
+    assert!(diags[2].message.contains("sibling"), "{diags:#?}");
+    assert!(diags[3].message.contains("[build-dependencies]"), "{diags:#?}");
+    // The same tables in `apps` (layer 5): only the build-dependency on
+    // apps itself is not below it.
+    let diags = manifests::scan_manifest_layering("crates/apps/Cargo.toml", text);
+    assert_eq!(lines_of(&diags, Rule::CrateLayering), vec![20], "{diags:#?}");
+    // Every entry is a workspace crate, and the named table's
+    // `workspace = true` line is not read as a dependency: R3 is quiet.
+    let r3 = manifests::scan_manifest("crates/wifi/NotCargo.toml", text);
+    assert!(r3.is_empty(), "{r3:#?}");
 }
 
 #[test]
@@ -215,6 +220,36 @@ fn r10_fires_on_direct_hot_loop_allocations() {
     assert_eq!(r10("crates/coding/src/trellis.rs").0, vec![7, 8, 9, 19, 37, 38]);
     // Out of scope in `core` (the pipeline intentionally clones results).
     assert!(r10("crates/core/src/r10_hot_loop.rs").0.is_empty());
+}
+
+#[test]
+fn r11_fires_on_public_items_only_their_own_tests_name() {
+    let api = (
+        "crates/dsp/src/r11_api.rs".to_string(),
+        include_str!("fixtures/r11_api.rs").to_string(),
+    );
+    let user = (
+        "crates/wifi/src/r11_user.rs".to_string(),
+        include_str!("fixtures/r11_user.rs").to_string(),
+    );
+    let out = analyze_files(&[api.clone(), user]);
+    // The test-only fn, the dead const and struct, and the item only a
+    // `pub use` names; the cross-file call, the `pub(crate)` item and the
+    // private fn of the second file stay silent.
+    assert_eq!(lines_of(&out.fired, Rule::UnusedPublic), vec![5, 8, 11, 17], "{:#?}", out.fired);
+    assert!(out.fired.iter().all(|d| d.file == "crates/dsp/src/r11_api.rs"));
+    assert_eq!(
+        out.fired[0].to_string(),
+        "crates/dsp/src/r11_api.rs:5: [R11 unused-public] `pub fn only_tested` has no caller \
+         outside its own tests and `use` lines — delete it, move it into the test code that \
+         uses it, or add `// lint: allow(r11) <reason>`"
+    );
+    assert!(out.fired[1].message.contains("`pub const DEAD_LIMIT`"));
+    assert!(out.fired[2].message.contains("`pub struct DeadState`"));
+    assert_eq!(lines_of(&out.hatched, Rule::UnusedPublic), vec![23]);
+    // Without the calling file, the called fn has no caller either.
+    let out = analyze_files(&[api]);
+    assert_eq!(lines_of(&out.fired, Rule::UnusedPublic), vec![5, 8, 11, 14, 17]);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! Bluetooth beacon", controllable remotely).
 
 use bluefi_bt::ble::{adv_air_bits, AdvChannel, AdvChannelError, AdvPdu, AdvPduType};
-use bluefi_core::json::{Json, JsonError, ToJson};
+use bluefi_core::json::{Json, ToJson};
 use bluefi_core::pipeline::{BlueFi, Synthesis};
 
 /// The beacon payload formats in common deployment.
@@ -106,59 +106,6 @@ impl BeaconFormat {
             tx_add: true,
         }
     }
-
-    /// Parses a format back out of its [`ToJson`] representation.
-    pub fn from_json(v: &Json) -> Result<BeaconFormat, JsonError> {
-        let kind = v.get("type").and_then(Json::as_str).ok_or_else(|| bad("missing type"))?;
-        match kind {
-            "ibeacon" => Ok(BeaconFormat::IBeacon {
-                uuid: byte_array(v, "uuid")?,
-                major: num(v, "major")? as u16,
-                minor: num(v, "minor")? as u16,
-                measured_power: num(v, "measured_power")? as i8,
-            }),
-            "eddystone_uid" => Ok(BeaconFormat::EddystoneUid {
-                tx_power: num(v, "tx_power")? as i8,
-                namespace: byte_array(v, "namespace")?,
-                instance: byte_array(v, "instance")?,
-            }),
-            "eddystone_url" => Ok(BeaconFormat::EddystoneUrl {
-                tx_power: num(v, "tx_power")? as i8,
-                scheme: num(v, "scheme")? as u8,
-                body: byte_vec(v, "body")?,
-            }),
-            "altbeacon" => Ok(BeaconFormat::AltBeacon {
-                mfg_id: num(v, "mfg_id")? as u16,
-                beacon_id: byte_array(v, "beacon_id")?,
-                reference_rssi: num(v, "reference_rssi")? as i8,
-            }),
-            other => Err(bad(&format!("unknown beacon format '{other}'"))),
-        }
-    }
-}
-
-fn bad(message: &str) -> JsonError {
-    JsonError { message: message.to_string(), offset: 0 }
-}
-
-fn num(v: &Json, key: &str) -> Result<f64, JsonError> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| bad(&format!("missing number '{key}'")))
-}
-
-fn byte_vec(v: &Json, key: &str) -> Result<Vec<u8>, JsonError> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad(&format!("missing array '{key}'")))?
-        .iter()
-        .map(|e| e.as_f64().map(|n| n as u8).ok_or_else(|| bad("non-numeric byte")))
-        .collect()
-}
-
-fn byte_array<const N: usize>(v: &Json, key: &str) -> Result<[u8; N], JsonError> {
-    let bytes = byte_vec(v, key)?;
-    bytes
-        .try_into()
-        .map_err(|_| bad(&format!("'{key}' must hold exactly {N} bytes")))
 }
 
 fn json_bytes(bytes: &[u8]) -> Json {
@@ -224,25 +171,6 @@ impl ToJson for BeaconConfig {
             ("channels", json_bytes(&self.channels)),
             ("enabled", Json::Bool(self.enabled)),
         ])
-    }
-}
-
-impl BeaconConfig {
-    /// Parses the config a control plane pushed as JSON text.
-    pub fn from_json_text(text: &str) -> Result<BeaconConfig, JsonError> {
-        let v = Json::parse(text)?;
-        Ok(BeaconConfig {
-            format: BeaconFormat::from_json(
-                v.get("format").ok_or_else(|| bad("missing format"))?,
-            )?,
-            adv_address: byte_array(&v, "adv_address")?,
-            rate_hz: num(&v, "rate_hz")?,
-            channels: byte_vec(&v, "channels")?,
-            enabled: v
-                .get("enabled")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| bad("missing enabled"))?,
-        })
     }
 }
 
@@ -382,25 +310,5 @@ mod tests {
         let cfg = BeaconConfig { channels: vec![38, 40], ..Default::default() };
         let err = build_beacon(&cfg, &BlueFi::default(), 71).unwrap_err();
         assert_eq!(err, bluefi_bt::ble::AdvChannelError(40));
-    }
-
-    #[test]
-    fn config_roundtrips_through_json() {
-        // The remote-control plane pushes configs as JSON text; every
-        // format must survive the render → parse round trip.
-        let formats = [
-            BeaconFormat::IBeacon { uuid: [7; 16], major: 700, minor: 7, measured_power: -59 },
-            BeaconFormat::EddystoneUid { tx_power: -4, namespace: [3; 10], instance: [9; 6] },
-            BeaconFormat::EddystoneUrl { tx_power: 0, scheme: 1, body: b"bluefi.io".to_vec() },
-            BeaconFormat::AltBeacon { mfg_id: 0x0118, beacon_id: [5; 20], reference_rssi: -65 },
-        ];
-        for format in formats {
-            let cfg = BeaconConfig { format, ..Default::default() };
-            let text = cfg.to_json().render();
-            let back = BeaconConfig::from_json_text(&text).unwrap();
-            assert_eq!(back, cfg, "{text}");
-        }
-        assert!(BeaconConfig::from_json_text("{}").is_err());
-        assert!(BeaconConfig::from_json_text("not json").is_err());
     }
 }

@@ -12,7 +12,6 @@
 pub mod audio;
 pub mod beacon;
 pub mod l2cap;
-pub mod ranging;
 pub mod sbc;
 
 pub use audio::{A2dpStreamer, AudioConfig, SnifferCounts};

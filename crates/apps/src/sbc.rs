@@ -47,12 +47,6 @@ impl SbcParams {
         let payload_bits = self.blocks * self.bitpool;
         4 + sf_bits.div_ceil(8) + payload_bits.div_ceil(8)
     }
-
-    /// Encoded bitrate, bits/s.
-    pub fn bitrate_bps(&self) -> f64 {
-        self.frame_bytes() as f64 * 8.0 * self.sample_rate_hz as f64
-            / self.samples_per_frame() as f64
-    }
 }
 
 /// The codec (mono; A2DP stereo runs two instances or joint coding).
@@ -454,8 +448,6 @@ mod tests {
         assert_eq!(p.samples_per_frame(), 128);
         // 4 header + 4 scalefactor bytes + 70 payload bytes.
         assert_eq!(p.frame_bytes(), 4 + 4 + 70);
-        // ≈ 215 kbps mono at 44.1 kHz — SBC's mono high-quality ballpark.
-        assert!((p.bitrate_bps() - 215e3).abs() < 15e3, "{}", p.bitrate_bps());
     }
 
     #[test]

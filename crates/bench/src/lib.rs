@@ -36,11 +36,6 @@ impl Reporter {
         Reporter { json, tables: Vec::new(), notes: Vec::new() }
     }
 
-    /// True when this reporter emits JSON instead of text.
-    pub fn is_json(&self) -> bool {
-        self.json
-    }
-
     /// Adds (and, in text mode, prints) one aligned table.
     pub fn table(&mut self, title: &str, header: &[&str], rows: Vec<Vec<String>>) {
         let mut t = Table::new(title, header);
@@ -168,7 +163,7 @@ mod tests {
         let mut rep = Reporter::new(true);
         rep.table("demo", &["k", "v"], vec![vec!["a".into(), "1".into()]]);
         rep.note("paper: shape matches");
-        assert!(rep.is_json());
+        assert!(rep.json);
         assert_eq!(rep.tables.len(), 1);
         assert_eq!(rep.tables[0].rows.len(), 1);
         assert_eq!(rep.notes, vec!["paper: shape matches".to_string()]);

@@ -230,51 +230,6 @@ pub fn br_air_bits(
     out
 }
 
-/// Assembles a BR packet whose payload is a raw bit field with no payload
-/// header — the FHS packet's framing (field ‖ CRC-16, whitened, rate-2/3
-/// FEC; Vol 2 Part B 6.5.1.4).
-pub fn br_air_bits_raw(
-    addr: BtAddress,
-    header: &BrHeader,
-    field_bits: &[bool],
-    clk6_1: u8,
-) -> Vec<bool> {
-    let mut out = access_code_bits(addr.lap);
-    let fields = header.field_bits();
-    let mut hdr = fields.clone();
-    hdr.extend(bluefi_coding::crc::hec8_bits(addr.uap, &fields));
-    out.extend(encode_r13(&br_whiten(clk6_1, &hdr)));
-    let mut bits = field_bits.to_vec();
-    bits.extend(crc16_bits(addr.uap, field_bits));
-    out.extend(encode_r23_fec(&br_whiten(clk6_1, &bits)));
-    out
-}
-
-/// Decodes a raw-field packet body (bits after the access code): header,
-/// then `n_field_bits` of payload + CRC-16 under rate-2/3 FEC. Returns the
-/// field bits when everything checks out.
-pub fn br_decode_raw(bits: &[bool], uap: u8, clk6_1: u8, n_field_bits: usize) -> Option<Vec<bool>> {
-    if bits.len() < 54 {
-        return None;
-    }
-    let hdr = br_whiten(clk6_1, &decode_r13(&bits[..54]));
-    if !bluefi_coding::crc::hec8_check(uap, &hdr[..10], &hdr[10..18]) {
-        return None;
-    }
-    let rest = &bits[54..];
-    let usable = rest.len() - rest.len() % 15;
-    let (decoded, _) = decode_r23_fec(&rest[..usable]);
-    let body = br_whiten(clk6_1, &decoded);
-    if body.len() < n_field_bits + 16 {
-        return None;
-    }
-    let field = &body[..n_field_bits];
-    if !crc16_check(uap, field, &body[n_field_bits..n_field_bits + 16]) {
-        return None;
-    }
-    Some(field.to_vec())
-}
-
 /// Maximum air bits for an n-slot packet at 1 µs/bit — the sizes realized
 /// by the largest spec payloads (DH1 = 366, DM3 = 1626 after FEC padding,
 /// DM5 = 2871), all leaving ≥ ~250 µs turnaround before the next slot pair.

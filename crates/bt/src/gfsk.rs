@@ -55,11 +55,6 @@ impl GfskParams {
         sps.round() as usize
     }
 
-    /// Modulation index h = 2·f_d / symbol rate.
-    pub fn modulation_index(&self) -> f64 {
-        2.0 * self.deviation_hz / self.symbol_rate_hz
-    }
-
     /// First phase sample that can depend on bit `i`:
     /// `guard + sps·i − taps/2 + 1`, saturating at 0. The filter first
     /// reads bit `i` at shape sample `sps·i − taps/2` (its lowest tap), and
@@ -216,11 +211,10 @@ mod tests {
     fn defaults_are_bluetooth_br() {
         let p = GfskParams::default();
         assert_eq!(p.sps(), 20);
-        assert!((p.modulation_index() - 0.32).abs() < 1e-12);
-        assert!(
-            p.modulation_index() >= 0.28 && p.modulation_index() <= 0.35,
-            "spec range"
-        );
+        // Modulation index h = 2·f_d / symbol rate, inside the spec range.
+        let h = 2.0 * p.deviation_hz / p.symbol_rate_hz;
+        assert!((h - 0.32).abs() < 1e-12);
+        assert!((0.28..=0.35).contains(&h), "spec range");
     }
 
     #[test]

@@ -15,8 +15,6 @@
 
 /// Number of BR channels.
 pub const NUM_CHANNELS: u8 = 79;
-/// Slot duration in microseconds.
-pub const SLOT_US: u64 = 625;
 
 /// A deterministic hop-sequence generator for the connection state.
 #[derive(Debug, Clone, Copy)]
@@ -83,11 +81,6 @@ impl ChannelMap {
         ChannelMap { used: channels, mask }
     }
 
-    /// The used channels, ascending.
-    pub fn used(&self) -> &[u8] {
-        &self.used
-    }
-
     /// Whether `ch` is in the map.
     pub fn contains(&self, ch: u8) -> bool {
         self.mask[ch as usize]
@@ -124,19 +117,9 @@ impl SlotClock {
         self.clk >> 1
     }
 
-    /// Whether a master transmission may start here (even slots).
-    pub fn is_master_tx_slot(&self) -> bool {
-        self.slot().is_multiple_of(2)
-    }
-
     /// CLK₆…CLK₁ (the whitening seed bits).
     pub fn clk6_1(&self) -> u8 {
         ((self.clk >> 1) & 0x3F) as u8
-    }
-
-    /// Microseconds since clock zero.
-    pub fn micros(&self) -> u64 {
-        self.slot() as u64 * SLOT_US
     }
 }
 
@@ -208,7 +191,7 @@ mod tests {
         for slot in 0..6000u32 {
             *counts.entry(h.channel(slot << 1, &map)).or_insert(0usize) += 1;
         }
-        for &ch in map.used() {
+        for &ch in &map.used {
             let c = counts.get(&ch).copied().unwrap_or(0);
             assert!(c > 500, "channel {ch}: {c}");
         }
@@ -218,9 +201,6 @@ mod tests {
     fn slot_clock_arithmetic() {
         let s = SlotClock::at_slot(7);
         assert_eq!(s.slot(), 7);
-        assert!(!s.is_master_tx_slot());
-        assert!(SlotClock::at_slot(8).is_master_tx_slot());
-        assert_eq!(s.micros(), 7 * 625);
         assert_eq!(SlotClock::at_slot(0x7F).clk6_1(), 0x3F);
     }
 }

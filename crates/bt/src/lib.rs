@@ -9,7 +9,6 @@
 pub mod ble;
 pub mod br;
 pub mod edr;
-pub mod fhs;
 pub mod gfsk;
 pub mod hopping;
 pub mod receiver;

@@ -19,9 +19,6 @@ pub const PN: u64 = 0x83848D96BBCC54FC;
 /// coefficient of Dⁱ).
 pub const GENERATOR: u64 = 0o260534236651;
 
-/// LAP of the General Inquiry Access Code.
-pub const GIAC_LAP: u32 = 0x9E8B33;
-
 #[inline]
 fn bit(v: u64, i: u32) -> u64 {
     (v >> i) & 1
@@ -92,6 +89,9 @@ pub fn check_sync_word(sw: u64) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// LAP of the General Inquiry Access Code.
+    const GIAC_LAP: u32 = 0x9E8B33;
 
     #[test]
     fn giac_golden_vector() {

@@ -194,9 +194,14 @@ impl CpCompat {
             *slot = last;
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Which sample indices of a block may differ from the true phase — the
-    /// glitch positions (for diagnostics/tests).
+    /// glitch positions.
     ///
     /// * `PaperSplit`: the copied CP tail (`split..=L`, carrying future
     ///   phase at full offset) and the start of the symbol tail
@@ -205,25 +210,20 @@ impl CpCompat {
     /// * `Midpoint`: all `2L` pocket positions (`0..L` and `64..64+L`), each
     ///   at only *half* the phase offset (plus one boundary sample the
     ///   windowing averages to a quarter offset).
-    pub fn distorted_indices(&self) -> Vec<usize> {
-        match self.pocket {
+    fn distorted_indices(c: &CpCompat) -> Vec<usize> {
+        match c.pocket {
             PocketMode::PaperSplit => {
-                let mut v: Vec<usize> = (self.split..=self.cp_len).collect();
-                v.extend(64..64 + self.split);
+                let mut v: Vec<usize> = (c.split..=c.cp_len).collect();
+                v.extend(64..64 + c.split);
                 v
             }
             PocketMode::Midpoint => {
-                let mut v: Vec<usize> = (0..self.cp_len).collect();
-                v.extend(64..64 + self.cp_len);
+                let mut v: Vec<usize> = (0..c.cp_len).collect();
+                v.extend(64..64 + c.cp_len);
                 v
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn ramp(n: usize, f: f64) -> Vec<f64> {
         (0..n).map(|i| 2.0 * std::f64::consts::PI * f * i as f64).collect()
@@ -264,7 +264,7 @@ mod tests {
         let c = CpCompat::sgi();
         let theta: Vec<f64> = (0..72 * 4).map(|i| (i as f64 * 0.05).sin()).collect();
         let th = c.make_compatible(&theta, 0.0);
-        let bad = c.distorted_indices();
+        let bad = distorted_indices(&c);
         for (i, (&a, &b)) in theta.iter().zip(&th).enumerate() {
             if bad.contains(&(i % 72)) {
                 continue;
@@ -331,10 +331,10 @@ mod tests {
 
     #[test]
     fn lgi_doubles_the_glitch() {
-        assert_eq!(CpCompat::sgi().distorted_indices().len(), 9);
-        assert_eq!(CpCompat::lgi().distorted_indices().len(), 17);
+        assert_eq!(distorted_indices(&CpCompat::sgi()).len(), 9);
+        assert_eq!(distorted_indices(&CpCompat::lgi()).len(), 17);
         // Midpoint mode touches all 2L pocket positions, at half offset.
-        assert_eq!(CpCompat::sgi_midpoint().distorted_indices().len(), 16);
+        assert_eq!(distorted_indices(&CpCompat::sgi_midpoint()).len(), 16);
     }
 
     #[test]

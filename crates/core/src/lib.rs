@@ -14,8 +14,9 @@
 //! * [`stages`] — cumulative impairment staging for the Sec 4.6 study.
 //! * [`template`] — template cache + GF(2) delta synthesis for beacon
 //!   fleets (first synthesis per key is cached; mutated payloads are
-//!   patched bit-exactly: a mid-AdvData counter change costs about
-//!   390 µs against 0.92 ms cold in `BENCH_runtime.json`).
+//!   patched bit-exactly: compare `beacon_fleet.patch_mean_us` with
+//!   `realtime.single_packet.mean_us` in `BENCH_runtime.json` for the cost
+//!   of a mid-AdvData counter change against a cold packet).
 //! * [`verify`] — forward loopback through the real TX chain and a COTS
 //!   Bluetooth receiver model.
 //!

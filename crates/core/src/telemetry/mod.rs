@@ -214,9 +214,6 @@ metric_enum! {
         SimTrials => "sim_trials",
         SimRssiReports => "sim_rssi_reports",
         SimRssiSumNegCentiDbm => "sim_rssi_sum_neg_centidbm",
-        SimPacketsOk => "sim_packets_ok",
-        SimPacketsCrcError => "sim_packets_crc_error",
-        SimPacketsLost => "sim_packets_lost",
         TemplateHit => "template_hit",
         TemplateMiss => "template_miss",
         TemplateEvict => "template_evict",

@@ -248,18 +248,6 @@ pub fn bits_to_u64_lsb(bits: &[bool]) -> u64 {
         .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
 }
 
-/// Hamming distance between two equal-length bit slices.
-pub fn hamming(a: &[bool], b: &[bool]) -> usize {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
-}
-
-/// XOR of two equal-length bit slices.
-pub fn xor(a: &[bool], b: &[bool]) -> Vec<bool> {
-    assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x ^ y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,14 +271,6 @@ mod tests {
             assert_eq!(bits_to_u64_lsb(&u64_to_bits_lsb(v, 64)), v);
         }
         assert_eq!(bits_to_u64_lsb(&u64_to_bits_lsb(0b1011, 4)), 0b1011);
-    }
-
-    #[test]
-    fn hamming_and_xor() {
-        let a = [true, false, true, true];
-        let b = [true, true, false, true];
-        assert_eq!(hamming(&a, &b), 2);
-        assert_eq!(xor(&a, &b), vec![false, true, true, false]);
     }
 
     #[test]

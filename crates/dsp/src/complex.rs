@@ -28,24 +28,12 @@ impl Cx {
     pub const ZERO: Cx = Cx { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Cx = Cx { re: 1.0, im: 0.0 };
-    /// The imaginary unit `j`.
-    pub const J: Cx = Cx { re: 0.0, im: 1.0 };
 
     /// `e^{jθ}` — the unit phasor at angle `theta` (radians).
     #[inline]
     pub fn expj(theta: f64) -> Cx {
         let (s, c) = theta.sin_cos();
         Cx { re: c, im: s }
-    }
-
-    /// Creates a complex number from polar coordinates.
-    #[inline]
-    pub fn from_polar(mag: f64, theta: f64) -> Cx {
-        let (s, c) = theta.sin_cos();
-        Cx {
-            re: mag * c,
-            im: mag * s,
-        }
     }
 
     /// Complex conjugate.
@@ -209,15 +197,15 @@ mod tests {
     #[test]
     fn expj_quadrants() {
         assert!(close(Cx::expj(0.0), Cx::ONE));
-        assert!(close(Cx::expj(FRAC_PI_2), Cx::J));
+        assert!(close(Cx::expj(FRAC_PI_2), cx(0.0, 1.0)));
         assert!(close(Cx::expj(PI), -Cx::ONE));
-        assert!(close(Cx::expj(-FRAC_PI_2), -Cx::J));
+        assert!(close(Cx::expj(-FRAC_PI_2), cx(0.0, -1.0)));
     }
 
     #[test]
     fn mul_matches_polar() {
-        let a = Cx::from_polar(2.0, 0.3);
-        let b = Cx::from_polar(0.5, 1.1);
+        let a = Cx::expj(0.3).scale(2.0);
+        let b = Cx::expj(1.1).scale(0.5);
         let p = a * b;
         assert!((p.abs() - 1.0).abs() < 1e-12);
         assert!((p.arg() - 1.4).abs() < 1e-12);

@@ -170,34 +170,6 @@ pub fn ifft(input: &[Cx]) -> Vec<Cx> {
     buf
 }
 
-/// Naive DFT for arbitrary lengths. O(N²); analysis use only.
-pub fn dft(input: &[Cx]) -> Vec<Cx> {
-    let n = input.len();
-    (0..n)
-        .map(|f| {
-            (0..n)
-                .map(|t| input[t] * Cx::expj(-2.0 * PI * (f * t) as f64 / n as f64))
-                .sum()
-        })
-        .collect()
-}
-
-/// Shifts the zero-frequency bin to the center of the spectrum
-/// (`fftshift`): bins `[0..N)` become `[-N/2..N/2)`. One pre-sized buffer,
-/// rotated in place — no intermediate copies.
-pub fn fftshift(spec: &[Cx]) -> Vec<Cx> {
-    let mut out = spec.to_vec();
-    fftshift_inplace(&mut out);
-    out
-}
-
-/// In-place [`fftshift`]: rotates the buffer so the zero-frequency bin
-/// lands in the center, allocating nothing.
-pub fn fftshift_inplace(spec: &mut [Cx]) {
-    let half = spec.len().div_ceil(2);
-    spec.rotate_left(half);
-}
-
 /// Maps a centered subcarrier index `k ∈ [-N/2, N/2)` to the FFT bin index.
 #[inline]
 pub fn bin_of_subcarrier(k: i32, n: usize) -> usize {
@@ -210,6 +182,18 @@ pub fn bin_of_subcarrier(k: i32, n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::complex::cx;
+
+    /// Naive O(N²) DFT, the reference the FFT is checked against.
+    fn dft(input: &[Cx]) -> Vec<Cx> {
+        let n = input.len();
+        (0..n)
+            .map(|f| {
+                (0..n)
+                    .map(|t| input[t] * Cx::expj(-2.0 * PI * (f * t) as f64 / n as f64))
+                    .sum()
+            })
+            .collect()
+    }
 
     fn assert_close(a: &[Cx], b: &[Cx], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -330,14 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn fftshift_centers_dc() {
-        let spec: Vec<Cx> = (0..8).map(|i| cx(i as f64, 0.0)).collect();
-        let sh = fftshift(&spec);
-        let re: Vec<f64> = sh.iter().map(|v| v.re).collect();
-        assert_eq!(re, vec![4.0, 5.0, 6.0, 7.0, 0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
         FftPlan::new(12);
@@ -361,25 +337,5 @@ mod tests {
         let mut via_new = x.clone();
         FftPlan::new(64).forward(&mut via_new);
         assert_close(&via_cache, &via_new, 1e-15);
-    }
-
-    #[test]
-    fn fftshift_inplace_matches_allocating_shift() {
-        for n in [1usize, 2, 7, 8, 64] {
-            let spec: Vec<Cx> = (0..n).map(|i| cx(i as f64, -(i as f64))).collect();
-            let shifted = fftshift(&spec);
-            let mut inplace = spec.clone();
-            fftshift_inplace(&mut inplace);
-            assert_eq!(shifted.len(), n);
-            assert_close(&shifted, &inplace, 1e-15);
-        }
-    }
-
-    #[test]
-    fn fftshift_odd_length_matches_numpy_convention() {
-        // numpy.fft.fftshift([0,1,2,3,4]) == [3,4,0,1,2].
-        let spec: Vec<Cx> = (0..5).map(|i| cx(i as f64, 0.0)).collect();
-        let re: Vec<f64> = fftshift(&spec).iter().map(|v| v.re).collect();
-        assert_eq!(re, vec![3.0, 4.0, 0.0, 1.0, 2.0]);
     }
 }

@@ -56,27 +56,10 @@ impl Fir {
         (self.taps.len() - 1) / 2
     }
 
-    /// Filters a real signal; output has the same length as the input and is
-    /// advanced by the group delay so filtered samples line up with the
-    /// originals (edges are zero-padded).
-    pub fn filter_real(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; x.len()];
-        let d = self.group_delay() as isize;
-        for n in 0..x.len() as isize {
-            let mut acc = 0.0;
-            for (k, &t) in self.taps.iter().enumerate() {
-                let idx = n + d - k as isize;
-                if idx >= 0 && (idx as usize) < x.len() {
-                    acc += t * x[idx as usize];
-                }
-            }
-            out[n as usize] = acc;
-        }
-        out
-    }
-
-    /// Filters a complex signal (each component through the same taps),
-    /// compensated for group delay like [`Fir::filter_real`].
+    /// Filters a complex signal, each component through the same taps. The
+    /// output has the same length as the input and is advanced by the group
+    /// delay so filtered samples line up with the originals (edges are
+    /// zero-padded).
     pub fn filter_cx(&self, x: &[Cx]) -> Vec<Cx> {
         let mut out = vec![Cx::ZERO; x.len()];
         let d = self.group_delay() as isize;
@@ -92,33 +75,6 @@ impl Fir {
         }
         out
     }
-
-    /// Magnitude response at a normalized frequency `f` (cycles/sample).
-    pub fn response_at(&self, f: f64) -> f64 {
-        let h: Cx = self
-            .taps
-            .iter()
-            .enumerate()
-            .map(|(n, &t)| Cx::expj(-2.0 * PI * f * n as f64) * t)
-            .sum();
-        h.abs()
-    }
-}
-
-/// Moving-average smoother used by RSSI estimators; window length `w`.
-pub fn moving_average(x: &[f64], w: usize) -> Vec<f64> {
-    assert!(w >= 1);
-    let mut out = Vec::with_capacity(x.len());
-    let mut acc = 0.0;
-    for i in 0..x.len() {
-        acc += x[i];
-        if i >= w {
-            acc -= x[i - w];
-        }
-        let n = (i + 1).min(w);
-        out.push(acc / n as f64);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -126,13 +82,42 @@ mod tests {
     use super::*;
     use crate::complex::cx;
 
+    /// Magnitude response at a normalized frequency `f` (cycles/sample).
+    fn response_at(fir: &Fir, f: f64) -> f64 {
+        let h: Cx = fir
+            .taps
+            .iter()
+            .enumerate()
+            .map(|(n, &t)| Cx::expj(-2.0 * PI * f * n as f64) * t)
+            .sum();
+        h.abs()
+    }
+
+    /// The real-signal counterpart of [`Fir::filter_cx`], written out
+    /// independently as its reference.
+    fn filter_real(fir: &Fir, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len()];
+        let d = fir.group_delay() as isize;
+        for n in 0..x.len() as isize {
+            let mut acc = 0.0;
+            for (k, &t) in fir.taps.iter().enumerate() {
+                let idx = n + d - k as isize;
+                if idx >= 0 && (idx as usize) < x.len() {
+                    acc += t * x[idx as usize];
+                }
+            }
+            out[n as usize] = acc;
+        }
+        out
+    }
+
     #[test]
     fn lowpass_passes_dc_and_blocks_high() {
         let f = Fir::lowpass(0.1, 101);
-        assert!((f.response_at(0.0) - 1.0).abs() < 1e-9);
-        assert!(f.response_at(0.05) > 0.9);
-        assert!(f.response_at(0.25) < 0.01);
-        assert!(f.response_at(0.45) < 0.01);
+        assert!((response_at(&f, 0.0) - 1.0).abs() < 1e-9);
+        assert!(response_at(&f, 0.05) > 0.9);
+        assert!(response_at(&f, 0.25) < 0.01);
+        assert!(response_at(&f, 0.45) < 0.01);
     }
 
     #[test]
@@ -146,7 +131,7 @@ mod tests {
         // A slow tone should come through nearly unchanged and aligned.
         let f = Fir::lowpass(0.1, 63);
         let x: Vec<f64> = (0..400).map(|i| (2.0 * PI * 0.02 * i as f64).sin()).collect();
-        let y = f.filter_real(&x);
+        let y = filter_real(&f, &x);
         // Compare away from the edges.
         for i in 100..300 {
             assert!((x[i] - y[i]).abs() < 0.02, "sample {i}: {} vs {}", x[i], y[i]);
@@ -162,30 +147,11 @@ mod tests {
         let y = f.filter_cx(&x);
         let re: Vec<f64> = x.iter().map(|v| v.re).collect();
         let im: Vec<f64> = x.iter().map(|v| v.im).collect();
-        let yre = f.filter_real(&re);
-        let yim = f.filter_real(&im);
+        let yre = filter_real(&f, &re);
+        let yim = filter_real(&f, &im);
         for i in 0..x.len() {
             assert!((y[i].re - yre[i]).abs() < 1e-12);
             assert!((y[i].im - yim[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn moving_average_of_constant_is_constant() {
-        let x = vec![3.0; 50];
-        let y = moving_average(&x, 8);
-        for v in y {
-            assert!((v - 3.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn moving_average_smooths_step() {
-        let mut x = vec![0.0; 20];
-        x.extend(vec![1.0; 20]);
-        let y = moving_average(&x, 4);
-        assert!(y[19] < 0.01);
-        assert!((y[23] - 1.0).abs() < 1e-12);
-        assert!(y[21] > 0.4 && y[21] < 0.8);
     }
 }

@@ -49,23 +49,9 @@ pub fn tap_count(sps: usize, span: usize) -> usize {
     }
 }
 
-/// Shapes a ±1 bit sequence into a frequency pulse train.
-///
-/// Each bit is held for `sps` samples (NRZ) and the result is convolved with
-/// the Gaussian taps. The output length is `bits.len() * sps` and is aligned
-/// so that the center of bit `i` is at sample `i*sps + sps/2` (the filter's
-/// group delay is removed). Bits past either end repeat the edge bit: real
-/// transmitters idle at the carrier, and extending avoids a fake frequency
-/// droop on the first/last bit.
-pub fn shape_bits(bits: &[bool], bt: f64, sps: usize, span: usize) -> Vec<f64> {
-    let table = PulseTable::new(&gaussian_taps(bt, sps, span), sps);
-    let mut out = vec![0.0; bits.len() * sps];
-    table.shape_into(bits, 0, 1.0, &mut out);
-    out
-}
-
-/// The NRZ convolution of [`shape_bits`], tabulated per sample phase and
-/// per pattern of the bits the filter window covers.
+/// The NRZ convolution of a ±1 bit sequence with the Gaussian taps,
+/// tabulated per sample phase and per pattern of the bits the filter window
+/// covers.
 ///
 /// Output sample `n = b·sps + p` is the ordered sum over `k` of
 /// `taps[k]·(±1)`, the sign taken from bit `⌊(n + delay − k)/sps⌋`
@@ -159,6 +145,17 @@ impl PulseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shapes a ±1 bit sequence into a frequency pulse train through a
+    /// [`PulseTable`]: each bit held for `sps` samples (NRZ), convolved with
+    /// the Gaussian taps, the center of bit `i` at sample `i*sps + sps/2`,
+    /// and bits past either end repeating the edge bit.
+    fn shape_bits(bits: &[bool], bt: f64, sps: usize, span: usize) -> Vec<f64> {
+        let table = PulseTable::new(&gaussian_taps(bt, sps, span), sps);
+        let mut out = vec![0.0; bits.len() * sps];
+        table.shape_into(bits, 0, 1.0, &mut out);
+        out
+    }
 
     /// The direct convolution: the oracle the table must match bit for bit.
     fn reference(bits: &[bool], taps: &[f64], sps: usize, scale: f64, out: &mut [f64]) {

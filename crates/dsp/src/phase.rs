@@ -37,11 +37,6 @@ pub fn phase_to_iq(phase: &[f64]) -> Vec<Cx> {
     phase.iter().map(|&p| Cx::expj(p)).collect()
 }
 
-/// Extracts the wrapped phase of an IQ waveform.
-pub fn iq_to_phase(iq: &[Cx]) -> Vec<f64> {
-    iq.iter().map(|v| v.arg()).collect()
-}
-
 /// Unwraps a phase signal: removes 2π jumps so the result is continuous.
 pub fn unwrap(phase: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(phase.len());
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn phase_iq_roundtrip() {
         let phase: Vec<f64> = (0..32).map(|n| wrap_angle(0.3 * n as f64)).collect();
-        let round = iq_to_phase(&phase_to_iq(&phase));
+        let round: Vec<f64> = phase_to_iq(&phase).iter().map(|v| v.arg()).collect();
         for (a, b) in phase.iter().zip(&round) {
             assert!((wrap_angle(a - b)).abs() < 1e-12);
         }

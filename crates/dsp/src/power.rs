@@ -11,12 +11,6 @@ pub fn mean_power(x: &[Cx]) -> f64 {
     x.iter().map(|v| v.norm_sq()).sum::<f64>() / x.len() as f64
 }
 
-/// Linear power ratio → dB.
-#[inline]
-pub fn to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// dB → linear power ratio.
 #[inline]
 pub fn from_db(db: f64) -> f64 {
@@ -82,31 +76,16 @@ pub fn median(x: &[f64]) -> f64 {
     percentile(x, 50.0)
 }
 
-/// Error-vector magnitude between a reference and a measured waveform,
-/// in dB relative to reference power. Lengths must match.
-pub fn evm_db(reference: &[Cx], measured: &[Cx]) -> f64 {
-    assert_eq!(reference.len(), measured.len());
-    let sig = mean_power(reference);
-    let err = reference
-        .iter()
-        .zip(measured)
-        .map(|(a, b)| (*a - *b).norm_sq())
-        .sum::<f64>()
-        / reference.len() as f64;
-    to_db(err / sig)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::cx;
 
     #[test]
     fn db_roundtrip() {
-        for v in [0.001, 1.0, 42.0, 1e6] {
-            assert!((from_db(to_db(v)) - v).abs() / v < 1e-12);
+        for v in [0.001f64, 1.0, 42.0, 1e6] {
+            assert!((from_db(10.0 * v.log10()) - v).abs() / v < 1e-12);
         }
-        assert!((to_db(100.0) - 20.0).abs() < 1e-12);
+        assert!((from_db(20.0) - 100.0).abs() < 1e-12);
         assert!((mw_to_dbm(1.0)).abs() < 1e-12);
         assert!((dbm_to_mw(30.0) - 1000.0).abs() < 1e-9);
     }
@@ -139,19 +118,5 @@ mod tests {
             assert_eq!(percentile_sorted(&sorted, p), percentile(&v, p));
         }
         assert_eq!(percentile_sorted(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn evm_of_identical_signals_is_minus_inf() {
-        let x: Vec<Cx> = (0..10).map(|n| cx(n as f64, 1.0)).collect();
-        assert!(evm_db(&x, &x) == f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn evm_scales_with_error() {
-        let x: Vec<Cx> = (0..64).map(|n| Cx::expj(n as f64 * 0.2)).collect();
-        let y: Vec<Cx> = x.iter().map(|v| *v + cx(0.1, 0.0)).collect();
-        let e = evm_db(&x, &y);
-        assert!((e - 20.0 * (0.1f64).log10()).abs() < 1e-9); // -20 dB
     }
 }

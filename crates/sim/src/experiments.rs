@@ -212,53 +212,28 @@ pub fn run_beacon_sessions(trials: &[SessionTrial]) -> Vec<Vec<RssiSample>> {
     bluefi_core::par::par_map(trials, |_, t| run_beacon_session(&t.kind, &t.cfg, t.seed))
 }
 
-/// Counts sync/decode outcomes over `n` packets — the session-level PER
-/// view (used by the background-traffic experiment and tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PacketCounts {
-    /// Fully decoded packets.
-    pub ok: usize,
-    /// Synchronized but CRC failed.
-    pub crc_error: usize,
-    /// Nothing usable found.
-    pub lost: usize,
-}
-
-impl ToJson for PacketCounts {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("ok", Json::Num(self.ok as f64)),
-            ("crc_error", Json::Num(self.crc_error as f64)),
-            ("lost", Json::Num(self.lost as f64)),
-        ])
-    }
-}
-
-/// Runs `n` packets through the session's channel and classifies outcomes.
-pub fn run_packet_counts(kind: &TxKind, cfg: &SessionConfig, n: usize, seed: u64) -> PacketCounts {
-    let (tx_wave, rx_offset_hz, _ripple) = build_tx(kind, cfg.ble_channel);
-    let channel = Channel::new(cfg.channel.clone());
-    let rx = cfg.device.receiver(rx_offset_hz);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = PacketCounts::default();
-    for _ in 0..n {
-        let rx_wave = channel.apply(&tx_wave, &mut rng);
-        let result = rx.receive_ble_adv(&rx_wave, cfg.ble_channel.index());
-        match result.decode {
-            Some(bluefi_bt::ble::AdvDecode::Ok(_)) => counts.ok += 1,
-            Some(_) => counts.crc_error += 1,
-            None => counts.lost += 1,
-        }
-    }
-    telemetry::add(Counter::SimPacketsOk, counts.ok as u64);
-    telemetry::add(Counter::SimPacketsCrcError, counts.crc_error as u64);
-    telemetry::add(Counter::SimPacketsLost, counts.lost as u64);
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `n` packets through the session's channel and classifies the
+    /// outcomes: `[decoded, CRC failed, nothing usable]`.
+    fn packet_counts(kind: &TxKind, cfg: &SessionConfig, n: usize, seed: u64) -> [usize; 3] {
+        let (tx_wave, rx_offset_hz, _ripple) = build_tx(kind, cfg.ble_channel);
+        let channel = Channel::new(cfg.channel.clone());
+        let rx = cfg.device.receiver(rx_offset_hz);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut counts = [0usize; 3];
+        for _ in 0..n {
+            let rx_wave = channel.apply(&tx_wave, &mut rng);
+            match rx.receive_ble_adv(&rx_wave, cfg.ble_channel.index()).decode {
+                Some(bluefi_bt::ble::AdvDecode::Ok(_)) => counts[0] += 1,
+                Some(_) => counts[1] += 1,
+                None => counts[2] += 1,
+            }
+        }
+        counts
+    }
 
     fn quick_session(device: DeviceModel, distance: f64) -> SessionConfig {
         let mut s = SessionConfig::office(device, distance);
@@ -350,9 +325,9 @@ mod tests {
     fn packet_counts_add_up() {
         let kind = TxKind::Dedicated(BtTransmitter::phone("Pixel"));
         let cfg = quick_session(DeviceModel::pixel(), 1.5);
-        let c = run_packet_counts(&kind, &cfg, 20, 9);
-        assert_eq!(c.ok + c.crc_error + c.lost, 20);
-        assert!(c.ok >= 18, "{c:?}");
+        let [ok, crc_error, lost] = packet_counts(&kind, &cfg, 20, 9);
+        assert_eq!(ok + crc_error + lost, 20);
+        assert!(ok >= 18, "{ok} ok, {crc_error} CRC errors, {lost} lost");
     }
 
     #[test]
@@ -361,7 +336,7 @@ mod tests {
         let cfg = quick_session(DeviceModel::pixel(), 1.5);
         let count = |stage: Stage| {
             let kind = TxKind::UsrpStage { stage, tx_dbm: 10.0 };
-            run_packet_counts(&kind, &cfg, 15, 11).ok
+            packet_counts(&kind, &cfg, 15, 11)[0]
         };
         let base = count(Stage::Baseline);
         let full = count(Stage::Header);

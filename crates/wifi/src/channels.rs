@@ -21,10 +21,6 @@ pub fn bt_channel_freq_hz(k: u8) -> f64 {
     (2402.0 + k as f64) * 1e6
 }
 
-/// BLE advertising channels and their frequencies.
-pub const BLE_ADV_CHANNELS: [(u8, f64); 3] =
-    [(37, 2.402e9), (38, 2.426e9), (39, 2.480e9)];
-
 /// The (fractional) subcarrier position of an absolute frequency within a
 /// WiFi channel.
 pub fn subcarrier_in_channel(freq_hz: f64, wifi_ch: u8) -> f64 {
@@ -107,24 +103,11 @@ pub fn plan_channel(bt_freq_hz: f64) -> Option<ChannelPlan> {
     best
 }
 
-/// The ~20 Bluetooth BR channels whose centers fall inside a WiFi channel
-/// (the paper's Sec 4.7 AFH restriction: "only use the 20 channels
-/// corresponding to the single WiFi channel"). Depending on alignment this
-/// is 19–21 channels; edge channels overlap guard subcarriers and perform
-/// poorly, which is why Fig 9 uses only the good half.
-pub fn bt_channels_in_wifi(wifi_ch: u8) -> Vec<u8> {
-    let center = wifi_channel_freq_hz(wifi_ch);
-    (0..=78u8)
-        .filter(|&k| {
-            let f = bt_channel_freq_hz(k);
-            subcarrier_of_freq(f - center).abs() <= 31.5
-        })
-        .collect()
-}
-
 /// Bluetooth BR channels that sit comfortably on populated subcarriers of a
 /// WiFi channel (the ±650 kHz signal stays within ±26 subcarriers) — the
-/// candidates worth transmitting on.
+/// candidates worth transmitting on. The paper's Sec 4.7 AFH restriction
+/// uses "the 20 channels corresponding to the single WiFi channel"; the
+/// edge ones overlap guard subcarriers and perform poorly.
 pub fn usable_bt_channels_in_wifi(wifi_ch: u8) -> Vec<u8> {
     let center = wifi_channel_freq_hz(wifi_ch);
     (0..=78u8)
@@ -203,8 +186,6 @@ mod tests {
     #[test]
     fn afh_channel_count_is_about_twenty() {
         for ch in [1u8, 3, 6, 11] {
-            let n = bt_channels_in_wifi(ch).len();
-            assert!((19..=21).contains(&n), "channel {ch}: {n} BT channels");
             let usable = usable_bt_channels_in_wifi(ch).len();
             assert!((16..=17).contains(&usable), "channel {ch}: {usable} usable");
         }

@@ -17,7 +17,6 @@ pub mod ofdm;
 pub mod pilots;
 pub mod preamble;
 pub mod qam;
-pub mod rx;
 pub mod subcarriers;
 pub mod tx;
 

@@ -55,13 +55,6 @@ impl Mcs {
         self.coded_bits_per_symbol() * num / den
     }
 
-    /// PHY data rate in Mbps with the given guard interval (3.6 µs or 4 µs
-    /// symbols).
-    pub fn rate_mbps(self, short_gi: bool) -> f64 {
-        let sym_us = if short_gi { 3.6 } else { 4.0 };
-        self.data_bits_per_symbol() as f64 / sym_us
-    }
-
     /// The MCS BlueFi uses with the weighted Viterbi reversal (minimal
     /// information loss — rate 5/6, paper Sec 2.7).
     pub fn bluefi_viterbi() -> Mcs {
@@ -88,30 +81,22 @@ mod tests {
 
     #[test]
     fn table_19_27_values() {
-        // (index, Ncbps, Ndbps, rate @ 800ns GI Mbps, rate @ 400ns GI Mbps)
+        // (index, Ncbps, Ndbps)
         let rows = [
-            (0u8, 52usize, 26usize, 6.5, 26.0 / 3.6),
-            (1, 104, 52, 13.0, 52.0 / 3.6),
-            (2, 104, 78, 19.5, 78.0 / 3.6),
-            (3, 208, 104, 26.0, 104.0 / 3.6),
-            (4, 208, 156, 39.0, 156.0 / 3.6),
-            (5, 312, 208, 52.0, 208.0 / 3.6),
-            (6, 312, 234, 58.5, 234.0 / 3.6),
-            (7, 312, 260, 65.0, 260.0 / 3.6),
+            (0u8, 52usize, 26usize),
+            (1, 104, 52),
+            (2, 104, 78),
+            (3, 208, 104),
+            (4, 208, 156),
+            (5, 312, 208),
+            (6, 312, 234),
+            (7, 312, 260),
         ];
-        for (i, ncbps, ndbps, lgi, sgi) in rows {
+        for (i, ncbps, ndbps) in rows {
             let m = Mcs::from_index(i);
             assert_eq!(m.coded_bits_per_symbol(), ncbps, "MCS{i}");
             assert_eq!(m.data_bits_per_symbol(), ndbps, "MCS{i}");
-            assert!((m.rate_mbps(false) - lgi).abs() < 1e-9, "MCS{i} LGI");
-            assert!((m.rate_mbps(true) - sgi).abs() < 1e-9, "MCS{i} SGI");
         }
-    }
-
-    #[test]
-    fn mcs7_sgi_is_72_point_2() {
-        // The "advertised 150 Mbps per stream" family: MCS7 + SGI = 72.2.
-        assert!((Mcs::from_index(7).rate_mbps(true) - 72.222).abs() < 0.001);
     }
 
     #[test]

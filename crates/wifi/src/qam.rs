@@ -168,7 +168,7 @@ pub fn check_constellation_unit_energy(modulation: Modulation) {
 
 /// Index `k ∈ 0..L` of the per-axis level nearest to `v`, where level
 /// `k` is `2k − (L − 1)` in unnormalized units — the one quantizer behind
-/// [`quantize_axis`], [`quantize_point`] and the demapper.
+/// [`quantize_point_bits`], [`quantize_point`] and the demapper.
 ///
 /// BPSK splits at zero (`v ≥ 0` is level +1). Every other modulation
 /// returns exactly the level `2·round((v − 1)/2) + 1` clamped to
@@ -209,12 +209,6 @@ fn level_of_index(k: u32, modulation: Modulation) -> i32 {
     2 * k as i32 - modulation.max_level()
 }
 
-/// Snaps one axis value to the nearest constellation level (odd integer in
-/// `[-max, max]`; NaN gives −1, see [`quantize_point_bits`]).
-pub fn quantize_axis(v: f64, modulation: Modulation) -> i32 {
-    level_of_index(nearest_level_index(v, modulation), modulation)
-}
-
 /// Snaps a complex value to the nearest constellation point (unnormalized
 /// units) — the paper's Sec 2.5 quantizer (Fig 4).
 pub fn quantize_point(v: Cx, modulation: Modulation) -> Cx {
@@ -244,6 +238,12 @@ pub fn quantize_point_bits(v: Cx, modulation: Modulation) -> (Cx, u16) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Snaps one axis value to the nearest constellation level (odd
+    /// integer in `[-max, max]`; NaN gives −1).
+    fn quantize_axis(v: f64, modulation: Modulation) -> i32 {
+        level_of_index(nearest_level_index(v, modulation), modulation)
+    }
 
     const ALL: [Modulation; 6] = [
         Modulation::Bpsk,

@@ -71,12 +71,6 @@ pub fn data_index_of_subcarrier(k: i32) -> Option<usize> {
     data_subcarriers().iter().position(|&s| s == k)
 }
 
-/// Baseband frequency of subcarrier `k` in Hz.
-#[inline]
-pub fn subcarrier_freq_hz(k: i32) -> f64 {
-    k as f64 * SUBCARRIER_SPACING_HZ
-}
-
 /// The (possibly fractional) subcarrier position of a baseband frequency.
 #[inline]
 pub fn subcarrier_of_freq(freq_hz: f64) -> f64 {
@@ -127,8 +121,6 @@ mod tests {
 
     #[test]
     fn frequencies() {
-        assert_eq!(subcarrier_freq_hz(1), 312_500.0);
-        assert_eq!(subcarrier_freq_hz(-28), -8_750_000.0);
         assert!((subcarrier_of_freq(1_812_500.0) - 5.8).abs() < 1e-12);
     }
 }

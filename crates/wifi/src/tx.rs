@@ -32,19 +32,6 @@ pub struct TxConfig {
     pub windowing: bool,
 }
 
-impl TxConfig {
-    /// The configuration BlueFi drives real chips with: MCS 7, SGI,
-    /// windowing on.
-    pub fn bluefi_default(scrambler_seed: u8) -> TxConfig {
-        TxConfig {
-            mcs: Mcs::bluefi_viterbi(),
-            gi: GuardInterval::Short,
-            scrambler_seed,
-            windowing: true,
-        }
-    }
-}
-
 /// Stage 1 — bit assembly and scrambling (17.3.5.5): SERVICE (16 zero
 /// bits) + PSDU + 6 tail bits + pad to a symbol boundary, scrambled; the
 /// tail positions are re-zeroed after scrambling so the encoder flushes.
@@ -143,8 +130,15 @@ mod tests {
     use bluefi_coding::lfsr::recover_seed;
     use bluefi_dsp::power::mean_power;
 
+    /// The configuration BlueFi drives real chips with: MCS 7, SGI,
+    /// windowing on.
     fn cfg() -> TxConfig {
-        TxConfig::bluefi_default(71)
+        TxConfig {
+            mcs: Mcs::bluefi_viterbi(),
+            gi: GuardInterval::Short,
+            scrambler_seed: 71,
+            windowing: true,
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The workspace lint gate: `cargo test -q` fails if any `bluefi-analyze`
 //! rule fires anywhere in the tree. This is the enforcement point for the
-//! seven lint policies R1, R3, R5 and R7–R10 (the human-readable report is
+//! eight lint policies R1, R3, R5 and R7–R11 (the human-readable report is
 //! `cargo run -p bluefi-analyze`; the machine-readable one is
 //! `cargo run -p bluefi-analyze -- --json`).
 //!
@@ -40,12 +40,12 @@ fn workspace_is_lint_clean_per_json_report() {
     let diags = j.get("diagnostics").and_then(Json::as_arr).expect("diagnostics array");
     assert!(diags.is_empty(), "clean report must carry no diagnostics");
 
-    // Schema: all seven rules present, in order, each with zero findings.
+    // Schema: all eight rules present, in order, each with zero findings.
     // Codes are stable, so the retired R2, R4 and R6 leave gaps.
     let rules = j.get("rules").and_then(Json::as_arr).expect("rules array");
     let ids: Vec<&str> =
         rules.iter().filter_map(|r| r.get("id").and_then(Json::as_str)).collect();
-    assert_eq!(ids, vec!["R1", "R3", "R5", "R7", "R8", "R9", "R10"]);
+    assert_eq!(ids, vec!["R1", "R3", "R5", "R7", "R8", "R9", "R10", "R11"]);
     for r in rules {
         assert_eq!(
             r.get("findings").and_then(Json::as_f64),
@@ -82,6 +82,7 @@ fn hatch_counts_are_pinned_per_rule() {
         ("R8", 0),
         ("R9", 0),
         ("R10", 0),
+        ("R11", 0),
     ];
     for (id, n) in expect {
         let got = hatched.iter().find(|(i, _)| i == id).map(|(_, n)| *n);
@@ -113,7 +114,7 @@ fn gate_actually_scanned_the_tree() {
 
 #[test]
 fn analyzer_passes_its_own_rules() {
-    // Self-lint: the analyzer's own sources are in scope (R1/R7/R8 all
+    // Self-lint: the analyzer's own sources are in scope (R1, R7 and R11
     // apply to `crates/analyze/src`) and must be clean. The workspace
     // pass covers them; this pins that they were actually scanned rather
     // than skipped by a scope hole.
@@ -127,7 +128,7 @@ fn analyzer_passes_its_own_rules() {
     assert!(own.is_empty(), "the analyzer fails its own rules:\n{own:#?}");
     let scope = bluefi_analyze::scope_for("crates/analyze/src/rules.rs");
     assert!(
-        scope.no_panics && scope.adhoc_print && scope.layering,
+        scope.no_panics && scope.adhoc_print,
         "the analyze crate must stay in scope of its own gate"
     );
 }
@@ -159,4 +160,42 @@ fn gate_enforces_the_transitive_hot_loop_rule() {
     assert!(!r10[1].chain.is_empty(), "R10 diagnostics carry the allocation chain");
     let report = bluefi_analyze::Report::default();
     assert!(report.summary().contains("R10=0"), "{}", report.summary());
+}
+
+#[test]
+fn gate_enforces_the_unused_public_rule() {
+    // R11 must be wired into the full pipeline: across a pair of virtual
+    // files, a `pub` item named only by its own tests, and one named only
+    // by another file's `use`, fire; one called from the other file does
+    // not.
+    let files = vec![
+        (
+            "crates/dsp/src/gate_probe_api.rs".to_string(),
+            "/// Called.\npub fn called() {}\n/// Imported only.\npub fn imported() {}\n\
+             /// Tested only.\npub fn tested() {}\n\
+             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::tested(); }\n}\n"
+                .to_string(),
+        ),
+        (
+            "crates/wifi/src/gate_probe_user.rs".to_string(),
+            "use bluefi_dsp::gate_probe_api::imported;\n\
+             fn f() {\n    bluefi_dsp::gate_probe_api::called();\n}\n"
+                .to_string(),
+        ),
+    ];
+    let out = bluefi_analyze::analyze_files(&files);
+    let r11: Vec<(&str, usize)> = out
+        .fired
+        .iter()
+        .filter(|d| d.rule == bluefi_analyze::Rule::UnusedPublic)
+        .map(|d| (d.file.as_str(), d.line))
+        .collect();
+    assert_eq!(
+        r11,
+        vec![("crates/dsp/src/gate_probe_api.rs", 4), ("crates/dsp/src/gate_probe_api.rs", 6)],
+        "{:#?}",
+        out.fired
+    );
+    let report = bluefi_analyze::Report::default();
+    assert!(report.summary().contains("R11=0"), "{}", report.summary());
 }
